@@ -101,7 +101,7 @@ def main():
     for step in report.steps:
         print(f"  after {' '.join(step.prefix) or '<start>'} take {step.action}: {step.drawdown:+.6f}")
 
-    gap = surrogate_gap(result.model, instance, lam=args.lam)
+    gap = surrogate_gap(result.model, instance, lam=args.lam, ov=ov)
     dump_json(gap, out("identity_check.json"))
     print(f"loss identity gap on the trained model: {gap['gap']:.2e}")
     print(f"artifacts written to {args.outdir}")

@@ -153,7 +153,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ov = compute_optimal(instance)
     model = load_model(args.model) if args.model else TabularAdvantage.from_oracle(ov)
 
-    gap = surrogate_gap(model, instance, lam=args.lam, kappa=args.kappa)
+    gap = surrogate_gap(model, instance, lam=args.lam, kappa=args.kappa, ov=ov)
 
     worst = 0.0
     for node in ov.trie.nodes:

@@ -74,6 +74,7 @@ class PathDistribution:
 
     paths: tuple[PathSeq, ...]
     weights: tuple[float, ...]
+    _weight: Mapping[PathSeq, float] = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         paths = tuple(tuple(p) for p in self.paths)
@@ -82,7 +83,8 @@ class PathDistribution:
         object.__setattr__(self, "weights", weights)
         if len(paths) != len(weights):
             raise InvalidInputError("paths and weights must have equal length")
-        if len(set(paths)) != len(paths):
+        object.__setattr__(self, "_weight", dict(zip(paths, weights)))
+        if len(self._weight) != len(paths):
             raise InvalidInputError("distribution paths must be distinct")
         for w in weights:
             if not math.isfinite(w) or w < 0.0:
@@ -99,10 +101,7 @@ class PathDistribution:
         return cls(paths=paths, weights=tuple([1.0 / n] * n) if n else ())
 
     def weight_of(self, path: PathSeq) -> float:
-        try:
-            return self.weights[self.paths.index(tuple(path))]
-        except ValueError:
-            return 0.0
+        return self._weight.get(tuple(path), 0.0)
 
     @property
     def support(self) -> tuple[PathSeq, ...]:

@@ -19,9 +19,14 @@ lam/2 times the squared positive overshoot of the prediction above the
 optimal value on support paths; ``surrogate_gap`` evaluates every term of
 that identity independently and reports the discrepancy.
 
-The trainer is deterministic full-batch gradient descent with backtracking
-line search; objectives are compiled once per call into flat index arrays so
-each iteration is a handful of vectorized operations.
+Objectives are compiled once per call into flat index arrays so each
+evaluation is a handful of vectorized operations. For tabular models the
+compiled objective also evaluates in drawdown coordinates (c, a), where every
+value is linear and the regression loss is convex and piecewise quadratic
+under the bound a <= 0; the trainer solves it there by projected
+Barzilai-Borwein steps with a free-set Newton finish. Other objectives, and
+the linear family, get deterministic full-batch gradient descent with
+backtracking line search in the model's own parameters.
 """
 
 from __future__ import annotations
@@ -34,13 +39,20 @@ import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergedError
 from .instance import PathYieldDataset, PLInstance
-from .model import AdvantageModel, predict_value
-from .oracle import compute_optimal
+from .model import TABULAR, AdvantageModel, predict_value, raw_from_advantage
+from .oracle import OptimalValues, compute_optimal
 from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, SeqClass
 
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 60
 BB_STEP_CAP = 1e9
+# Conjugate-gradient steps per Newton attempt on the free drawdowns.
+CG_STEPS = 10
+
+# Why training stopped.
+CONVERGED = "converged"
+ITERATION_CAP = "iteration_cap"
+NO_DECREASE = "no_decrease"
 WEIGHT_SUM_TOL = 1e-12
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -159,18 +171,23 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrainResult:
+    """What ``train`` returns; its docstring defines each outcome field."""
+
     model: AdvantageModel
     trace: np.ndarray
     final_loss: float
     grad_norm: float
     iterations: int
     converged: bool
+    stop_reason: str
 
     def report_json(self, config: TrainConfig) -> dict:
         return {
             "final_loss": self.final_loss,
             "iterations": self.iterations,
             "grad_norm": self.grad_norm,
+            "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "lambda": config.lam,
             "kappa": config.kappa,
             "seed": config.seed,
@@ -178,12 +195,9 @@ class TrainResult:
 
 
 def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of -|z| never overflows: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def _require_proper(alphabet: ActionAlphabet, states: Iterable[PathSeq], what: str) -> None:
@@ -199,50 +213,147 @@ def _require_same_alphabet(model: AdvantageModel, instance: PLInstance) -> None:
 
 
 class _ValueBatch:
-    """Predicted values over a fixed list of proper states, vectorized.
+    """Predicted values over fixed lists of proper states, vectorized.
 
     Each state's value is c plus a state constant (fallback steps) plus the
-    sum of transformed raw scores over its parametrized steps; steps are
-    flattened across states into index arrays once, so evaluation for a new
-    parameter vector is a gather, a transform, and a segmented sum.
+    sum of its parametrized steps; steps are flattened across states into
+    index arrays once, so evaluation for a new parameter vector is a gather,
+    a transform, and a segmented sum. The transform is -softplus of the raw
+    score in the model's packed coordinates, or the identity in drawdown
+    coordinates, where a tabular model's slots hold the drawdowns themselves.
+
+    Steps that read the same slots share one raw score ("key"), so the raw
+    scores and their transforms are computed once per key and gathered per
+    step. The states come in groups (``values`` returns them concatenated);
+    gradients accumulate group by group, in the order of the groups, exactly
+    as one batch per group would.
     """
 
-    def __init__(self, model: AdvantageModel, states: tuple[PathSeq, ...]):
-        self.n_states = len(states)
+    def __init__(self, model: AdvantageModel, *groups: tuple[PathSeq, ...]):
+        self.n_states = sum(len(g) for g in groups)
         self.const = np.zeros(self.n_states)
         step_state: list[int] = []
-        step_slots: list[tuple[int, ...]] = []
-        for j, s in enumerate(states):
+        step_slots: list[int] = []  # flat: a model's steps all read the same number of slots
+        for j, s in enumerate(s for g in groups for s in g):
             for k in range(len(s)):
                 idx = model.step_param_indices(s[:k], s[k])
                 if idx is None:
                     self.const[j] += model.fallback_advantage
                 else:
                     step_state.append(j)
-                    step_slots.append(idx)
+                    step_slots.extend(idx)
         self.step_state = np.array(step_state, dtype=np.intp)
-        width = len(step_slots[0]) if step_slots else 1
-        self.step_slots = np.array(step_slots, dtype=np.intp).reshape(-1, width)
+        width = len(step_slots) // len(step_state) if step_state else 1
+        slots = np.array(step_slots, dtype=np.intp).reshape(-1, width)
+        n = model.n_params
+        if width == 1:
+            # a tabular step reads one slot, and every slot is a key
+            self.step_key = slots[:, 0]
+            self.key_cols = (np.arange(n),)
+        else:
+            # one integer per slot tuple, read in base n; the keys are the
+            # codes that occur, in increasing order
+            code = slots @ n ** np.arange(width)
+            seen = np.zeros(n**width, dtype=bool)
+            seen[code] = True
+            self.step_key = (np.cumsum(seen) - 1)[code]
+            key_code = np.flatnonzero(seen)
+            self.key_cols = tuple(key_code // n**col % n for col in range(width))
+        # per group: its state range, its steps' slots column after column,
+        # and the step each of those entries belongs to. A step's slots are
+        # distinct coordinates (a tabular edge, or a linear pair and the
+        # bias), so one bincount over them adds what one per column would.
+        state_ends = np.cumsum([0] + [len(g) for g in groups])
+        step_ends = np.searchsorted(self.step_state, state_ends)
+        self.groups = [
+            (
+                s_lo, s_hi, slots[lo:hi].T.reshape(-1),
+                slice(lo, hi) if width == 1 else np.tile(np.arange(lo, hi), width),
+            )
+            for s_lo, s_hi, lo, hi in zip(state_ends, state_ends[1:], step_ends, step_ends[1:])
+        ]
 
-    def values(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (value per state, raw score per step)."""
-        z = params[self.step_slots].sum(axis=1)
-        summed = np.bincount(
-            self.step_state, weights=-np.logaddexp(0.0, z), minlength=self.n_states
-        )
+    def values(self, params: np.ndarray, softplus: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Returns (value per state, raw score per key)."""
+        z = params[self.key_cols[0]]
+        for col in self.key_cols[1:]:
+            z = z + params[col]
+        steps = (-np.logaddexp(0.0, z) if softplus else z)[self.step_key]
+        summed = np.bincount(self.step_state, weights=steps, minlength=self.n_states)
         return params[0] + self.const + summed, z
 
     def add_value_grad(
-        self, grad: np.ndarray, state_coef: np.ndarray, z: np.ndarray
+        self, grad: np.ndarray, state_coef: np.ndarray, z: np.ndarray, softplus: bool = True
     ) -> None:
         """grad += sum_j state_coef[j] * d(value_j)/d(params)."""
-        grad[0] += state_coef.sum()
-        if self.step_state.size:
-            step_coef = -state_coef[self.step_state] * _sigmoid_vec(z)
-            for col in range(self.step_slots.shape[1]):
-                grad += np.bincount(
-                    self.step_slots[:, col], weights=step_coef, minlength=grad.size
-                )
+        step_coef = state_coef[self.step_state]
+        if softplus:
+            step_coef = -step_coef * _sigmoid_vec(z)[self.step_key]
+        for s_lo, s_hi, slots, steps in self.groups:
+            grad[0] += state_coef[s_lo:s_hi].sum()
+            if slots.size:
+                grad += np.bincount(slots, weights=step_coef[steps], minlength=grad.size)
+
+    def jvp(self, d: np.ndarray) -> np.ndarray:
+        """Change of every value along the drawdown-coordinate direction d."""
+        dz = d[self.key_cols[0]]
+        for col in self.key_cols[1:]:
+            dz = dz + d[col]
+        return d[0] + np.bincount(self.step_state, weights=dz[self.step_key], minlength=self.n_states)
+
+
+def _hessian(terms: list[tuple[_ValueBatch, np.ndarray]]) -> Callable[[np.ndarray], np.ndarray]:
+    """Hessian-vector product in drawdown coordinates, where every value is
+    linear in (c, a): the sum over batches of J^T diag(curvature) J, from
+    each batch's per-state second derivative of the loss in that value."""
+
+    def product(d: np.ndarray) -> np.ndarray:
+        out = np.zeros(d.size)
+        for batch, curvature in terms:
+            batch.add_value_grad(out, curvature * batch.jvp(d), None, softplus=False)
+        return out
+
+    return product
+
+
+class Evaluation(tuple):
+    """(loss, gradient) from an objective compiled for a tabular model.
+
+    Such an objective also takes ``drawdown=True``: it then reads its
+    argument as x = [c, a_0, a_1, ...], one drawdown a = -softplus(z) per
+    edge, for which every value is linear in x and the loss is convex and
+    piecewise quadratic on the feasible set a <= 0. ``hessian()`` gives the
+    exact Hessian-vector product at a feasible drawdown point, valid while
+    no hinge changes side.
+    """
+
+    def __new__(cls, loss: float, grad: np.ndarray, curvature=None):
+        self = super().__new__(cls, (loss, grad))
+        self._curvature = curvature
+        return self
+
+    def hessian(self) -> Callable[[np.ndarray], np.ndarray]:
+        if self._curvature is None:
+            raise InvalidInputError("Hessian products exist in drawdown coordinates only")
+        return _hessian(self._curvature())
+
+
+def _compiled(model: AdvantageModel, evaluate) -> Objective:
+    """The objective over the model's packed parameters; for a tabular model
+    it also evaluates in drawdown coordinates (see ``Evaluation``)."""
+    if model.family != TABULAR:
+
+        def objective(params: np.ndarray) -> tuple[float, np.ndarray]:
+            loss, grad, _ = evaluate(params, True)
+            return loss, grad
+
+        return objective
+
+    def tabular_objective(params: np.ndarray, drawdown: bool = False) -> Evaluation:
+        loss, grad, curvature = evaluate(params, not drawdown)
+        return Evaluation(loss, grad, curvature if drawdown else None)
+
+    return tabular_objective
 
 
 def _data_arrays(
@@ -278,14 +389,16 @@ def tar_objective(
     _require_proper(model.alphabet, p0.states, "p0")
     paths, d_weights, targets, var_floor = _data_arrays(model, data)
     _require_proper(model.alphabet, paths, "data")
-    p0_batch = _ValueBatch(model, p0.states)
-    data_batch = _ValueBatch(model, paths)
+    batch = _ValueBatch(model, p0.states, paths)
+    n0 = len(p0.states)
     p0_w = np.array(p0.weights)
+    hinge_w = 2.0 * kappa * p0_w
+    misfit_w = lam * d_weights
 
-    def objective(params: np.ndarray) -> tuple[float, np.ndarray]:
-        v0, z0 = p0_batch.values(params)
-        vd, zd = data_batch.values(params)
-        resid = vd - targets
+    def evaluate(params: np.ndarray, softplus: bool):
+        v, z = batch.values(params, softplus)
+        v0 = v[:n0]
+        resid = v[n0:] - targets
         neg = np.maximum(-v0, 0.0)
         loss = (
             p0_w @ v0
@@ -293,11 +406,12 @@ def tar_objective(
             + kappa * (p0_w @ (neg * neg))
         )
         grad = np.zeros(params.size)
-        p0_batch.add_value_grad(grad, p0_w - 2.0 * kappa * p0_w * neg, z0)
-        data_batch.add_value_grad(grad, lam * d_weights * resid, zd)
-        return float(loss), grad
+        batch.add_value_grad(grad, np.concatenate((p0_w - hinge_w * neg, misfit_w * resid)), z, softplus)
+        return float(loss), grad, lambda: [
+            (batch, np.concatenate((hinge_w * (neg > 0.0), misfit_w))),
+        ]
 
-    return objective
+    return _compiled(model, evaluate)
 
 
 def tar_loss(
@@ -380,15 +494,15 @@ def vlp_objective(
         [[1.0] * len(t) + [0.0] * (width - len(t)) for t in inc_slots]
     ).reshape(-1, width)
 
-    def objective(params: np.ndarray) -> tuple[float, np.ndarray]:
-        v0, z0 = p0_batch.values(params)
+    def evaluate(params: np.ndarray, softplus: bool):
+        v0, z0 = p0_batch.values(params, softplus)
         neg0 = np.maximum(-v0, 0.0)
-        vmu, zmu = mu_batch.values(params)
+        vmu, zmu = mu_batch.values(params, softplus)
         mu_pos = np.maximum(mu_targets - vmu, 0.0)
-        vc, zc = comp_batch.values(params)
+        vc, zc = comp_batch.values(params, softplus)
         comp_pos = np.maximum(-vc, 0.0)
         z_inc = (params[inc_pad] * inc_mask).sum(axis=1) + inc_const_arr
-        a_inc = -np.logaddexp(0.0, z_inc)
+        a_inc = -np.logaddexp(0.0, z_inc) if softplus else z_inc
         inc_pos = np.maximum(a_inc, 0.0)
 
         loss = (
@@ -399,22 +513,30 @@ def vlp_objective(
             + kappa * (p0_w @ (neg0 * neg0))
         )
         grad = np.zeros(params.size)
-        p0_batch.add_value_grad(grad, p0_w - 2.0 * kappa * p0_w * neg0, z0)
-        mu_batch.add_value_grad(grad, -2.0 * lam * mu_w * mu_weights * mu_pos, zmu)
-        comp_batch.add_value_grad(grad, -2.0 * lam * (1.0 - mu_w) * comp_w * comp_pos, zc)
+        p0_batch.add_value_grad(grad, p0_w - 2.0 * kappa * p0_w * neg0, z0, softplus)
+        mu_batch.add_value_grad(grad, -2.0 * lam * mu_w * mu_weights * mu_pos, zmu, softplus)
+        comp_batch.add_value_grad(
+            grad, -2.0 * lam * (1.0 - mu_w) * comp_w * comp_pos, zc, softplus
+        )
         if inc_w.size:
-            step_coef = (
-                -2.0 * lam * (1.0 - mu_w) * inc_w * inc_pos * _sigmoid_vec(z_inc)
-            )
+            step_coef = 2.0 * lam * (1.0 - mu_w) * inc_w * inc_pos
+            if softplus:
+                step_coef = -step_coef * _sigmoid_vec(z_inc)
             for col in range(width):
                 grad += np.bincount(
                     inc_pad[:, col],
                     weights=step_coef * inc_mask[:, col],
                     minlength=grad.size,
                 )
-        return float(loss), grad
+        # the incomplete-state term is (a)_+^2 of one drawdown or of the
+        # fallback: zero, with zero curvature, wherever a <= 0
+        return float(loss), grad, lambda: [
+            (p0_batch, 2.0 * kappa * p0_w * (neg0 > 0.0)),
+            (mu_batch, 2.0 * lam * mu_w * mu_weights * (mu_pos > 0.0)),
+            (comp_batch, 2.0 * lam * (1.0 - mu_w) * comp_w * (comp_pos > 0.0)),
+        ]
 
-    return objective
+    return _compiled(model, evaluate)
 
 
 def vlp_loss(
@@ -434,13 +556,16 @@ def surrogate_gap(
     mix: PenaltyMix | None = None,
     lam: float = 100.0,
     kappa: float = 0.0,
+    ov: OptimalValues | None = None,
 ) -> dict:
     """Evaluate both sides of the loss identity independently.
 
     Returns lhs (regression loss in exact mode), rhs (variance floor plus
     feasibility loss plus overshoot term), the two rhs components, and the
     absolute gap. All four quantities are computed from scratch — the
-    overshoot term uses oracle values, not the losses' internals.
+    overshoot term uses oracle values, not the losses' internals: the
+    instance's ``ov`` when the caller already has it, else a fresh
+    ``compute_optimal``.
     """
     if p0 is None:
         p0 = StateWeighting.trie_uniform(instance.trie)
@@ -452,7 +577,8 @@ def surrogate_gap(
     lhs, _ = tar_loss(model, p0, instance, lam, kappa)
     vlp, _ = vlp_loss(model, p0, mix, instance, kappa)
     sigma2_term = 0.5 * lam * instance.noise_variance()
-    ov = compute_optimal(instance)
+    if ov is None:
+        ov = compute_optimal(instance)
     excess = 0.5 * lam * math.fsum(
         w * max(predict_value(model, p) - ov.v_star[p], 0.0) ** 2
         for p, w in instance.path_dist.items()
@@ -468,28 +594,63 @@ def surrogate_gap(
 
 
 def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> TrainResult:
+    """Minimize the objective from the model's current parameters.
+
+    An objective compiled by ``tar_objective`` or ``vlp_objective`` for a
+    tabular model is solved in drawdown coordinates, where it is convex
+    (``_solve_drawdown``); the solved drawdowns are stored back as raw
+    scores. Any other objective, and every linear model, runs the descent of
+    ``_descend`` in the model's packed coordinates.
+
+    ``final_loss`` is the objective at the returned model. ``grad_norm`` is
+    the max-norm of the gradient in the solved coordinates, projected onto
+    the bound a <= 0 in drawdown coordinates; the run has converged when it
+    is at most ``config.tol``. ``stop_reason`` says why the run ended:
+    converged, the iteration cap, or no representable decrease.
+    """
+    x = model.params_vector()
+    start = objective(x)
+    if not isinstance(start, Evaluation):
+        return _descend(model, objective, config, x, start)
+    a = -np.logaddexp(0.0, x[1:])
+    solved = _solve_drawdown(objective, np.concatenate(([x[0]], a)), config)
+    x_out, trace, grad_norm, iterations, reason = solved
+    fitted = model.with_params(np.concatenate(([x_out[0]], raw_from_advantage(x_out[1:]))))
+    final_loss, _ = objective(fitted.params_vector())
+    return TrainResult(
+        model=fitted,
+        trace=trace,
+        final_loss=float(final_loss),
+        grad_norm=grad_norm,
+        iterations=iterations,
+        converged=reason == CONVERGED,
+        stop_reason=reason,
+    )
+
+
+def _descend(
+    model: AdvantageModel, objective: Objective, config: TrainConfig, x: np.ndarray, start
+) -> TrainResult:
     """Full-batch descent with backtracking (halving) line search.
 
     Each iteration steps along the negative gradient; sufficient decrease
     uses the Armijo rule with halving backtracking. The trial step is the
     spectral (Barzilai-Borwein, short form) quotient (dx . dg) / |dg|^2
     from the last accepted move, which adapts to curvature along the
-    active direction — the raw scores of near-zero advantages sit on an
-    exponentially flat tail where fixed steps crawl. When the quotient is
-    unusable (first iteration, non-positive curvature) the trial falls
-    back to twice the previously accepted step. Stops at the gradient
-    tolerance (max-norm), the iteration cap, or when no decrease is
-    representable.
+    active direction. When the quotient is unusable (first iteration,
+    non-positive curvature) the trial falls back to twice the previously
+    accepted step. Stops at the gradient tolerance (max-norm), the
+    iteration cap, or when no decrease is representable.
     """
-    x = model.params_vector()
-    f, g = objective(x)
+    f, g = start
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
         raise TrainingDivergedError(0)
     trace = [f]
     step = config.step_size
     iterations = 0
+    reason = ITERATION_CAP
     for it in range(1, config.max_iters + 1):
-        if np.max(np.abs(g)) <= config.tol:
+        if np.abs(g).max() <= config.tol:
             break
         gg = float(g @ g)
         s = step
@@ -504,8 +665,9 @@ def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> T
                 break
             s *= 0.5
         if not accepted:
+            reason = NO_DECREASE
             break
-        if not np.all(np.isfinite(g_new)):
+        if not np.isfinite(g_new).all():
             raise TrainingDivergedError(it)
         dx = x_new - x
         dg = g_new - g
@@ -518,11 +680,150 @@ def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> T
         trace.append(f)
         iterations = it
     grad_norm = float(np.max(np.abs(g)))
+    if grad_norm <= config.tol:
+        reason = CONVERGED
     return TrainResult(
         model=model.with_params(x),
         trace=np.array(trace),
         final_loss=float(f),
         grad_norm=grad_norm,
         iterations=iterations,
-        converged=grad_norm <= config.tol,
+        converged=reason == CONVERGED,
+        stop_reason=reason,
     )
+
+
+def _project(x: np.ndarray) -> np.ndarray:
+    """Nearest point with every drawdown a <= 0 (c is free)."""
+    out = x.copy()
+    np.minimum(out[1:], 0.0, out=out[1:])
+    return out
+
+
+def _projected_grad_norm(x: np.ndarray, g: np.ndarray) -> float:
+    return float(np.max(np.abs(x - _project(x - g))))
+
+
+def _newton_step(hess, x: np.ndarray, g: np.ndarray, free: np.ndarray, tol: float):
+    """Conjugate gradients on H d = -g over the free coordinates (the others
+    held at zero), kept inside the bound a <= 0.
+
+    Returns (d, blocked): at most CG_STEPS steps, stopping early at a
+    residual max-norm below tol. A step that would cross the bound, or a
+    direction without positive curvature, goes to the bound instead and
+    stops there; ``blocked`` is then the index of the coordinate that
+    reached it, else -1. Every step lowers the quadratic model.
+    """
+    d = np.zeros(g.size)
+    r = np.where(free, -g, 0.0)
+    p = r
+    rr = float(r @ r)
+    for _ in range(CG_STEPS):
+        hp = np.where(free, hess(p), 0.0)
+        php = float(p @ hp)
+        rising = np.flatnonzero(p[1:] > 0.0)
+        room = -(x[1:] + d[1:])[rising] / p[1:][rising]
+        k = int(np.argmin(room)) if room.size else -1
+        if not php > 0.0 or (room.size and rr / php >= room[k]):
+            if k < 0:
+                break
+            d += room[k] * p
+            return d, 1 + int(rising[k])
+        alpha = rr / php
+        d += alpha * p
+        r = r - alpha * hp
+        if np.max(np.abs(r)) <= tol:
+            break
+        rr_new = float(r @ r)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return d, -1
+
+
+def _solve_drawdown(objective, x: np.ndarray, config: TrainConfig):
+    """Projected Barzilai-Borwein descent with a free-set Newton finish, in
+    drawdown coordinates.
+
+    Each iteration backtracks along the projection arc P(x - s g) from the
+    Barzilai-Borwein trial step s until the Armijo condition holds with a
+    strict decrease (Bertsekas 1982). The trial is the long quotient
+    |dx|^2 / (dx . dg): drawdowns whose states carry no curvature leave the
+    loss linear along some directions, and the short quotient there reads
+    the curvature of the others. When the free set {a < 0} is the same as
+    after the previous iteration, the iteration then tries a Newton step on
+    the free coordinates (``_newton_step``, after Moré and Toraldo 1991).
+    Plain projected steps stall at float resolution short of the tolerance;
+    on a piecewise quadratic, the Newton step lands on the minimizer once
+    the hinges and the free set settle.
+
+    Returns (x, trace, projected-gradient max-norm, iterations, stop reason).
+    """
+    f, g = objective(x, drawdown=True)
+    if not (math.isfinite(f) and np.all(np.isfinite(g))):
+        raise TrainingDivergedError(0)
+    trace = [f]
+    step = config.step_size
+    iterations = 0
+    reason = ITERATION_CAP
+    pg = _projected_grad_norm(x, g)
+    free = None
+    for it in range(1, config.max_iters + 1):
+        if pg <= config.tol:
+            break
+        s = step
+        for _ in range(MAX_HALVINGS):
+            x_new = _project(x - s * g)
+            f_new, g_new = result = objective(x_new, drawdown=True)
+            if f_new < f and f_new <= f + ARMIJO_C * float(g @ (x_new - x)):
+                break
+            s *= 0.5
+        else:
+            reason = NO_DECREASE
+            break
+        if not np.all(np.isfinite(g_new)):
+            raise TrainingDivergedError(it)
+        pg_new = _projected_grad_norm(x_new, g_new)
+        was_free, free = free, x_new[1:] < 0.0
+        if was_free is not None and np.array_equal(free, was_free):
+            x_new, f_new, g_new, pg_new = _newton_finish(
+                objective, result, x_new, pg_new, np.concatenate(([True], free)), config.tol
+            )
+            free = x_new[1:] < 0.0
+        dx = x_new - x
+        dg = g_new - g
+        curv = float(dx @ dg)
+        if curv > 0.0:
+            step = min(max(float(dx @ dx) / curv, 1e-16), BB_STEP_CAP)
+        else:
+            step = 2.0 * s
+        x, f, g, pg = x_new, f_new, g_new, pg_new
+        trace.append(f)
+        iterations = it
+    if pg <= config.tol:
+        reason = CONVERGED
+    return x, np.array(trace), pg, iterations, reason
+
+
+def _newton_finish(objective, at: Evaluation, x: np.ndarray, pg: float, free: np.ndarray, tol: float):
+    """The Newton step of ``_newton_step`` from x, whose evaluation is
+    ``at``, if it lowers the loss, or leaves it level while lowering the
+    projected gradient: the loss's float resolution can be reached before
+    the optimality tolerance. Returns (x, loss, gradient, pg) of the point
+    kept."""
+    f, g = at
+    d, blocked = _newton_step(at.hessian(), x, g, free, 0.5 * tol)
+    if not np.any(d):
+        return x, f, g, pg
+    x_new = _project(x + d)
+    if blocked >= 0:
+        x_new[blocked] = 0.0
+    # a direction the model at x sees as flat can reach far enough to
+    # overflow; the non-finite loss is then rejected like any increase
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_new, g_new = objective(x_new, drawdown=True)
+    if not (math.isfinite(f_new) and np.all(np.isfinite(g_new))):
+        return x, f, g, pg
+    pg_new = _projected_grad_norm(x_new, g_new)
+    if f_new < f or (f_new == f and pg_new < pg):
+        return x_new, f_new, g_new, pg_new
+    return x, f, g, pg

@@ -3,8 +3,10 @@
 A model predicts, for a proper sequence, c plus the sum of per-step advantage
 terms A(prefix, action); improper sequences get exactly 0. Nonpositivity is
 structural: every advantage is -log(1 + exp(z)) of an unconstrained raw score
-z, so no projection or clipping is ever needed and the value difference
-between a proper sequence and its extension is always <= 0.
+z, so the value difference between a proper sequence and its extension is
+always <= 0. (The trainer solves tabular models in the drawdowns themselves,
+under the bound a <= 0, and stores the result back as raw scores through
+``raw_from_advantage``.)
 
 Two families produce the raw score:
 
@@ -63,14 +65,20 @@ def sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def raw_from_advantage(a: float, clamp: float = Z_CLAMP) -> float:
-    """Invert the transform: the z whose advantage is a (clamped near 0)."""
-    if not math.isfinite(a) or a > 0.0:
-        raise InvalidInputError(f"advantage must be a finite value <= 0, got {a!r}")
-    if a == 0.0:
-        return clamp
-    z = math.log(math.expm1(-a))
-    return max(z, clamp)
+def raw_from_advantage(a, clamp: float = Z_CLAMP):
+    """Invert the transform: the z whose advantage is a (clamped near 0).
+
+    Takes a float, returning a float, or an array, inverted elementwise.
+    """
+    arr = np.asarray(a, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr <= 0.0))
+    if bad.any():
+        raise InvalidInputError(f"advantage must be a finite value <= 0, got {float(arr[bad][0])!r}")
+    y = -arr
+    # log(expm1(y)) without overflow for large y; -inf at y = 0, then clamped
+    with np.errstate(divide="ignore"):
+        z = np.maximum(y + np.log(-np.expm1(-y)), clamp)
+    return float(z) if z.ndim == 0 else z
 
 
 # Raw score whose advantage is -0.1: the default tabular initialization.

@@ -234,6 +234,34 @@ def test_criterion_6_end_to_end_learning():
     )
 
 
+def test_criterion_6_every_run_converges():
+    """Stricter than criterion 6: on each of its 100 instances the tabular
+    train meets the optimality tolerance before the iteration cap."""
+    lam, kappa = 100.0, 1000.0
+    config = TrainConfig(lam=lam, kappa=kappa, tol=1e-7, max_iters=4000)
+    iterations = []
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        spec = InstanceSpec(
+            n_actions=3,
+            max_depth=4,
+            n_paths=int(rng.integers(2, 7)),
+            noise=NoiseModel.noiseless(),
+        )
+        inst = random_instance(spec, seed)
+        data = PathYieldDataset(pairs=tuple((p, inst.yields[p]) for p in inst.psi))
+        model = TabularAdvantage.default(inst.trie)
+        p0 = StateWeighting.trie_uniform(inst.trie)
+        result = train(model, tar_objective(model, p0, data, lam, kappa), config)
+        assert result.converged, f"seed {seed}: {result.stop_reason}, grad_norm {result.grad_norm}"
+        assert result.stop_reason == "converged"
+        iterations.append(result.iterations)
+    print(
+        f"ACCEPTANCE 6 (strict): PASS (100/100 runs converged; "
+        f"iterations median {int(np.median(iterations))}, max {max(iterations)})"
+    )
+
+
 def test_criterion_7_gradient_check():
     h = 1e-5
     worst = 0.0

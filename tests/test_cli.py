@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through main()."""
 
 import filecmp
+import hashlib
 
 import pytest
 
@@ -118,6 +119,23 @@ class TestTrainPlanAttribute:
         report = serialize.load_json(str(report_path))
         assert set(report) >= {"final_loss", "iterations", "grad_norm"}
         assert report["lambda"] == 10.0
+        assert report["converged"] is True
+        assert report["stop_reason"] == "converged"
+        assert report["grad_norm"] <= 1e-7
+
+    def test_capped_train_says_so(self, tmp_path, e1_file):
+        data = tmp_path / "data.jsonl"
+        report = tmp_path / "report.json"
+        assert run("sample", "--instance", e1_file, "--n", 60, "--seed", 5, "--out", data) == 0
+        code = run(
+            "train", "--instance", e1_file, "--data", data, "--out", tmp_path / "m.json",
+            "--report", report, "--max-iters", 2,
+        )
+        assert code == 0
+        report = serialize.load_json(str(report))
+        assert report["iterations"] == 2
+        assert report["converged"] is False
+        assert report["stop_reason"] == "iteration_cap"
 
     def test_plan_scores_the_greedy_path(self, tmp_path, e1_file):
         model_path, _ = self.fit(tmp_path, e1_file)
@@ -224,3 +242,34 @@ class TestPipelineDeterminism:
         second = self.pipeline(tmp_path / "b")
         for fa, fb in zip(first, second):
             assert filecmp.cmp(fa, fb, shallow=False), fa.name
+
+
+class TestLinearGolden:
+    """The linear family trains in the model's packed coordinates, through
+    objective code it shares with the tabular drawdown solve. These bytes
+    and report values pin its iterates on a seeded instance (x86-64,
+    numpy 2.4); a change to the shared code must leave them intact."""
+
+    MODELS = {
+        "edge_pair": "e3ca58276b9912f9c936bd453c1b0f171f8f530989bd0bdbed1849981bb1f2d4",
+        "depth_edge_pair": "e196b994bfd8d152e110726c37618d8dc5cd205cf18175beeb60a68ed47c5e11",
+    }
+    REPORTS = {
+        "edge_pair": (12.754987841940393, 400, 1.6748914042302109e-05),
+        "depth_edge_pair": (12.754991823769821, 400, 1.6734771445161122e-05),
+    }
+
+    @pytest.mark.parametrize("features", sorted(MODELS))
+    def test_seeded_train_is_pinned(self, tmp_path, features):
+        inst, data = tmp_path / "inst.json", tmp_path / "data.jsonl"
+        model, report = tmp_path / "model.json", tmp_path / "report.json"
+        assert run("gen", "--actions", 3, "--depth", 4, "--paths", 5, "--seed", 11,
+                   "--out", inst) == 0
+        assert run("sample", "--instance", inst, "--n", 200, "--seed", 12, "--out", data) == 0
+        assert run("train", "--instance", inst, "--data", data, "--family", "linear",
+                   "--features", features, "--lambda", 100.0, "--kappa", 1000.0,
+                   "--max-iters", 400, "--tol", 1e-7, "--out", model, "--report", report) == 0
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == self.MODELS[features]
+        got = serialize.load_json(str(report))
+        assert (got["final_loss"], got["iterations"], got["grad_norm"]) == self.REPORTS[features]
+        assert got["stop_reason"] == "iteration_cap"

@@ -9,17 +9,28 @@ from hypothesis import given, settings, strategies as st
 from tarpath.errors import InvalidInputError, TrainingDivergedError
 from tarpath.instance import NoiseModel, PathYieldDataset, PLInstance, sample_dataset
 from tarpath.losses import (
+    CONVERGED,
+    ITERATION_CAP,
+    NO_DECREASE,
     PenaltyMix,
     StateWeighting,
     TrainConfig,
     surrogate_gap,
     tar_loss,
+    _ValueBatch,
     tar_objective,
     train,
     vlp_loss,
     vlp_objective,
 )
-from tarpath.model import Z_CLAMP, TabularAdvantage, predict_value
+from tarpath.model import (
+    DEPTH_EDGE_PAIR,
+    EDGE_PAIR,
+    Z_CLAMP,
+    LinearAdvantage,
+    TabularAdvantage,
+    predict_value,
+)
 from tarpath.oracle import compute_optimal
 from tarpath.pathspace import EMPTY, ActionAlphabet, PrefixTrie, SeqClass
 
@@ -317,6 +328,127 @@ class TestGradients:
         assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
 
+    @pytest.mark.parametrize("kind", [EDGE_PAIR, DEPTH_EDGE_PAIR])
+    def test_linear_tar_gradient_matches_central_difference(self, e2_bernoulli, kind):
+        model = LinearAdvantage.default(e2_bernoulli.alphabet, kind=kind).with_random_params(
+            np.random.default_rng(5)
+        )
+        p0 = StateWeighting.trie_uniform(e2_bernoulli.trie)
+        data = sample_dataset(e2_bernoulli, n=200, seed=3)
+        objective = tar_objective(model, p0, data, lam=10.0, kappa=100.0)
+        x = model.params_vector()
+        _, grad = objective(x)
+        fd = central_diff(objective, x)
+        assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
+
+
+class TestValueBatch:
+    """A batch over several groups of states computes, bit for bit, what one
+    batch per group does: values side by side, gradients group after group."""
+
+    @pytest.mark.parametrize("family", ["tabular", "linear"])
+    def test_groups_match_separate_batches(self, e2_bernoulli, family):
+        rng = np.random.default_rng(11)
+        if family == "tabular":
+            model = TabularAdvantage.default(e2_bernoulli.trie)
+        else:
+            model = LinearAdvantage.default(e2_bernoulli.alphabet, kind=DEPTH_EDGE_PAIR)
+        model = model.with_random_params(rng)
+        states = e2_bernoulli.trie.nodes
+        paths = sample_dataset(e2_bernoulli, n=50, seed=2).paths
+        joint = _ValueBatch(model, states, paths)
+        parts = [_ValueBatch(model, states), _ValueBatch(model, paths)]
+        x = model.params_vector()
+        for softplus in (True, False):
+            v, z = joint.values(x, softplus)
+            assert np.array_equal(v, np.concatenate([b.values(x, softplus)[0] for b in parts]))
+            coef = rng.normal(size=v.size)
+            grad = np.zeros(x.size)
+            joint.add_value_grad(grad, coef, z, softplus)
+            expected = np.zeros(x.size)
+            for b, c in zip(parts, np.split(coef, [len(states)])):
+                b.add_value_grad(expected, c, b.values(x, softplus)[1], softplus)
+            assert np.array_equal(grad, expected)
+
+
+def drawdown_point(model):
+    """The drawdown-coordinate twin [c, -softplus(z)] of a tabular model."""
+    x = model.params_vector()
+    return np.concatenate(([x[0]], -np.logaddexp(0.0, x[1:])))
+
+
+class TestDrawdownView:
+    """Tabular objectives also evaluate in drawdown coordinates (c, a)."""
+
+    @staticmethod
+    def compile(kind, inst, model, kappa=100.0):
+        p0 = StateWeighting.trie_uniform(inst.trie)
+        if kind == "tar_exact":
+            return tar_objective(model, p0, inst, lam=10.0, kappa=kappa)
+        if kind == "tar_empirical":
+            data = sample_dataset(inst, n=200, seed=3)
+            return tar_objective(model, p0, data, lam=10.0, kappa=kappa)
+        # every fringe state, complete ones included, so that each penalty
+        # term of the feasibility loss is present
+        pairs = tuple((s, a) for s in inst.trie.fringe_states() for a in inst.alphabet.tokens)
+        mix = PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / len(pairs),) * len(pairs), lam=10.0)
+        return vlp_objective(model, p0, mix, inst, kappa=kappa)
+
+    KINDS = ("tar_exact", "tar_empirical", "vlp")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_packed_view(self, e2_bernoulli, kind, seed):
+        model = TabularAdvantage.default(e2_bernoulli.trie).with_random_params(
+            np.random.default_rng(seed)
+        )
+        objective = self.compile(kind, e2_bernoulli, model)
+        z = model.params_vector()
+        f_z, g_z = objective(z)
+        f_a, g_a = objective(drawdown_point(model), drawdown=True)
+        assert f_a == pytest.approx(f_z, rel=1e-13)
+        # chain rule through a = -softplus(z)
+        assert g_a[0] == pytest.approx(g_z[0], rel=1e-12, abs=1e-14)
+        sig = 1.0 / (1.0 + np.exp(-z[1:]))
+        assert np.allclose(-g_a[1:] * sig, g_z[1:], rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradient_matches_central_difference(self, e2_bernoulli, kind, seed):
+        model = TabularAdvantage.default(e2_bernoulli.trie).with_random_params(
+            np.random.default_rng(seed)
+        )
+        objective = self.compile(kind, e2_bernoulli, model)
+        view = lambda x: objective(x, drawdown=True)  # noqa: E731
+        x = drawdown_point(model)
+        _, grad = view(x)
+        assert np.allclose(grad, central_diff(view, x), rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("c", [-2.0, 5.0])
+    def test_hessian_matches_gradient_difference(self, e2_bernoulli, kind, c):
+        # every value sits below 0 (all hinges on) or above every yield
+        # (all off) along the whole segment, so the gradient is affine on it
+        rng = np.random.default_rng(7)
+        model = TabularAdvantage.default(e2_bernoulli.trie, c=c).with_random_params(
+            rng, c_range=(c, c)
+        )
+        objective = self.compile(kind, e2_bernoulli, model)
+        x = drawdown_point(model)
+        start = objective(x, drawdown=True)
+        h = 1e-3
+        for _ in range(3):
+            d = rng.normal(size=x.size)
+            _, g_end = objective(x + h * d, drawdown=True)
+            assert np.allclose(start.hessian()(d), (g_end - start[1]) / h, rtol=1e-7, atol=1e-9)
+
+    def test_hessian_needs_drawdown_coordinates(self, e2):
+        model = TabularAdvantage.default(e2.trie)
+        objective = self.compile("tar_exact", e2, model)
+        with pytest.raises(InvalidInputError):
+            objective(model.params_vector()).hessian()
+
+
 class TestTrain:
     def make_objective(self, inst, lam=10.0, kappa=100.0):
         model = TabularAdvantage.default(inst.trie)
@@ -333,6 +465,7 @@ class TestTrain:
         config = TrainConfig(max_iters=30_000, tol=3e-8)
         result = train(model, objective, config)
         assert result.converged
+        assert result.stop_reason == CONVERGED
         assert result.grad_norm <= config.tol
         assert result.iterations < config.max_iters
         final, _ = objective(result.model.params_vector())
@@ -352,6 +485,44 @@ class TestTrain:
         result = train(model, objective, TrainConfig(max_iters=0))
         assert result.iterations == 0
         assert len(result.trace) == 1
+        assert not result.converged
+        assert result.stop_reason == ITERATION_CAP
+
+    def test_solution_is_feasible_and_stored_as_raw_scores(self, e2):
+        model, objective = self.make_objective(e2)
+        result = train(model, objective, TrainConfig(max_iters=5000, tol=1e-9))
+        assert result.converged
+        raw = result.model.params_vector()[1:]
+        assert np.all(raw >= Z_CLAMP)
+        # the reported loss is the loss of the stored model
+        assert objective(result.model.params_vector())[0] == result.final_loss
+        assert result.final_loss <= result.trace[-1] * (1 + 1e-15)
+
+    def test_plain_callable_keeps_packed_coordinates(self, e1):
+        model, compiled = self.make_objective(e1)
+
+        def plain(params):
+            loss, grad = compiled(params)
+            return loss, grad
+
+        config = TrainConfig(max_iters=200, tol=1e-12)
+        # the compiled objective is solved in drawdown coordinates; the same
+        # function behind a plain callable runs packed-coordinate descent,
+        # which the flat softplus tails hold back
+        assert train(model, compiled, config).stop_reason == CONVERGED
+        result = train(model, plain, config)
+        assert result.stop_reason == ITERATION_CAP
+        assert len(result.trace) == 201
+
+    def test_no_decrease_is_reported(self, e1):
+        model, _ = self.make_objective(e1)
+
+        def flat(params):
+            return 1.0, np.ones_like(params)
+
+        result = train(model, flat, TrainConfig(max_iters=10))
+        assert result.iterations == 0
+        assert result.stop_reason == NO_DECREASE
         assert not result.converged
 
     def test_nonfinite_start_diverges(self, e1):
@@ -385,6 +556,8 @@ class TestTrain:
             "final_loss",
             "iterations",
             "grad_norm",
+            "converged",
+            "stop_reason",
             "lambda",
             "kappa",
             "seed",

@@ -67,6 +67,18 @@ class TestTransform:
             raw_from_advantage(0.25)
         with pytest.raises(InvalidInputError):
             raw_from_advantage(float("nan"))
+        with pytest.raises(InvalidInputError):
+            raw_from_advantage(np.array([-0.5, 0.25]))
+
+    def test_array_inverts_elementwise(self):
+        a = np.array([0.0, -1e-30, -0.1, -3.0, -800.0])
+        z = raw_from_advantage(a)
+        assert z.shape == a.shape
+        assert np.allclose(z, [raw_from_advantage(float(v)) for v in a], rtol=1e-15, atol=0.0)
+        assert z[0] == z[1] == Z_CLAMP
+        # large drawdowns invert without overflow: softplus(z) ~ z there
+        assert z[-1] == pytest.approx(800.0, rel=1e-15)
+        assert advantage_transform(z[2]) == pytest.approx(-0.1, rel=1e-12)
 
     def test_default_raw_encodes_point_one(self):
         assert advantage_transform(DEFAULT_RAW) == pytest.approx(-0.1, rel=1e-12)
