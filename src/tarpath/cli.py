@@ -100,7 +100,7 @@ def _load_state_weighting(path: str) -> StateWeighting:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    data = load_dataset(args.data)
+    data = load_dataset(args.data, instance)
     observed = sorted(
         {p for p, _ in data.pairs}, key=instance.alphabet.sort_key
     )
@@ -159,8 +159,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for node in ov.trie.nodes:
         worst = max(worst, abs(check_decomposition(ov, node)))
     rng = np.random.default_rng(args.seed)
+    max_len = ov.trie.depth + 3
     for _ in range(args.improper_samples):
-        seq = random_improper(instance.alphabet, rng, max_len=ov.trie.depth + 3)
+        seq = random_improper(instance.alphabet, rng, max_len=max_len)
         worst = max(worst, abs(check_decomposition(ov, seq)))
 
     bellman = max_bellman_violation(ov)

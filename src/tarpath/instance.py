@@ -209,7 +209,7 @@ class PLInstance:
                     f"distribution path {path!r} has no yield entry"
                 )
 
-    @property
+    @cached_property
     def psi(self) -> tuple[PathSeq, ...]:
         """Support paths in canonical order."""
         return tuple(sorted(self.yields.paths, key=self.alphabet.sort_key))
@@ -246,7 +246,9 @@ class PLInstance:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "PLInstance":
+    def from_json(cls, obj: dict, source: str = "instance") -> "PLInstance":
+        """Parse an instance object; errors about a path row name ``source``
+        and the row (1-based)."""
         try:
             alphabet = ActionAlphabet.from_json(obj["alphabet"])
             rows = obj["paths"]
@@ -258,14 +260,20 @@ class PLInstance:
         weighted = [("weight" in row) for row in rows]
         if any(weighted) and not all(weighted):
             raise InvalidInputError("either all path rows carry a weight or none do")
-        for row in rows:
+        first_row: dict[PathSeq, int] = {}
+        for i, row in enumerate(rows, 1):
             try:
                 path = tuple(row["path"])
+                if path in first_row:
+                    raise InvalidInputError(
+                        f"{source}: path row {i} repeats path {path!r} of row {first_row[path]}"
+                    )
+                first_row[path] = i
                 entries[path] = row["yield"]
                 if "weight" in row:
                     weights[path] = row["weight"]
             except (KeyError, TypeError) as exc:
-                raise InvalidInputError(f"malformed path row: {row!r}") from exc
+                raise InvalidInputError(f"{source}: malformed path row {i}: {row!r}") from exc
         if weights:
             dist = PathDistribution(
                 paths=tuple(weights), weights=tuple(weights.values())
@@ -435,20 +443,43 @@ def save_instance(instance: PLInstance, path: str) -> None:
 
 
 def load_instance(path: str) -> PLInstance:
-    return PLInstance.from_json(serialize.load_json(path))
+    return PLInstance.from_json(serialize.load_json(path), source=path)
 
 
 def save_dataset(dataset: PathYieldDataset, path: str) -> None:
-    serialize.dump_jsonl(
-        ({"path": list(p), "y": y} for p, y in dataset.pairs), path
+    """One row ``{"path": [...], "y": ...}`` per pair, as ``serialize.dump_jsonl``
+    writes it."""
+    texts, num = serialize.TokenTexts(), serialize.format_float
+    serialize.atomic_write_text(
+        path, "".join([f'{{"path":{texts[p]},"y":{num(y)}}}\n' for p, y in dataset.pairs])
     )
 
 
-def load_dataset(path: str) -> PathYieldDataset:
+def load_dataset(path: str, instance: PLInstance | None = None) -> PathYieldDataset:
+    """Read a JSONL dataset. Every yield must be finite and in [0, 1], and,
+    when ``instance`` is given, every path one of its support paths; errors
+    name the file and the row (1-based, counting nonblank lines)."""
+    support = None if instance is None else instance.yields.entries
+    # a log repeats its rows (binary yields on a finite support), so each
+    # distinct line is parsed and checked once, at its first row
+    seen: dict[str, tuple[PathSeq, float]] = {}
     pairs = []
-    for row in serialize.load_jsonl(path):
-        try:
-            pairs.append((tuple(row["path"]), float(row["y"])))
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"malformed dataset row: {row!r}") from exc
+    for i, line in enumerate(serialize.iter_jsonl_lines(path), 1):
+        pair = seen.get(line)
+        if pair is None:
+            pair = seen[line] = _dataset_row(path, i, serialize.loads(line), support)
+        pairs.append(pair)
     return PathYieldDataset(pairs=tuple(pairs))
+
+
+def _dataset_row(path: str, i: int, row, support) -> tuple[PathSeq, float]:
+    try:
+        p, y = tuple(row["path"]), float(row["y"])
+        on_support = support is None or p in support
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: malformed dataset row {i}: {row!r}") from exc
+    if not 0.0 <= y <= 1.0:
+        raise InvalidInputError(f"{path}: row {i}: yield must be finite and in [0, 1], got {y!r}")
+    if not on_support:
+        raise InvalidInputError(f"{path}: row {i}: path {p!r} is not a support path of the instance")
+    return p, y

@@ -59,9 +59,10 @@ Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
 def _check_weights(weights: tuple[float, ...], what: str) -> None:
-    for w in weights:
-        if not math.isfinite(w) or w < 0.0:
-            raise InvalidInputError(f"{what} weights must be nonnegative, got {w!r}")
+    arr = np.array(weights, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr >= 0.0))
+    if bad.any():
+        raise InvalidInputError(f"{what} weights must be nonnegative, got {float(arr[bad][0])!r}")
     if weights and abs(math.fsum(weights) - 1.0) > WEIGHT_SUM_TOL:
         raise InvalidInputError(f"{what} weights must sum to 1")
 
@@ -117,7 +118,7 @@ class PenaltyMix:
 
     def __post_init__(self) -> None:
         pairs = tuple((tuple(s), a) for s, a in self.tilde_pairs)
-        weights = tuple(float(w) for w in self.tilde_weights)
+        weights = tuple(map(float, self.tilde_weights))
         object.__setattr__(self, "tilde_pairs", pairs)
         object.__setattr__(self, "tilde_weights", weights)
         if len(pairs) != len(weights):
@@ -133,12 +134,20 @@ class PenaltyMix:
     @classmethod
     def default(cls, instance: PLInstance, lam: float) -> "PenaltyMix":
         alphabet = instance.alphabet
-        states = [
-            s
-            for s in instance.trie.fringe_states()
-            if alphabet.classify(s) is not SeqClass.COMPLETE
-        ]
-        pairs = tuple((s, a) for s in states for a in alphabet.tokens)
+        trie, tokens, terminal = instance.trie, alphabet.tokens, alphabet.terminal
+        # the fringe states of ``PrefixTrie.fringe_states``, in its order;
+        # node + (t,) is complete exactly when the node holds no terminal and
+        # t is the terminal
+        states = []
+        for node in trie.nodes:
+            open_node = terminal not in node
+            on_trie = trie.children(node)
+            states.extend(
+                node + (t,)
+                for t in tokens
+                if t not in on_trie and not (open_node and t == terminal)
+            )
+        pairs = [(s, a) for s in states for a in tokens]
         n = len(pairs)
         return cls(
             tilde_pairs=pairs,
@@ -201,7 +210,7 @@ def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
 
 
 def _require_proper(alphabet: ActionAlphabet, states: Iterable[PathSeq], what: str) -> None:
-    for s in states:
+    for s in dict.fromkeys(states):  # each distinct state once, in order
         if not alphabet.is_proper(s):
             raise InvalidInputError(f"{what} state {s!r} is improper")
 
@@ -210,6 +219,25 @@ def _require_same_alphabet(model: AdvantageModel, instance: PLInstance) -> None:
     a, b = model.alphabet, instance.alphabet
     if a.tokens != b.tokens or a.terminal != b.terminal:
         raise InvalidInputError("model and instance alphabets differ")
+
+
+def _prefix_steps(model: AdvantageModel, memo: dict, s: PathSeq) -> tuple[tuple[int, ...], int, float]:
+    """(flat slots, step count, fallback constant) of the parametrized steps
+    along s, extending the longest prefix of s already in ``memo`` one step
+    at a time and recording every prefix on the way."""
+    k = len(s)
+    while s[:k] not in memo:
+        k -= 1
+    slots, count, const = memo[s[:k]]
+    for k in range(k, len(s)):
+        idx = model.step_param_indices(s[:k], s[k])
+        if idx is None:
+            const += model.fallback_advantage
+        else:
+            slots += idx
+            count += 1
+        memo[s[: k + 1]] = (slots, count, const)
+    return slots, count, const
 
 
 class _ValueBatch:
@@ -230,20 +258,18 @@ class _ValueBatch:
     """
 
     def __init__(self, model: AdvantageModel, *groups: tuple[PathSeq, ...]):
-        self.n_states = sum(len(g) for g in groups)
-        self.const = np.zeros(self.n_states)
-        step_state: list[int] = []
-        step_slots: list[int] = []  # flat: a model's steps all read the same number of slots
-        for j, s in enumerate(s for g in groups for s in g):
-            for k in range(len(s)):
-                idx = model.step_param_indices(s[:k], s[k])
-                if idx is None:
-                    self.const[j] += model.fallback_advantage
-                else:
-                    step_state.append(j)
-                    step_slots.extend(idx)
-        self.step_state = np.array(step_state, dtype=np.intp)
-        width = len(step_slots) // len(step_state) if step_state else 1
+        states = [s for g in groups for s in g]
+        self.n_states = len(states)
+        # a state's steps are its parent prefix's steps plus one more, so each
+        # distinct (prefix, action) is looked up once
+        memo: dict[PathSeq, tuple[tuple[int, ...], int, float]] = {(): ((), 0, 0.0)}
+        steps = [_prefix_steps(model, memo, s) for s in states]
+        self.const = np.array([const for _, _, const in steps], dtype=float)
+        counts = [n for _, n, _ in steps]
+        self.step_state = np.repeat(np.arange(self.n_states, dtype=np.intp), counts)
+        # flat: a model's steps all read the same number of slots
+        step_slots = [i for slots, _, _ in steps for i in slots]
+        width = len(step_slots) // self.step_state.size if self.step_state.size else 1
         slots = np.array(step_slots, dtype=np.intp).reshape(-1, width)
         n = model.n_params
         if width == 1:
@@ -457,42 +483,48 @@ def vlp_objective(
     mu_targets = np.array([instance.yields[p] for p in paths])
 
     comp_weight: dict[PathSeq, float] = {}
-    inc_slots: list[tuple[int, ...]] = []
-    inc_const: list[float] = []
+    inc_pairs: list[tuple[PathSeq, str]] = []
     inc_weights: list[float] = []
-    for (s, a), w in zip(mix.tilde_pairs, mix.tilde_weights):
-        alphabet.require_token(a)
-        s = alphabet.require_seq(s)
-        if s in instance.yields:
-            raise InvalidInputError(f"tilde state {s!r} lies on the support")
-        cls = alphabet.classify(s)
-        if cls is SeqClass.IMPROPER:
-            continue
-        if cls is SeqClass.COMPLETE:
+    state_class: dict[PathSeq, SeqClass] = {}
+    known = frozenset(alphabet.tokens)
+    incomplete, complete = SeqClass.PROPER_INCOMPLETE, SeqClass.COMPLETE
+    last, cls = None, None
+    for pair, w in zip(mix.tilde_pairs, mix.tilde_weights):
+        s, a = pair
+        if a not in known:
+            alphabet.require_token(a)
+        if s is not last:  # a mix lists a state's pairs together
+            last, cls = s, state_class.get(s)
+            if cls is None:
+                # checked and classified once per distinct state
+                if s in instance.yields:
+                    raise InvalidInputError(f"tilde state {s!r} lies on the support")
+                cls = state_class[s] = alphabet.classify(s)
+        if cls is incomplete:
+            inc_pairs.append(pair)
+            inc_weights.append(w)
+        elif cls is complete:
             comp_weight[s] = comp_weight.get(s, 0.0) + w
-            continue
-        idx = model.step_param_indices(s, a)
-        if idx is None:
-            inc_slots.append(())
-            inc_const.append(model.fallback_advantage)
-        else:
-            inc_slots.append(idx)
-            inc_const.append(0.0)
-        inc_weights.append(w)
+        # an improper state and its successor both predict 0: no term
+    step_indices = model.step_param_indices
+    inc_steps = [step_indices(s, a) for s, a in inc_pairs]
+    inc_len = [0 if idx is None else len(idx) for idx in inc_steps]
+    inc_slots = [i for idx in inc_steps if idx is not None for i in idx]
 
     comp_states = tuple(comp_weight)
     comp_batch = _ValueBatch(model, comp_states)
     comp_w = np.array([comp_weight[s] for s in comp_states])
     inc_w = np.array(inc_weights)
-    inc_const_arr = np.array(inc_const)
-    width = max((len(t) for t in inc_slots), default=1) or 1
+    lengths = np.array(inc_len, dtype=np.intp)
+    inc_const_arr = np.zeros(lengths.size)
+    if not lengths.all():
+        inc_const_arr[lengths == 0] = model.fallback_advantage
+    width = int(lengths.max(initial=1))
     # pad fallback rows with slot 0 at coefficient 0 so the gather stays square
-    inc_pad = np.array(
-        [t + (0,) * (width - len(t)) for t in inc_slots], dtype=np.intp
-    ).reshape(-1, width)
-    inc_mask = np.array(
-        [[1.0] * len(t) + [0.0] * (width - len(t)) for t in inc_slots]
-    ).reshape(-1, width)
+    filled = np.arange(width) < lengths[:, None]
+    inc_pad = np.zeros((lengths.size, width), dtype=np.intp)
+    inc_pad[filled] = inc_slots
+    inc_mask = filled.astype(float)
 
     def evaluate(params: np.ndarray, softplus: bool):
         v0, z0 = p0_batch.values(params, softplus)

@@ -220,15 +220,12 @@ class TabularAdvantage(AdvantageModel):
     ) -> "TabularAdvantage":
         """Clamped encoding of exact optimal values: c is the optimal yield
         and each edge's raw score inverts the exact drawdown (zeros clamp)."""
-        raw = [
-            raw_from_advantage(ov.a_star[(s, a)])
-            for s, a, _ in ov.trie.iter_edges()
-        ]
+        drawdowns = [ov.a_star[(s, a)] for s, a, _ in ov.trie.iter_edges()]
         return cls(
             alphabet=ov.trie.alphabet,
             c=ov.j_star,
             trie=ov.trie,
-            raw=np.array(raw),
+            raw=raw_from_advantage(np.array(drawdowns, dtype=float)),
             fallback_B=fallback_B,
         )
 
@@ -310,7 +307,10 @@ class LinearAdvantage(AdvantageModel):
 
 def predict_advantage(model: AdvantageModel, s: PathSeq, a: str) -> float:
     model.alphabet.require_token(a)
-    s = model.alphabet.require_seq(s)
+    return _advantage(model, model.alphabet.require_seq(s), a)
+
+
+def _advantage(model: AdvantageModel, s: PathSeq, a: str) -> float:
     z = model.raw_z(s, a)
     if z is None:
         return model.fallback_advantage
@@ -324,7 +324,7 @@ def predict_value(model: AdvantageModel, seq: PathSeq) -> float:
         return 0.0
     total = model.c
     for k in range(len(seq)):
-        total += predict_advantage(model, seq[:k], seq[k])
+        total += _advantage(model, seq[:k], seq[k])
     return total
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping
 from . import serialize
 from .errors import InvalidInstanceError
 from .instance import PLInstance
-from .pathspace import EMPTY, PathSeq, PrefixTrie
+from .pathspace import EMPTY, PathSeq, PrefixTrie, SeqClass
 
 ValueMap = Mapping[PathSeq, float] | Callable[[PathSeq], float]
 
@@ -66,23 +66,26 @@ def compute_optimal(instance: PLInstance) -> OptimalValues:
     trie = instance.trie
     tokens = instance.alphabet.tokens
 
+    yields, children = instance.yields.entries, trie.children
     v_star: dict[PathSeq, float] = {}
     for node in trie.nodes_deepest_first():
-        best = instance.yields.get(node, 0.0)
-        for a in trie.children(node):
+        best = yields.get(node, 0.0)
+        for a in children(node):
             child = v_star[node + (a,)]
             if child > best:
                 best = child
         v_star[node] = best
 
+    # off the trie, node + (a,) has value 0.0
     q_star: dict[tuple[PathSeq, str], float] = {}
     a_star: dict[tuple[PathSeq, str], float] = {}
     for node in trie.nodes:
-        reward = instance.yields.get(node, 0.0)
+        reward, v, on_trie = yields.get(node, 0.0), v_star[node], children(node)
         for a in tokens:
-            q = reward + v_star.get(node + (a,), 0.0)
-            q_star[(node, a)] = q
-            a_star[(node, a)] = q - v_star[node]
+            q = reward + (v_star[node + (a,)] if a in on_trie else 0.0)
+            key = (node, a)
+            q_star[key] = q
+            a_star[key] = q - v
 
     return OptimalValues(
         trie=trie,
@@ -100,13 +103,13 @@ def check_decomposition(ov: OptimalValues, seq: Iterable[str]) -> float:
     drawdowns along seq; improper sequences should carry value 0. Returns
     the signed difference (0 up to float rounding when the identity holds).
     """
-    alphabet = ov.trie.alphabet
-    seq = alphabet.require_seq(seq)
-    if not alphabet.is_proper(seq):
+    seq = tuple(seq)
+    # classify rejects unknown tokens
+    if ov.trie.alphabet.classify(seq) is SeqClass.IMPROPER:
         return ov.value_at(seq) - 0.0
-    total = ov.j_star
+    total, a_star = ov.j_star, ov.a_star
     for k in range(len(seq)):
-        total += ov.advantage_at(seq[:k], seq[k])
+        total += a_star.get((seq[:k], seq[k]), 0.0)
     return ov.value_at(seq) - total
 
 
@@ -172,4 +175,24 @@ def oracle_to_json(ov: OptimalValues) -> dict:
 
 
 def save_oracle(ov: OptimalValues, path: str) -> None:
-    serialize.dump_json(oracle_to_json(ov), path)
+    """Write ``oracle_to_json(ov)`` byte for byte as ``serialize.dump_json``
+    would (indent 2), from one text template per node instead of building
+    and walking a dict per node: the file holds every trie node."""
+    num, tokens = serialize.format_float, ov.trie.alphabet.tokens
+    # state entries and q/adv keys sit at depth 4 (8 spaces)
+    token_text = {a: "\n        " + serialize.dumps(a) for a in tokens}
+    keys = [(a, token_text[a] + ": ") for a in tokens]
+    v_star, q_star, a_star = ov.v_star, ov.q_star, ov.a_star
+    nodes = []
+    for node in ov.trie.nodes:
+        state = "[" + ",".join([token_text[t] for t in node]) + "\n      ]" if node else "[]"
+        q = ",".join([key + num(q_star[(node, a)]) for a, key in keys])
+        adv = ",".join([key + num(a_star[(node, a)]) for a, key in keys])
+        nodes.append(
+            f'{{\n      "state": {state},\n      "v": {num(v_star[node])},'
+            f'\n      "q": {{{q}\n      }},\n      "adv": {{{adv}\n      }}\n    }}'
+        )
+    serialize.atomic_write_text(
+        path,
+        f'{{\n  "j_star": {num(ov.j_star)},\n  "nodes": [\n    ' + ",\n    ".join(nodes) + "\n  ]\n}\n",
+    )

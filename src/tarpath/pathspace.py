@@ -88,8 +88,10 @@ class ActionAlphabet:
 
     def require_seq(self, seq: Iterable[str]) -> PathSeq:
         seq = tuple(seq)
+        rank = self._rank
         for token in seq:
-            self.require_token(token)
+            if token not in rank:
+                self.require_token(token)
         return seq
 
     def sort_key(self, seq: PathSeq) -> tuple[int, tuple[int, ...]]:
@@ -142,27 +144,32 @@ class PrefixTrie:
     def build(cls, alphabet: ActionAlphabet, paths: Iterable[PathSeq]) -> "PrefixTrie":
         members = []
         for path in paths:
-            path = alphabet.require_seq(path)
+            path = tuple(path)
+            # classify rejects unknown tokens
             if alphabet.classify(path) is not SeqClass.COMPLETE:
                 raise InvalidInputError(
                     f"trie paths must be complete sequences, got {path!r}"
                 )
             members.append(path)
 
-        node_set: set[PathSeq] = {EMPTY}
+        # the tokens that extend each prefix
+        extensions: dict[PathSeq, set[str]] = {}
         for path in members:
-            for k in range(1, len(path) + 1):
-                node_set.add(path[:k])
+            for k in range(len(path)):
+                extensions.setdefault(path[:k], set()).add(path[k])
 
-        nodes = tuple(sorted(node_set, key=alphabet.sort_key))
+        # breadth first, children in declaration order: shallow to deep and,
+        # within a depth, lexicographic in token rank, i.e. canonical order
+        nodes = [EMPTY]
         children: dict[PathSeq, tuple[str, ...]] = {}
         for node in nodes:
-            children[node] = tuple(
-                t for t in alphabet.tokens if node + (t,) in node_set
-            )
+            tokens = extensions.get(node)
+            kids = tuple(t for t in alphabet.tokens if t in tokens) if tokens else ()
+            children[node] = kids
+            nodes.extend(node + (t,) for t in kids)
         return cls(
             alphabet=alphabet,
-            nodes=nodes,
+            nodes=tuple(nodes),
             members=frozenset(members),
             _children=children,
         )
@@ -182,7 +189,8 @@ class PrefixTrie:
 
     @property
     def depth(self) -> int:
-        return max((len(n) for n in self.nodes), default=0)
+        # canonical order is by length, and the root is always a node
+        return len(self.nodes[-1])
 
     def nodes_deepest_first(self) -> tuple[PathSeq, ...]:
         return tuple(reversed(self.nodes))

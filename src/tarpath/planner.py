@@ -25,6 +25,9 @@ class PlanResult:
     truncated: bool
     true_yield: float | None = None
     regret: float | None = None
+    # per step: the chosen drawdown minus the best other one; 0.0 marks an
+    # exact tie, broken by declaration order
+    margins: tuple[float, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -33,24 +36,29 @@ class PlanResult:
             "true_yield": self.true_yield,
             "regret": self.regret,
             "truncated": self.truncated,
+            "margins": list(self.margins),
         }
 
 
 def greedy_path(model: AdvantageModel, max_len: int) -> PlanResult:
-    """Argmax-advantage rollout from the empty sequence."""
+    """Argmax-advantage rollout from the empty sequence, with the margin of
+    each choice over the runner-up."""
     if max_len < 1:
         raise InvalidInputError(f"max_len must be at least 1, got {max_len}")
     alphabet = model.alphabet
     state: PathSeq = EMPTY
     truncated = True
+    margins = []
     for _ in range(max_len):
         best_a = None
-        best_adv = -float("inf")
+        best_adv = second = -float("inf")
         for a in alphabet.tokens:
             adv = predict_advantage(model, state, a)
             if adv > best_adv:
-                best_adv = adv
-                best_a = a
+                best_a, best_adv, second = a, adv, best_adv
+            elif adv > second:
+                second = adv
+        margins.append(best_adv - second)
         state = state + (best_a,)
         if best_a == alphabet.terminal:
             truncated = False
@@ -59,6 +67,7 @@ def greedy_path(model: AdvantageModel, max_len: int) -> PlanResult:
         path=state,
         predicted_value=predict_value(model, state),
         truncated=truncated,
+        margins=tuple(margins),
     )
 
 

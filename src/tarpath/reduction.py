@@ -135,13 +135,13 @@ def rollout_greedy(policy: Policy, mdp: ReducedMDP, max_steps: int) -> RolloutRe
 
 
 def save_rl_dataset(dataset: RLDataset, path: str) -> None:
-    serialize.dump_jsonl(
-        (
-            {"s": list(t.s), "a": t.a, "r": t.r, "s_next": list(t.s_next)}
-            for t in dataset.transitions
-        ),
-        path,
-    )
+    """One row ``{"s": [...], "a": ..., "r": ..., "s_next": [...]}`` per
+    transition, as ``serialize.dump_jsonl`` writes it."""
+    texts, num = serialize.TokenTexts(), serialize.format_float
+    serialize.atomic_write_text(path, "".join([
+        f'{{"s":{texts[t.s]},"a":{texts[t.a]},"r":{num(t.r)},"s_next":{texts[t.s_next]}}}\n'
+        for t in dataset.transitions
+    ]))
 
 
 def load_rl_dataset(path: str) -> RLDataset:

@@ -117,9 +117,25 @@ def dump_jsonl(records: Iterable[Any], path: str) -> None:
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
-def load_jsonl(path: str) -> Iterator[Any]:
+class TokenTexts(dict):
+    """Compact JSON text of token sequences (tuples of strings) and tokens,
+    each encoded on first lookup. The rows of a log repeat a few thousand
+    distinct paths, so a row writer looks their text up here."""
+
+    def __missing__(self, seq: tuple[str, ...] | str) -> str:
+        text = self[seq] = dumps(seq)
+        return text
+
+
+def iter_jsonl_lines(path: str) -> Iterator[str]:
+    """The nonblank lines of a JSONL file, stripped."""
     with open(path) as handle:
         for line in handle:
             line = line.strip()
             if line:
-                yield json.loads(line)
+                yield line
+
+
+def load_jsonl(path: str) -> Iterator[Any]:
+    for line in iter_jsonl_lines(path):
+        yield json.loads(line)

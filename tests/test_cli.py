@@ -2,6 +2,7 @@
 
 import filecmp
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,9 @@ from tarpath.cli import main
 from tarpath.instance import NoiseModel, fixture_e1, fixture_e2, load_instance, save_instance
 from tarpath.model import load_model
 from tarpath.reduction import load_rl_dataset
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def run(*argv):
@@ -145,6 +149,7 @@ class TestTrainPlanAttribute:
         assert plan["path"] == ["a", "END"]
         assert plan["regret"] == pytest.approx(0.0, abs=1e-6)
         assert plan["truncated"] is False
+        assert len(plan["margins"]) == 2 and min(plan["margins"]) >= 0.0
 
     def test_attribute_explains_a_path(self, tmp_path, e1_file):
         model_path, _ = self.fit(tmp_path, e1_file)
@@ -200,6 +205,61 @@ class TestVerify:
         )
         assert code == 1
         assert serialize.load_json(str(report_path))["passed"] is False
+
+
+class TestVerifyGolden:
+    """verify.json for trained models, pinned to the bytes written before its
+    loss-identity check was compiled once per distinct state (x86-64,
+    numpy 2.4): the check's speed-ups must not move a bit of the report."""
+
+    REPORTS = {
+        "tabular": "80de7da93c8a1f35d0b9aa9d52590b9207c9f74183fb2dd66a26006a5ae30845",
+        "linear": "434262a38edf197de4ebf3ec2788b117143da7ed463c1b7226fc0a5ea56abb7c",
+    }
+
+    @pytest.mark.parametrize("family", sorted(REPORTS))
+    def test_seeded_verify_is_pinned(self, tmp_path, family):
+        inst, data = tmp_path / "inst.json", tmp_path / "data.jsonl"
+        model, verify = tmp_path / "model.json", tmp_path / "verify.json"
+        assert run("gen", "--actions", 3, "--depth", 4, "--paths", 6, "--seed", 21, "--out", inst) == 0
+        assert run("sample", "--instance", inst, "--n", 300, "--seed", 22, "--out", data) == 0
+        fit = ["--max-iters", 4000] if family == "tabular" else [
+            "--max-iters", 400, "--family", "linear", "--features", "depth_edge_pair"]
+        assert run("train", "--instance", inst, "--data", data, "--lambda", 100.0, "--kappa", 1000.0,
+                   "--tol", 1e-7, "--out", model, *fit) == 0
+        assert run("verify", "--instance", inst, "--model", model, "--report", verify) == 0
+        assert hashlib.sha256(verify.read_bytes()).hexdigest() == self.REPORTS[family]
+
+
+class TestLoadTimeErrors:
+    """Bad input exits 1 at load time, naming the file and the row."""
+
+    def test_duplicate_instance_row(self, tmp_path, capsys):
+        inst = tmp_path / "dup.json"
+        obj = serialize.load_json(str(FIXTURES / "e1.json"))
+        obj["paths"].append(dict(obj["paths"][0], **{"yield": 0.3}))
+        serialize.dump_json(obj, str(inst))
+        assert run("oracle", "--instance", inst, "--out", tmp_path / "o.json") == 1
+        err = capsys.readouterr().err
+        assert str(inst) in err and "path row 3" in err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('{"path": ["a", "END"], "y": NaN}', "yield must be finite"),
+            ('{"path": ["a", "END"], "y": 7.0}', "yield must be finite"),
+            ('{"path": ["b", "b", "END"], "y": 0.5}', "not a support path"),
+        ],
+    )
+    def test_bad_dataset_row(self, tmp_path, capsys, e1_file, row, message):
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"path": ["b", "END"], "y": 0.5}\n' + row + "\n")
+        model = tmp_path / "m.json"
+        assert run("train", "--instance", e1_file, "--data", data, "--out", model) == 1
+        err = capsys.readouterr().err
+        assert f"{data}: row 2: " in err and message in err
+        assert not model.exists()
 
 
 class TestUsageErrors:

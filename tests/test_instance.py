@@ -1,11 +1,13 @@
 """Yield tables, path laws, noise models, and the instance generator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tarpath import serialize
 from tarpath.errors import (
     GeneratorError,
     InvalidInputError,
@@ -177,6 +179,18 @@ class TestPLInstance:
         with pytest.raises(InvalidInputError):
             PLInstance.from_json(obj)
 
+    def test_duplicate_path_rows_rejected(self, e1, tmp_path):
+        obj = e1.to_json()
+        for entry in obj["paths"]:
+            del entry["weight"]
+        obj["paths"].append({"path": ["a", "END"], "yield": 0.3})
+        with pytest.raises(InvalidInputError, match=r"path row 3 repeats .* of row 1"):
+            PLInstance.from_json(obj)
+        path = str(tmp_path / "dup.json")
+        serialize.dump_json(obj, path)
+        with pytest.raises(InvalidInputError, match=re.escape(path)):
+            load_instance(path)
+
 
 class TestSampleDataset:
     def test_deterministic(self, e2_bernoulli):
@@ -249,6 +263,61 @@ class TestPersistence:
         loaded = load_dataset(str(path))
         assert loaded.pairs == data.pairs
 
+    def test_dataset_file_is_the_generic_jsonl(self, tmp_path, e2_bernoulli):
+        data = sample_dataset(e2_bernoulli, 60, seed=9)
+        data = PathYieldDataset(pairs=data.pairs + ((("b", "END"), 0.1), (("b", "END"), -0.0)))
+        fast, generic = tmp_path / "fast.jsonl", tmp_path / "generic.jsonl"
+        save_dataset(data, str(fast))
+        serialize.dump_jsonl(({"path": list(p), "y": y} for p, y in data.pairs), str(generic))
+        assert fast.read_bytes() == generic.read_bytes()
+
     def test_dataset_covers(self, e1):
         data = PathYieldDataset(pairs=((("a", "END"), 0.8),), seed=0)
         assert not data.covers(e1.psi)
+
+
+class TestLoadDataset:
+    """Bad rows are rejected at load time, naming the file and the row."""
+
+    def write(self, tmp_path, rows):
+        path = str(tmp_path / "data.jsonl")
+        with open(path, "w") as handle:
+            handle.write("".join(row + "\n" for row in rows))
+        return path
+
+    @pytest.mark.parametrize("y", ["NaN", "Infinity", "7.0", "-0.1"])
+    def test_yield_outside_unit_interval_rejected(self, tmp_path, y):
+        path = self.write(tmp_path, ['{"path": ["a", "END"], "y": 0.5}', f'{{"path": ["b", "END"], "y": {y}}}'])
+        with pytest.raises(InvalidInputError, match=re.escape(path) + r": row 2: yield must be finite"):
+            load_dataset(path)
+
+    def test_path_off_the_support_rejected(self, tmp_path, e1):
+        path = self.write(tmp_path, ['{"path": ["a", "END"], "y": 1}', '{"path": ["b", "b", "END"], "y": 0.5}'])
+        with pytest.raises(InvalidInputError, match=re.escape(path) + r": row 2: path .* not a support path"):
+            load_dataset(path, e1)
+        # without an instance there is no support to check against
+        assert len(load_dataset(path)) == 2
+
+    @pytest.mark.parametrize(
+        "row", ['{"path": ["a", "END"], "y": "x"}', '{"path": [["a"], "END"], "y": 0.5}', '{"y": 0.5}', "[1, 2]"]
+    )
+    def test_malformed_rows_rejected(self, tmp_path, e1, row):
+        path = self.write(tmp_path, [row])
+        with pytest.raises(InvalidInputError, match=re.escape(path) + r": malformed dataset row 1"):
+            load_dataset(path, e1)
+
+    def test_repeated_bad_row_is_named_at_its_first_row(self, tmp_path, e1):
+        bad = '{"path": ["b", "END"], "y": 2}'
+        path = self.write(tmp_path, ['{"path": ["a", "END"], "y": 1}', bad, bad])
+        with pytest.raises(InvalidInputError, match=re.escape(path) + r": row 2: "):
+            load_dataset(path, e1)
+
+    def test_repeated_rows_load_in_order(self, tmp_path, e1):
+        a, b = '{"path": ["a", "END"], "y": 1}', '{"path": ["b", "END"], "y": 0}'
+        path = self.write(tmp_path, [a, b, a, "", a, b])
+        pairs = load_dataset(path, e1).pairs
+        assert pairs == tuple((("a", "END"), 1.0) if r == a else (("b", "END"), 0.0) for r in [a, b, a, a, b])
+
+    def test_valid_rows_load(self, tmp_path, e1):
+        path = self.write(tmp_path, ['{"path": ["a", "END"], "y": 0}', '{"path": ["b", "END"], "y": 1.0}'])
+        assert load_dataset(path, e1).pairs == ((("a", "END"), 0.0), (("b", "END"), 1.0))

@@ -30,6 +30,7 @@ from tarpath.model import (
     LinearAdvantage,
     TabularAdvantage,
     predict_value,
+    value_gradient,
 )
 from tarpath.oracle import compute_optimal
 from tarpath.pathspace import EMPTY, ActionAlphabet, PrefixTrie, SeqClass
@@ -369,6 +370,129 @@ class TestValueBatch:
             for b, c in zip(parts, np.split(coef, [len(states)])):
                 b.add_value_grad(expected, c, b.values(x, softplus)[1], softplus)
             assert np.array_equal(grad, expected)
+
+
+    @pytest.mark.parametrize(
+        "family", ["tabular", EDGE_PAIR, DEPTH_EDGE_PAIR]
+    )
+    def test_compiled_arrays_match_per_prefix_reference(self, e2_bernoulli, family):
+        inst = e2_bernoulli
+        if family == "tabular":
+            # a trie over one path, so most steps fall back; 0.1 is inexact
+            # in binary, so the summed constants must match bit for bit
+            trie = PrefixTrie.build(inst.alphabet, [("a", "a", "END")])
+            model = TabularAdvantage.default(trie, fallback_B=0.1)
+        else:
+            model = LinearAdvantage.default(inst.alphabet, kind=family)
+        proper = [s for s in inst.trie.fringe_states() if inst.alphabet.is_proper(s)]
+        groups = (
+            inst.trie.nodes,
+            tuple(proper) + (("b", "a", "b", "a", "END"),),
+            sample_dataset(inst, n=40, seed=3).paths,
+        )
+        batch = _ValueBatch(model, *groups)
+        const, step_state, slots = per_prefix_steps(model, *groups)
+        assert batch.const.tobytes() == const.tobytes()
+        assert np.array_equal(batch.step_state, step_state)
+        got = np.stack([col[batch.step_key] for col in batch.key_cols], axis=1)
+        assert np.array_equal(got, np.array(slots, dtype=np.intp).reshape(got.shape))
+        if family == "tabular":
+            assert const.min() < 0.0 and np.unique(const).size > 2
+
+
+def per_prefix_steps(model, *groups):
+    """What ``_ValueBatch`` compiles, the direct way: every state's steps
+    looked up prefix by prefix, fallback constants summed in step order.
+    Returns (constant per state, step owner per step, slots per step)."""
+    states = [s for g in groups for s in g]
+    const = np.zeros(len(states))
+    step_state, slots = [], []
+    for j, s in enumerate(states):
+        for k in range(len(s)):
+            idx = model.step_param_indices(s[:k], s[k])
+            if idx is None:
+                const[j] += model.fallback_advantage
+            else:
+                step_state.append(j)
+                slots.append(idx)
+    return const, np.array(step_state, dtype=np.intp), slots
+
+
+class TestVlpHandMix:
+    """The feasibility loss on a hand-built mix equals the backup residual
+    summed pair by pair, whatever class each pair's state is in."""
+
+    PAIRS = (
+        (("a",), "a"),  # on-trie incomplete, its state repeated
+        (("a",), "END"),
+        (("b", "a"), "b"),  # off-trie incomplete: a fallback step
+        (("b", "a"), "END"),
+        (("END",), "a"),  # complete, off the support, repeated
+        (("END",), "b"),
+        (("a", "a", "b", "END"), "END"),  # complete and off the trie
+        (("b", "END", "a"), "a"),  # improper
+        ((), "b"),
+        (("a", "b"), "a"),  # on-trie state, off-trie edge
+    )
+
+    def direct(self, model, p0, mix, inst, kappa):
+        v = lambda s: predict_value(model, s)  # noqa: E731
+        g = lambda s: value_gradient(model, s)  # noqa: E731
+        lam, mu = mix.lam, mix.mu_weight
+        loss, grad = 0.0, np.zeros(model.n_params)
+        for s, w in p0.items():
+            neg = max(-v(s), 0.0)
+            loss += w * v(s) + kappa * w * neg * neg
+            grad += (w - 2.0 * kappa * w * neg) * g(s)
+        for p, w in inst.path_dist.items():
+            r = max(inst.yields[p] - v(p), 0.0)
+            loss += lam * mu * w * r * r
+            grad -= 2.0 * lam * mu * w * r * g(p)
+        for (s, a), w in zip(mix.tilde_pairs, mix.tilde_weights):
+            # backup residual: reward at s plus the successor's value, minus s's
+            r = max(inst.yield_of(s) + v(s + (a,)) - v(s), 0.0)
+            loss += lam * (1.0 - mu) * w * r * r
+            grad += 2.0 * lam * (1.0 - mu) * w * r * (g(s + (a,)) - g(s))
+        return loss, grad
+
+    @pytest.mark.parametrize("family", ["tabular", EDGE_PAIR, DEPTH_EDGE_PAIR])
+    def test_matches_direct_per_pair_sum(self, e2, family):
+        rng = np.random.default_rng(5)
+        if family == "tabular":
+            model = TabularAdvantage.default(e2.trie, fallback_B=0.7)
+        else:
+            model = LinearAdvantage.default(e2.alphabet, kind=family)
+        # c < 0 puts the complete off-support states' residuals above zero
+        model = model.with_random_params(rng, c_range=(-0.4, -0.1))
+        raw = rng.uniform(0.5, 1.5, size=len(self.PAIRS))
+        mix = PenaltyMix(
+            tilde_pairs=self.PAIRS, tilde_weights=tuple(raw / raw.sum()), lam=3.0, mu_weight=0.3
+        )
+        p0 = StateWeighting.trie_uniform(e2.trie)
+        loss, grad = vlp_objective(model, p0, mix, e2, kappa=2.0)(model.params_vector())
+        want_loss, want_grad = self.direct(model, p0, mix, e2, kappa=2.0)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        assert np.allclose(grad, want_grad, rtol=1e-10, atol=1e-12)
+        # the penalty is live: complete off-support states contribute
+        no_tilde = PenaltyMix(tilde_pairs=((("b", "END", "a"), "a"),), tilde_weights=(1.0,), lam=3.0,
+                              mu_weight=0.3)
+        assert loss > vlp_loss(model, p0, no_tilde, e2, kappa=2.0)[0]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (("a", "a", "END"), "a"),  # on the support
+            (("a",), "z"),  # unknown action, after the state was seen
+            (("z",), "a"),  # unknown token in the state
+        ],
+    )
+    def test_bad_pairs_still_rejected(self, e2, bad):
+        model = TabularAdvantage.default(e2.trie)
+        pairs = self.PAIRS + (bad,)
+        n = len(pairs)
+        mix = PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / n,) * n, lam=3.0)
+        with pytest.raises(InvalidInputError):
+            vlp_objective(model, StateWeighting.trie_uniform(e2.trie), mix, e2)
 
 
 def drawdown_point(model):

@@ -19,7 +19,7 @@ from tarpath.oracle import (
 )
 from tarpath.pathspace import EMPTY, ActionAlphabet, random_improper
 from tarpath.reduction import ReducedMDP, rollout_greedy
-from tarpath.serialize import load_json
+from tarpath.serialize import dump_json, load_json
 
 from .strategies import instances
 
@@ -162,6 +162,14 @@ class TestSerialization:
         assert root["v"] == 0.9
         assert root["adv"]["b"] == pytest.approx(-0.4)
         assert set(root["q"]) == set(e2.alphabet.tokens)
+
+    @given(instances(noise=NoiseModel.bernoulli()))
+    def test_file_is_the_generic_dump(self, tmp_path_factory, inst):
+        ov = compute_optimal(inst)
+        d = tmp_path_factory.mktemp("oracle")
+        save_oracle(ov, str(d / "fast.json"))
+        dump_json(oracle_to_json(ov), str(d / "generic.json"))
+        assert (d / "fast.json").read_bytes() == (d / "generic.json").read_bytes()
 
     def test_json_matches_maps(self, e2):
         ov = compute_optimal(e2)

@@ -129,6 +129,19 @@ class TestPrefixTrie:
             ("a", "a", "END"),
         )
 
+    @given(st.lists(st.lists(st.sampled_from(["a", "b"]), max_size=5), max_size=12))
+    def test_nodes_are_every_prefix_sorted_by_sort_key(self, bodies):
+        paths = [tuple(b) + ("END",) for b in bodies]
+        trie = PrefixTrie.build(AB, paths)
+        prefixes = {p[:k] for p in paths for k in range(len(p) + 1)} | {EMPTY}
+        assert trie.nodes == tuple(sorted(prefixes, key=AB.sort_key))
+        for node in trie.nodes:
+            assert trie.children(node) == tuple(t for t in AB.tokens if node + (t,) in prefixes)
+
+    def test_build_rejects_unknown_tokens(self):
+        with pytest.raises(InvalidInputError, match="unknown token"):
+            PrefixTrie.build(AB, [("a", "END"), ("z", "END")])
+
     def test_children_in_declaration_order(self):
         trie = PrefixTrie.build(AB, [("b", "END"), ("a", "END"), ("a", "a", "END")])
         assert trie.children(EMPTY) == ("a", "b")
@@ -139,6 +152,11 @@ class TestPrefixTrie:
         assert ("a", "a") in trie
         assert ("a", "b") not in trie
         assert trie.depth == 3
+
+    def test_depth_is_the_longest_node(self):
+        trie = PrefixTrie.build(AB, [("a", "b", "a", "END"), ("b", "END"), ("a", "END")])
+        assert trie.depth == max(len(n) for n in trie.nodes) == 4
+        assert PrefixTrie.build(AB, []).depth == 0
 
     def test_fringe_states_one_step_off(self):
         trie = PrefixTrie.build(AB, [("a", "END")])

@@ -43,6 +43,18 @@ class TestGreedyPath:
         model = flat_model(e1.trie, c=0.5)
         result = greedy_path(model, max_len=4)
         assert result.path == ("a", "END")
+        # a and b tie exactly at the root; at ("a",) END beats the fallbacks
+        assert result.margins[0] == 0.0
+        assert result.margins[1] == pytest.approx(model.fallback_B)
+        assert result.to_json()["margins"] == list(result.margins)
+
+    @given(inst=instances(max_tokens=3, max_depth=4, max_paths=8))
+    @settings(max_examples=30)
+    def test_oracle_encoding_margins_are_nonnegative(self, inst):
+        model = TabularAdvantage.from_oracle(compute_optimal(inst))
+        result = greedy_path(model, max_len=default_max_len(model))
+        assert len(result.margins) == len(result.path)
+        assert all(m >= 0.0 for m in result.margins)
 
     def test_truncation_at_budget(self, e2):
         model = TabularAdvantage.from_oracle(compute_optimal(e2))

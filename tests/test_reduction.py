@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tarpath import serialize
 from tarpath.errors import InvalidInputError, RolloutError
 from tarpath.instance import sample_dataset
 from tarpath.reduction import (
@@ -125,3 +126,13 @@ class TestPersistence:
         save_rl_dataset(rl, str(path))
         loaded = load_rl_dataset(str(path))
         assert loaded.transitions == rl.transitions
+
+    def test_file_is_the_generic_jsonl(self, tmp_path, e2_bernoulli):
+        rl = build_offline_dataset(e2_bernoulli, sample_dataset(e2_bernoulli, 60, seed=3), seed=5)
+        fast, generic = tmp_path / "fast.jsonl", tmp_path / "generic.jsonl"
+        save_rl_dataset(rl, str(fast))
+        serialize.dump_jsonl(
+            ({"s": list(t.s), "a": t.a, "r": t.r, "s_next": list(t.s_next)} for t in rl.transitions),
+            str(generic),
+        )
+        assert fast.read_bytes() == generic.read_bytes()

@@ -66,6 +66,12 @@ class TestDumps:
         with pytest.raises(ValueError):
             serialize.dumps([math.inf])
 
+    def test_token_texts_are_compact_arrays(self):
+        texts = serialize.TokenTexts()
+        assert texts[("a", "END")] == '["a","END"]' == serialize.dumps(("a", "END"))
+        assert texts["b"] == '"b"'
+        assert texts[()] == "[]"
+
 
 class TestFiles:
     def test_dump_and_load_json(self, tmp_path):
