@@ -85,9 +85,7 @@ def main():
         f"converged={result.converged})"
     )
 
-    plan = evaluate_plan(
-        greedy_path(result.model, default_max_len(result.model, instance)), instance, ov
-    )
+    plan = evaluate_plan(greedy_path(result.model, default_max_len(result.model, instance)), instance)
     dump_json(plan.to_json(), out("plan.json"))
     print(
         f"greedy plan {' '.join(plan.path)}: predicted {plan.predicted_value:.6f}, "

@@ -11,7 +11,6 @@ from .errors import (
     GeneratorError,
     InvalidInputError,
     InvalidInstanceError,
-    RolloutError,
     TarPathError,
     TrainingDivergedError,
     UnsupportedNoiseError,
@@ -29,21 +28,13 @@ from .instance import (
     random_instance,
     sample_dataset,
 )
-from .reduction import (
-    ReducedMDP,
-    RLDataset,
-    RLTransition,
-    RolloutResult,
-    build_offline_dataset,
-    rollout_greedy,
-)
+from .reduction import build_offline_dataset
 from .oracle import (
     OptimalValues,
     check_decomposition,
     compute_optimal,
     enumeration_advantage,
     enumeration_value,
-    greedy_policy,
     max_bellman_violation,
     transition_operator,
 )
@@ -94,11 +85,6 @@ __all__ = [
     "PlanResult",
     "PLInstance",
     "PrefixTrie",
-    "ReducedMDP",
-    "RLDataset",
-    "RLTransition",
-    "RolloutError",
-    "RolloutResult",
     "SeqClass",
     "StateWeighting",
     "TabularAdvantage",
@@ -119,13 +105,11 @@ __all__ = [
     "fixture_e1",
     "fixture_e2",
     "greedy_path",
-    "greedy_policy",
     "max_bellman_violation",
     "predict_advantage",
     "predict_value",
     "random_instance",
     "raw_from_advantage",
-    "rollout_greedy",
     "sample_dataset",
     "surrogate_gap",
     "tar_loss",

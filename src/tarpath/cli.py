@@ -121,7 +121,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         step_size=args.step,
         max_iters=args.max_iters,
         tol=args.tol,
-        seed=args.seed,
     )
     objective = tar_objective(model, p0, data, config.lam, config.kappa)
     result = train(model, objective, config)
@@ -136,7 +135,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     max_len = args.max_len or default_max_len(model, instance)
     result = greedy_path(model, max_len)
-    result = evaluate_plan(result, instance, compute_optimal(instance))
+    result = evaluate_plan(result, instance)
     serialize.dump_json(result.to_json(), args.out)
     return 0
 
@@ -238,7 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--max-iters", type=int, default=50_000)
     tr.add_argument("--tol", type=float, default=1e-8)
     tr.add_argument("--step", type=float, default=0.1)
-    tr.add_argument("--seed", type=int, default=0)
     tr.set_defaults(func=_cmd_train)
 
     plan = sub.add_parser("plan", help="extract and score the greedy path")

@@ -25,10 +25,6 @@ class GeneratorError(TarPathError):
     """The random-instance spec cannot be satisfied."""
 
 
-class RolloutError(TarPathError):
-    """A policy rollout reached a state where the policy is undefined."""
-
-
 class TrainingDivergedError(TarPathError):
     """Optimization produced a non-finite loss or gradient."""
 

@@ -68,6 +68,20 @@ class YieldTable:
         return self.entries.items()
 
 
+def check_weights(weights: tuple[float, ...], what: str) -> None:
+    """Reject weights outside [0, 1], naming the first such weight, and
+    nonempty weights whose sum is not 1 within WEIGHT_SUM_TOL."""
+    arr = np.array(weights, dtype=float)
+    # NaN fails both comparisons; weights of at most 1 keep fsum from overflowing
+    bad = ~((arr >= 0.0) & (arr <= 1.0))
+    if bad.any():
+        raise InvalidInputError(f"{what} weights must lie in [0, 1], got {float(arr[bad][0])!r}")
+    if weights and abs(math.fsum(weights) - 1.0) > WEIGHT_SUM_TOL:
+        raise InvalidInputError(
+            f"{what} weights must sum to 1 within {WEIGHT_SUM_TOL}, got {math.fsum(weights)!r}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class PathDistribution:
     """Probability weights over a finite set of complete paths."""
@@ -86,13 +100,7 @@ class PathDistribution:
         object.__setattr__(self, "_weight", dict(zip(paths, weights)))
         if len(self._weight) != len(paths):
             raise InvalidInputError("distribution paths must be distinct")
-        for w in weights:
-            if not math.isfinite(w) or w < 0.0:
-                raise InvalidInputError(f"weights must be nonnegative, got {w!r}")
-        if paths and abs(math.fsum(weights) - 1.0) > WEIGHT_SUM_TOL:
-            raise InvalidInputError(
-                f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {math.fsum(weights)!r}"
-            )
+        check_weights(weights, "path")
 
     @classmethod
     def uniform(cls, paths: Iterable[PathSeq]) -> "PathDistribution":
@@ -253,27 +261,26 @@ class PLInstance:
             alphabet = ActionAlphabet.from_json(obj["alphabet"])
             rows = obj["paths"]
             noise = NoiseModel.from_json(obj["noise"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise InvalidInputError(f"malformed instance object: {exc}") from exc
+        if not isinstance(rows, list):
+            raise InvalidInputError(f"{source}: \"paths\" must be a list of path rows")
         entries: dict[PathSeq, float] = {}
         weights: dict[PathSeq, float] = {}
-        weighted = [("weight" in row) for row in rows]
-        if any(weighted) and not all(weighted):
-            raise InvalidInputError("either all path rows carry a weight or none do")
         first_row: dict[PathSeq, int] = {}
         for i, row in enumerate(rows, 1):
             try:
                 path = tuple(row["path"])
-                if path in first_row:
-                    raise InvalidInputError(
-                        f"{source}: path row {i} repeats path {path!r} of row {first_row[path]}"
-                    )
-                first_row[path] = i
-                entries[path] = row["yield"]
+                first = first_row.setdefault(path, i)
+                entries[path] = float(row["yield"])
                 if "weight" in row:
-                    weights[path] = row["weight"]
-            except (KeyError, TypeError) as exc:
+                    weights[path] = float(row["weight"])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise InvalidInputError(f"{source}: malformed path row {i}: {row!r}") from exc
+            if first != i:
+                raise InvalidInputError(f"{source}: path row {i} repeats path {path!r} of row {first}")
+        if weights and len(weights) != len(entries):
+            raise InvalidInputError("either all path rows carry a weight or none do")
         if weights:
             dist = PathDistribution(
                 paths=tuple(weights), weights=tuple(weights.values())
@@ -476,7 +483,7 @@ def _dataset_row(path: str, i: int, row, support) -> tuple[PathSeq, float]:
     try:
         p, y = tuple(row["path"]), float(row["y"])
         on_support = support is None or p in support
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{path}: malformed dataset row {i}: {row!r}") from exc
     if not 0.0 <= y <= 1.0:
         raise InvalidInputError(f"{path}: row {i}: yield must be finite and in [0, 1], got {y!r}")

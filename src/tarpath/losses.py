@@ -38,7 +38,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergedError
-from .instance import PathYieldDataset, PLInstance
+from .instance import PathYieldDataset, PLInstance, check_weights
 from .model import TABULAR, AdvantageModel, predict_value, raw_from_advantage
 from .oracle import OptimalValues, compute_optimal
 from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, SeqClass
@@ -53,18 +53,8 @@ CG_STEPS = 10
 CONVERGED = "converged"
 ITERATION_CAP = "iteration_cap"
 NO_DECREASE = "no_decrease"
-WEIGHT_SUM_TOL = 1e-12
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
-
-
-def _check_weights(weights: tuple[float, ...], what: str) -> None:
-    arr = np.array(weights, dtype=float)
-    bad = ~(np.isfinite(arr) & (arr >= 0.0))
-    if bad.any():
-        raise InvalidInputError(f"{what} weights must be nonnegative, got {float(arr[bad][0])!r}")
-    if weights and abs(math.fsum(weights) - 1.0) > WEIGHT_SUM_TOL:
-        raise InvalidInputError(f"{what} weights must sum to 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +75,7 @@ class StateWeighting:
             raise InvalidInputError("state weighting must be nonempty")
         if len(set(states)) != len(states):
             raise InvalidInputError("weighted states must be distinct")
-        _check_weights(weights, "state")
+        check_weights(weights, "state")
 
     @classmethod
     def trie_uniform(cls, trie: PrefixTrie) -> "StateWeighting":
@@ -125,7 +115,7 @@ class PenaltyMix:
             raise InvalidInputError("tilde pairs and weights must have equal length")
         if len(set(pairs)) != len(pairs):
             raise InvalidInputError("tilde pairs must be distinct")
-        _check_weights(weights, "tilde")
+        check_weights(weights, "tilde")
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise InvalidInputError(f"lam must be positive, got {self.lam!r}")
         if not 0.0 <= self.mu_weight <= 1.0:
@@ -163,7 +153,6 @@ class TrainConfig:
     step_size: float = 0.1
     max_iters: int = 50_000
     tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lam) and self.lam > 0.0):
@@ -199,7 +188,6 @@ class TrainResult:
             "stop_reason": self.stop_reason,
             "lambda": config.lam,
             "kappa": config.kappa,
-            "seed": config.seed,
         }
 
 

@@ -113,21 +113,6 @@ def check_decomposition(ov: OptimalValues, seq: Iterable[str]) -> float:
     return ov.value_at(seq) - total
 
 
-def greedy_policy(ov: OptimalValues) -> dict[PathSeq, str]:
-    """First declaration-order maximizer of q_star at every trie node."""
-    policy: dict[PathSeq, str] = {}
-    for node in ov.trie.nodes:
-        best_a = None
-        best_q = -float("inf")
-        for a in ov.trie.alphabet.tokens:
-            q = ov.q_star[(node, a)]
-            if q > best_q:
-                best_q = q
-                best_a = a
-        policy[node] = best_a
-    return policy
-
-
 def max_bellman_violation(ov: OptimalValues) -> float:
     """Largest positive part of (backup minus value) over trie states/actions.
 

@@ -64,10 +64,10 @@ class ActionAlphabet:
             raise InvalidInputError(
                 f"alphabet needs at least 2 tokens, got {len(tokens)}"
             )
-        if len(set(tokens)) != len(tokens):
-            raise InvalidInputError(f"alphabet tokens must be distinct: {tokens!r}")
         if not all(isinstance(t, str) and t for t in tokens):
             raise InvalidInputError("alphabet tokens must be nonempty strings")
+        if len(set(tokens)) != len(tokens):
+            raise InvalidInputError(f"alphabet tokens must be distinct: {tokens!r}")
         if self.terminal not in tokens:
             raise InvalidInputError(
                 f"terminal {self.terminal!r} missing from tokens {tokens!r}"

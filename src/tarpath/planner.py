@@ -4,18 +4,21 @@ The planner never looks at values: it repeatedly commits to the action with
 the largest predicted per-step drawdown (ties broken by alphabet declaration
 order), stopping when the terminal token is emitted or a step budget runs
 out. Tabular models steer it back onto observed continuations because
-off-trie queries cost the constant fallback drawdown.
+off-trie queries cost the constant fallback drawdown. The argmax loop,
+``greedy_rollout``, takes any per-step score; scored with the oracle's exact
+drawdowns it rolls out an optimal path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 from .errors import InvalidInputError
 from .instance import PLInstance
 from .model import AdvantageModel, predict_advantage, predict_value
-from .oracle import OptimalValues
-from .pathspace import EMPTY, PathSeq
+from .pathspace import EMPTY, ActionAlphabet, PathSeq
 
 
 @dataclass(frozen=True)
@@ -40,43 +43,54 @@ class PlanResult:
         }
 
 
-def greedy_path(model: AdvantageModel, max_len: int) -> PlanResult:
-    """Argmax-advantage rollout from the empty sequence, with the margin of
-    each choice over the runner-up."""
+def greedy_rollout(
+    alphabet: ActionAlphabet, score: Callable[[PathSeq, str], float], max_len: int
+) -> tuple[PathSeq, bool, tuple[float, ...]]:
+    """From the empty sequence, commit to the first declaration-order
+    maximizer of ``score(state, token)`` until the terminal token is emitted
+    or ``max_len`` steps are taken. Returns the path, whether the budget cut
+    it short, and each choice's margin over the runner-up."""
     if max_len < 1:
         raise InvalidInputError(f"max_len must be at least 1, got {max_len}")
-    alphabet = model.alphabet
     state: PathSeq = EMPTY
-    truncated = True
     margins = []
     for _ in range(max_len):
         best_a = None
-        best_adv = second = -float("inf")
+        best = second = -float("inf")
         for a in alphabet.tokens:
-            adv = predict_advantage(model, state, a)
-            if adv > best_adv:
-                best_a, best_adv, second = a, adv, best_adv
-            elif adv > second:
-                second = adv
-        margins.append(best_adv - second)
+            value = score(state, a)
+            if value > best:
+                best_a, best, second = a, value, best
+            elif value > second:
+                second = value
+        margins.append(best - second)
         state = state + (best_a,)
         if best_a == alphabet.terminal:
-            truncated = False
-            break
+            return state, False, tuple(margins)
+    return state, True, tuple(margins)
+
+
+def greedy_path(model: AdvantageModel, max_len: int) -> PlanResult:
+    """Argmax-advantage rollout from the empty sequence, with the margin of
+    each choice over the runner-up."""
+    path, truncated, margins = greedy_rollout(
+        model.alphabet, partial(predict_advantage, model), max_len
+    )
     return PlanResult(
-        path=state,
-        predicted_value=predict_value(model, state),
+        path=path,
+        predicted_value=predict_value(model, path),
         truncated=truncated,
-        margins=tuple(margins),
+        margins=margins,
     )
 
 
-def evaluate_plan(
-    result: PlanResult, instance: PLInstance, ov: OptimalValues
-) -> PlanResult:
-    """Fill in the achieved yield and its shortfall against the optimum."""
+def evaluate_plan(result: PlanResult, instance: PLInstance) -> PlanResult:
+    """Fill in the achieved yield and its shortfall against the best support
+    yield, taken as ``compute_optimal`` takes its ``j_star``: a fold from 0.0
+    with strict ``>`` (``max`` keeps the first of equal maxima)."""
+    j_star = max([0.0, *instance.yields.entries.values()])
     true_yield = instance.yield_of(result.path)
-    return replace(result, true_yield=true_yield, regret=ov.j_star - true_yield)
+    return replace(result, true_yield=true_yield, regret=j_star - true_yield)
 
 
 def default_max_len(model: AdvantageModel, instance: PLInstance | None = None) -> int:

@@ -46,12 +46,11 @@ from tarpath.oracle import (
     compute_optimal,
     enumeration_advantage,
     enumeration_value,
-    greedy_policy,
 )
 from tarpath.attribution import attribute
 from tarpath.pathspace import random_improper
-from tarpath.planner import default_max_len, evaluate_plan, greedy_path
-from tarpath.reduction import ReducedMDP, load_rl_dataset, rollout_greedy, save_rl_dataset
+from tarpath.planner import default_max_len, evaluate_plan, greedy_path, greedy_rollout
+from tarpath.reduction import load_rl_dataset, save_rl_dataset
 
 POOL_SIZE = 200
 IMPROPER_PER_INSTANCE = 1000
@@ -116,10 +115,9 @@ def test_criterion_2_oracle_cross_validation(pool):
 
 def test_criterion_3_greedy_rollout_optimal(pool):
     for inst, ov in pool:
-        policy = greedy_policy(ov)
-        result = rollout_greedy(policy, ReducedMDP(inst), max_steps=inst.trie.depth + 2)
-        assert not result.truncated
-        assert inst.yield_of(result.path) == ov.j_star
+        path, truncated, _ = greedy_rollout(inst.alphabet, ov.advantage_at, inst.trie.depth + 2)
+        assert not truncated
+        assert inst.yield_of(path) == ov.j_star
     print(
         f"ACCEPTANCE 3 greedy rollout optimality: PASS "
         f"(true yield equals the optimum exactly on all {POOL_SIZE} instances)"
@@ -219,11 +217,7 @@ def test_criterion_6_end_to_end_learning():
         model = TabularAdvantage.default(inst.trie)
         p0 = StateWeighting.trie_uniform(inst.trie)
         result = train(model, tar_objective(model, p0, data, lam, kappa), config)
-        plan = evaluate_plan(
-            greedy_path(result.model, default_max_len(result.model)),
-            inst,
-            compute_optimal(inst),
-        )
+        plan = evaluate_plan(greedy_path(result.model, default_max_len(result.model)), inst)
         regrets.append(plan.regret)
     hits = sum(r <= 1e-6 for r in regrets)
     remainder = sorted(r for r in regrets if r > 1e-6)

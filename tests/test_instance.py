@@ -179,6 +179,24 @@ class TestPLInstance:
         with pytest.raises(InvalidInputError):
             PLInstance.from_json(obj)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("paths", 5, "must be a list of path rows"),
+            ("yield", "x", "malformed path row 1"),
+            ("weight", "x", "malformed path row 1"),
+            ("yield", 10**400, "malformed path row 1"),
+        ],
+    )
+    def test_malformed_objects_rejected(self, e1, field, value, match):
+        obj = e1.to_json()
+        if field == "paths":
+            obj["paths"] = value
+        else:
+            obj["paths"][0][field] = value
+        with pytest.raises(InvalidInputError, match=match):
+            PLInstance.from_json(obj)
+
     def test_duplicate_path_rows_rejected(self, e1, tmp_path):
         obj = e1.to_json()
         for entry in obj["paths"]:

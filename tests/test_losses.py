@@ -684,6 +684,5 @@ class TestTrain:
             "stop_reason",
             "lambda",
             "kappa",
-            "seed",
         }
         assert report["lambda"] == config.lam

@@ -11,14 +11,13 @@ from tarpath.oracle import (
     compute_optimal,
     enumeration_advantage,
     enumeration_value,
-    greedy_policy,
     max_bellman_violation,
     oracle_to_json,
     save_oracle,
     transition_operator,
 )
 from tarpath.pathspace import EMPTY, ActionAlphabet, random_improper
-from tarpath.reduction import ReducedMDP, rollout_greedy
+from tarpath.planner import PlanResult, evaluate_plan, greedy_rollout
 from tarpath.serialize import dump_json, load_json
 
 from .strategies import instances
@@ -94,6 +93,9 @@ class TestInvariants:
     def test_j_star_is_max_yield(self, inst):
         ov = compute_optimal(inst)
         assert ov.j_star == max(inst.yields[p] for p in inst.psi)
+        # the empty path yields 0.0, so its regret is evaluate_plan's j_star
+        empty = PlanResult(path=EMPTY, predicted_value=0.0, truncated=True)
+        assert evaluate_plan(empty, inst).regret == ov.j_star
 
 
 class TestEnumerationAgreement:
@@ -133,10 +135,9 @@ class TestGreedyPolicy:
     @given(instances())
     def test_rollout_attains_j_star(self, inst):
         ov = compute_optimal(inst)
-        mdp = ReducedMDP(inst)
-        result = rollout_greedy(greedy_policy(ov), mdp, max_steps=inst.trie.depth + 1)
-        assert not result.truncated
-        assert inst.yield_of(result.path) == ov.j_star
+        path, truncated, _ = greedy_rollout(inst.alphabet, ov.advantage_at, inst.trie.depth + 1)
+        assert not truncated
+        assert inst.yield_of(path) == ov.j_star
 
     def test_ties_resolve_by_declaration_order(self):
         alphabet = ActionAlphabet(tokens=("a", "b", "END"))
@@ -146,8 +147,9 @@ class TestGreedyPolicy:
             path_dist=PathDistribution.uniform([("a", "END"), ("b", "END")]),
             noise=NoiseModel.noiseless(),
         )
-        policy = greedy_policy(compute_optimal(inst))
-        assert policy[EMPTY] == "a"
+        path, _, margins = greedy_rollout(alphabet, compute_optimal(inst).advantage_at, 3)
+        assert path == ("a", "END")
+        assert margins[0] == 0.0
 
 
 class TestSerialization:

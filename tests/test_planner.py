@@ -35,7 +35,7 @@ class TestGreedyPath:
         ov = compute_optimal(inst)
         model = TabularAdvantage.from_oracle(ov)
         result = greedy_path(model, max_len=default_max_len(model))
-        scored = evaluate_plan(result, inst, ov)
+        scored = evaluate_plan(result, inst)
         assert not scored.truncated
         assert scored.regret == pytest.approx(0.0, abs=1e-9)
 
@@ -73,11 +73,7 @@ class TestGreedyPath:
         p0 = StateWeighting.trie_uniform(e1.trie)
         objective = tar_objective(model, p0, e1, lam=10.0, kappa=100.0)
         result = train(model, objective, TrainConfig(max_iters=10_000, tol=1e-7))
-        scored = evaluate_plan(
-            greedy_path(result.model, default_max_len(result.model)),
-            e1,
-            compute_optimal(e1),
-        )
+        scored = evaluate_plan(greedy_path(result.model, default_max_len(result.model)), e1)
         assert scored.path == ("a", "END")
         assert scored.regret == pytest.approx(0.0, abs=1e-9)
 
@@ -87,14 +83,14 @@ class TestEvaluatePlan:
         ov = compute_optimal(e2)
         model = TabularAdvantage.from_oracle(ov)
         truncated = greedy_path(model, max_len=1)
-        scored = evaluate_plan(truncated, e2, ov)
+        scored = evaluate_plan(truncated, e2)
         assert scored.true_yield == 0.0
         assert scored.regret == pytest.approx(0.9)
 
     def test_to_json_round_trip_fields(self, e1):
         ov = compute_optimal(e1)
         model = TabularAdvantage.from_oracle(ov)
-        scored = evaluate_plan(greedy_path(model, 4), e1, ov)
+        scored = evaluate_plan(greedy_path(model, 4), e1)
         blob = scored.to_json()
         assert blob["path"] == ["a", "END"]
         assert blob["true_yield"] == pytest.approx(0.8)
