@@ -88,14 +88,22 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _load_state_weighting(path: str) -> StateWeighting:
+    """A ``--p0`` file: a JSON list of rows ``{"state": [...], "weight": w}``.
+    Errors name the file, and a malformed row its number (1-based)."""
     rows = serialize.load_json(path)
+    if not isinstance(rows, list):
+        raise InvalidInputError(f"{path}: a state weighting must be a list of rows")
+    states, weights = [], []
+    for i, row in enumerate(rows, 1):
+        try:
+            states.append(tuple(row["state"]))
+            weights.append(float(row["weight"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"{path}: malformed state weighting row {i}: {row!r}") from exc
     try:
-        return StateWeighting(
-            states=tuple(tuple(r["state"]) for r in rows),
-            weights=tuple(float(r["weight"]) for r in rows),
-        )
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed state weighting file: {exc}") from exc
+        return StateWeighting(states=tuple(states), weights=tuple(weights))
+    except (InvalidInputError, TypeError) as exc:  # TypeError: an unhashable token
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -118,7 +126,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = TrainConfig(
         lam=args.lam,
         kappa=kappa,
-        step_size=args.step,
         max_iters=args.max_iters,
         tol=args.tol,
     )
@@ -236,7 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--p0", default="trie", help="'trie' or a state-weighting JSON file")
     tr.add_argument("--max-iters", type=int, default=50_000)
     tr.add_argument("--tol", type=float, default=1e-8)
-    tr.add_argument("--step", type=float, default=0.1)
     tr.set_defaults(func=_cmd_train)
 
     plan = sub.add_parser("plan", help="extract and score the greedy path")

@@ -20,13 +20,12 @@ optimal value on support paths; ``surrogate_gap`` evaluates every term of
 that identity independently and reports the discrepancy.
 
 Objectives are compiled once per call into flat index arrays so each
-evaluation is a handful of vectorized operations. For tabular models the
-compiled objective also evaluates in drawdown coordinates (c, a), where every
-value is linear and the regression loss is convex and piecewise quadratic
-under the bound a <= 0; the trainer solves it there by projected
-Barzilai-Borwein steps with a free-set Newton finish. Other objectives, and
-the linear family, get deterministic full-batch gradient descent with
-backtracking line search in the model's own parameters.
+evaluation is a handful of vectorized operations. A compiled objective also
+evaluates in drawdown coordinates (c, a), one drawdown per trie edge or, for
+the linear family, per feature pair (the bias is redundant there: it adds to
+every pair's raw score). Every value is linear in (c, a), so both losses are
+convex and piecewise quadratic under the bound a <= 0; the trainer solves
+them there by projected Barzilai-Borwein steps with a free-set Newton finish.
 """
 
 from __future__ import annotations
@@ -39,13 +38,15 @@ import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergedError
 from .instance import PathYieldDataset, PLInstance, check_weights
-from .model import TABULAR, AdvantageModel, predict_value, raw_from_advantage
+from .model import AdvantageModel, predict_value, raw_from_advantage
 from .oracle import OptimalValues, compute_optimal
 from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, SeqClass
 
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 60
 BB_STEP_CAP = 1e9
+# The first trial step of a solve.
+FIRST_STEP = 0.1
 # Conjugate-gradient steps per Newton attempt on the free drawdowns.
 CG_STEPS = 10
 
@@ -150,7 +151,6 @@ class PenaltyMix:
 class TrainConfig:
     lam: float = 100.0
     kappa: float = 1000.0
-    step_size: float = 0.1
     max_iters: int = 50_000
     tol: float = 1e-8
 
@@ -159,8 +159,6 @@ class TrainConfig:
             raise InvalidInputError("lam must be positive")
         if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
             raise InvalidInputError("kappa must be nonnegative")
-        if not (math.isfinite(self.step_size) and self.step_size > 0.0):
-            raise InvalidInputError("step_size must be positive")
         if self.max_iters < 0:
             raise InvalidInputError("max_iters must be nonnegative")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -209,38 +207,54 @@ def _require_same_alphabet(model: AdvantageModel, instance: PLInstance) -> None:
         raise InvalidInputError("model and instance alphabets differ")
 
 
-def _prefix_steps(model: AdvantageModel, memo: dict, s: PathSeq) -> tuple[tuple[int, ...], int, float]:
-    """(flat slots, step count, fallback constant) of the parametrized steps
-    along s, extending the longest prefix of s already in ``memo`` one step
-    at a time and recording every prefix on the way."""
+def _prefix_steps(model: AdvantageModel, memo: dict, s: PathSeq) -> tuple[tuple[int, ...], float]:
+    """(step slots, fallback constant) of the steps along s, extending the
+    longest prefix of s already in ``memo`` one step at a time and recording
+    every prefix on the way."""
     k = len(s)
     while s[:k] not in memo:
         k -= 1
-    slots, count, const = memo[s[:k]]
+    slots, const = memo[s[:k]]
     for k in range(k, len(s)):
-        idx = model.step_param_indices(s[:k], s[k])
-        if idx is None:
+        slot = model.step_slot(s[:k], s[k])
+        if slot is None:
             const += model.fallback_advantage
         else:
-            slots += idx
-            count += 1
-        memo[s[: k + 1]] = (slots, count, const)
-    return slots, count, const
+            slots += (slot,)
+        memo[s[: k + 1]] = (slots, const)
+    return slots, const
+
+
+def _slot_scores(params: np.ndarray, bias: int | None, softplus: bool) -> np.ndarray:
+    """Raw score per step slot: in the model's packed coordinates a linear
+    model's bias joins every pair's score; in drawdown coordinates each slot
+    holds its drawdown."""
+    return params[:bias] + params[bias] if softplus and bias is not None else params
+
+
+def _add_slot_grad(
+    grad: np.ndarray, slots: np.ndarray, coef: np.ndarray, bias: int | None, softplus: bool
+) -> None:
+    """grad += coef scattered over its slots; the bias, in packed coordinates,
+    gets the sum of them all."""
+    grad += np.bincount(slots, weights=coef, minlength=grad.size)
+    if softplus and bias is not None:
+        grad[bias] += coef.sum()
 
 
 class _ValueBatch:
     """Predicted values over fixed lists of proper states, vectorized.
 
     Each state's value is c plus a state constant (fallback steps) plus the
-    sum of its parametrized steps; steps are flattened across states into
-    index arrays once, so evaluation for a new parameter vector is a gather,
-    a transform, and a segmented sum. The transform is -softplus of the raw
-    score in the model's packed coordinates, or the identity in drawdown
-    coordinates, where a tabular model's slots hold the drawdowns themselves.
+    drawdowns of its steps; steps are flattened across states into index
+    arrays once, so evaluation for a new parameter vector is a gather, a
+    transform, and a segmented sum. Every step reads one slot, its trie edge
+    or its feature pair, and a slot's drawdown is -softplus of its raw score
+    in the model's packed coordinates (see ``_slot_scores``), or the slot
+    itself in drawdown coordinates [c, a_0, a_1, ...]. The transform is
+    computed once per slot and gathered per step.
 
-    Steps that read the same slots share one raw score ("key"), so the raw
-    scores and their transforms are computed once per key and gathered per
-    step. The states come in groups (``values`` returns them concatenated);
+    The states come in groups (``values`` returns them concatenated);
     gradients accumulate group by group, in the order of the groups, exactly
     as one batch per group would.
     """
@@ -248,51 +262,28 @@ class _ValueBatch:
     def __init__(self, model: AdvantageModel, *groups: tuple[PathSeq, ...]):
         states = [s for g in groups for s in g]
         self.n_states = len(states)
+        self.bias = model.bias_slot
         # a state's steps are its parent prefix's steps plus one more, so each
         # distinct (prefix, action) is looked up once
-        memo: dict[PathSeq, tuple[tuple[int, ...], int, float]] = {(): ((), 0, 0.0)}
+        memo: dict[PathSeq, tuple[tuple[int, ...], float]] = {(): ((), 0.0)}
         steps = [_prefix_steps(model, memo, s) for s in states]
-        self.const = np.array([const for _, _, const in steps], dtype=float)
-        counts = [n for _, n, _ in steps]
-        self.step_state = np.repeat(np.arange(self.n_states, dtype=np.intp), counts)
-        # flat: a model's steps all read the same number of slots
-        step_slots = [i for slots, _, _ in steps for i in slots]
-        width = len(step_slots) // self.step_state.size if self.step_state.size else 1
-        slots = np.array(step_slots, dtype=np.intp).reshape(-1, width)
-        n = model.n_params
-        if width == 1:
-            # a tabular step reads one slot, and every slot is a key
-            self.step_key = slots[:, 0]
-            self.key_cols = (np.arange(n),)
-        else:
-            # one integer per slot tuple, read in base n; the keys are the
-            # codes that occur, in increasing order
-            code = slots @ n ** np.arange(width)
-            seen = np.zeros(n**width, dtype=bool)
-            seen[code] = True
-            self.step_key = (np.cumsum(seen) - 1)[code]
-            key_code = np.flatnonzero(seen)
-            self.key_cols = tuple(key_code // n**col % n for col in range(width))
-        # per group: its state range, its steps' slots column after column,
-        # and the step each of those entries belongs to. A step's slots are
-        # distinct coordinates (a tabular edge, or a linear pair and the
-        # bias), so one bincount over them adds what one per column would.
+        self.const = np.array([const for _, const in steps], dtype=float)
+        self.step_state = np.repeat(
+            np.arange(self.n_states, dtype=np.intp), [len(slots) for slots, _ in steps]
+        )
+        self.step_slot = np.array([i for slots, _ in steps for i in slots], dtype=np.intp)
+        # per group: its state range and its step range
         state_ends = np.cumsum([0] + [len(g) for g in groups])
         step_ends = np.searchsorted(self.step_state, state_ends)
         self.groups = [
-            (
-                s_lo, s_hi, slots[lo:hi].T.reshape(-1),
-                slice(lo, hi) if width == 1 else np.tile(np.arange(lo, hi), width),
-            )
+            (s_lo, s_hi, slice(lo, hi))
             for s_lo, s_hi, lo, hi in zip(state_ends, state_ends[1:], step_ends, step_ends[1:])
         ]
 
     def values(self, params: np.ndarray, softplus: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (value per state, raw score per key)."""
-        z = params[self.key_cols[0]]
-        for col in self.key_cols[1:]:
-            z = z + params[col]
-        steps = (-np.logaddexp(0.0, z) if softplus else z)[self.step_key]
+        """Returns (value per state, raw score per slot)."""
+        z = _slot_scores(params, self.bias, softplus)
+        steps = (-np.logaddexp(0.0, z) if softplus else z)[self.step_slot]
         summed = np.bincount(self.step_state, weights=steps, minlength=self.n_states)
         return params[0] + self.const + summed, z
 
@@ -302,18 +293,15 @@ class _ValueBatch:
         """grad += sum_j state_coef[j] * d(value_j)/d(params)."""
         step_coef = state_coef[self.step_state]
         if softplus:
-            step_coef = -step_coef * _sigmoid_vec(z)[self.step_key]
-        for s_lo, s_hi, slots, steps in self.groups:
+            step_coef = -step_coef * _sigmoid_vec(z)[self.step_slot]
+        for s_lo, s_hi, steps in self.groups:
             grad[0] += state_coef[s_lo:s_hi].sum()
-            if slots.size:
-                grad += np.bincount(slots, weights=step_coef[steps], minlength=grad.size)
+            if steps.stop > steps.start:
+                _add_slot_grad(grad, self.step_slot[steps], step_coef[steps], self.bias, softplus)
 
     def jvp(self, d: np.ndarray) -> np.ndarray:
         """Change of every value along the drawdown-coordinate direction d."""
-        dz = d[self.key_cols[0]]
-        for col in self.key_cols[1:]:
-            dz = dz + d[col]
-        return d[0] + np.bincount(self.step_state, weights=dz[self.step_key], minlength=self.n_states)
+        return d[0] + np.bincount(self.step_state, weights=d[self.step_slot], minlength=self.n_states)
 
 
 def _hessian(terms: list[tuple[_ValueBatch, np.ndarray]]) -> Callable[[np.ndarray], np.ndarray]:
@@ -331,14 +319,16 @@ def _hessian(terms: list[tuple[_ValueBatch, np.ndarray]]) -> Callable[[np.ndarra
 
 
 class Evaluation(tuple):
-    """(loss, gradient) from an objective compiled for a tabular model.
+    """(loss, gradient) from an objective compiled by ``tar_objective`` or
+    ``vlp_objective``.
 
     Such an objective also takes ``drawdown=True``: it then reads its
-    argument as x = [c, a_0, a_1, ...], one drawdown a = -softplus(z) per
-    edge, for which every value is linear in x and the loss is convex and
-    piecewise quadratic on the feasible set a <= 0. ``hessian()`` gives the
-    exact Hessian-vector product at a feasible drawdown point, valid while
-    no hinge changes side.
+    argument as x = [c, a_0, a_1, ...], one drawdown per step slot (a tabular
+    edge, or a linear model's feature pair, whose a = -softplus(z) folds in
+    the bias), for which every value is linear in x and the loss is convex
+    and piecewise quadratic on the feasible set a <= 0. ``hessian()`` gives
+    the exact Hessian-vector product at a feasible drawdown point, valid
+    while no hinge changes side.
     """
 
     def __new__(cls, loss: float, grad: np.ndarray, curvature=None):
@@ -352,22 +342,15 @@ class Evaluation(tuple):
         return _hessian(self._curvature())
 
 
-def _compiled(model: AdvantageModel, evaluate) -> Objective:
-    """The objective over the model's packed parameters; for a tabular model
-    it also evaluates in drawdown coordinates (see ``Evaluation``)."""
-    if model.family != TABULAR:
+def _compiled(evaluate) -> Objective:
+    """The objective over the model's packed parameters, which also
+    evaluates in drawdown coordinates (see ``Evaluation``)."""
 
-        def objective(params: np.ndarray) -> tuple[float, np.ndarray]:
-            loss, grad, _ = evaluate(params, True)
-            return loss, grad
-
-        return objective
-
-    def tabular_objective(params: np.ndarray, drawdown: bool = False) -> Evaluation:
+    def objective(params: np.ndarray, drawdown: bool = False) -> Evaluation:
         loss, grad, curvature = evaluate(params, not drawdown)
         return Evaluation(loss, grad, curvature if drawdown else None)
 
-    return tabular_objective
+    return objective
 
 
 def _data_arrays(
@@ -425,7 +408,7 @@ def tar_objective(
             (batch, np.concatenate((hinge_w * (neg > 0.0), misfit_w))),
         ]
 
-    return _compiled(model, evaluate)
+    return _compiled(evaluate)
 
 
 def tar_loss(
@@ -494,25 +477,20 @@ def vlp_objective(
         elif cls is complete:
             comp_weight[s] = comp_weight.get(s, 0.0) + w
         # an improper state and its successor both predict 0: no term
-    step_indices = model.step_param_indices
-    inc_steps = [step_indices(s, a) for s, a in inc_pairs]
-    inc_len = [0 if idx is None else len(idx) for idx in inc_steps]
-    inc_slots = [i for idx in inc_steps if idx is not None for i in idx]
+    inc_steps = [model.step_slot(s, a) for s, a in inc_pairs]
+    bias = model.bias_slot
 
     comp_states = tuple(comp_weight)
     comp_batch = _ValueBatch(model, comp_states)
     comp_w = np.array([comp_weight[s] for s in comp_states])
     inc_w = np.array(inc_weights)
-    lengths = np.array(inc_len, dtype=np.intp)
-    inc_const_arr = np.zeros(lengths.size)
-    if not lengths.all():
-        inc_const_arr[lengths == 0] = model.fallback_advantage
-    width = int(lengths.max(initial=1))
-    # pad fallback rows with slot 0 at coefficient 0 so the gather stays square
-    filled = np.arange(width) < lengths[:, None]
-    inc_pad = np.zeros((lengths.size, width), dtype=np.intp)
-    inc_pad[filled] = inc_slots
-    inc_mask = filled.astype(float)
+    on = np.array([slot is not None for slot in inc_steps], dtype=bool)
+    inc_const_arr = np.zeros(on.size)
+    if not on.all():
+        inc_const_arr[~on] = model.fallback_advantage
+    # fallback rows read slot 0 at coefficient 0
+    inc_slot = np.array([slot or 0 for slot in inc_steps], dtype=np.intp)
+    inc_mask = on.astype(float)
 
     def evaluate(params: np.ndarray, softplus: bool):
         v0, z0 = p0_batch.values(params, softplus)
@@ -521,7 +499,7 @@ def vlp_objective(
         mu_pos = np.maximum(mu_targets - vmu, 0.0)
         vc, zc = comp_batch.values(params, softplus)
         comp_pos = np.maximum(-vc, 0.0)
-        z_inc = (params[inc_pad] * inc_mask).sum(axis=1) + inc_const_arr
+        z_inc = _slot_scores(params, bias, softplus)[inc_slot] * inc_mask + inc_const_arr
         a_inc = -np.logaddexp(0.0, z_inc) if softplus else z_inc
         inc_pos = np.maximum(a_inc, 0.0)
 
@@ -542,12 +520,7 @@ def vlp_objective(
             step_coef = 2.0 * lam * (1.0 - mu_w) * inc_w * inc_pos
             if softplus:
                 step_coef = -step_coef * _sigmoid_vec(z_inc)
-            for col in range(width):
-                grad += np.bincount(
-                    inc_pad[:, col],
-                    weights=step_coef * inc_mask[:, col],
-                    minlength=grad.size,
-                )
+            _add_slot_grad(grad, inc_slot, step_coef * inc_mask, bias, softplus)
         # the incomplete-state term is (a)_+^2 of one drawdown or of the
         # fallback: zero, with zero curvature, wherever a <= 0
         return float(loss), grad, lambda: [
@@ -556,7 +529,7 @@ def vlp_objective(
             (comp_batch, 2.0 * lam * (1.0 - mu_w) * comp_w * (comp_pos > 0.0)),
         ]
 
-    return _compiled(model, evaluate)
+    return _compiled(evaluate)
 
 
 def vlp_loss(
@@ -614,98 +587,37 @@ def surrogate_gap(
 
 
 def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> TrainResult:
-    """Minimize the objective from the model's current parameters.
+    """Minimize an objective compiled by ``tar_objective`` or
+    ``vlp_objective`` from the model's current parameters.
 
-    An objective compiled by ``tar_objective`` or ``vlp_objective`` for a
-    tabular model is solved in drawdown coordinates, where it is convex
-    (``_solve_drawdown``); the solved drawdowns are stored back as raw
-    scores. Any other objective, and every linear model, runs the descent of
-    ``_descend`` in the model's packed coordinates.
+    The objective is solved in drawdown coordinates, where it is convex
+    (``_solve_drawdown``), from a = -softplus(z) of every slot's raw score,
+    the bias included; the solved drawdowns are stored back as raw scores,
+    and a linear model's bias as 0. An objective whose calls do not return
+    an ``Evaluation`` is rejected.
 
     ``final_loss`` is the objective at the returned model. ``grad_norm`` is
-    the max-norm of the gradient in the solved coordinates, projected onto
-    the bound a <= 0 in drawdown coordinates; the run has converged when it
-    is at most ``config.tol``. ``stop_reason`` says why the run ended:
-    converged, the iteration cap, or no representable decrease.
+    the max-norm of the gradient in drawdown coordinates, projected onto the
+    bound a <= 0; the run has converged when it is at most ``config.tol``.
+    ``stop_reason`` says why the run ended: converged, the iteration cap, or
+    no representable decrease.
     """
     x = model.params_vector()
-    start = objective(x)
-    if not isinstance(start, Evaluation):
-        return _descend(model, objective, config, x, start)
-    a = -np.logaddexp(0.0, x[1:])
+    if not isinstance(objective(x), Evaluation):
+        raise InvalidInputError("train needs an objective compiled by tar_objective or vlp_objective")
+    a = -np.logaddexp(0.0, _slot_scores(x, model.bias_slot, True)[1:])
     solved = _solve_drawdown(objective, np.concatenate(([x[0]], a)), config)
     x_out, trace, grad_norm, iterations, reason = solved
-    fitted = model.with_params(np.concatenate(([x_out[0]], raw_from_advantage(x_out[1:]))))
+    # a linear model's bias, the last slot, is written as 0
+    params = np.zeros(x.size)
+    params[0] = x_out[0]
+    params[1 : x_out.size] = raw_from_advantage(x_out[1:])
+    fitted = model.with_params(params)
     final_loss, _ = objective(fitted.params_vector())
     return TrainResult(
         model=fitted,
         trace=trace,
         final_loss=float(final_loss),
-        grad_norm=grad_norm,
-        iterations=iterations,
-        converged=reason == CONVERGED,
-        stop_reason=reason,
-    )
-
-
-def _descend(
-    model: AdvantageModel, objective: Objective, config: TrainConfig, x: np.ndarray, start
-) -> TrainResult:
-    """Full-batch descent with backtracking (halving) line search.
-
-    Each iteration steps along the negative gradient; sufficient decrease
-    uses the Armijo rule with halving backtracking. The trial step is the
-    spectral (Barzilai-Borwein, short form) quotient (dx . dg) / |dg|^2
-    from the last accepted move, which adapts to curvature along the
-    active direction. When the quotient is unusable (first iteration,
-    non-positive curvature) the trial falls back to twice the previously
-    accepted step. Stops at the gradient tolerance (max-norm), the
-    iteration cap, or when no decrease is representable.
-    """
-    f, g = start
-    if not (math.isfinite(f) and np.all(np.isfinite(g))):
-        raise TrainingDivergedError(0)
-    trace = [f]
-    step = config.step_size
-    iterations = 0
-    reason = ITERATION_CAP
-    for it in range(1, config.max_iters + 1):
-        if np.abs(g).max() <= config.tol:
-            break
-        gg = float(g @ g)
-        s = step
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            x_new = x - s * g
-            f_new, g_new = objective(x_new)
-            # strict inequality: an equal loss means the Armijo margin
-            # underflowed, so the move is no representable progress
-            if f_new < f and f_new <= f - ARMIJO_C * s * gg:
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            reason = NO_DECREASE
-            break
-        if not np.isfinite(g_new).all():
-            raise TrainingDivergedError(it)
-        dx = x_new - x
-        dg = g_new - g
-        curv = float(dx @ dg)
-        if curv > 0.0:
-            step = min(max(curv / float(dg @ dg), 1e-16), BB_STEP_CAP)
-        else:
-            step = 2.0 * s
-        x, f, g = x_new, f_new, g_new
-        trace.append(f)
-        iterations = it
-    grad_norm = float(np.max(np.abs(g)))
-    if grad_norm <= config.tol:
-        reason = CONVERGED
-    return TrainResult(
-        model=model.with_params(x),
-        trace=np.array(trace),
-        final_loss=float(f),
         grad_norm=grad_norm,
         iterations=iterations,
         converged=reason == CONVERGED,
@@ -782,7 +694,7 @@ def _solve_drawdown(objective, x: np.ndarray, config: TrainConfig):
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
         raise TrainingDivergedError(0)
     trace = [f]
-    step = config.step_size
+    step = FIRST_STEP
     iterations = 0
     reason = ITERATION_CAP
     pg = _projected_grad_norm(x, g)

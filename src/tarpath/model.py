@@ -4,9 +4,9 @@ A model predicts, for a proper sequence, c plus the sum of per-step advantage
 terms A(prefix, action); improper sequences get exactly 0. Nonpositivity is
 structural: every advantage is -log(1 + exp(z)) of an unconstrained raw score
 z, so the value difference between a proper sequence and its extension is
-always <= 0. (The trainer solves tabular models in the drawdowns themselves,
-under the bound a <= 0, and stores the result back as raw scores through
-``raw_from_advantage``.)
+always <= 0. (The trainer solves models in the drawdowns themselves, one per
+edge or per feature pair, under the bound a <= 0, and stores the result back
+as raw scores through ``raw_from_advantage``.)
 
 Two families produce the raw score:
 
@@ -142,9 +142,13 @@ class AdvantageModel:
         """Raw score at (s, a), or None when the query falls back to -B."""
         raise NotImplementedError
 
-    def step_param_indices(self, s: PathSeq, a: str) -> tuple[int, ...] | None:
-        """Packed-vector slots whose sum is raw_z, or None on fallback."""
+    def step_slot(self, s: PathSeq, a: str) -> int | None:
+        """Packed-vector slot of the step's own raw score, or None on
+        fallback; raw_z is that slot plus the bias slot, if any."""
         raise NotImplementedError
+
+    # packed-vector slot of the bias that every raw score adds, if any
+    bias_slot = None
 
     @property
     def fallback_advantage(self) -> float:
@@ -237,9 +241,9 @@ class TabularAdvantage(AdvantageModel):
         slot = self._slot.get((s, a))
         return None if slot is None else float(self.raw[slot])
 
-    def step_param_indices(self, s: PathSeq, a: str) -> tuple[int, ...] | None:
+    def step_slot(self, s: PathSeq, a: str) -> int | None:
         slot = self._slot.get((s, a))
-        return None if slot is None else (1 + slot,)
+        return None if slot is None else 1 + slot
 
     @property
     def fallback_advantage(self) -> float:
@@ -285,9 +289,12 @@ class LinearAdvantage(AdvantageModel):
         i, j = self.feature_map.indices(s, a)
         return float(self.weights[i] + self.weights[j])
 
-    def step_param_indices(self, s: PathSeq, a: str) -> tuple[int, ...] | None:
-        i, j = self.feature_map.indices(s, a)
-        return (1 + i, 1 + j)
+    def step_slot(self, s: PathSeq, a: str) -> int | None:
+        return 1 + self.feature_map.indices(s, a)[0]
+
+    @property
+    def bias_slot(self) -> int:
+        return self.feature_map.dim
 
     @property
     def fallback_advantage(self) -> float:
@@ -337,12 +344,13 @@ def value_gradient(model: AdvantageModel, seq: PathSeq) -> np.ndarray:
     grad[0] = 1.0
     for k in range(len(seq)):
         prefix, a = seq[:k], seq[k]
-        idx = model.step_param_indices(prefix, a)
-        if idx is None:
+        slot = model.step_slot(prefix, a)
+        if slot is None:
             continue
         coef = -sigmoid(model.raw_z(prefix, a))
-        for i in idx:
-            grad[i] += coef
+        grad[slot] += coef
+        if model.bias_slot is not None:
+            grad[model.bias_slot] += coef
     return grad
 
 

@@ -210,11 +210,13 @@ class TestVerify:
 class TestVerifyGolden:
     """verify.json for trained models, pinned to the bytes written before its
     loss-identity check was compiled once per distinct state (x86-64,
-    numpy 2.4): the check's speed-ups must not move a bit of the report."""
+    numpy 2.4): the check's speed-ups must not move a bit of the report. The
+    linear report is pinned for the model that the pair-drawdown solve
+    writes."""
 
     REPORTS = {
         "tabular": "80de7da93c8a1f35d0b9aa9d52590b9207c9f74183fb2dd66a26006a5ae30845",
-        "linear": "434262a38edf197de4ebf3ec2788b117143da7ed463c1b7226fc0a5ea56abb7c",
+        "linear": "376b846f33e3c427eaeaf5dd8ab5157ad7d7999c3fd7444fd780c1cc874196f8",
     }
 
     @pytest.mark.parametrize("family", sorted(REPORTS))
@@ -229,6 +231,17 @@ class TestVerifyGolden:
                    "--tol", 1e-7, "--out", model, *fit) == 0
         assert run("verify", "--instance", inst, "--model", model, "--report", verify) == 0
         assert hashlib.sha256(verify.read_bytes()).hexdigest() == self.REPORTS[family]
+
+    def test_biased_linear_model_scores_as_before(self, tmp_path):
+        # fixtures/linear_biased_model.json is the linear model that the
+        # softplus-coordinate trainer wrote for this instance, bias -15.09;
+        # its verify.json keeps the bytes pinned for it then
+        inst, verify = tmp_path / "inst.json", tmp_path / "verify.json"
+        assert run("gen", "--actions", 3, "--depth", 4, "--paths", 6, "--seed", 21, "--out", inst) == 0
+        assert run("verify", "--instance", inst, "--model", FIXTURES / "linear_biased_model.json",
+                   "--report", verify) == 0
+        digest = hashlib.sha256(verify.read_bytes()).hexdigest()
+        assert digest == "434262a38edf197de4ebf3ec2788b117143da7ed463c1b7226fc0a5ea56abb7c"
 
 
 class TestLoadTimeErrors:
@@ -259,6 +272,26 @@ class TestLoadTimeErrors:
         assert run("train", "--instance", e1_file, "--data", data, "--out", model) == 1
         err = capsys.readouterr().err
         assert f"{data}: row 2: " in err and message in err
+        assert not model.exists()
+
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ('[{"state": [], "weight": 1.0}, {"state": [], "weight": "x"}]', "row 2"),
+            ('[{"state": [], "weight": 1' + '0' * 400 + '}]', "row 1"),  # overflows a float
+            ('{"state": [], "weight": 1.0}', "list of rows"),
+            ('[{"state": [], "weight": 0.5}, {"state": [], "weight": 0.5}]', "distinct"),
+        ],
+    )
+    def test_bad_p0_file(self, tmp_path, capsys, e1_file, rows, message):
+        data, p0 = tmp_path / "data.jsonl", tmp_path / "p0.json"
+        data.write_text('{"path": ["b", "END"], "y": 0.5}\n')
+        p0.write_text(rows)
+        model = tmp_path / "m.json"
+        assert run("train", "--instance", e1_file, "--data", data, "--p0", p0, "--out", model) == 1
+        err = capsys.readouterr().err
+        assert f"{p0}: " in err and message in err
         assert not model.exists()
 
 
@@ -305,19 +338,22 @@ class TestPipelineDeterminism:
 
 
 class TestLinearGolden:
-    """The linear family trains in the model's packed coordinates, through
-    objective code it shares with the tabular drawdown solve. These bytes
-    and report values pin its iterates on a seeded instance (x86-64,
-    numpy 2.4); a change to the shared code must leave them intact."""
+    """The linear family trains in pair-drawdown coordinates, through the
+    solver and objective code of the tabular drawdown solve. These bytes and
+    report values pin its iterates on a seeded instance (x86-64, numpy 2.4);
+    a change to the shared code must leave them intact."""
 
     MODELS = {
-        "edge_pair": "e3ca58276b9912f9c936bd453c1b0f171f8f530989bd0bdbed1849981bb1f2d4",
-        "depth_edge_pair": "e196b994bfd8d152e110726c37618d8dc5cd205cf18175beeb60a68ed47c5e11",
+        "edge_pair": "2534fccc63d9b821cb9058e544a7796f5d118d194a5cabc30636eefdba6037dc",
+        "depth_edge_pair": "b50723000e989033e2c013c23a4700de3eb3b4546acbf38a2588ba2769616202",
     }
     REPORTS = {
-        "edge_pair": (12.754987841940393, 400, 1.6748914042302109e-05),
-        "depth_edge_pair": (12.754991823769821, 400, 1.6734771445161122e-05),
+        "edge_pair": (5.274744705177477, 19, 8.659739592076221e-15),
+        "depth_edge_pair": (5.246539182301705, 55, 1.6486811915683575e-13),
     }
+    # the final loss of the softplus-coordinate descent that trained this
+    # family before, capped at 400 iterations; a convex solve must beat it
+    DESCENT_LOSS = 12.7550
 
     @pytest.mark.parametrize("features", sorted(MODELS))
     def test_seeded_train_is_pinned(self, tmp_path, features):
@@ -332,4 +368,5 @@ class TestLinearGolden:
         assert hashlib.sha256(model.read_bytes()).hexdigest() == self.MODELS[features]
         got = serialize.load_json(str(report))
         assert (got["final_loss"], got["iterations"], got["grad_norm"]) == self.REPORTS[features]
-        assert got["stop_reason"] == "iteration_cap"
+        assert got["stop_reason"] == "converged"
+        assert got["final_loss"] < self.DESCENT_LOSS

@@ -1,13 +1,15 @@
 """Fuzzing the file loaders: every JSON input either loads or is rejected
-with a TarPathError, never with another exception."""
+with a TarPathError, never with another exception. The ``train --p0`` state
+weighting goes through the command line, which must exit 0 or 1."""
 
 import copy
 import json
 
 from hypothesis import given, strategies as st
 
+from tarpath.cli import main
 from tarpath.errors import TarPathError
-from tarpath.instance import fixture_e1, load_dataset, load_instance
+from tarpath.instance import fixture_e1, load_dataset, load_instance, save_instance
 from tarpath.reduction import load_rl_dataset
 
 E1 = fixture_e1()
@@ -16,7 +18,7 @@ E1 = fixture_e1()
 # the first lookup
 _KEYS = st.sampled_from(
     ["alphabet", "tokens", "terminal", "paths", "path", "yield", "weight", "noise",
-     "kind", "stddev", "y", "s", "a", "r", "s_next"]
+     "kind", "stddev", "y", "s", "a", "r", "s_next", "state"]
 )
 _SCALARS = (
     st.none()
@@ -73,6 +75,8 @@ def _write_lines(directory, rows):
 
 _DATA_ROW = {"path": ["a", "END"], "y": 0.5}
 _RL_ROW = {"s": ["a"], "a": "END", "r": 0.5, "s_next": ["a", "END"]}
+_P0_ROWS = [{"state": [], "weight": 0.5}, {"state": ["a"], "weight": 0.25},
+            {"state": ["b", "END"], "weight": 0.25}]
 
 
 @given(like(E1.to_json()))
@@ -91,3 +95,15 @@ def test_load_dataset(tmp_path_factory, rows, with_instance):
 @given(st.lists(like(_RL_ROW), max_size=3))
 def test_load_rl_dataset(tmp_path_factory, rows):
     _loads_or_rejects(load_rl_dataset, _write_lines(tmp_path_factory.mktemp("fuzz"), rows))
+
+
+@given(like(_P0_ROWS))
+def test_train_p0_file(tmp_path_factory, doc):
+    d = tmp_path_factory.mktemp("fuzz")
+    instance, p0 = str(d / "instance.json"), d / "p0.json"
+    save_instance(E1, instance)
+    data = _write_lines(d, [_DATA_ROW])
+    p0.write_text(json.dumps(doc))
+    argv = ["train", "--instance", instance, "--data", data, "--p0", str(p0),
+            "--max-iters", "20", "--out", str(d / "model.json")]
+    assert main(argv) in (0, 1)

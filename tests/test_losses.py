@@ -7,11 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tarpath.errors import InvalidInputError, TrainingDivergedError
-from tarpath.instance import NoiseModel, PathYieldDataset, PLInstance, sample_dataset
+from tarpath.instance import (
+    InstanceSpec,
+    NoiseModel,
+    PathYieldDataset,
+    PLInstance,
+    random_instance,
+    sample_dataset,
+)
 from tarpath.losses import (
     CONVERGED,
     ITERATION_CAP,
     NO_DECREASE,
+    Evaluation,
     PenaltyMix,
     StateWeighting,
     TrainConfig,
@@ -141,7 +149,6 @@ class TestTrainConfig:
             {"lam": 0.0},
             {"lam": -2.0},
             {"kappa": -1.0},
-            {"step_size": 0.0},
             {"max_iters": -1},
             {"tol": 0.0},
             {"tol": float("nan")},
@@ -394,8 +401,7 @@ class TestValueBatch:
         const, step_state, slots = per_prefix_steps(model, *groups)
         assert batch.const.tobytes() == const.tobytes()
         assert np.array_equal(batch.step_state, step_state)
-        got = np.stack([col[batch.step_key] for col in batch.key_cols], axis=1)
-        assert np.array_equal(got, np.array(slots, dtype=np.intp).reshape(got.shape))
+        assert np.array_equal(batch.step_slot, slots)
         if family == "tabular":
             assert const.min() < 0.0 and np.unique(const).size > 2
 
@@ -403,19 +409,19 @@ class TestValueBatch:
 def per_prefix_steps(model, *groups):
     """What ``_ValueBatch`` compiles, the direct way: every state's steps
     looked up prefix by prefix, fallback constants summed in step order.
-    Returns (constant per state, step owner per step, slots per step)."""
+    Returns (constant per state, step owner per step, slot per step)."""
     states = [s for g in groups for s in g]
     const = np.zeros(len(states))
     step_state, slots = [], []
     for j, s in enumerate(states):
         for k in range(len(s)):
-            idx = model.step_param_indices(s[:k], s[k])
-            if idx is None:
+            slot = model.step_slot(s[:k], s[k])
+            if slot is None:
                 const[j] += model.fallback_advantage
             else:
                 step_state.append(j)
-                slots.append(idx)
-    return const, np.array(step_state, dtype=np.intp), slots
+                slots.append(slot)
+    return const, np.array(step_state, dtype=np.intp), np.array(slots, dtype=np.intp)
 
 
 class TestVlpHandMix:
@@ -501,8 +507,39 @@ def drawdown_point(model):
     return np.concatenate(([x[0]], -np.logaddexp(0.0, x[1:])))
 
 
+def linear_model(inst, features, seed, c=None):
+    """A random linear model whose bias (the last weight) is nonzero, so that
+    every pair's raw score is its own weight plus 1.25."""
+    rng = np.random.default_rng(seed)
+    c_range = (0.0, 1.0) if c is None else (c, c)
+    model = LinearAdvantage.default(inst.alphabet, kind=features).with_random_params(rng, c_range)
+    x = model.params_vector()
+    x[-1] = 1.25
+    return model.with_params(x)
+
+
+def pair_drawdown_point(model):
+    """The pair-drawdown twin [c, -softplus(w_pair + w_bias)] of a linear model."""
+    x = model.params_vector()
+    return np.concatenate(([x[0]], -np.logaddexp(0.0, x[1:-1] + x[-1])))
+
+
+def criterion_6_instance(seed):
+    """The instance and its one-row-per-path dataset from acceptance criterion 6."""
+    spec = InstanceSpec(
+        n_actions=3,
+        max_depth=4,
+        n_paths=int(np.random.default_rng(seed).integers(2, 7)),
+        noise=NoiseModel.noiseless(),
+    )
+    inst = random_instance(spec, seed)
+    return inst, PathYieldDataset(pairs=tuple((p, inst.yields[p]) for p in inst.psi))
+
+
 class TestDrawdownView:
-    """Tabular objectives also evaluate in drawdown coordinates (c, a)."""
+    """Compiled objectives also evaluate in drawdown coordinates (c, a): one
+    drawdown per edge of a tabular model, one per feature pair of a linear
+    one, whose bias each pair's drawdown absorbs."""
 
     @staticmethod
     def compile(kind, inst, model, kappa=100.0):
@@ -572,6 +609,76 @@ class TestDrawdownView:
         with pytest.raises(InvalidInputError):
             objective(model.params_vector()).hessian()
 
+    FEATURES = (EDGE_PAIR, DEPTH_EDGE_PAIR)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("features", FEATURES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_equals_packed_view(self, e2_bernoulli, kind, features, seed):
+        model = linear_model(e2_bernoulli, features, seed)
+        objective = self.compile(kind, e2_bernoulli, model)
+        w = model.params_vector()
+        f_w, g_w = objective(w)
+        f_a, g_a = objective(pair_drawdown_point(model), drawdown=True)
+        assert g_a.size == w.size - 1
+        assert f_a == pytest.approx(f_w, rel=1e-13)
+        # chain rule through a = -softplus(w_pair + w_bias)
+        assert g_a[0] == pytest.approx(g_w[0], rel=1e-12, abs=1e-14)
+        sig = 1.0 / (1.0 + np.exp(-(w[1:-1] + w[-1])))
+        assert np.allclose(-g_a[1:] * sig, g_w[1:-1], rtol=1e-12, atol=1e-14)
+        # the bias gradient is the sum of the pair gradients
+        assert g_w[-1] == pytest.approx(g_w[1:-1].sum(), rel=1e-12, abs=1e-14)
+        assert np.any(g_w[1:-1] != 0.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("features", FEATURES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_linear_gradient_matches_central_difference(self, e2_bernoulli, kind, features, seed):
+        model = linear_model(e2_bernoulli, features, seed)
+        objective = self.compile(kind, e2_bernoulli, model)
+        view = lambda x: objective(x, drawdown=True)  # noqa: E731
+        x = pair_drawdown_point(model)
+        _, grad = view(x)
+        assert np.allclose(grad, central_diff(view, x), rtol=1e-5, atol=1e-7)
+        # and in the packed coordinates, bias included
+        w = model.params_vector()
+        assert np.allclose(objective(w)[1], central_diff(objective, w), rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("features", FEATURES)
+    @pytest.mark.parametrize("c", [-2.0, 5.0])
+    def test_linear_hessian_matches_gradient_difference(self, e2_bernoulli, kind, features, c):
+        # as for the tabular model: every hinge stays on (c = -2) or off
+        # (c = 5) along the whole segment
+        model = linear_model(e2_bernoulli, features, 7, c=c)
+        objective = self.compile(kind, e2_bernoulli, model)
+        x = pair_drawdown_point(model)
+        start = objective(x, drawdown=True)
+        rng = np.random.default_rng(7)
+        h = 1e-3
+        for _ in range(3):
+            d = rng.normal(size=x.size)
+            _, g_end = objective(x + h * d, drawdown=True)
+            assert np.allclose(start.hessian()(d), (g_end - start[1]) / h, rtol=1e-7, atol=1e-9)
+
+    @pytest.mark.parametrize("features", FEATURES)
+    def test_linear_optimum_sandwiched_by_tabular(self, features):
+        # on a trie, a linear model is the tabular model whose edges share
+        # their pair's drawdown: the tabular optimum is a lower bound
+        lam, kappa = 100.0, 1000.0
+        config = TrainConfig(lam=lam, kappa=kappa, tol=1e-7, max_iters=4000)
+        for seed in range(20):
+            inst, data = criterion_6_instance(seed)
+            p0 = StateWeighting.trie_uniform(inst.trie)
+            linear = LinearAdvantage.default(inst.alphabet, kind=features)
+            tied = train(linear, tar_objective(linear, p0, data, lam, kappa), config)
+            assert tied.stop_reason == CONVERGED, (seed, tied.grad_norm)
+            assert tied.model.weights[-1] == 0.0  # the bias is written as 0
+            tabular = TabularAdvantage.default(inst.trie)
+            free = train(tabular, tar_objective(tabular, p0, data, lam, kappa), config)
+            assert free.converged
+            assert free.final_loss <= tied.final_loss + 1e-9, seed
+
 
 class TestTrain:
     def make_objective(self, inst, lam=10.0, kappa=100.0):
@@ -622,27 +729,36 @@ class TestTrain:
         assert objective(result.model.params_vector())[0] == result.final_loss
         assert result.final_loss <= result.trace[-1] * (1 + 1e-15)
 
-    def test_plain_callable_keeps_packed_coordinates(self, e1):
+    def test_plain_callable_rejected(self, e1):
         model, compiled = self.make_objective(e1)
 
         def plain(params):
             loss, grad = compiled(params)
             return loss, grad
 
-        config = TrainConfig(max_iters=200, tol=1e-12)
-        # the compiled objective is solved in drawdown coordinates; the same
-        # function behind a plain callable runs packed-coordinate descent,
-        # which the flat softplus tails hold back
-        assert train(model, compiled, config).stop_reason == CONVERGED
-        result = train(model, plain, config)
-        assert result.stop_reason == ITERATION_CAP
-        assert len(result.trace) == 201
+        # the same function, without the drawdown view it was compiled with
+        assert train(model, compiled, TrainConfig(max_iters=200, tol=1e-12)).converged
+        with pytest.raises(InvalidInputError):
+            train(model, plain, TrainConfig())
+
+    @pytest.mark.parametrize("features", [EDGE_PAIR, DEPTH_EDGE_PAIR])
+    def test_linear_start_folds_in_the_bias(self, e2, features):
+        # no iterations: the written model is the start, its bias moved
+        # into every pair's weight
+        model = linear_model(e2, features, 3)
+        p0 = StateWeighting.trie_uniform(e2.trie)
+        objective = tar_objective(model, p0, e2, lam=10.0, kappa=100.0)
+        result = train(model, objective, TrainConfig(max_iters=0))
+        w, fitted = model.params_vector(), result.model.params_vector()
+        assert fitted[-1] == 0.0 and fitted[0] == w[0]
+        assert np.allclose(fitted[1:-1], w[1:-1] + w[-1], rtol=1e-12, atol=1e-12)
+        assert result.final_loss == pytest.approx(objective(w)[0], rel=1e-12)
 
     def test_no_decrease_is_reported(self, e1):
         model, _ = self.make_objective(e1)
 
-        def flat(params):
-            return 1.0, np.ones_like(params)
+        def flat(params, drawdown=False):
+            return Evaluation(1.0, np.ones_like(params))
 
         result = train(model, flat, TrainConfig(max_iters=10))
         assert result.iterations == 0
@@ -652,24 +768,28 @@ class TestTrain:
     def test_nonfinite_start_diverges(self, e1):
         model, _ = self.make_objective(e1)
 
-        def bad(params):
-            return float("nan"), np.zeros_like(params)
+        def bad(params, drawdown=False):
+            return Evaluation(float("nan"), np.zeros_like(params))
 
         with pytest.raises(TrainingDivergedError):
             train(model, bad, TrainConfig())
 
     def test_nonfinite_gradient_mid_run_diverges(self, e1):
         model, _ = self.make_objective(e1)
+        start = drawdown_point(model)
+        start_loss = float(start @ start)
 
-        def leaky(params):
+        def leaky(params, drawdown=False):
+            # |x|^2, whose gradient breaks below the loss at the start
             f = float(params @ params)
             grad = 2.0 * params
-            if f < 1.0:
+            if f < start_loss:
                 grad = grad + float("inf")
-            return f, grad
+            return Evaluation(f, grad)
 
-        with pytest.raises(TrainingDivergedError):
+        with pytest.raises(TrainingDivergedError) as exc:
             train(model, leaky, TrainConfig(max_iters=1000, tol=1e-12))
+        assert exc.value.iteration == 1
 
     def test_report_json_fields(self, e1):
         model, objective = self.make_objective(e1)
