@@ -41,7 +41,6 @@ def parse_args():
     parser.add_argument("--n", type=int, default=400, help="observations to sample")
     parser.add_argument("--lambda", dest="lam", type=float, default=10.0)
     parser.add_argument("--kappa", type=float, default=100.0)
-    parser.add_argument("--max-iters", type=int, default=20_000)
     parser.add_argument("--tol", type=float, default=1e-7)
     return parser.parse_args()
 
@@ -73,16 +72,15 @@ def main():
     trie = PrefixTrie.build(instance.alphabet, observed)
     model = TabularAdvantage.default(trie)
     p0 = StateWeighting.trie_uniform(trie)
-    config = TrainConfig(
-        lam=args.lam, kappa=args.kappa, max_iters=args.max_iters, tol=args.tol
-    )
+    config = TrainConfig(lam=args.lam, kappa=args.kappa, tol=args.tol)
     result = train(model, tar_objective(model, p0, data, config.lam, config.kappa), config)
     save_model(result.model, out("model.json"))
     dump_json(result.report_json(config), out("train_report.json"))
     print(
-        f"trained tabular model: loss {result.final_loss:.8f} after "
-        f"{result.iterations} iterations (grad max-norm {result.grad_norm:.2e}, "
-        f"converged={result.converged})"
+        f"trained tabular model by {result.solver}: loss {result.final_loss:.8f}, "
+        f"{result.blocks} blocks after {result.iterations} merges, "
+        f"{result.zero_drawdowns} drawdowns exactly 0 "
+        f"(grad max-norm {result.grad_norm:.2e}, converged={result.converged})"
     )
 
     plan = evaluate_plan(greedy_path(result.model, default_max_len(result.model, instance)), instance)

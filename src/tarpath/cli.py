@@ -241,7 +241,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--features", choices=["edge_pair", "depth_edge_pair"], default="edge_pair"
     )
     tr.add_argument("--p0", default="trie", help="'trie' or a state-weighting JSON file")
-    tr.add_argument("--max-iters", type=int, default=50_000)
+    tr.add_argument(
+        "--max-iters", type=int, default=50_000,
+        help="iteration cap of the linear family's solver; the tabular solve is exact and finite",
+    )
     tr.add_argument("--tol", type=float, default=1e-8)
     tr.set_defaults(func=_cmd_train)
 

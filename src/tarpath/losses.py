@@ -24,12 +24,22 @@ evaluation is a handful of vectorized operations. A compiled objective also
 evaluates in drawdown coordinates (c, a), one drawdown per trie edge or, for
 the linear family, per feature pair (the bias is redundant there: it adds to
 every pair's raw score). Every value is linear in (c, a), so both losses are
-convex and piecewise quadratic under the bound a <= 0; the trainer solves
-them there by projected Barzilai-Borwein steps with a free-set Newton finish.
+convex and piecewise quadratic under the bound a <= 0.
+
+For a tabular model the trainer solves that problem exactly: in the node
+values V(n) = c + (drawdowns on the path to n) the bound is the tree order
+V(child) <= V(parent) and every term reads one node, so training is
+isotonic regression on the trie, solved by pooling adjacent violators bottom
+up (``_NodePieces``). The linear family's drawdowns are tied across edges,
+which is not a tree order; it is solved by projected Barzilai-Borwein steps
+with a free-set Newton finish (``_solve_drawdown``). Either way the result
+is certified by the projected gradient of the compiled objective.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -38,7 +48,7 @@ import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergedError
 from .instance import PathYieldDataset, PLInstance, check_weights
-from .model import AdvantageModel, predict_value, raw_from_advantage
+from .model import AdvantageModel, TabularAdvantage, predict_value, raw_from_advantage
 from .oracle import OptimalValues, compute_optimal
 from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, SeqClass
 
@@ -54,6 +64,13 @@ CG_STEPS = 10
 CONVERGED = "converged"
 ITERATION_CAP = "iteration_cap"
 NO_DECREASE = "no_decrease"
+# The tree solve finished, but its certificate exceeds the tolerance.
+UNCERTIFIED = "uncertified"
+
+# Which solver ran: exact pooling on the trie (tabular models), or projected
+# Barzilai-Borwein descent with a Newton finish (the linear family).
+TREE_POOLING = "tree_pooling"
+PROJECTED_BB = "projected_bb"
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -108,7 +125,10 @@ class PenaltyMix:
     mu_weight: float = 0.5
 
     def __post_init__(self) -> None:
-        pairs = tuple((tuple(s), a) for s, a in self.tilde_pairs)
+        pairs = self.tilde_pairs
+        # ``default`` builds tuples of (tuple, token) pairs: no copy needed
+        if type(pairs) is not tuple or not all(type(s) is tuple for s, _ in pairs):
+            pairs = tuple((tuple(s), a) for s, a in pairs)
         weights = tuple(map(float, self.tilde_weights))
         object.__setattr__(self, "tilde_pairs", pairs)
         object.__setattr__(self, "tilde_weights", weights)
@@ -138,7 +158,7 @@ class PenaltyMix:
                 for t in tokens
                 if t not in on_trie and not (open_node and t == terminal)
             )
-        pairs = [(s, a) for s in states for a in tokens]
+        pairs = tuple([(s, a) for s in states for a in tokens])
         n = len(pairs)
         return cls(
             tilde_pairs=pairs,
@@ -176,17 +196,27 @@ class TrainResult:
     iterations: int
     converged: bool
     stop_reason: str
+    solver: str
+    # tree pooling only: the blocks of tied node values, and the drawdowns
+    # that are exactly 0
+    blocks: int | None = None
+    zero_drawdowns: int | None = None
 
     def report_json(self, config: TrainConfig) -> dict:
-        return {
+        report = {
             "final_loss": self.final_loss,
             "iterations": self.iterations,
             "grad_norm": self.grad_norm,
             "converged": self.converged,
             "stop_reason": self.stop_reason,
-            "lambda": config.lam,
-            "kappa": config.kappa,
+            "solver": self.solver,
         }
+        if self.blocks is not None:
+            report["blocks"] = self.blocks
+            report["zero_drawdowns"] = self.zero_drawdowns
+        report["lambda"] = config.lam
+        report["kappa"] = config.kappa
+        return report
 
 
 def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
@@ -260,18 +290,24 @@ class _ValueBatch:
     """
 
     def __init__(self, model: AdvantageModel, *groups: tuple[PathSeq, ...]):
-        states = [s for g in groups for s in g]
-        self.n_states = len(states)
-        self.bias = model.bias_slot
+        # each distinct state is looked up once (a log repeats its paths), and
         # a state's steps are its parent prefix's steps plus one more, so each
         # distinct (prefix, action) is looked up once
+        index: dict[PathSeq, int] = {}
+        ids = np.array([index.setdefault(s, len(index)) for g in groups for s in g], dtype=np.intp)
+        self.n_states = ids.size
+        self.bias = model.bias_slot
         memo: dict[PathSeq, tuple[tuple[int, ...], float]] = {(): ((), 0.0)}
-        steps = [_prefix_steps(model, memo, s) for s in states]
-        self.const = np.array([const for _, const in steps], dtype=float)
-        self.step_state = np.repeat(
-            np.arange(self.n_states, dtype=np.intp), [len(slots) for slots, _ in steps]
-        )
-        self.step_slot = np.array([i for slots, _ in steps for i in slots], dtype=np.intp)
+        steps = [_prefix_steps(model, memo, s) for s in index]
+        counts = np.array([len(slots) for slots, _ in steps], dtype=np.intp)
+        slots = np.array([i for slots, _ in steps for i in slots], dtype=np.intp)
+        self.const = np.array([const for _, const in steps], dtype=float)[ids]
+        # state j's steps are its distinct state's slots, in order
+        n_steps = counts[ids]
+        self.step_state = np.repeat(np.arange(self.n_states, dtype=np.intp), n_steps)
+        starts = np.repeat((np.cumsum(counts) - counts)[ids], n_steps)
+        within = np.arange(self.step_state.size) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
+        self.step_slot = slots[starts + within]
         # per group: its state range and its step range
         state_ends = np.cumsum([0] + [len(g) for g in groups])
         step_ends = np.searchsorted(self.step_state, state_ends)
@@ -303,6 +339,16 @@ class _ValueBatch:
         """Change of every value along the drawdown-coordinate direction d."""
         return d[0] + np.bincount(self.step_state, weights=d[self.step_slot], minlength=self.n_states)
 
+    def trie_nodes(self) -> np.ndarray:
+        """For a tabular model: each state's deepest trie prefix, as its index
+        in canonical node order. A state's on-trie steps come first, and the
+        slot of the edge into a node is the node's index (the root is 0)."""
+        counts = np.bincount(self.step_state, minlength=self.n_states)
+        nodes = np.zeros(self.n_states, dtype=np.intp)
+        some = counts > 0
+        nodes[some] = self.step_slot[np.cumsum(counts)[some] - 1]
+        return nodes
+
 
 def _hessian(terms: list[tuple[_ValueBatch, np.ndarray]]) -> Callable[[np.ndarray], np.ndarray]:
     """Hessian-vector product in drawdown coordinates, where every value is
@@ -328,12 +374,15 @@ class Evaluation(tuple):
     the bias), for which every value is linear in x and the loss is convex
     and piecewise quadratic on the feasible set a <= 0. ``hessian()`` gives
     the exact Hessian-vector product at a feasible drawdown point, valid
-    while no hinge changes side.
+    while no hinge changes side. ``node_pieces()`` gives, for an objective
+    compiled for a tabular model, the same loss as a sum of one-node terms
+    (``_NodePieces``), and None otherwise.
     """
 
-    def __new__(cls, loss: float, grad: np.ndarray, curvature=None):
+    def __new__(cls, loss: float, grad: np.ndarray, curvature=None, pieces=None):
         self = super().__new__(cls, (loss, grad))
         self._curvature = curvature
+        self._pieces = pieces
         return self
 
     def hessian(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -341,16 +390,175 @@ class Evaluation(tuple):
             raise InvalidInputError("Hessian products exist in drawdown coordinates only")
         return _hessian(self._curvature())
 
+    def node_pieces(self) -> "_NodePieces | None":
+        return None if self._pieces is None else self._pieces()
 
-def _compiled(evaluate) -> Objective:
+
+def _compiled(evaluate, model: AdvantageModel, add_pieces) -> Objective:
     """The objective over the model's packed parameters, which also
-    evaluates in drawdown coordinates (see ``Evaluation``)."""
+    evaluates in drawdown coordinates (see ``Evaluation``). For a tabular
+    model, ``add_pieces`` fills in its ``_NodePieces``, once, on first use."""
+    pieces = None
+    if isinstance(model, TabularAdvantage):
+
+        @functools.cache
+        def pieces() -> _NodePieces:
+            built = _NodePieces(model.trie)
+            add_pieces(built)
+            return built
 
     def objective(params: np.ndarray, drawdown: bool = False) -> Evaluation:
         loss, grad, curvature = evaluate(params, not drawdown)
-        return Evaluation(loss, grad, curvature if drawdown else None)
+        return Evaluation(loss, grad, curvature if drawdown else None, pieces)
 
     return objective
+
+
+def _block_min(k: float, b: float, g: float, hinges: list[tuple[float, float]]) -> float:
+    """The largest minimizer of a block's loss, whose derivative in the
+    block value V is k + 2bV + 2g min(V, 0) - 2 sum_j w_j max(t_j - V, 0).
+
+    The derivative is continuous, piecewise linear and nondecreasing, so the
+    minimizer is the largest V at which it is <= 0: +inf when it never turns
+    positive, -inf (unbounded below) when it is positive everywhere. With
+    only the hinge at 0 that is a closed form; other hinges are scanned from
+    the highest breakpoint down, one linear piece at a time.
+    """
+    if not hinges:
+        if k <= 0.0:
+            return -k / (2.0 * b) if b > 0.0 else math.inf
+        s = b + g
+        return -k / (2.0 * s) if s > 0.0 else -math.inf
+    s = b
+    for t, w in sorted(hinges + [(0.0, g)] if g > 0.0 else hinges, reverse=True):
+        # above t the derivative is k + 2sV
+        if s > 0.0:
+            root = -k / (2.0 * s)
+            if root >= t:
+                return root
+        elif k <= 0.0:
+            return math.inf
+        k -= 2.0 * w * t
+        s += w
+    if s > 0.0:
+        return -k / (2.0 * s)
+    return math.inf if k <= 0.0 else -math.inf
+
+
+class _NodePieces:
+    """A tabular objective as a function of the node values V.
+
+    With V(n) = c + the drawdowns on the path to trie node n, the bound
+    a <= 0 is V(child) <= V(parent), and every term of ``tar_objective`` and
+    ``vlp_objective`` reads one node: a state off the trie reads its deepest
+    trie prefix plus its fallback constant. Up to a constant the loss is a
+    sum over nodes of
+
+        linear V + quad (V - y)^2 + hinge0 max(-V, 0)^2 + sum_j w_j max(t_j - V, 0)^2
+
+    (``quad_y`` holds the sum of quad * y), so training is isotonic
+    regression on the trie: a separable convex function minimized under the
+    tree order, which ``solve`` pools exactly. The incomplete-state terms of
+    the feasibility loss are 0 wherever a <= 0 and have no piece.
+    """
+
+    def __init__(self, trie: PrefixTrie):
+        counts = np.array([len(trie.children(s)) for s in trie.nodes], dtype=np.intp)
+        n = counts.size
+        # canonical order is breadth first: the children of node i are the
+        # nodes first_child[i] .. first_child[i + 1] - 1
+        self.first_child = np.concatenate(([1], 1 + np.cumsum(counts)))
+        self.parent = np.concatenate(([-1], np.repeat(np.arange(n), counts)))
+        self.linear = np.zeros(n)
+        self.quad = np.zeros(n)
+        self.quad_y = np.zeros(n)
+        self.hinge0 = np.zeros(n)
+        self.hinges: list[list[tuple[float, float]]] = [[] for _ in range(n)]
+
+    def _sum(self, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.bincount(nodes, weights=w, minlength=self.parent.size)
+
+    # Each term reads state j through its deepest trie prefix nodes[j], whose
+    # value plus const[j] is the state's (see ``_ValueBatch.trie_nodes``).
+
+    def add_linear(self, nodes: np.ndarray, w: np.ndarray) -> None:
+        """sum_j w_j value_j (up to a constant)."""
+        self.linear += self._sum(nodes, w)
+
+    def add_misfit(self, nodes: np.ndarray, const: np.ndarray, w: np.ndarray, y: np.ndarray) -> None:
+        """sum_j w_j (value_j - y_j)^2 (up to a constant)."""
+        self.quad += self._sum(nodes, w)
+        self.quad_y += self._sum(nodes, w * (y - const))
+
+    def add_hinge(self, nodes: np.ndarray, const: np.ndarray, w: np.ndarray, t) -> None:
+        """sum_j w_j max(t_j - value_j, 0)^2."""
+        t = np.broadcast_to(t, w.shape) - const
+        at0 = t == 0.0
+        self.hinge0 += self._sum(nodes[at0], w[at0])
+        for node, tj, wj in zip(nodes[~at0].tolist(), t[~at0].tolist(), w[~at0].tolist()):
+            if wj > 0.0:
+                self.hinges[node].append((tj, wj))
+
+    def solve(self) -> tuple[np.ndarray, int]:
+        """The exact minimizer in drawdown coordinates [c, a_0, a_1, ...]
+        (one drawdown per non-root node), and the number of pooling merges.
+
+        Pool adjacent violators bottom up (Pardalos and Xue 1999): a node
+        starts as a block of its own, at its minimizer. Its child blocks wait
+        in a max-heap of their values; while the largest is above the node's
+        block, that child block is merged in, its own waiting children join
+        the heap, and the block's minimizer is recomputed from its summed
+        pieces. A merged node sits at its parent's value, a drawdown of
+        exactly 0. Raises ``TrainingDivergedError`` when a block is unbounded
+        below: nothing bounds its linear term.
+        """
+        n = self.parent.size
+        k = (self.linear - 2.0 * self.quad_y).tolist()
+        b = self.quad.tolist()
+        g = self.hinge0.tolist()
+        hinges = list(self.hinges)  # a merged block's list is a new one
+        first = self.first_child.tolist()
+        value = [0.0] * n
+        merged = [False] * n
+        waiting: list[list | None] = [None] * n
+        merges = 0
+        for node in range(n - 1, -1, -1):
+            kk, bb, gg, hh = k[node], b[node], g[node], hinges[node]
+            v = _block_min(kk, bb, gg, hh)
+            heap = [(-value[c], c) for c in range(first[node], first[node + 1])]
+            heapq.heapify(heap)
+            while heap and -heap[0][0] > v:
+                c = heapq.heappop(heap)[1]
+                merged[c] = True
+                merges += 1
+                kk += k[c]
+                bb += b[c]
+                gg += g[c]
+                if hinges[c]:
+                    hh = hh + hinges[c]
+                more = waiting[c]
+                if more:
+                    if len(more) > len(heap):
+                        heap, more = more, heap
+                    for item in more:
+                        heapq.heappush(heap, item)
+                v = _block_min(kk, bb, gg, hh)
+            k[node], b[node], g[node], hinges[node] = kk, bb, gg, hh
+            value[node] = v
+            waiting[node] = heap
+        # top down, one depth at a time: a merged node takes its parent's value
+        values = np.array(value)
+        merged = np.array(merged)
+        lo, hi = 1, first[1]
+        while lo < n:
+            span = slice(lo, hi)
+            values[span] = np.where(merged[span], values[self.parent[span]], values[span])
+            lo, hi = hi, first[hi]
+        if not np.all(np.isfinite(values)):
+            raise TrainingDivergedError(0, "the loss is unbounded below: nothing bounds a block's linear term")
+        x = values.copy()
+        x[1:] -= values[self.parent[1:]]
+        return x, merges
 
 
 def _data_arrays(
@@ -408,7 +616,13 @@ def tar_objective(
             (batch, np.concatenate((hinge_w * (neg > 0.0), misfit_w))),
         ]
 
-    return _compiled(evaluate)
+    def add_pieces(pieces: _NodePieces) -> None:
+        nodes, const = batch.trie_nodes(), batch.const
+        pieces.add_linear(nodes[:n0], p0_w)
+        pieces.add_hinge(nodes[:n0], const[:n0], kappa * p0_w, 0.0)
+        pieces.add_misfit(nodes[n0:], const[n0:], 0.5 * lam * d_weights, targets)
+
+    return _compiled(evaluate, model, add_pieces)
 
 
 def tar_loss(
@@ -529,7 +743,14 @@ def vlp_objective(
             (comp_batch, 2.0 * lam * (1.0 - mu_w) * comp_w * (comp_pos > 0.0)),
         ]
 
-    return _compiled(evaluate)
+    def add_pieces(pieces: _NodePieces) -> None:
+        nodes0 = p0_batch.trie_nodes()
+        pieces.add_linear(nodes0, p0_w)
+        pieces.add_hinge(nodes0, p0_batch.const, kappa * p0_w, 0.0)
+        pieces.add_hinge(mu_batch.trie_nodes(), mu_batch.const, lam * mu_w * mu_weights, mu_targets)
+        pieces.add_hinge(comp_batch.trie_nodes(), comp_batch.const, lam * (1.0 - mu_w) * comp_w, 0.0)
+
+    return _compiled(evaluate, model, add_pieces)
 
 
 def vlp_loss(
@@ -588,26 +809,41 @@ def surrogate_gap(
 
 def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> TrainResult:
     """Minimize an objective compiled by ``tar_objective`` or
-    ``vlp_objective`` from the model's current parameters.
+    ``vlp_objective``.
 
-    The objective is solved in drawdown coordinates, where it is convex
-    (``_solve_drawdown``), from a = -softplus(z) of every slot's raw score,
-    the bias included; the solved drawdowns are stored back as raw scores,
-    and a linear model's bias as 0. An objective whose calls do not return
-    an ``Evaluation`` is rejected.
+    The objective is solved in drawdown coordinates (c, a), where it is
+    convex under the bound a <= 0. For a tabular model the solve is exact
+    and finite (``_solve_tree``): it pools the trie's node values, whatever
+    the model's current parameters, and ``config.max_iters`` does not apply.
+    For the linear family it is iterative (``_solve_drawdown``), from
+    a = -softplus(z) of every slot's raw score, the bias included. The solved
+    drawdowns are stored back as raw scores, and a linear model's bias as 0.
+    An objective whose calls do not return an ``Evaluation`` is rejected.
 
     ``final_loss`` is the objective at the returned model. ``grad_norm`` is
     the max-norm of the gradient in drawdown coordinates, projected onto the
-    bound a <= 0; the run has converged when it is at most ``config.tol``.
-    ``stop_reason`` says why the run ended: converged, the iteration cap, or
-    no representable decrease.
+    bound a <= 0, at the solution; the run has converged when it is at most
+    ``config.tol``. ``stop_reason`` says why the run ended: converged, the
+    iteration cap, no representable decrease, or, for the tree solve, a
+    solution whose certificate exceeds the tolerance (uncertified).
+    ``iterations`` counts solver iterations, or the tree solve's merges.
     """
     x = model.params_vector()
-    if not isinstance(objective(x), Evaluation):
+    start = objective(x)
+    if not isinstance(start, Evaluation):
         raise InvalidInputError("train needs an objective compiled by tar_objective or vlp_objective")
-    a = -np.logaddexp(0.0, _slot_scores(x, model.bias_slot, True)[1:])
-    solved = _solve_drawdown(objective, np.concatenate(([x[0]], a)), config)
-    x_out, trace, grad_norm, iterations, reason = solved
+    pieces = start.node_pieces()
+    blocks = zero_drawdowns = None
+    if pieces is None:
+        a = -np.logaddexp(0.0, _slot_scores(x, model.bias_slot, True)[1:])
+        solved = _solve_drawdown(objective, np.concatenate(([x[0]], a)), config)
+        x_out, trace, grad_norm, iterations, reason = solved
+        solver = PROJECTED_BB
+    else:
+        x_out, trace, grad_norm, iterations, reason = _solve_tree(objective, pieces, start[0], config)
+        solver = TREE_POOLING
+        blocks = x_out.size - iterations  # one node per block, less one per merge
+        zero_drawdowns = int(np.count_nonzero(x_out[1:] == 0.0))
     # a linear model's bias, the last slot, is written as 0
     params = np.zeros(x.size)
     params[0] = x_out[0]
@@ -622,7 +858,28 @@ def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> T
         iterations=iterations,
         converged=reason == CONVERGED,
         stop_reason=reason,
+        solver=solver,
+        blocks=blocks,
+        zero_drawdowns=zero_drawdowns,
     )
+
+
+def _solve_tree(objective, pieces: _NodePieces, start_loss: float, config: TrainConfig):
+    """The exact tree solve of ``_NodePieces.solve``, certified
+    independently of it: the projected gradient of the compiled objective at
+    the solution.
+
+    Returns (x, trace, projected-gradient max-norm, merges, stop reason) as
+    ``_solve_drawdown`` does; the trace is the loss at the start and at the
+    solution.
+    """
+    x, merges = pieces.solve()
+    f, g = objective(x, drawdown=True)
+    if not (math.isfinite(f) and np.all(np.isfinite(g))):
+        raise TrainingDivergedError(0, "at the tree solution")
+    pg = _projected_grad_norm(x, g)
+    reason = CONVERGED if pg <= config.tol else UNCERTIFIED
+    return x, np.array([start_loss, f]), pg, merges, reason
 
 
 def _project(x: np.ndarray) -> np.ndarray:

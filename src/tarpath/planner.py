@@ -32,6 +32,11 @@ class PlanResult:
     # exact tie, broken by declaration order
     margins: tuple[float, ...] = ()
 
+    @property
+    def ties(self) -> int:
+        """The steps chosen by declaration order among exactly tied drawdowns."""
+        return self.margins.count(0.0)
+
     def to_json(self) -> dict:
         return {
             "path": list(self.path),
@@ -40,6 +45,7 @@ class PlanResult:
             "regret": self.regret,
             "truncated": self.truncated,
             "margins": list(self.margins),
+            "ties": self.ties,
         }
 
 

@@ -126,20 +126,25 @@ class TestTrainPlanAttribute:
         assert report["converged"] is True
         assert report["stop_reason"] == "converged"
         assert report["grad_norm"] <= 1e-7
+        assert report["solver"] == "tree_pooling"
+        assert 1 <= report["blocks"] <= len(model.trie.nodes)
+        assert 0 <= report["zero_drawdowns"] < len(model.trie.nodes)
 
     def test_capped_train_says_so(self, tmp_path, e1_file):
+        # the linear family's solver is iterative; the tabular solve is finite
         data = tmp_path / "data.jsonl"
         report = tmp_path / "report.json"
         assert run("sample", "--instance", e1_file, "--n", 60, "--seed", 5, "--out", data) == 0
         code = run(
             "train", "--instance", e1_file, "--data", data, "--out", tmp_path / "m.json",
-            "--report", report, "--max-iters", 2,
+            "--report", report, "--max-iters", 2, "--family", "linear",
         )
         assert code == 0
         report = serialize.load_json(str(report))
         assert report["iterations"] == 2
         assert report["converged"] is False
         assert report["stop_reason"] == "iteration_cap"
+        assert report["solver"] == "projected_bb"
 
     def test_plan_scores_the_greedy_path(self, tmp_path, e1_file):
         model_path, _ = self.fit(tmp_path, e1_file)
@@ -150,6 +155,7 @@ class TestTrainPlanAttribute:
         assert plan["regret"] == pytest.approx(0.0, abs=1e-6)
         assert plan["truncated"] is False
         assert len(plan["margins"]) == 2 and min(plan["margins"]) >= 0.0
+        assert plan["ties"] == plan["margins"].count(0.0)
 
     def test_attribute_explains_a_path(self, tmp_path, e1_file):
         model_path, _ = self.fit(tmp_path, e1_file)
@@ -211,11 +217,12 @@ class TestVerifyGolden:
     """verify.json for trained models, pinned to the bytes written before its
     loss-identity check was compiled once per distinct state (x86-64,
     numpy 2.4): the check's speed-ups must not move a bit of the report. The
-    linear report is pinned for the model that the pair-drawdown solve
-    writes."""
+    reports are pinned for the models that the tree solve (tabular) and the
+    pair-drawdown solve (linear) write; the model the iterative tabular solve
+    wrote before keeps its own pinned report."""
 
     REPORTS = {
-        "tabular": "80de7da93c8a1f35d0b9aa9d52590b9207c9f74183fb2dd66a26006a5ae30845",
+        "tabular": "3bdf543e5c6145516e180cbc1884226bd13fa7219f0e507dae891f34b5601939",
         "linear": "376b846f33e3c427eaeaf5dd8ab5157ad7d7999c3fd7444fd780c1cc874196f8",
     }
 
@@ -231,6 +238,18 @@ class TestVerifyGolden:
                    "--tol", 1e-7, "--out", model, *fit) == 0
         assert run("verify", "--instance", inst, "--model", model, "--report", verify) == 0
         assert hashlib.sha256(verify.read_bytes()).hexdigest() == self.REPORTS[family]
+
+    def test_iterative_tabular_model_scores_as_before(self, tmp_path):
+        # fixtures/tabular_iterative_model.json is the tabular model that the
+        # projected Barzilai-Borwein solve wrote for this instance (final
+        # loss 8.3293485349983598, as the tree solve's); its verify.json
+        # keeps the bytes pinned for it then
+        inst, verify = tmp_path / "inst.json", tmp_path / "verify.json"
+        assert run("gen", "--actions", 3, "--depth", 4, "--paths", 6, "--seed", 21, "--out", inst) == 0
+        assert run("verify", "--instance", inst, "--model", FIXTURES / "tabular_iterative_model.json",
+                   "--report", verify) == 0
+        digest = hashlib.sha256(verify.read_bytes()).hexdigest()
+        assert digest == "80de7da93c8a1f35d0b9aa9d52590b9207c9f74183fb2dd66a26006a5ae30845"
 
     def test_biased_linear_model_scores_as_before(self, tmp_path):
         # fixtures/linear_biased_model.json is the linear model that the

@@ -19,6 +19,9 @@ from tarpath.losses import (
     CONVERGED,
     ITERATION_CAP,
     NO_DECREASE,
+    PROJECTED_BB,
+    TREE_POOLING,
+    UNCERTIFIED,
     Evaluation,
     PenaltyMix,
     StateWeighting,
@@ -26,6 +29,8 @@ from tarpath.losses import (
     surrogate_gap,
     tar_loss,
     _ValueBatch,
+    _block_min,
+    _solve_drawdown,
     tar_objective,
     train,
     vlp_loss,
@@ -686,9 +691,17 @@ class TestTrain:
         p0 = StateWeighting.trie_uniform(inst.trie)
         return model, tar_objective(model, p0, inst, lam=lam, kappa=kappa)
 
-    def test_trace_strictly_decreases(self, e1):
-        model, objective = self.make_objective(e1)
+    def make_linear_objective(self, inst, features=DEPTH_EDGE_PAIR, lam=10.0, kappa=100.0):
+        """The linear family keeps the iterative solver and its cap."""
+        model = LinearAdvantage.default(inst.alphabet, kind=features)
+        p0 = StateWeighting.trie_uniform(inst.trie)
+        return model, tar_objective(model, p0, inst, lam=lam, kappa=kappa)
+
+    def test_trace_strictly_decreases(self, e2_bernoulli):
+        model, objective = self.make_linear_objective(e2_bernoulli)
         result = train(model, objective, TrainConfig(max_iters=300, tol=1e-12))
+        assert result.solver == PROJECTED_BB
+        assert result.iterations >= 3
         assert np.all(np.diff(result.trace) < 0)
 
     def test_converges_on_small_instance(self, e1):
@@ -711,8 +724,8 @@ class TestTrain:
         assert np.array_equal(first.trace, second.trace)
         assert first.final_loss == second.final_loss
 
-    def test_zero_iteration_budget(self, e1):
-        model, objective = self.make_objective(e1)
+    def test_zero_iteration_budget(self, e2_bernoulli):
+        model, objective = self.make_linear_objective(e2_bernoulli)
         result = train(model, objective, TrainConfig(max_iters=0))
         assert result.iterations == 0
         assert len(result.trace) == 1
@@ -802,7 +815,154 @@ class TestTrain:
             "grad_norm",
             "converged",
             "stop_reason",
+            "solver",
+            "blocks",
+            "zero_drawdowns",
             "lambda",
             "kappa",
         }
         assert report["lambda"] == config.lam
+        assert report["solver"] == TREE_POOLING
+        # e1's trie has 5 nodes: each pooling merge joins two blocks
+        assert report["blocks"] == 5 - report["iterations"]
+        x = drawdown_point(result.model)
+        assert report["zero_drawdowns"] == int(np.sum(x[1:] > -1e-17))
+
+    def test_linear_report_json_fields(self, e2_bernoulli):
+        model, objective = self.make_linear_objective(e2_bernoulli)
+        config = TrainConfig(max_iters=50)
+        report = train(model, objective, config).report_json(config)
+        assert set(report) == {
+            "final_loss",
+            "iterations",
+            "grad_norm",
+            "converged",
+            "stop_reason",
+            "solver",
+            "lambda",
+            "kappa",
+        }
+        assert report["solver"] == PROJECTED_BB
+
+
+def tree_case(inst, kind, lam, kappa, trie_paths, seed):
+    """(model, objective) for one tree-solve case: the model's trie holds
+    ``trie_paths`` of the instance's support (all of it for "tar_exact"),
+    or the observed paths of a sampled dataset for "tar_empirical"."""
+    alphabet = inst.alphabet
+    if kind == "tar_empirical":
+        data = sample_dataset(inst, n=40, seed=seed)
+        trie_paths = sorted({p for p, _ in data.pairs}, key=alphabet.sort_key)
+    elif kind == "tar_exact":
+        trie_paths = inst.psi
+    trie = PrefixTrie.build(alphabet, trie_paths)
+    model = TabularAdvantage.default(trie)
+    states = list(trie.nodes)
+    if kind == "p0_off_trie":
+        # every proper fringe state too: off the trie, read through the
+        # deepest trie prefix and the fallback drawdown
+        states += [s for s in trie.fringe_states() if alphabet.is_proper(s)]
+    p0 = StateWeighting(states=tuple(states), weights=(1.0 / len(states),) * len(states))
+    if kind == "vlp":
+        pairs = tuple(
+            (s, a) for s in trie.fringe_states() if s not in inst.yields for a in alphabet.tokens
+        )
+        mix = PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / len(pairs),) * len(pairs), lam=lam)
+        return model, vlp_objective(model, p0, mix, inst, kappa)
+    return model, tar_objective(model, p0, data if kind == "tar_empirical" else inst, lam, kappa)
+
+
+class TestTreeSolve:
+    """Tabular objectives are isotonic regression on the trie, solved
+    exactly by pooling; the iterative drawdown solver is the reference."""
+
+    KINDS = ("tar_exact", "tar_empirical", "vlp", "p0_off_trie")
+
+    @given(
+        inst=instances(max_tokens=3, max_depth=5, max_paths=10, noise=NoiseModel.bernoulli()),
+        kind=st.sampled_from(KINDS),
+        lam=st.sampled_from([1.0, 10.0, 100.0]),
+        kappa=st.sampled_from([0.0, 100.0]),
+        keep=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=100)
+    def test_matches_iterative_solve(self, inst, kind, lam, kappa, keep):
+        # a nonempty subset of the support spans the model's trie
+        chosen = [p for i, p in enumerate(inst.psi) if keep >> i & 1] or [inst.psi[0]]
+        model, objective = tree_case(inst, kind, lam, kappa, chosen, keep)
+        config = TrainConfig(lam=lam, kappa=kappa)
+        result = train(model, objective, config)
+        assert result.solver == TREE_POOLING
+        assert result.converged, result.grad_norm
+        assert result.grad_norm <= config.tol
+        reference = _solve_drawdown(objective, drawdown_point(model), TrainConfig(tol=1e-10, max_iters=5000))
+        assert result.trace[-1] <= reference[1][-1] + 1e-9
+        assert result.final_loss == pytest.approx(result.trace[-1], rel=1e-12, abs=1e-12)
+
+    def test_leaf_without_data_is_unbounded(self, e1):
+        # with kappa 0 nothing bounds the extra leaf's p0 term from below
+        trie = PrefixTrie.build(e1.alphabet, list(e1.psi) + [("b", "b", "END")])
+        model = TabularAdvantage.default(trie)
+        objective = tar_objective(model, StateWeighting.trie_uniform(trie), e1, lam=10.0, kappa=0.0)
+        with pytest.raises(TrainingDivergedError, match="unbounded below"):
+            train(model, objective, TrainConfig(kappa=0.0))
+        # a hinge bounds it
+        bounded = tar_objective(model, StateWeighting.trie_uniform(trie), e1, lam=10.0, kappa=1.0)
+        assert train(model, bounded, TrainConfig(kappa=1.0)).converged
+
+    def test_root_block_without_hinges_is_unbounded(self, e1):
+        # no mu half and no complete tilde states: the feasibility loss has
+        # only its linear p0 term left, and every block pools into the root
+        model = TabularAdvantage.default(e1.trie)
+        p0 = StateWeighting.trie_uniform(e1.trie)
+        base = PenaltyMix.default(e1, 10.0)
+        mix = PenaltyMix(tilde_pairs=base.tilde_pairs, tilde_weights=base.tilde_weights, lam=10.0, mu_weight=0.0)
+        with pytest.raises(TrainingDivergedError, match="unbounded below"):
+            train(model, vlp_objective(model, p0, mix, e1, kappa=0.0), TrainConfig(kappa=0.0))
+
+    def test_iteration_cap_does_not_apply(self, e2_bernoulli):
+        model = TabularAdvantage.default(e2_bernoulli.trie)
+        objective = tar_objective(model, StateWeighting.trie_uniform(e2_bernoulli.trie), e2_bernoulli, 10.0, 100.0)
+        capped = train(model, objective, TrainConfig(max_iters=0))
+        assert capped.stop_reason == CONVERGED
+        free = train(model, objective, TrainConfig(max_iters=50_000))
+        assert np.array_equal(capped.model.params_vector(), free.model.params_vector())
+
+    def test_solution_ignores_the_start(self, e2_bernoulli):
+        p0 = StateWeighting.trie_uniform(e2_bernoulli.trie)
+        fitted = []
+        for seed in range(3):
+            model = TabularAdvantage.default(e2_bernoulli.trie).with_random_params(np.random.default_rng(seed))
+            fitted.append(train(model, tar_objective(model, p0, e2_bernoulli, 10.0, 100.0), TrainConfig()))
+        assert all(np.array_equal(f.model.params_vector(), fitted[0].model.params_vector()) for f in fitted)
+
+    def test_uncertified_solution_says_so(self, e1):
+        model, objective = TestTrain().make_objective(e1)
+        result = train(model, objective, TrainConfig(tol=1e-300))
+        assert result.stop_reason == UNCERTIFIED
+        assert not result.converged
+
+    @given(
+        k=st.floats(-10.0, 10.0),
+        b=st.sampled_from([0.0, 0.5, 3.0]),
+        g=st.sampled_from([0.0, 2.0]),
+        hinges=st.lists(
+            st.tuples(st.floats(-5.0, 5.0), st.floats(0.1, 4.0)), max_size=4
+        ),
+    )
+    def test_block_minimizer(self, k, b, g, hinges):
+        def slope(v):
+            return k + 2 * b * v + 2 * g * min(v, 0.0) - 2 * sum(w * max(t - v, 0.0) for t, w in hinges)
+
+        v = _block_min(k, b, g, hinges)
+        if math.isinf(v):
+            # +inf: the derivative never turns positive; -inf: it is
+            # positive everywhere
+            far = 1e6 if v > 0 else -1e6
+            assert (slope(far) <= 0.0) if v > 0 else (slope(far) > 0.0)
+        else:
+            assert abs(slope(v)) <= 1e-9 * (1.0 + abs(k) + sum(w * abs(t) for t, w in hinges))
+            assert slope(v + 1e-6) > 0.0 or (b == 0.0 and all(t < v for t, _ in hinges))
+        # the closed form is the scan with one breakpoint at 0
+        if not hinges and g > 0.0:
+            assert _block_min(k, b, 0.0, [(0.0, g)]) == v

@@ -47,6 +47,18 @@ class TestGreedyPath:
         assert result.margins[0] == 0.0
         assert result.margins[1] == pytest.approx(model.fallback_B)
         assert result.to_json()["margins"] == list(result.margins)
+        # one step rests on declaration order
+        assert result.ties == 1
+        assert result.to_json()["ties"] == 1
+
+    @given(inst=instances(max_tokens=3, max_depth=4, max_paths=8))
+    @settings(max_examples=30)
+    def test_ties_count_the_zero_margins(self, inst):
+        # a flat model ties on-trie siblings at the clamped zero drawdown
+        model = flat_model(inst.trie, c=0.5)
+        result = greedy_path(model, max_len=default_max_len(model))
+        assert result.ties == sum(m == 0.0 for m in result.margins)
+        assert result.ties >= (len(inst.trie.children(())) > 1)
 
     @given(inst=instances(max_tokens=3, max_depth=4, max_paths=8))
     @settings(max_examples=30)
