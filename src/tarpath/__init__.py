@@ -47,7 +47,6 @@ from .model import (
     predict_advantage,
     predict_value,
     raw_from_advantage,
-    value_gradient,
 )
 from .losses import (
     PenaltyMix,
@@ -116,7 +115,6 @@ __all__ = [
     "tar_objective",
     "train",
     "transition_operator",
-    "value_gradient",
     "vlp_loss",
     "vlp_objective",
 ]

@@ -59,9 +59,7 @@ def attribute(model: AdvantageModel, path: PathSeq) -> AttributionReport:
     total = model.c
     for k in range(len(path)):
         drawdown = predict_advantage(model, path[:k], path[k])
-        steps.append(
-            AttributionStep(prefix=path[:k], action=path[k], drawdown=drawdown)
-        )
+        steps.append(AttributionStep(path[:k], path[k], drawdown))
         total += drawdown
     return AttributionReport(
         path=path, base=model.c, steps=tuple(steps), total=total

@@ -20,11 +20,12 @@ optimal value on support paths; ``surrogate_gap`` evaluates every term of
 that identity independently and reports the discrepancy.
 
 Objectives are compiled once per call into flat index arrays so each
-evaluation is a handful of vectorized operations. A compiled objective also
-evaluates in drawdown coordinates (c, a), one drawdown per trie edge or, for
-the linear family, per feature pair (the bias is redundant there: it adds to
-every pair's raw score). Every value is linear in (c, a), so both losses are
-convex and piecewise quadratic under the bound a <= 0.
+evaluation is a handful of vectorized operations. A compiled objective takes
+drawdown coordinates x = [c, a_0, a_1, ...] (``AdvantageModel.drawdown_vector``),
+one drawdown per trie edge or, for the linear family, per feature pair (the
+bias is redundant there: it adds to every pair's raw score). Every value is
+linear in x, so both losses are convex and piecewise quadratic under the
+bound a <= 0.
 
 For a tabular model the trainer solves that problem exactly: in the node
 values V(n) = c + (drawdowns on the path to n) the bound is the tree order
@@ -219,12 +220,6 @@ class TrainResult:
         return report
 
 
-def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
-    # exp of -|z| never overflows: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0, e) / (1.0 + e)
-
-
 def _require_proper(alphabet: ActionAlphabet, states: Iterable[PathSeq], what: str) -> None:
     for s in dict.fromkeys(states):  # each distinct state once, in order
         if not alphabet.is_proper(s):
@@ -255,34 +250,14 @@ def _prefix_steps(model: AdvantageModel, memo: dict, s: PathSeq) -> tuple[tuple[
     return slots, const
 
 
-def _slot_scores(params: np.ndarray, bias: int | None, softplus: bool) -> np.ndarray:
-    """Raw score per step slot: in the model's packed coordinates a linear
-    model's bias joins every pair's score; in drawdown coordinates each slot
-    holds its drawdown."""
-    return params[:bias] + params[bias] if softplus and bias is not None else params
-
-
-def _add_slot_grad(
-    grad: np.ndarray, slots: np.ndarray, coef: np.ndarray, bias: int | None, softplus: bool
-) -> None:
-    """grad += coef scattered over its slots; the bias, in packed coordinates,
-    gets the sum of them all."""
-    grad += np.bincount(slots, weights=coef, minlength=grad.size)
-    if softplus and bias is not None:
-        grad[bias] += coef.sum()
-
-
 class _ValueBatch:
     """Predicted values over fixed lists of proper states, vectorized.
 
     Each state's value is c plus a state constant (fallback steps) plus the
     drawdowns of its steps; steps are flattened across states into index
-    arrays once, so evaluation for a new parameter vector is a gather, a
-    transform, and a segmented sum. Every step reads one slot, its trie edge
-    or its feature pair, and a slot's drawdown is -softplus of its raw score
-    in the model's packed coordinates (see ``_slot_scores``), or the slot
-    itself in drawdown coordinates [c, a_0, a_1, ...]. The transform is
-    computed once per slot and gathered per step.
+    arrays once, so evaluation at a new point x = [c, a_0, a_1, ...] is a
+    gather and a segmented sum. Every step reads one slot of x, its trie
+    edge or its feature pair.
 
     The states come in groups (``values`` returns them concatenated);
     gradients accumulate group by group, in the order of the groups, exactly
@@ -296,7 +271,6 @@ class _ValueBatch:
         index: dict[PathSeq, int] = {}
         ids = np.array([index.setdefault(s, len(index)) for g in groups for s in g], dtype=np.intp)
         self.n_states = ids.size
-        self.bias = model.bias_slot
         memo: dict[PathSeq, tuple[tuple[int, ...], float]] = {(): ((), 0.0)}
         steps = [_prefix_steps(model, memo, s) for s in index]
         counts = np.array([len(slots) for slots, _ in steps], dtype=np.intp)
@@ -316,27 +290,21 @@ class _ValueBatch:
             for s_lo, s_hi, lo, hi in zip(state_ends, state_ends[1:], step_ends, step_ends[1:])
         ]
 
-    def values(self, params: np.ndarray, softplus: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (value per state, raw score per slot)."""
-        z = _slot_scores(params, self.bias, softplus)
-        steps = (-np.logaddexp(0.0, z) if softplus else z)[self.step_slot]
-        summed = np.bincount(self.step_state, weights=steps, minlength=self.n_states)
-        return params[0] + self.const + summed, z
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """The value of every state at x."""
+        summed = np.bincount(self.step_state, weights=x[self.step_slot], minlength=self.n_states)
+        return x[0] + self.const + summed
 
-    def add_value_grad(
-        self, grad: np.ndarray, state_coef: np.ndarray, z: np.ndarray, softplus: bool = True
-    ) -> None:
-        """grad += sum_j state_coef[j] * d(value_j)/d(params)."""
+    def add_value_grad(self, grad: np.ndarray, state_coef: np.ndarray) -> None:
+        """grad += sum_j state_coef[j] * d(value_j)/dx."""
         step_coef = state_coef[self.step_state]
-        if softplus:
-            step_coef = -step_coef * _sigmoid_vec(z)[self.step_slot]
         for s_lo, s_hi, steps in self.groups:
             grad[0] += state_coef[s_lo:s_hi].sum()
             if steps.stop > steps.start:
-                _add_slot_grad(grad, self.step_slot[steps], step_coef[steps], self.bias, softplus)
+                grad += np.bincount(self.step_slot[steps], weights=step_coef[steps], minlength=grad.size)
 
     def jvp(self, d: np.ndarray) -> np.ndarray:
-        """Change of every value along the drawdown-coordinate direction d."""
+        """Change of every value along the direction d."""
         return d[0] + np.bincount(self.step_state, weights=d[self.step_slot], minlength=self.n_states)
 
     def trie_nodes(self) -> np.ndarray:
@@ -351,43 +319,38 @@ class _ValueBatch:
 
 
 def _hessian(terms: list[tuple[_ValueBatch, np.ndarray]]) -> Callable[[np.ndarray], np.ndarray]:
-    """Hessian-vector product in drawdown coordinates, where every value is
-    linear in (c, a): the sum over batches of J^T diag(curvature) J, from
-    each batch's per-state second derivative of the loss in that value."""
+    """Hessian-vector product, where every value is linear in x: the sum
+    over batches of J^T diag(curvature) J, from each batch's per-state second
+    derivative of the loss in that value."""
 
     def product(d: np.ndarray) -> np.ndarray:
         out = np.zeros(d.size)
         for batch, curvature in terms:
-            batch.add_value_grad(out, curvature * batch.jvp(d), None, softplus=False)
+            batch.add_value_grad(out, curvature * batch.jvp(d))
         return out
 
     return product
 
 
 class Evaluation(tuple):
-    """(loss, gradient) from an objective compiled by ``tar_objective`` or
-    ``vlp_objective``.
+    """(loss, gradient) at x = [c, a_0, a_1, ...] from an objective compiled
+    by ``tar_objective`` or ``vlp_objective``; the loss is convex and
+    piecewise quadratic on the feasible set a <= 0.
 
-    Such an objective also takes ``drawdown=True``: it then reads its
-    argument as x = [c, a_0, a_1, ...], one drawdown per step slot (a tabular
-    edge, or a linear model's feature pair, whose a = -softplus(z) folds in
-    the bias), for which every value is linear in x and the loss is convex
-    and piecewise quadratic on the feasible set a <= 0. ``hessian()`` gives
-    the exact Hessian-vector product at a feasible drawdown point, valid
-    while no hinge changes side. ``node_pieces()`` gives, for an objective
-    compiled for a tabular model, the same loss as a sum of one-node terms
+    ``hessian()`` gives the exact Hessian-vector product at x, valid while no
+    hinge changes side; an evaluation built without ``curvature`` has none
+    (a zero product). ``node_pieces()`` gives, for an objective compiled for
+    a tabular model, the same loss as a sum of one-node terms
     (``_NodePieces``), and None otherwise.
     """
 
-    def __new__(cls, loss: float, grad: np.ndarray, curvature=None, pieces=None):
+    def __new__(cls, loss: float, grad: np.ndarray, curvature=list, pieces=None):
         self = super().__new__(cls, (loss, grad))
         self._curvature = curvature
         self._pieces = pieces
         return self
 
     def hessian(self) -> Callable[[np.ndarray], np.ndarray]:
-        if self._curvature is None:
-            raise InvalidInputError("Hessian products exist in drawdown coordinates only")
         return _hessian(self._curvature())
 
     def node_pieces(self) -> "_NodePieces | None":
@@ -395,9 +358,8 @@ class Evaluation(tuple):
 
 
 def _compiled(evaluate, model: AdvantageModel, add_pieces) -> Objective:
-    """The objective over the model's packed parameters, which also
-    evaluates in drawdown coordinates (see ``Evaluation``). For a tabular
-    model, ``add_pieces`` fills in its ``_NodePieces``, once, on first use."""
+    """The objective returning ``Evaluation``s. For a tabular model,
+    ``add_pieces`` fills in its ``_NodePieces``, once, on first use."""
     pieces = None
     if isinstance(model, TabularAdvantage):
 
@@ -407,9 +369,8 @@ def _compiled(evaluate, model: AdvantageModel, add_pieces) -> Objective:
             add_pieces(built)
             return built
 
-    def objective(params: np.ndarray, drawdown: bool = False) -> Evaluation:
-        loss, grad, curvature = evaluate(params, not drawdown)
-        return Evaluation(loss, grad, curvature if drawdown else None, pieces)
+    def objective(x: np.ndarray) -> Evaluation:
+        return Evaluation(*evaluate(x), pieces)
 
     return objective
 
@@ -600,8 +561,8 @@ def tar_objective(
     hinge_w = 2.0 * kappa * p0_w
     misfit_w = lam * d_weights
 
-    def evaluate(params: np.ndarray, softplus: bool):
-        v, z = batch.values(params, softplus)
+    def evaluate(x: np.ndarray):
+        v = batch.values(x)
         v0 = v[:n0]
         resid = v[n0:] - targets
         neg = np.maximum(-v0, 0.0)
@@ -610,8 +571,8 @@ def tar_objective(
             + 0.5 * lam * (d_weights @ (resid * resid) + var_floor)
             + kappa * (p0_w @ (neg * neg))
         )
-        grad = np.zeros(params.size)
-        batch.add_value_grad(grad, np.concatenate((p0_w - hinge_w * neg, misfit_w * resid)), z, softplus)
+        grad = np.zeros(x.size)
+        batch.add_value_grad(grad, np.concatenate((p0_w - hinge_w * neg, misfit_w * resid)))
         return float(loss), grad, lambda: [
             (batch, np.concatenate((hinge_w * (neg > 0.0), misfit_w))),
         ]
@@ -632,7 +593,7 @@ def tar_loss(
     lam: float,
     kappa: float = 0.0,
 ) -> tuple[float, np.ndarray]:
-    return tar_objective(model, p0, data, lam, kappa)(model.params_vector())
+    return tar_objective(model, p0, data, lam, kappa)(model.drawdown_vector())
 
 
 def vlp_objective(
@@ -692,7 +653,6 @@ def vlp_objective(
             comp_weight[s] = comp_weight.get(s, 0.0) + w
         # an improper state and its successor both predict 0: no term
     inc_steps = [model.step_slot(s, a) for s, a in inc_pairs]
-    bias = model.bias_slot
 
     comp_states = tuple(comp_weight)
     comp_batch = _ValueBatch(model, comp_states)
@@ -706,15 +666,14 @@ def vlp_objective(
     inc_slot = np.array([slot or 0 for slot in inc_steps], dtype=np.intp)
     inc_mask = on.astype(float)
 
-    def evaluate(params: np.ndarray, softplus: bool):
-        v0, z0 = p0_batch.values(params, softplus)
+    def evaluate(x: np.ndarray):
+        v0 = p0_batch.values(x)
         neg0 = np.maximum(-v0, 0.0)
-        vmu, zmu = mu_batch.values(params, softplus)
+        vmu = mu_batch.values(x)
         mu_pos = np.maximum(mu_targets - vmu, 0.0)
-        vc, zc = comp_batch.values(params, softplus)
+        vc = comp_batch.values(x)
         comp_pos = np.maximum(-vc, 0.0)
-        z_inc = _slot_scores(params, bias, softplus)[inc_slot] * inc_mask + inc_const_arr
-        a_inc = -np.logaddexp(0.0, z_inc) if softplus else z_inc
+        a_inc = x[inc_slot] * inc_mask + inc_const_arr
         inc_pos = np.maximum(a_inc, 0.0)
 
         loss = (
@@ -724,17 +683,13 @@ def vlp_objective(
             + lam * (1.0 - mu_w) * (inc_w @ (inc_pos * inc_pos))
             + kappa * (p0_w @ (neg0 * neg0))
         )
-        grad = np.zeros(params.size)
-        p0_batch.add_value_grad(grad, p0_w - 2.0 * kappa * p0_w * neg0, z0, softplus)
-        mu_batch.add_value_grad(grad, -2.0 * lam * mu_w * mu_weights * mu_pos, zmu, softplus)
-        comp_batch.add_value_grad(
-            grad, -2.0 * lam * (1.0 - mu_w) * comp_w * comp_pos, zc, softplus
-        )
+        grad = np.zeros(x.size)
+        p0_batch.add_value_grad(grad, p0_w - 2.0 * kappa * p0_w * neg0)
+        mu_batch.add_value_grad(grad, -2.0 * lam * mu_w * mu_weights * mu_pos)
+        comp_batch.add_value_grad(grad, -2.0 * lam * (1.0 - mu_w) * comp_w * comp_pos)
         if inc_w.size:
             step_coef = 2.0 * lam * (1.0 - mu_w) * inc_w * inc_pos
-            if softplus:
-                step_coef = -step_coef * _sigmoid_vec(z_inc)
-            _add_slot_grad(grad, inc_slot, step_coef * inc_mask, bias, softplus)
+            grad += np.bincount(inc_slot, weights=step_coef * inc_mask, minlength=grad.size)
         # the incomplete-state term is (a)_+^2 of one drawdown or of the
         # fallback: zero, with zero curvature, wherever a <= 0
         return float(loss), grad, lambda: [
@@ -760,7 +715,7 @@ def vlp_loss(
     instance: PLInstance,
     kappa: float = 0.0,
 ) -> tuple[float, np.ndarray]:
-    return vlp_objective(model, p0, mix, instance, kappa)(model.params_vector())
+    return vlp_objective(model, p0, mix, instance, kappa)(model.drawdown_vector())
 
 
 def surrogate_gap(
@@ -815,10 +770,10 @@ def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> T
     convex under the bound a <= 0. For a tabular model the solve is exact
     and finite (``_solve_tree``): it pools the trie's node values, whatever
     the model's current parameters, and ``config.max_iters`` does not apply.
-    For the linear family it is iterative (``_solve_drawdown``), from
-    a = -softplus(z) of every slot's raw score, the bias included. The solved
-    drawdowns are stored back as raw scores, and a linear model's bias as 0.
-    An objective whose calls do not return an ``Evaluation`` is rejected.
+    For the linear family it is iterative (``_solve_drawdown``), from the
+    model's ``drawdown_vector``. The solved drawdowns are stored back as raw
+    scores, and a linear model's bias as 0. An objective whose calls do not
+    return an ``Evaluation`` is rejected.
 
     ``final_loss`` is the objective at the returned model. ``grad_norm`` is
     the max-norm of the gradient in drawdown coordinates, projected onto the
@@ -828,28 +783,26 @@ def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> T
     solution whose certificate exceeds the tolerance (uncertified).
     ``iterations`` counts solver iterations, or the tree solve's merges.
     """
-    x = model.params_vector()
+    x = model.drawdown_vector()
     start = objective(x)
     if not isinstance(start, Evaluation):
         raise InvalidInputError("train needs an objective compiled by tar_objective or vlp_objective")
     pieces = start.node_pieces()
     blocks = zero_drawdowns = None
     if pieces is None:
-        a = -np.logaddexp(0.0, _slot_scores(x, model.bias_slot, True)[1:])
-        solved = _solve_drawdown(objective, np.concatenate(([x[0]], a)), config)
-        x_out, trace, grad_norm, iterations, reason = solved
+        x_out, trace, grad_norm, iterations, reason = _solve_drawdown(objective, x, config)
         solver = PROJECTED_BB
     else:
         x_out, trace, grad_norm, iterations, reason = _solve_tree(objective, pieces, start[0], config)
         solver = TREE_POOLING
         blocks = x_out.size - iterations  # one node per block, less one per merge
         zero_drawdowns = int(np.count_nonzero(x_out[1:] == 0.0))
-    # a linear model's bias, the last slot, is written as 0
-    params = np.zeros(x.size)
+    # a linear model's bias, the last parameter, is written as 0
+    params = np.zeros(model.n_params)
     params[0] = x_out[0]
     params[1 : x_out.size] = raw_from_advantage(x_out[1:])
     fitted = model.with_params(params)
-    final_loss, _ = objective(fitted.params_vector())
+    final_loss, _ = objective(fitted.drawdown_vector())
     return TrainResult(
         model=fitted,
         trace=trace,
@@ -874,7 +827,7 @@ def _solve_tree(objective, pieces: _NodePieces, start_loss: float, config: Train
     solution.
     """
     x, merges = pieces.solve()
-    f, g = objective(x, drawdown=True)
+    f, g = objective(x)
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
         raise TrainingDivergedError(0, "at the tree solution")
     pg = _projected_grad_norm(x, g)
@@ -891,6 +844,13 @@ def _project(x: np.ndarray) -> np.ndarray:
 
 def _projected_grad_norm(x: np.ndarray, g: np.ndarray) -> float:
     return float(np.max(np.abs(x - _project(x - g))))
+
+
+def _exact_projected_grad_norm(x: np.ndarray, g: np.ndarray) -> float:
+    """``_projected_grad_norm`` without rounding x - g: in exact arithmetic
+    x - P(x - g) is g in c and max(g, x) in each drawdown. The rounded form
+    reads 0 wherever x is so large that x - g rounds back to x."""
+    return float(np.max(np.abs(np.concatenate((g[:1], np.maximum(g[1:], x[1:]))))))
 
 
 def _newton_step(hess, x: np.ndarray, g: np.ndarray, free: np.ndarray, tol: float):
@@ -946,8 +906,11 @@ def _solve_drawdown(objective, x: np.ndarray, config: TrainConfig):
     the hinges and the free set settle.
 
     Returns (x, trace, projected-gradient max-norm, iterations, stop reason).
+    Raises ``TrainingDivergedError`` when that max-norm meets the tolerance
+    only through rounding (``_exact_projected_grad_norm``), as on a loss
+    unbounded below once the parameters have run off far enough.
     """
-    f, g = objective(x, drawdown=True)
+    f, g = objective(x)
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
         raise TrainingDivergedError(0)
     trace = [f]
@@ -962,7 +925,7 @@ def _solve_drawdown(objective, x: np.ndarray, config: TrainConfig):
         s = step
         for _ in range(MAX_HALVINGS):
             x_new = _project(x - s * g)
-            f_new, g_new = result = objective(x_new, drawdown=True)
+            f_new, g_new = result = objective(x_new)
             if f_new < f and f_new <= f + ARMIJO_C * float(g @ (x_new - x)):
                 break
             s *= 0.5
@@ -989,6 +952,12 @@ def _solve_drawdown(objective, x: np.ndarray, config: TrainConfig):
         trace.append(f)
         iterations = it
     if pg <= config.tol:
+        if _exact_projected_grad_norm(x, g) > config.tol:
+            raise TrainingDivergedError(
+                iterations,
+                f"the parameters reached {np.max(np.abs(x)):.3g}, where steps along a gradient above "
+                "the tolerance no longer change them: the loss is likely unbounded below",
+            )
         reason = CONVERGED
     return x, np.array(trace), pg, iterations, reason
 
@@ -1009,7 +978,7 @@ def _newton_finish(objective, at: Evaluation, x: np.ndarray, pg: float, free: np
     # a direction the model at x sees as flat can reach far enough to
     # overflow; the non-finite loss is then rejected like any increase
     with np.errstate(over="ignore", invalid="ignore"):
-        f_new, g_new = objective(x_new, drawdown=True)
+        f_new, g_new = objective(x_new)
     if not (math.isfinite(f_new) and np.all(np.isfinite(g_new))):
         return x, f, g, pg
     pg_new = _projected_grad_norm(x_new, g_new)

@@ -4,9 +4,7 @@ A model predicts, for a proper sequence, c plus the sum of per-step advantage
 terms A(prefix, action); improper sequences get exactly 0. Nonpositivity is
 structural: every advantage is -log(1 + exp(z)) of an unconstrained raw score
 z, so the value difference between a proper sequence and its extension is
-always <= 0. (The trainer solves models in the drawdowns themselves, one per
-edge or per feature pair, under the bound a <= 0, and stores the result back
-as raw scores through ``raw_from_advantage``.)
+always <= 0.
 
 Two families produce the raw score:
 
@@ -17,15 +15,18 @@ Two families produce the raw score:
   (previous token, action) pair, optionally crossed with a bucketed prefix
   depth, plus a bias.
 
-Parameters pack into one flat vector [c, z_0, z_1, ...]; ``value_gradient``
-returns the exact analytic gradient in that layout.
+Parameters pack into one flat vector [c, z_0, z_1, ...], the stored form.
+``drawdown_vector`` gives the model in the coordinates that compiled
+objectives read and the trainer solves in, [c, a_0, a_1, ...] with one
+drawdown per step slot (an edge, or a feature pair); the trainer stores its
+solution back as raw scores through ``raw_from_advantage``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Mapping
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -56,13 +57,6 @@ DEFAULT_FALLBACK_B = 10.0
 def advantage_transform(z: float) -> float:
     """-log(1 + exp(z)), computed without overflow for any float z."""
     return float(-np.logaddexp(0.0, z))
-
-
-def sigmoid(z: float) -> float:
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
 
 
 def raw_from_advantage(a, clamp: float = Z_CLAMP):
@@ -143,12 +137,14 @@ class AdvantageModel:
         raise NotImplementedError
 
     def step_slot(self, s: PathSeq, a: str) -> int | None:
-        """Packed-vector slot of the step's own raw score, or None on
-        fallback; raw_z is that slot plus the bias slot, if any."""
+        """Slot of the step's drawdown in ``drawdown_vector``, or None when
+        the step falls back to -B."""
         raise NotImplementedError
 
-    # packed-vector slot of the bias that every raw score adds, if any
-    bias_slot = None
+    def drawdown_vector(self) -> np.ndarray:
+        """[c, a_0, a_1, ...]: c, then the drawdown -log(1 + exp(z)) of each
+        step slot's raw score."""
+        raise NotImplementedError
 
     @property
     def fallback_advantage(self) -> float:
@@ -181,26 +177,24 @@ class AdvantageModel:
 
 @dataclass(frozen=True, eq=False)
 class TabularAdvantage(AdvantageModel):
-    """One raw score per trie edge; -B off the trie."""
+    """One raw score per trie edge; -B off the trie (B finite, >= 0)."""
 
     trie: PrefixTrie = None
     raw: np.ndarray = None
     fallback_B: float = DEFAULT_FALLBACK_B
-    _slot: Mapping[tuple[PathSeq, str], int] = field(
-        init=False, repr=False, compare=False, default=None
-    )
 
     family = TABULAR
 
     def __post_init__(self) -> None:
-        edges = [(s, a) for s, a, _ in self.trie.iter_edges()]
+        n_edges = len(self.trie.edge_index)
         raw = np.asarray(self.raw, dtype=float)
-        if raw.shape != (len(edges),):
+        if raw.shape != (n_edges,):
             raise InvalidInputError(
-                f"raw must have one score per trie edge ({len(edges)}), got shape {raw.shape}"
+                f"raw must have one score per trie edge ({n_edges}), got shape {raw.shape}"
             )
+        if not (math.isfinite(self.fallback_B) and self.fallback_B >= 0.0):
+            raise InvalidInputError(f"fallback_B must be finite and >= 0, got {self.fallback_B!r}")
         object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "_slot", {edge: i for i, edge in enumerate(edges)})
 
     @classmethod
     def default(
@@ -209,12 +203,11 @@ class TabularAdvantage(AdvantageModel):
         c: float = 0.0,
         fallback_B: float = DEFAULT_FALLBACK_B,
     ) -> "TabularAdvantage":
-        n_edges = sum(len(trie.children(node)) for node in trie.nodes)
         return cls(
             alphabet=trie.alphabet,
             c=c,
             trie=trie,
-            raw=np.full(n_edges, DEFAULT_RAW),
+            raw=np.full(len(trie.edge_index), DEFAULT_RAW),
             fallback_B=fallback_B,
         )
 
@@ -224,7 +217,7 @@ class TabularAdvantage(AdvantageModel):
     ) -> "TabularAdvantage":
         """Clamped encoding of exact optimal values: c is the optimal yield
         and each edge's raw score inverts the exact drawdown (zeros clamp)."""
-        drawdowns = [ov.a_star[(s, a)] for s, a, _ in ov.trie.iter_edges()]
+        drawdowns = [ov.a_star[edge] for edge in ov.trie.edge_index]
         return cls(
             alphabet=ov.trie.alphabet,
             c=ov.j_star,
@@ -235,14 +228,14 @@ class TabularAdvantage(AdvantageModel):
 
     @property
     def edges(self) -> tuple[tuple[PathSeq, str], ...]:
-        return tuple(self._slot)
+        return tuple(self.trie.edge_index)
 
     def raw_z(self, s: PathSeq, a: str) -> float | None:
-        slot = self._slot.get((s, a))
+        slot = self.trie.edge_index.get((s, a))
         return None if slot is None else float(self.raw[slot])
 
     def step_slot(self, s: PathSeq, a: str) -> int | None:
-        slot = self._slot.get((s, a))
+        slot = self.trie.edge_index.get((s, a))
         return None if slot is None else 1 + slot
 
     @property
@@ -255,6 +248,9 @@ class TabularAdvantage(AdvantageModel):
 
     def params_vector(self) -> np.ndarray:
         return np.concatenate(([self.c], self.raw))
+
+    def drawdown_vector(self) -> np.ndarray:
+        return np.concatenate(([self.c], -np.logaddexp(0.0, self.raw)))
 
     def with_params(self, vec: np.ndarray) -> "TabularAdvantage":
         vec = np.asarray(vec, dtype=float)
@@ -293,10 +289,6 @@ class LinearAdvantage(AdvantageModel):
         return 1 + self.feature_map.indices(s, a)[0]
 
     @property
-    def bias_slot(self) -> int:
-        return self.feature_map.dim
-
-    @property
     def fallback_advantage(self) -> float:
         raise InvalidInputError("linear models never fall back")
 
@@ -306,6 +298,10 @@ class LinearAdvantage(AdvantageModel):
 
     def params_vector(self) -> np.ndarray:
         return np.concatenate(([self.c], self.weights))
+
+    def drawdown_vector(self) -> np.ndarray:
+        """One drawdown per feature pair: the bias joins every pair's score."""
+        return np.concatenate(([self.c], -np.logaddexp(0.0, self.weights[:-1] + self.weights[-1])))
 
     def with_params(self, vec: np.ndarray) -> "LinearAdvantage":
         vec = np.asarray(vec, dtype=float)
@@ -335,25 +331,6 @@ def predict_value(model: AdvantageModel, seq: PathSeq) -> float:
     return total
 
 
-def value_gradient(model: AdvantageModel, seq: PathSeq) -> np.ndarray:
-    """d predict_value / d params in packed layout; zero for improper seq."""
-    seq = model.alphabet.require_seq(seq)
-    grad = np.zeros(model.n_params)
-    if not model.alphabet.is_proper(seq):
-        return grad
-    grad[0] = 1.0
-    for k in range(len(seq)):
-        prefix, a = seq[:k], seq[k]
-        slot = model.step_slot(prefix, a)
-        if slot is None:
-            continue
-        coef = -sigmoid(model.raw_z(prefix, a))
-        grad[slot] += coef
-        if model.bias_slot is not None:
-            grad[model.bias_slot] += coef
-    return grad
-
-
 def model_to_json(model: AdvantageModel) -> dict:
     if isinstance(model, TabularAdvantage):
         entries = [
@@ -380,41 +357,46 @@ def model_to_json(model: AdvantageModel) -> dict:
 
 
 def model_from_json(obj: dict) -> AdvantageModel:
+    """Parse a model object; a malformed one, or one with a non-finite
+    number, raises ``InvalidInputError``."""
     try:
         alphabet = ActionAlphabet.from_json(obj["alphabet"])
         family = obj["family"]
         c = float(obj["c"])
         raw = obj["raw"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed model object: {exc}") from exc
+    if not math.isfinite(c):
+        raise InvalidInputError(f"model constant c must be finite, got {c!r}")
     if family == TABULAR:
         try:
-            entries = [
-                (tuple(e["state"]), e["action"], float(e["z"]))
-                for e in raw["entries"]
-            ]
-        except (KeyError, TypeError) as exc:
+            scores = {(tuple(e["state"]), e["action"]): float(e["z"]) for e in raw["entries"]}
+            fallback_B = float(obj.get("fallback_B", DEFAULT_FALLBACK_B))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed tabular raw entries: {exc}") from exc
-        scores = {(s, a): z for s, a, z in entries}
-        nodes = {s for s, _, _ in entries} | {s + (a,) for s, a, _ in entries}
+        if not all(math.isfinite(z) for z in scores.values()):
+            raise InvalidInputError("tabular raw scores must be finite")
+        nodes = {s for s, _ in scores} | {s + (a,) for s, a in scores}
         members = [n for n in nodes if alphabet.classify(n) is SeqClass.COMPLETE]
         trie = PrefixTrie.build(alphabet, members)
-        edges = [(s, a) for s, a, _ in trie.iter_edges()]
-        if set(edges) != set(scores):
+        edges = trie.edge_index
+        if edges.keys() != scores.keys():
             raise InvalidInputError("tabular raw entries do not form a prefix trie")
         return TabularAdvantage(
             alphabet=alphabet,
             c=c,
             trie=trie,
             raw=np.array([scores[e] for e in edges]),
-            fallback_B=float(obj.get("fallback_B", DEFAULT_FALLBACK_B)),
+            fallback_B=fallback_B,
         )
     if family == LINEAR:
         try:
             kind = raw["feature_kind"]
             weights = np.array([float(w) for w in raw["weights"]])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed linear raw block: {exc}") from exc
+        if not np.all(np.isfinite(weights)):
+            raise InvalidInputError("linear weights must be finite")
         fm = FeatureMap(kind=kind, alphabet=alphabet)
         return LinearAdvantage(alphabet=alphabet, c=c, feature_map=fm, weights=weights)
     raise InvalidInputError(f"unknown model family {family!r}")
@@ -425,4 +407,8 @@ def save_model(model: AdvantageModel, path: str) -> None:
 
 
 def load_model(path: str) -> AdvantageModel:
-    return model_from_json(serialize.load_json(path))
+    """Read a model file; errors name the file."""
+    try:
+        return model_from_json(serialize.load_json(path))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc

@@ -17,6 +17,7 @@ those carry optimal value zero.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -214,6 +215,12 @@ class PrefixTrie:
         for node in self.nodes:
             for token in self._children[node]:
                 yield node, token, node + (token,)
+
+    @functools.cached_property
+    def edge_index(self) -> Mapping[tuple[PathSeq, str], int]:
+        """Each edge (node, token) -> its position in ``iter_edges`` order,
+        built once per trie. The edge into node i is edge i - 1."""
+        return {(node, token): i for i, (node, token, _) in enumerate(self.iter_edges())}
 
 
 def random_improper(

@@ -280,7 +280,7 @@ def test_criterion_7_gradient_check():
         else:
             mix = PenaltyMix.default(inst, lam)
             objective = vlp_objective(model, p0, mix, inst, kappa)
-        x = model.params_vector()
+        x = model.drawdown_vector()
         _, grad = objective(x)
         fd = np.zeros_like(x)
         for j in range(x.size):

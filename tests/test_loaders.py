@@ -4,12 +4,15 @@ weighting goes through the command line, which must exit 0 or 1."""
 
 import copy
 import json
+import math
 
+import numpy as np
 from hypothesis import given, strategies as st
 
 from tarpath.cli import main
 from tarpath.errors import TarPathError
 from tarpath.instance import fixture_e1, load_dataset, load_instance, save_instance
+from tarpath.model import LinearAdvantage, TabularAdvantage, load_model, model_to_json
 from tarpath.reduction import load_rl_dataset
 
 E1 = fixture_e1()
@@ -18,7 +21,8 @@ E1 = fixture_e1()
 # the first lookup
 _KEYS = st.sampled_from(
     ["alphabet", "tokens", "terminal", "paths", "path", "yield", "weight", "noise",
-     "kind", "stddev", "y", "s", "a", "r", "s_next", "state"]
+     "kind", "stddev", "y", "s", "a", "r", "s_next", "state", "c", "family", "raw", "entries",
+     "action", "z", "feature_kind", "weights", "fallback_B"]
 )
 _SCALARS = (
     st.none()
@@ -26,7 +30,8 @@ _SCALARS = (
     | st.integers()
     | st.sampled_from([10**400, -(10**400)])
     | st.floats()
-    | st.sampled_from(["a", "b", "END", "noiseless", "bernoulli", "truncated_gaussian"])
+    | st.sampled_from(["a", "b", "END", "noiseless", "bernoulli", "truncated_gaussian", "tabular",
+                       "linear", "edge_pair", "depth_edge_pair"])
     | st.text(max_size=3)
 )
 # scalars half the time: a wrongly typed value in a known field reaches the
@@ -73,6 +78,7 @@ def _write_lines(directory, rows):
     return str(path)
 
 
+_MODELS = [model_to_json(TabularAdvantage.default(E1.trie)), model_to_json(LinearAdvantage.default(E1.alphabet))]
 _DATA_ROW = {"path": ["a", "END"], "y": 0.5}
 _RL_ROW = {"s": ["a"], "a": "END", "r": 0.5, "s_next": ["a", "END"]}
 _P0_ROWS = [{"state": [], "weight": 0.5}, {"state": ["a"], "weight": 0.25},
@@ -84,6 +90,20 @@ def test_load_instance(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("fuzz") / "instance.json"
     path.write_text(json.dumps(doc))
     _loads_or_rejects(load_instance, str(path))
+
+
+@given(like(_MODELS[0]) | like(_MODELS[1]))
+def test_load_model(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    path.write_text(json.dumps(doc))
+    try:
+        model = load_model(str(path))
+    except TarPathError as exc:
+        assert str(path) in str(exc)
+        return
+    # what loads is finite, and never predicts a positive drawdown
+    assert np.all(np.isfinite(model.params_vector()))
+    assert model.family == "linear" or (math.isfinite(model.fallback_B) and model.fallback_B >= 0.0)
 
 
 @given(st.lists(like(_DATA_ROW), max_size=3), st.booleans())

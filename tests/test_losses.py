@@ -12,6 +12,7 @@ from tarpath.instance import (
     NoiseModel,
     PathYieldDataset,
     PLInstance,
+    fixture_e1,
     random_instance,
     sample_dataset,
 )
@@ -43,7 +44,6 @@ from tarpath.model import (
     LinearAdvantage,
     TabularAdvantage,
     predict_value,
-    value_gradient,
 )
 from tarpath.oracle import compute_optimal
 from tarpath.pathspace import EMPTY, ActionAlphabet, PrefixTrie, SeqClass
@@ -311,7 +311,7 @@ class TestGradients:
         )
         p0 = StateWeighting.trie_uniform(e2.trie)
         objective = tar_objective(model, p0, e2, lam=10.0, kappa=100.0)
-        x = model.params_vector()
+        x = model.drawdown_vector()
         _, grad = objective(x)
         fd = central_diff(objective, x)
         assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
@@ -325,7 +325,7 @@ class TestGradients:
         p0 = StateWeighting.trie_uniform(e2.trie)
         mix = PenaltyMix.default(e2, lam=10.0)
         objective = vlp_objective(model, p0, mix, e2, kappa=100.0)
-        x = model.params_vector()
+        x = model.drawdown_vector()
         _, grad = objective(x)
         fd = central_diff(objective, x)
         assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
@@ -335,7 +335,7 @@ class TestGradients:
         p0 = StateWeighting.trie_uniform(e2_bernoulli.trie)
         data = sample_dataset(e2_bernoulli, n=200, seed=3)
         objective = tar_objective(model, p0, data, lam=10.0, kappa=100.0)
-        x = model.params_vector()
+        x = model.drawdown_vector()
         _, grad = objective(x)
         fd = central_diff(objective, x)
         assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
@@ -349,7 +349,7 @@ class TestGradients:
         p0 = StateWeighting.trie_uniform(e2_bernoulli.trie)
         data = sample_dataset(e2_bernoulli, n=200, seed=3)
         objective = tar_objective(model, p0, data, lam=10.0, kappa=100.0)
-        x = model.params_vector()
+        x = model.drawdown_vector()
         _, grad = objective(x)
         fd = central_diff(objective, x)
         assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
@@ -371,17 +371,16 @@ class TestValueBatch:
         paths = sample_dataset(e2_bernoulli, n=50, seed=2).paths
         joint = _ValueBatch(model, states, paths)
         parts = [_ValueBatch(model, states), _ValueBatch(model, paths)]
-        x = model.params_vector()
-        for softplus in (True, False):
-            v, z = joint.values(x, softplus)
-            assert np.array_equal(v, np.concatenate([b.values(x, softplus)[0] for b in parts]))
-            coef = rng.normal(size=v.size)
-            grad = np.zeros(x.size)
-            joint.add_value_grad(grad, coef, z, softplus)
-            expected = np.zeros(x.size)
-            for b, c in zip(parts, np.split(coef, [len(states)])):
-                b.add_value_grad(expected, c, b.values(x, softplus)[1], softplus)
-            assert np.array_equal(grad, expected)
+        x = model.drawdown_vector()
+        v = joint.values(x)
+        assert np.array_equal(v, np.concatenate([b.values(x) for b in parts]))
+        coef = rng.normal(size=v.size)
+        grad = np.zeros(x.size)
+        joint.add_value_grad(grad, coef)
+        expected = np.zeros(x.size)
+        for b, c in zip(parts, np.split(coef, [len(states)])):
+            b.add_value_grad(expected, c)
+        assert np.array_equal(grad, expected)
 
 
     @pytest.mark.parametrize(
@@ -446,11 +445,24 @@ class TestVlpHandMix:
         (("a", "b"), "a"),  # on-trie state, off-trie edge
     )
 
+    @staticmethod
+    def value_gradient(model, s):
+        """d value(s) / dx at x = ``model.drawdown_vector()``: 1 at c and 1
+        at each on-trie step's slot; 0 for an improper state."""
+        grad = np.zeros(model.drawdown_vector().size)
+        if model.alphabet.is_proper(s):
+            grad[0] = 1.0
+            for k in range(len(s)):
+                slot = model.step_slot(s[:k], s[k])
+                if slot is not None:
+                    grad[slot] += 1.0
+        return grad
+
     def direct(self, model, p0, mix, inst, kappa):
         v = lambda s: predict_value(model, s)  # noqa: E731
-        g = lambda s: value_gradient(model, s)  # noqa: E731
+        g = lambda s: self.value_gradient(model, s)  # noqa: E731
         lam, mu = mix.lam, mix.mu_weight
-        loss, grad = 0.0, np.zeros(model.n_params)
+        loss, grad = 0.0, np.zeros(model.drawdown_vector().size)
         for s, w in p0.items():
             neg = max(-v(s), 0.0)
             loss += w * v(s) + kappa * w * neg * neg
@@ -480,7 +492,7 @@ class TestVlpHandMix:
             tilde_pairs=self.PAIRS, tilde_weights=tuple(raw / raw.sum()), lam=3.0, mu_weight=0.3
         )
         p0 = StateWeighting.trie_uniform(e2.trie)
-        loss, grad = vlp_objective(model, p0, mix, e2, kappa=2.0)(model.params_vector())
+        loss, grad = vlp_objective(model, p0, mix, e2, kappa=2.0)(model.drawdown_vector())
         want_loss, want_grad = self.direct(model, p0, mix, e2, kappa=2.0)
         assert loss == pytest.approx(want_loss, rel=1e-12)
         assert np.allclose(grad, want_grad, rtol=1e-10, atol=1e-12)
@@ -506,12 +518,6 @@ class TestVlpHandMix:
             vlp_objective(model, StateWeighting.trie_uniform(e2.trie), mix, e2)
 
 
-def drawdown_point(model):
-    """The drawdown-coordinate twin [c, -softplus(z)] of a tabular model."""
-    x = model.params_vector()
-    return np.concatenate(([x[0]], -np.logaddexp(0.0, x[1:])))
-
-
 def linear_model(inst, features, seed, c=None):
     """A random linear model whose bias (the last weight) is nonzero, so that
     every pair's raw score is its own weight plus 1.25."""
@@ -521,12 +527,6 @@ def linear_model(inst, features, seed, c=None):
     x = model.params_vector()
     x[-1] = 1.25
     return model.with_params(x)
-
-
-def pair_drawdown_point(model):
-    """The pair-drawdown twin [c, -softplus(w_pair + w_bias)] of a linear model."""
-    x = model.params_vector()
-    return np.concatenate(([x[0]], -np.logaddexp(0.0, x[1:-1] + x[-1])))
 
 
 def criterion_6_instance(seed):
@@ -542,41 +542,56 @@ def criterion_6_instance(seed):
 
 
 class TestDrawdownView:
-    """Compiled objectives also evaluate in drawdown coordinates (c, a): one
+    """Compiled objectives evaluate in drawdown coordinates (c, a): one
     drawdown per edge of a tabular model, one per feature pair of a linear
     one, whose bias each pair's drawdown absorbs."""
 
     @staticmethod
-    def compile(kind, inst, model, kappa=100.0):
+    def inputs(kind, inst):
+        """(p0, what the loss is over: the instance, a dataset or a mix)."""
         p0 = StateWeighting.trie_uniform(inst.trie)
         if kind == "tar_exact":
-            return tar_objective(model, p0, inst, lam=10.0, kappa=kappa)
+            return p0, inst
         if kind == "tar_empirical":
-            data = sample_dataset(inst, n=200, seed=3)
-            return tar_objective(model, p0, data, lam=10.0, kappa=kappa)
+            return p0, sample_dataset(inst, n=200, seed=3)
         # every fringe state, complete ones included, so that each penalty
         # term of the feasibility loss is present
         pairs = tuple((s, a) for s in inst.trie.fringe_states() for a in inst.alphabet.tokens)
-        mix = PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / len(pairs),) * len(pairs), lam=10.0)
-        return vlp_objective(model, p0, mix, inst, kappa=kappa)
+        return p0, PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / len(pairs),) * len(pairs), lam=10.0)
+
+    @classmethod
+    def compile(cls, kind, inst, model, kappa=100.0):
+        p0, over = cls.inputs(kind, inst)
+        if kind == "vlp":
+            return vlp_objective(model, p0, over, inst, kappa=kappa)
+        return tar_objective(model, p0, over, lam=10.0, kappa=kappa)
+
+    @classmethod
+    def direct_loss(cls, kind, inst, model, kappa=100.0):
+        """The loss summed state by state from ``predict_value``."""
+        p0, over = cls.inputs(kind, inst)
+        if kind == "vlp":
+            return TestVlpHandMix().direct(model, p0, over, inst, kappa)[0]
+        if kind == "tar_exact":
+            rows = [(p, w, inst.yields[p]) for p, w in inst.path_dist.items()]
+            floor = inst.noise_variance()
+        else:
+            rows = [(p, 1.0 / len(over), y) for p, y in over.pairs]
+            floor = 0.0
+        v = lambda s: predict_value(model, s)  # noqa: E731
+        loss = sum(w * v(s) + kappa * w * max(-v(s), 0.0) ** 2 for s, w in p0.items())
+        return loss + 0.5 * 10.0 * (sum(w * (v(p) - y) ** 2 for p, w, y in rows) + floor)
 
     KINDS = ("tar_exact", "tar_empirical", "vlp")
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", range(5))
-    def test_equals_packed_view(self, e2_bernoulli, kind, seed):
+    def test_equals_direct_sum(self, e2_bernoulli, kind, seed):
         model = TabularAdvantage.default(e2_bernoulli.trie).with_random_params(
             np.random.default_rng(seed)
         )
-        objective = self.compile(kind, e2_bernoulli, model)
-        z = model.params_vector()
-        f_z, g_z = objective(z)
-        f_a, g_a = objective(drawdown_point(model), drawdown=True)
-        assert f_a == pytest.approx(f_z, rel=1e-13)
-        # chain rule through a = -softplus(z)
-        assert g_a[0] == pytest.approx(g_z[0], rel=1e-12, abs=1e-14)
-        sig = 1.0 / (1.0 + np.exp(-z[1:]))
-        assert np.allclose(-g_a[1:] * sig, g_z[1:], rtol=1e-12, atol=1e-14)
+        loss, _ = self.compile(kind, e2_bernoulli, model)(model.drawdown_vector())
+        assert loss == pytest.approx(self.direct_loss(kind, e2_bernoulli, model), rel=1e-12)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", range(5))
@@ -585,10 +600,9 @@ class TestDrawdownView:
             np.random.default_rng(seed)
         )
         objective = self.compile(kind, e2_bernoulli, model)
-        view = lambda x: objective(x, drawdown=True)  # noqa: E731
-        x = drawdown_point(model)
-        _, grad = view(x)
-        assert np.allclose(grad, central_diff(view, x), rtol=1e-5, atol=1e-7)
+        x = model.drawdown_vector()
+        _, grad = objective(x)
+        assert np.allclose(grad, central_diff(objective, x), rtol=1e-5, atol=1e-7)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("c", [-2.0, 5.0])
@@ -600,40 +614,25 @@ class TestDrawdownView:
             rng, c_range=(c, c)
         )
         objective = self.compile(kind, e2_bernoulli, model)
-        x = drawdown_point(model)
-        start = objective(x, drawdown=True)
+        x = model.drawdown_vector()
+        start = objective(x)
         h = 1e-3
         for _ in range(3):
             d = rng.normal(size=x.size)
-            _, g_end = objective(x + h * d, drawdown=True)
+            _, g_end = objective(x + h * d)
             assert np.allclose(start.hessian()(d), (g_end - start[1]) / h, rtol=1e-7, atol=1e-9)
-
-    def test_hessian_needs_drawdown_coordinates(self, e2):
-        model = TabularAdvantage.default(e2.trie)
-        objective = self.compile("tar_exact", e2, model)
-        with pytest.raises(InvalidInputError):
-            objective(model.params_vector()).hessian()
 
     FEATURES = (EDGE_PAIR, DEPTH_EDGE_PAIR)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("features", FEATURES)
     @pytest.mark.parametrize("seed", range(3))
-    def test_linear_equals_packed_view(self, e2_bernoulli, kind, features, seed):
+    def test_linear_equals_direct_sum(self, e2_bernoulli, kind, features, seed):
         model = linear_model(e2_bernoulli, features, seed)
-        objective = self.compile(kind, e2_bernoulli, model)
-        w = model.params_vector()
-        f_w, g_w = objective(w)
-        f_a, g_a = objective(pair_drawdown_point(model), drawdown=True)
-        assert g_a.size == w.size - 1
-        assert f_a == pytest.approx(f_w, rel=1e-13)
-        # chain rule through a = -softplus(w_pair + w_bias)
-        assert g_a[0] == pytest.approx(g_w[0], rel=1e-12, abs=1e-14)
-        sig = 1.0 / (1.0 + np.exp(-(w[1:-1] + w[-1])))
-        assert np.allclose(-g_a[1:] * sig, g_w[1:-1], rtol=1e-12, atol=1e-14)
-        # the bias gradient is the sum of the pair gradients
-        assert g_w[-1] == pytest.approx(g_w[1:-1].sum(), rel=1e-12, abs=1e-14)
-        assert np.any(g_w[1:-1] != 0.0)
+        x = model.drawdown_vector()
+        assert x.size == model.n_params - 1  # the bias has no slot
+        loss, _ = self.compile(kind, e2_bernoulli, model)(x)
+        assert loss == pytest.approx(self.direct_loss(kind, e2_bernoulli, model), rel=1e-12)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("features", FEATURES)
@@ -641,13 +640,20 @@ class TestDrawdownView:
     def test_linear_gradient_matches_central_difference(self, e2_bernoulli, kind, features, seed):
         model = linear_model(e2_bernoulli, features, seed)
         objective = self.compile(kind, e2_bernoulli, model)
-        view = lambda x: objective(x, drawdown=True)  # noqa: E731
-        x = pair_drawdown_point(model)
-        _, grad = view(x)
-        assert np.allclose(grad, central_diff(view, x), rtol=1e-5, atol=1e-7)
-        # and in the packed coordinates, bias included
-        w = model.params_vector()
-        assert np.allclose(objective(w)[1], central_diff(objective, w), rtol=1e-5, atol=1e-7)
+        x = model.drawdown_vector()
+        _, grad = objective(x)
+        assert np.allclose(grad, central_diff(objective, x), rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("features", FEATURES)
+    def test_linear_gradient_off_the_bound(self, e2_bernoulli, features):
+        # with some a > 0 the incomplete-state terms of the feasibility loss,
+        # (a)_+^2 of one step, are live
+        model = linear_model(e2_bernoulli, features, 0)
+        objective = self.compile("vlp", e2_bernoulli, model)
+        x = model.drawdown_vector()
+        x[1:] = np.random.default_rng(4).uniform(-0.5, 0.5, size=x.size - 1)
+        _, grad = objective(x)
+        assert np.allclose(grad, central_diff(objective, x), rtol=1e-5, atol=1e-7)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("features", FEATURES)
@@ -657,13 +663,13 @@ class TestDrawdownView:
         # (c = 5) along the whole segment
         model = linear_model(e2_bernoulli, features, 7, c=c)
         objective = self.compile(kind, e2_bernoulli, model)
-        x = pair_drawdown_point(model)
-        start = objective(x, drawdown=True)
+        x = model.drawdown_vector()
+        start = objective(x)
         rng = np.random.default_rng(7)
         h = 1e-3
         for _ in range(3):
             d = rng.normal(size=x.size)
-            _, g_end = objective(x + h * d, drawdown=True)
+            _, g_end = objective(x + h * d)
             assert np.allclose(start.hessian()(d), (g_end - start[1]) / h, rtol=1e-7, atol=1e-9)
 
     @pytest.mark.parametrize("features", FEATURES)
@@ -712,7 +718,7 @@ class TestTrain:
         assert result.stop_reason == CONVERGED
         assert result.grad_norm <= config.tol
         assert result.iterations < config.max_iters
-        final, _ = objective(result.model.params_vector())
+        final, _ = objective(result.model.drawdown_vector())
         assert final == pytest.approx(result.final_loss)
 
     def test_deterministic(self, e2):
@@ -739,7 +745,7 @@ class TestTrain:
         raw = result.model.params_vector()[1:]
         assert np.all(raw >= Z_CLAMP)
         # the reported loss is the loss of the stored model
-        assert objective(result.model.params_vector())[0] == result.final_loss
+        assert objective(result.model.drawdown_vector())[0] == result.final_loss
         assert result.final_loss <= result.trace[-1] * (1 + 1e-15)
 
     def test_plain_callable_rejected(self, e1):
@@ -749,7 +755,7 @@ class TestTrain:
             loss, grad = compiled(params)
             return loss, grad
 
-        # the same function, without the drawdown view it was compiled with
+        # the same function, returning a plain tuple
         assert train(model, compiled, TrainConfig(max_iters=200, tol=1e-12)).converged
         with pytest.raises(InvalidInputError):
             train(model, plain, TrainConfig())
@@ -765,37 +771,50 @@ class TestTrain:
         w, fitted = model.params_vector(), result.model.params_vector()
         assert fitted[-1] == 0.0 and fitted[0] == w[0]
         assert np.allclose(fitted[1:-1], w[1:-1] + w[-1], rtol=1e-12, atol=1e-12)
-        assert result.final_loss == pytest.approx(objective(w)[0], rel=1e-12)
+        assert result.final_loss == pytest.approx(objective(model.drawdown_vector())[0], rel=1e-12)
 
     def test_no_decrease_is_reported(self, e1):
         model, _ = self.make_objective(e1)
 
-        def flat(params, drawdown=False):
-            return Evaluation(1.0, np.ones_like(params))
+        def flat(x):
+            return Evaluation(1.0, np.ones_like(x))
 
         result = train(model, flat, TrainConfig(max_iters=10))
         assert result.iterations == 0
         assert result.stop_reason == NO_DECREASE
         assert not result.converged
 
+    def test_evaluation_without_curvature(self, e2):
+        # |x - t|^2 by hand: the Newton finish sees a zero Hessian, and the
+        # projected steps solve it
+        model = LinearAdvantage.default(e2.alphabet)
+        t = -np.linspace(0.1, 1.0, model.drawdown_vector().size)
+
+        def quadratic(x):
+            return Evaluation(float((x - t) @ (x - t)), 2.0 * (x - t))
+
+        result = train(model, quadratic, TrainConfig(max_iters=100))
+        assert result.stop_reason == CONVERGED
+        assert np.allclose(result.model.drawdown_vector(), t)
+
     def test_nonfinite_start_diverges(self, e1):
         model, _ = self.make_objective(e1)
 
-        def bad(params, drawdown=False):
-            return Evaluation(float("nan"), np.zeros_like(params))
+        def bad(x):
+            return Evaluation(float("nan"), np.zeros_like(x))
 
         with pytest.raises(TrainingDivergedError):
             train(model, bad, TrainConfig())
 
     def test_nonfinite_gradient_mid_run_diverges(self, e1):
         model, _ = self.make_objective(e1)
-        start = drawdown_point(model)
+        start = model.drawdown_vector()
         start_loss = float(start @ start)
 
-        def leaky(params, drawdown=False):
+        def leaky(x):
             # |x|^2, whose gradient breaks below the loss at the start
-            f = float(params @ params)
-            grad = 2.0 * params
+            f = float(x @ x)
+            grad = 2.0 * x
             if f < start_loss:
                 grad = grad + float("inf")
             return Evaluation(f, grad)
@@ -803,6 +822,19 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as exc:
             train(model, leaky, TrainConfig(max_iters=1000, tol=1e-12))
         assert exc.value.iteration == 1
+
+    def test_unbounded_linear_solve_diverges(self):
+        # no mu half and no complete tilde states: the feasibility loss is c
+        # plus nonpositive drawdowns, unbounded below. The solve used to stop
+        # "converged" at c = -1.4e16, where c - g rounds back to c and the
+        # rounded projected gradient reads 0.
+        e1 = fixture_e1()
+        model = LinearAdvantage.default(e1.alphabet)
+        p0 = StateWeighting.trie_uniform(e1.trie)
+        base = PenaltyMix.default(e1, 100.0)
+        mix = PenaltyMix(tilde_pairs=base.tilde_pairs, tilde_weights=base.tilde_weights, lam=100.0, mu_weight=0.0)
+        with pytest.raises(TrainingDivergedError, match="unbounded below"):
+            train(model, vlp_objective(model, p0, mix, e1, kappa=0.0), TrainConfig(kappa=0.0))
 
     def test_report_json_fields(self, e1):
         model, objective = self.make_objective(e1)
@@ -825,7 +857,7 @@ class TestTrain:
         assert report["solver"] == TREE_POOLING
         # e1's trie has 5 nodes: each pooling merge joins two blocks
         assert report["blocks"] == 5 - report["iterations"]
-        x = drawdown_point(result.model)
+        x = result.model.drawdown_vector()
         assert report["zero_drawdowns"] == int(np.sum(x[1:] > -1e-17))
 
     def test_linear_report_json_fields(self, e2_bernoulli):
@@ -895,7 +927,7 @@ class TestTreeSolve:
         assert result.solver == TREE_POOLING
         assert result.converged, result.grad_norm
         assert result.grad_norm <= config.tol
-        reference = _solve_drawdown(objective, drawdown_point(model), TrainConfig(tol=1e-10, max_iters=5000))
+        reference = _solve_drawdown(objective, model.drawdown_vector(), TrainConfig(tol=1e-10, max_iters=5000))
         assert result.trace[-1] <= reference[1][-1] + 1e-9
         assert result.final_loss == pytest.approx(result.trace[-1], rel=1e-12, abs=1e-12)
 

@@ -1,6 +1,8 @@
-"""Advantage parametrizations: transform, families, values, gradients."""
+"""Advantage parametrizations: transform, families, values, drawdown vectors."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,11 +24,9 @@ from tarpath.model import (
     predict_value,
     raw_from_advantage,
     save_model,
-    sigmoid,
-    value_gradient,
 )
 from tarpath.oracle import compute_optimal
-from tarpath.pathspace import EMPTY, ActionAlphabet
+from tarpath.pathspace import EMPTY, ActionAlphabet, PrefixTrie
 
 from .strategies import alphabets, instances, linear_models, tabular_models
 
@@ -82,12 +82,6 @@ class TestTransform:
 
     def test_default_raw_encodes_point_one(self):
         assert advantage_transform(DEFAULT_RAW) == pytest.approx(-0.1, rel=1e-12)
-
-    @given(st.floats(min_value=-50, max_value=50))
-    def test_sigmoid_matches_transform_slope(self, z):
-        h = 1e-6
-        slope = (advantage_transform(z + h) - advantage_transform(z - h)) / (2 * h)
-        assert slope == pytest.approx(-sigmoid(z), abs=1e-6)
 
 
 class TestFeatureMap:
@@ -163,6 +157,19 @@ class TestTabular:
                 raw=np.zeros(3),
             )
 
+    @pytest.mark.parametrize("fallback_B", [-3.0, float("nan"), float("inf")])
+    def test_fallback_B_validated(self, e2, fallback_B):
+        with pytest.raises(InvalidInputError):
+            TabularAdvantage.default(e2.trie, fallback_B=fallback_B)
+
+    def test_copies_reuse_the_trie_edge_map(self, e2, monkeypatch):
+        model = TabularAdvantage.default(e2.trie)
+        edges = tuple(edge[:2] for edge in e2.trie.iter_edges())
+        monkeypatch.setattr(PrefixTrie, "iter_edges", None)  # a rebuilt map would fail
+        again = model.with_params(model.params_vector() * 2.0)
+        assert again.edges == edges
+        assert again.step_slot(*edges[-1]) == len(edges)
+
     def test_with_random_params_deterministic(self, e2):
         model = TabularAdvantage.default(e2.trie)
         a = model.with_random_params(np.random.default_rng(5))
@@ -215,29 +222,26 @@ class TestPredictValue:
             )
 
 
-class TestValueGradient:
+class TestDrawdownVector:
+    """[c, a_0, a_1, ...]: each step's slot holds the step's advantage."""
+
     @given(tabular_models())
-    def test_matches_finite_differences(self, model):
-        paths = sorted(model.trie.members, key=model.alphabet.sort_key)
-        seq = paths[0]
-        grad = value_gradient(model, seq)
-        vec = model.params_vector()
-        h = 1e-6
-        for k in range(vec.size):
-            bumped = vec.copy()
-            bumped[k] += h
-            up = predict_value(model.with_params(bumped), seq)
-            bumped[k] -= 2 * h
-            down = predict_value(model.with_params(bumped), seq)
-            assert grad[k] == pytest.approx((up - down) / (2 * h), abs=1e-5)
+    def test_tabular_slots_hold_edge_advantages(self, model):
+        x = model.drawdown_vector()
+        assert x.size == model.n_params and x[0] == model.c
+        for s, a, _ in model.trie.iter_edges():
+            assert x[model.step_slot(s, a)] == predict_advantage(model, s, a)
 
-    def test_improper_gradient_is_zero(self, e2):
-        model = TabularAdvantage.default(e2.trie)
-        assert not value_gradient(model, ("END", "END")).any()
-
-    def test_c_slot_is_one(self, e2):
-        model = TabularAdvantage.default(e2.trie)
-        assert value_gradient(model, ("a",))[0] == 1.0
+    @given(linear_models())
+    def test_linear_slots_fold_in_the_bias(self, model):
+        x = model.drawdown_vector()
+        assert x.size == model.n_params - 1 and x[0] == model.c
+        assert model.weights[-1] != 0.0
+        tokens = model.alphabet.nonterminal
+        for depth in range(DEPTH_BUCKETS + 1):
+            for s in [(t,) * depth for t in tokens]:
+                for a in model.alphabet.tokens:
+                    assert x[model.step_slot(s, a)] == predict_advantage(model, s, a)
 
 
 class TestSerialization:
@@ -270,6 +274,30 @@ class TestSerialization:
         obj["family"] = "mystery"
         with pytest.raises(InvalidInputError):
             model_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "family, edit",
+        [
+            ("tabular", lambda doc: doc.update(c="x")),
+            ("tabular", lambda doc: doc.update(c=float("nan"))),
+            ("tabular", lambda doc: doc["raw"]["entries"][0].update(z="x")),
+            ("tabular", lambda doc: doc["raw"]["entries"][0].update(z=10**400)),
+            ("tabular", lambda doc: doc["raw"]["entries"][0].update(z=float("nan"))),
+            ("tabular", lambda doc: doc["raw"]["entries"][0].update(state=[["a"]])),
+            ("tabular", lambda doc: doc.update(fallback_B=-3.0)),
+            ("tabular", lambda doc: doc.update(fallback_B="x")),
+            ("linear", lambda doc: doc["raw"]["weights"].__setitem__(0, float("nan"))),
+            ("linear", lambda doc: doc["raw"]["weights"].__setitem__(0, 10**400)),
+        ],
+    )
+    def test_load_rejects_bad_documents(self, tmp_path, e2, family, edit):
+        model = TabularAdvantage.default(e2.trie) if family == "tabular" else LinearAdvantage.default(e2.alphabet)
+        doc = model_to_json(model)
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match=re.escape(str(path))):
+            load_model(str(path))
 
     def test_tabular_entries_define_the_trie(self, e2):
         obj = model_to_json(TabularAdvantage.default(e2.trie))
