@@ -26,11 +26,13 @@ class GeneratorError(TarPathError):
 
 
 class TrainingDivergedError(TarPathError):
-    """Optimization produced a non-finite loss or gradient."""
+    """Optimization produced a non-finite loss or gradient, or found the loss
+    unbounded below (``unbounded``), where nothing is non-finite."""
 
-    def __init__(self, iteration: int, detail: str = ""):
+    def __init__(self, iteration: int, detail: str = "", unbounded: bool = False):
         self.iteration = iteration
-        msg = f"non-finite loss or gradient at iteration {iteration}"
+        what = "the loss is unbounded below" if unbounded else "non-finite loss or gradient"
+        msg = f"{what} at iteration {iteration}"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)

@@ -68,7 +68,7 @@ class YieldTable:
         return self.entries.items()
 
 
-def check_weights(weights: tuple[float, ...], what: str) -> None:
+def check_weights(weights: tuple[float, ...] | np.ndarray, what: str) -> None:
     """Reject weights outside [0, 1], naming the first such weight, and
     nonempty weights whose sum is not 1 within WEIGHT_SUM_TOL."""
     arr = np.array(weights, dtype=float)
@@ -76,10 +76,9 @@ def check_weights(weights: tuple[float, ...], what: str) -> None:
     bad = ~((arr >= 0.0) & (arr <= 1.0))
     if bad.any():
         raise InvalidInputError(f"{what} weights must lie in [0, 1], got {float(arr[bad][0])!r}")
-    if weights and abs(math.fsum(weights) - 1.0) > WEIGHT_SUM_TOL:
-        raise InvalidInputError(
-            f"{what} weights must sum to 1 within {WEIGHT_SUM_TOL}, got {math.fsum(weights)!r}"
-        )
+    total = math.fsum(arr.tolist())
+    if arr.size and abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise InvalidInputError(f"{what} weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
 
 
 @dataclass(frozen=True, eq=False)

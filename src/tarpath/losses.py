@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergedError
 from .instance import PathYieldDataset, PLInstance, check_weights
-from .model import AdvantageModel, TabularAdvantage, predict_value, raw_from_advantage
+from .model import AdvantageModel, TabularAdvantage, raw_from_advantage
 from .oracle import OptimalValues, compute_optimal
 from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, SeqClass
 
@@ -105,67 +105,100 @@ class StateWeighting:
         return zip(self.states, self.weights)
 
 
-@dataclass(frozen=True, eq=False)
 class PenaltyMix:
     """The backup-residual penalty distribution: an equal mixture of the
     support-path marginal and a free off-support component.
 
-    The off-support pairs must avoid support paths entirely. The default
-    places uniform weight on (fringe state, action) pairs whose state is
-    *not* complete: at a complete state the residual is the negated value
-    (the successor is improper and predicts 0), which is not structurally
-    nonpositive, so including such states would make the penalty — and the
-    surrogate identity — depend on the free component. Incomplete and
-    improper fringe states keep it exactly zero for every model in the
-    family.
+    The off-support component weights (state, action) pairs whose states
+    avoid support paths entirely. It is held once per distinct state, as
+    arrays: ``states`` lists the distinct states and ``actions`` the
+    distinct action tokens, each in order of first appearance, and pair k
+    is (states[pair_state[k]], actions[pair_action[k]]) with weight
+    ``weights[k]``. ``tilde_pairs`` and ``tilde_weights`` list the pairs
+    as given. The pairs must be distinct; that their states lie off the
+    support and their tokens in the alphabet is checked where the mix meets
+    an instance (``vlp_objective``).
+
+    The default places uniform weight on (fringe state, action) pairs whose
+    state is *not* complete, every action at each of those states: at a
+    complete state the residual is the negated value (the successor is
+    improper and predicts 0), which is not structurally nonpositive, so
+    including such states would make the penalty — and the surrogate
+    identity — depend on the free component. Incomplete and improper fringe
+    states keep it exactly zero for every model in the family.
     """
 
-    tilde_pairs: tuple[tuple[PathSeq, str], ...]
-    tilde_weights: tuple[float, ...]
-    lam: float
-    mu_weight: float = 0.5
+    def __init__(
+        self,
+        tilde_pairs: Iterable[tuple[PathSeq, str]],
+        tilde_weights: tuple[float, ...],
+        lam: float,
+        mu_weight: float = 0.5,
+    ):
+        states: dict[PathSeq, int] = {}
+        actions: dict[str, int] = {}
+        pair_state, pair_action = [], []
+        for s, a in tilde_pairs:
+            pair_state.append(states.setdefault(tuple(s), len(states)))
+            pair_action.append(actions.setdefault(a, len(actions)))
+        self._hold(tuple(states), tuple(actions), pair_state, pair_action, tilde_weights, lam, mu_weight)
 
-    def __post_init__(self) -> None:
-        pairs = self.tilde_pairs
-        # ``default`` builds tuples of (tuple, token) pairs: no copy needed
-        if type(pairs) is not tuple or not all(type(s) is tuple for s, _ in pairs):
-            pairs = tuple((tuple(s), a) for s, a in pairs)
-        weights = tuple(map(float, self.tilde_weights))
-        object.__setattr__(self, "tilde_pairs", pairs)
-        object.__setattr__(self, "tilde_weights", weights)
-        if len(pairs) != len(weights):
+    def _hold(self, states, actions, pair_state, pair_action, weights, lam, mu_weight) -> None:
+        """Set and check the fields; ``states`` and ``actions`` are distinct."""
+        self.states = states
+        self.actions = actions
+        self.pair_state = np.asarray(pair_state, dtype=np.intp)
+        self.pair_action = np.asarray(pair_action, dtype=np.intp)
+        self.weights = np.asarray(weights, dtype=float)
+        self.lam = lam
+        self.mu_weight = mu_weight
+        if self.weights.shape != self.pair_state.shape:
             raise InvalidInputError("tilde pairs and weights must have equal length")
-        if len(set(pairs)) != len(pairs):
+        codes = np.sort(self.pair_state * len(actions) + self.pair_action)
+        if np.any(codes[1:] == codes[:-1]):
             raise InvalidInputError("tilde pairs must be distinct")
-        check_weights(weights, "tilde")
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise InvalidInputError(f"lam must be positive, got {self.lam!r}")
-        if not 0.0 <= self.mu_weight <= 1.0:
+        check_weights(self.weights, "tilde")
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise InvalidInputError(f"lam must be positive, got {lam!r}")
+        if not 0.0 <= mu_weight <= 1.0:
             raise InvalidInputError("mu_weight must lie in [0, 1]")
+
+    @functools.cached_property
+    def tilde_pairs(self) -> tuple[tuple[PathSeq, str], ...]:
+        states, actions = self.states, self.actions
+        pairs = zip(self.pair_state.tolist(), self.pair_action.tolist())
+        return tuple((states[i], actions[j]) for i, j in pairs)
+
+    @property
+    def tilde_weights(self) -> tuple[float, ...]:
+        return tuple(self.weights.tolist())
 
     @classmethod
     def default(cls, instance: PLInstance, lam: float) -> "PenaltyMix":
         alphabet = instance.alphabet
         trie, tokens, terminal = instance.trie, alphabet.tokens, alphabet.terminal
-        # the fringe states of ``PrefixTrie.fringe_states``, in its order;
-        # node + (t,) is complete exactly when the node holds no terminal and
-        # t is the terminal
+        nonterminal = alphabet.nonterminal
+        # the fringe states of ``PrefixTrie.fringe_states`` that are not
+        # complete, in its order: node + (t,) is complete exactly when the
+        # node holds no terminal and t is the terminal
         states = []
         for node in trie.nodes:
-            open_node = terminal not in node
             on_trie = trie.children(node)
-            states.extend(
-                node + (t,)
-                for t in tokens
-                if t not in on_trie and not (open_node and t == terminal)
-            )
-        pairs = tuple([(s, a) for s in states for a in tokens])
-        n = len(pairs)
-        return cls(
-            tilde_pairs=pairs,
-            tilde_weights=tuple([1.0 / n] * n) if n else (),
-            lam=lam,
+            ends = tokens if terminal in node else nonterminal
+            states.extend([node + (t,) for t in ends if t not in on_trie])
+        n_states, n_actions = len(states), len(tokens)
+        n = n_states * n_actions
+        mix = cls.__new__(cls)
+        mix._hold(
+            tuple(states),
+            tokens,
+            np.repeat(np.arange(n_states), n_actions),
+            np.tile(np.arange(n_actions), n_states),
+            np.full(n, 1.0 / n) if n else (),
+            lam,
+            0.5,
         )
+        return mix
 
 
 @dataclass(frozen=True)
@@ -516,7 +549,7 @@ class _NodePieces:
             values[span] = np.where(merged[span], values[self.parent[span]], values[span])
             lo, hi = hi, first[hi]
         if not np.all(np.isfinite(values)):
-            raise TrainingDivergedError(0, "the loss is unbounded below: nothing bounds a block's linear term")
+            raise TrainingDivergedError(0, "nothing bounds a block's linear term", unbounded=True)
         x = values.copy()
         x[1:] -= values[self.parent[1:]]
         return x, merges
@@ -605,7 +638,11 @@ def vlp_objective(
 ) -> Objective:
     """Compile the penalized feasibility loss.
 
-    Residuals are evaluated exactly, split by state class:
+    The mix's tilde states are checked and classified once each, and an
+    incomplete state's step slots are looked up once for every action of
+    the mix (``AdvantageModel.step_table``); each pair's residual is then
+    evaluated with numpy, at every call. Residuals are evaluated exactly,
+    split by state class:
 
     * support path (mu half): successor is improper and predicts 0, so the
       residual is yield minus value;
@@ -620,56 +657,52 @@ def vlp_objective(
     _require_proper(alphabet, p0.states, "p0")
     lam, mu_w = mix.lam, mix.mu_weight
 
-    p0_batch = _ValueBatch(model, p0.states)
-    p0_w = np.array(p0.weights)
-
+    # the p0 states, then the support paths (the mu half)
     paths = instance.psi
-    mu_batch = _ValueBatch(model, paths)
+    batch = _ValueBatch(model, p0.states, paths)
+    n0 = len(p0.states)
+    p0_w = np.array(p0.weights)
     mu_weights = np.array([instance.path_dist.weight_of(p) for p in paths])
     mu_targets = np.array([instance.yields[p] for p in paths])
 
-    comp_weight: dict[PathSeq, float] = {}
-    inc_pairs: list[tuple[PathSeq, str]] = []
-    inc_weights: list[float] = []
-    state_class: dict[PathSeq, SeqClass] = {}
-    known = frozenset(alphabet.tokens)
-    incomplete, complete = SeqClass.PROPER_INCOMPLETE, SeqClass.COMPLETE
-    last, cls = None, None
-    for pair, w in zip(mix.tilde_pairs, mix.tilde_weights):
-        s, a = pair
-        if a not in known:
-            alphabet.require_token(a)
-        if s is not last:  # a mix lists a state's pairs together
-            last, cls = s, state_class.get(s)
-            if cls is None:
-                # checked and classified once per distinct state
-                if s in instance.yields:
-                    raise InvalidInputError(f"tilde state {s!r} lies on the support")
-                cls = state_class[s] = alphabet.classify(s)
-        if cls is incomplete:
-            inc_pairs.append(pair)
-            inc_weights.append(w)
-        elif cls is complete:
-            comp_weight[s] = comp_weight.get(s, 0.0) + w
-        # an improper state and its successor both predict 0: no term
-    inc_steps = [model.step_slot(s, a) for s, a in inc_pairs]
+    # the tilde half, once per distinct state: check and classify it, and
+    # look up an incomplete state's steps, one slot per action of the mix
+    for a in mix.actions:
+        alphabet.require_token(a)
+    classes = [alphabet.classify(s) for s in mix.states]
+    is_complete = np.array([cls is SeqClass.COMPLETE for cls in classes], dtype=bool)
+    is_incomplete = np.array([cls is SeqClass.PROPER_INCOMPLETE for cls in classes], dtype=bool)
+    comp_ids = np.flatnonzero(is_complete)
+    comp_states = tuple(mix.states[i] for i in comp_ids.tolist())
+    for s in comp_states:  # support paths are complete
+        if s in instance.yields:
+            raise InvalidInputError(f"tilde state {s!r} lies on the support")
+    inc_ids = np.flatnonzero(is_incomplete)
+    # row r: the step slots at the r-th incomplete state, 0 where a step falls back
+    slot_table = model.step_table(tuple(mix.states[i] for i in inc_ids.tolist()), mix.actions)
 
-    comp_states = tuple(comp_weight)
+    # a complete state's residual does not depend on the action: the pairs'
+    # weights add up per state. An improper state and its successor both
+    # predict 0: no term.
+    comp = is_complete[mix.pair_state]
+    comp_weight = np.bincount(mix.pair_state[comp], weights=mix.weights[comp], minlength=len(mix.states))
     comp_batch = _ValueBatch(model, comp_states)
-    comp_w = np.array([comp_weight[s] for s in comp_states])
-    inc_w = np.array(inc_weights)
-    on = np.array([slot is not None for slot in inc_steps], dtype=bool)
+    comp_w = comp_weight[comp_ids]
+    # an incomplete pair's residual is its step's drawdown, or the fallback
+    inc = is_incomplete[mix.pair_state]
+    inc_w = mix.weights[inc]
+    inc_row = np.cumsum(is_incomplete) - 1  # a state's row in slot_table
+    inc_slot = slot_table[inc_row[mix.pair_state[inc]], mix.pair_action[inc]]
+    on = inc_slot > 0
     inc_const_arr = np.zeros(on.size)
     if not on.all():
         inc_const_arr[~on] = model.fallback_advantage
-    # fallback rows read slot 0 at coefficient 0
-    inc_slot = np.array([slot or 0 for slot in inc_steps], dtype=np.intp)
     inc_mask = on.astype(float)
 
     def evaluate(x: np.ndarray):
-        v0 = p0_batch.values(x)
+        v = batch.values(x)
+        v0, vmu = v[:n0], v[n0:]
         neg0 = np.maximum(-v0, 0.0)
-        vmu = mu_batch.values(x)
         mu_pos = np.maximum(mu_targets - vmu, 0.0)
         vc = comp_batch.values(x)
         comp_pos = np.maximum(-vc, 0.0)
@@ -680,12 +713,16 @@ def vlp_objective(
             p0_w @ v0
             + lam * mu_w * (mu_weights @ (mu_pos * mu_pos))
             + lam * (1.0 - mu_w) * (comp_w @ (comp_pos * comp_pos))
-            + lam * (1.0 - mu_w) * (inc_w @ (inc_pos * inc_pos))
+            # summed pairwise, not as a BLAS dot, which wakes its threads
+            # (milliseconds) past 10k entries
+            + lam * (1.0 - mu_w) * np.sum(inc_w * (inc_pos * inc_pos))
             + kappa * (p0_w @ (neg0 * neg0))
         )
         grad = np.zeros(x.size)
-        p0_batch.add_value_grad(grad, p0_w - 2.0 * kappa * p0_w * neg0)
-        mu_batch.add_value_grad(grad, -2.0 * lam * mu_w * mu_weights * mu_pos)
+        batch.add_value_grad(
+            grad,
+            np.concatenate((p0_w - 2.0 * kappa * p0_w * neg0, -2.0 * lam * mu_w * mu_weights * mu_pos)),
+        )
         comp_batch.add_value_grad(grad, -2.0 * lam * (1.0 - mu_w) * comp_w * comp_pos)
         if inc_w.size:
             step_coef = 2.0 * lam * (1.0 - mu_w) * inc_w * inc_pos
@@ -693,16 +730,20 @@ def vlp_objective(
         # the incomplete-state term is (a)_+^2 of one drawdown or of the
         # fallback: zero, with zero curvature, wherever a <= 0
         return float(loss), grad, lambda: [
-            (p0_batch, 2.0 * kappa * p0_w * (neg0 > 0.0)),
-            (mu_batch, 2.0 * lam * mu_w * mu_weights * (mu_pos > 0.0)),
+            (
+                batch,
+                np.concatenate(
+                    (2.0 * kappa * p0_w * (neg0 > 0.0), 2.0 * lam * mu_w * mu_weights * (mu_pos > 0.0))
+                ),
+            ),
             (comp_batch, 2.0 * lam * (1.0 - mu_w) * comp_w * (comp_pos > 0.0)),
         ]
 
     def add_pieces(pieces: _NodePieces) -> None:
-        nodes0 = p0_batch.trie_nodes()
-        pieces.add_linear(nodes0, p0_w)
-        pieces.add_hinge(nodes0, p0_batch.const, kappa * p0_w, 0.0)
-        pieces.add_hinge(mu_batch.trie_nodes(), mu_batch.const, lam * mu_w * mu_weights, mu_targets)
+        nodes, const = batch.trie_nodes(), batch.const
+        pieces.add_linear(nodes[:n0], p0_w)
+        pieces.add_hinge(nodes[:n0], const[:n0], kappa * p0_w, 0.0)
+        pieces.add_hinge(nodes[n0:], const[n0:], lam * mu_w * mu_weights, mu_targets)
         pieces.add_hinge(comp_batch.trie_nodes(), comp_batch.const, lam * (1.0 - mu_w) * comp_w, 0.0)
 
     return _compiled(evaluate, model, add_pieces)
@@ -718,6 +759,32 @@ def vlp_loss(
     return vlp_objective(model, p0, mix, instance, kappa)(model.drawdown_vector())
 
 
+def _path_values(model: AdvantageModel, paths: tuple[PathSeq, ...]) -> np.ndarray:
+    """``predict_value`` of each complete path, bit for bit.
+
+    The steps' drawdowns (or the fallback) are added to c one column at a
+    time, left to right, in ``predict_value``'s order ((c + a_0) + a_1) + ...;
+    ``_ValueBatch`` sums in another order (c + const + summed drawdowns),
+    which can differ in the last bit.
+    """
+    x = model.drawdown_vector()
+    rows = [[model.step_slot(p[:k], p[k]) for k in range(len(p))] for p in paths]
+    width = max(map(len, rows), default=0)
+    # x, then 0.0 for the columns past a path's end, then the fallback
+    pad, fallback = x.size, x.size + 1
+    falls = any(None in row for row in rows)
+    x = np.concatenate((x, [0.0, model.fallback_advantage if falls else 0.0]))
+    index = np.array(
+        [[fallback if slot is None else slot for slot in row] + [pad] * (width - len(row)) for row in rows],
+        dtype=np.intp,
+    )
+    steps = x[index]
+    values = np.full(len(rows), x[0])
+    for k in range(width):
+        values += steps[:, k]
+    return values
+
+
 def surrogate_gap(
     model: AdvantageModel,
     instance: PLInstance,
@@ -731,10 +798,13 @@ def surrogate_gap(
 
     Returns lhs (regression loss in exact mode), rhs (variance floor plus
     feasibility loss plus overshoot term), the two rhs components, and the
-    absolute gap. All four quantities are computed from scratch — the
-    overshoot term uses oracle values, not the losses' internals: the
-    instance's ``ov`` when the caller already has it, else a fresh
-    ``compute_optimal``.
+    absolute gap. Each is computed from scratch: lhs by ``tar_loss``, the
+    feasibility loss by ``vlp_loss`` (its tilde half evaluated numerically,
+    pair by pair, though the default mix makes it 0), and the overshoot from
+    oracle values (the instance's ``ov`` when the caller already has it,
+    else a fresh ``compute_optimal``) and the model's value on each support
+    path, summed as ``predict_value`` sums it (``_path_values``), not taken
+    from the losses' internals.
     """
     if p0 is None:
         p0 = StateWeighting.trie_uniform(instance.trie)
@@ -748,9 +818,10 @@ def surrogate_gap(
     sigma2_term = 0.5 * lam * instance.noise_variance()
     if ov is None:
         ov = compute_optimal(instance)
+    dist = instance.path_dist
+    values = _path_values(model, dist.paths).tolist()
     excess = 0.5 * lam * math.fsum(
-        w * max(predict_value(model, p) - ov.v_star[p], 0.0) ** 2
-        for p, w in instance.path_dist.items()
+        w * max(v - ov.v_star[p], 0.0) ** 2 for (p, w), v in zip(dist.items(), values)
     )
     rhs = sigma2_term + vlp + excess
     return {
@@ -790,7 +861,7 @@ def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> T
     pieces = start.node_pieces()
     blocks = zero_drawdowns = None
     if pieces is None:
-        x_out, trace, grad_norm, iterations, reason = _solve_drawdown(objective, x, config)
+        x_out, trace, grad_norm, iterations, reason = _solve_drawdown(objective, start, x, config)
         solver = PROJECTED_BB
     else:
         x_out, trace, grad_norm, iterations, reason = _solve_tree(objective, pieces, start[0], config)
@@ -889,9 +960,9 @@ def _newton_step(hess, x: np.ndarray, g: np.ndarray, free: np.ndarray, tol: floa
     return d, -1
 
 
-def _solve_drawdown(objective, x: np.ndarray, config: TrainConfig):
+def _solve_drawdown(objective, at: Evaluation, x: np.ndarray, config: TrainConfig):
     """Projected Barzilai-Borwein descent with a free-set Newton finish, in
-    drawdown coordinates.
+    drawdown coordinates, from x, whose evaluation is ``at``.
 
     Each iteration backtracks along the projection arc P(x - s g) from the
     Barzilai-Borwein trial step s until the Armijo condition holds with a
@@ -910,7 +981,7 @@ def _solve_drawdown(objective, x: np.ndarray, config: TrainConfig):
     only through rounding (``_exact_projected_grad_norm``), as on a loss
     unbounded below once the parameters have run off far enough.
     """
-    f, g = objective(x)
+    f, g = at
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
         raise TrainingDivergedError(0)
     trace = [f]
@@ -956,7 +1027,8 @@ def _solve_drawdown(objective, x: np.ndarray, config: TrainConfig):
             raise TrainingDivergedError(
                 iterations,
                 f"the parameters reached {np.max(np.abs(x)):.3g}, where steps along a gradient above "
-                "the tolerance no longer change them: the loss is likely unbounded below",
+                "the tolerance no longer change them",
+                unbounded=True,
             )
         reason = CONVERGED
     return x, np.array(trace), pg, iterations, reason

@@ -141,6 +141,13 @@ class AdvantageModel:
         the step falls back to -B."""
         raise NotImplementedError
 
+    def step_table(self, states: tuple[PathSeq, ...], actions: tuple[str, ...]) -> np.ndarray:
+        """``step_slot`` of every step (s, a), one row per state and one
+        column per action; 0 (c's slot, never a step's) where the step falls
+        back to -B."""
+        slots = [[self.step_slot(s, a) or 0 for a in actions] for s in states]
+        return np.array(slots, dtype=np.intp).reshape(len(states), len(actions))
+
     def drawdown_vector(self) -> np.ndarray:
         """[c, a_0, a_1, ...]: c, then the drawdown -log(1 + exp(z)) of each
         step slot's raw score."""
@@ -237,6 +244,13 @@ class TabularAdvantage(AdvantageModel):
     def step_slot(self, s: PathSeq, a: str) -> int | None:
         slot = self.trie.edge_index.get((s, a))
         return None if slot is None else 1 + slot
+
+    def step_table(self, states: tuple[PathSeq, ...], actions: tuple[str, ...]) -> np.ndarray:
+        # every step from a state off the trie falls back: look up the others only
+        on = [i for i, s in enumerate(states) if s in self.trie]
+        table = np.zeros((len(states), len(actions)), dtype=np.intp)
+        table[on] = super().step_table(tuple(states[i] for i in on), actions)
+        return table
 
     @property
     def fallback_advantage(self) -> float:

@@ -57,6 +57,9 @@ class ActionAlphabet:
     _rank: Mapping[str, int] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
+    _known: frozenset[str] = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
 
     def __post_init__(self) -> None:
         tokens = tuple(self.tokens)
@@ -74,6 +77,7 @@ class ActionAlphabet:
                 f"terminal {self.terminal!r} missing from tokens {tokens!r}"
             )
         object.__setattr__(self, "_rank", {t: i for i, t in enumerate(tokens)})
+        object.__setattr__(self, "_known", frozenset(tokens))
 
     @property
     def nonterminal(self) -> tuple[str, ...]:
@@ -89,9 +93,8 @@ class ActionAlphabet:
 
     def require_seq(self, seq: Iterable[str]) -> PathSeq:
         seq = tuple(seq)
-        rank = self._rank
-        for token in seq:
-            if token not in rank:
+        if not self._known.issuperset(seq):
+            for token in seq:
                 self.require_token(token)
         return seq
 
@@ -103,7 +106,8 @@ class ActionAlphabet:
         seq = self.require_seq(seq)
         if self.terminal not in seq:
             return SeqClass.PROPER_INCOMPLETE
-        if seq[-1] == self.terminal and self.terminal not in seq[:-1]:
+        # complete: the first terminal is the last token
+        if seq.index(self.terminal) == len(seq) - 1:
             return SeqClass.COMPLETE
         return SeqClass.IMPROPER
 

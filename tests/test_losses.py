@@ -110,6 +110,37 @@ class TestPenaltyMix:
             assert w > 0
         assert math.fsum(mix.tilde_weights) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("name", ["e1", "e2"])
+    def test_default_lists_every_action_at_each_non_complete_fringe_state(self, request, name):
+        inst = request.getfixturevalue(name)
+        alphabet = inst.alphabet
+        want = tuple(
+            (s, a)
+            for s in inst.trie.fringe_states()
+            if alphabet.classify(s) is not SeqClass.COMPLETE
+            for a in alphabet.tokens
+        )
+        mix = PenaltyMix.default(inst, lam=2.0)
+        assert mix.tilde_pairs == want
+        assert mix.tilde_weights == (1.0 / len(want),) * len(want)
+        assert mix.states == tuple(dict.fromkeys(s for s, _ in want))
+        assert mix.actions == alphabet.tokens
+
+    def test_hand_pairs_listed_as_given(self):
+        pairs = TestVlpHandMix.PAIRS
+        n = len(pairs)
+        weights = tuple((i + 1.0) / (n * (n + 1) / 2) for i in range(n))
+        mix = PenaltyMix(tilde_pairs=[(list(s), a) for s, a in pairs], tilde_weights=weights, lam=1.0)
+        assert mix.tilde_pairs == pairs
+        assert mix.tilde_weights == weights
+        # each distinct state and action once, in order of first appearance
+        assert mix.states == tuple(dict.fromkeys(s for s, _ in pairs))
+        assert mix.actions == tuple(dict.fromkeys(a for _, a in pairs))
+
+    def test_weight_count_mismatch_rejected(self):
+        with pytest.raises(InvalidInputError):
+            PenaltyMix(tilde_pairs=((EMPTY, "a"), (EMPTY, "b")), tilde_weights=(1.0,), lam=1.0)
+
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(InvalidInputError):
             PenaltyMix(
@@ -280,6 +311,33 @@ class TestSurrogateGap:
         assert report["hinge_excess_term"] == pytest.approx(lam * 0.005, abs=1e-9)
         assert report["gap"] <= 1e-9
 
+    def test_hinge_excess_sums_predict_value_bit_for_bit(self):
+        # the model's trie holds every other support path, so half the paths
+        # leave it and take fallback steps; c sits above every optimal value
+        inst = random_instance(
+            InstanceSpec(n_actions=5, max_depth=6, n_paths=200, noise=NoiseModel.bernoulli()), 3
+        )
+        trie = PrefixTrie.build(inst.alphabet, inst.psi[::2])
+        model = TabularAdvantage.default(trie, fallback_B=0.037).with_random_params(
+            np.random.default_rng(4), c_range=(1.5, 1.5), z_scale=2.0
+        )
+        lam = 100.0
+        ov = compute_optimal(inst)
+        report = surrogate_gap(model, inst, lam=lam, ov=ov)
+        dist = inst.path_dist
+        want = 0.5 * lam * math.fsum(
+            w * max(predict_value(model, p) - ov.v_star[p], 0.0) ** 2 for p, w in dist.items()
+        )
+        assert report["hinge_excess_term"] == want
+        assert report["gap"] <= 1e-9
+        # the value batch of the compiled losses sums c + (fallback steps) +
+        # (drawdowns) instead, which moves this sum in its last bits
+        values = _ValueBatch(model, dist.paths).values(model.drawdown_vector())
+        batched = 0.5 * lam * math.fsum(
+            w * max(v - ov.v_star[p], 0.0) ** 2 for (p, w), v in zip(dist.items(), values.tolist())
+        )
+        assert batched != want
+
     def test_tar_dominates_vlp_plus_floor(self, e2_bernoulli):
         model = TabularAdvantage.default(e2_bernoulli.trie, c=0.3)
         report = surrogate_gap(model, e2_bernoulli, lam=10.0)
@@ -446,9 +504,21 @@ class TestVlpHandMix:
     )
 
     @staticmethod
+    def value_at(model, x, s):
+        """The value of s at the point x = [c, a_0, a_1, ...], summed step by
+        step: c, then each step's drawdown or the fallback; 0 if improper."""
+        if not model.alphabet.is_proper(s):
+            return 0.0
+        total = x[0]
+        for k in range(len(s)):
+            slot = model.step_slot(s[:k], s[k])
+            total += model.fallback_advantage if slot is None else x[slot]
+        return total
+
+    @staticmethod
     def value_gradient(model, s):
-        """d value(s) / dx at x = ``model.drawdown_vector()``: 1 at c and 1
-        at each on-trie step's slot; 0 for an improper state."""
+        """d value(s) / dx, the same at every x: 1 at c and 1 at each
+        on-trie step's slot; 0 for an improper state."""
         grad = np.zeros(model.drawdown_vector().size)
         if model.alphabet.is_proper(s):
             grad[0] = 1.0
@@ -458,8 +528,11 @@ class TestVlpHandMix:
                     grad[slot] += 1.0
         return grad
 
-    def direct(self, model, p0, mix, inst, kappa):
-        v = lambda s: predict_value(model, s)  # noqa: E731
+    def direct(self, model, p0, mix, inst, kappa, x=None):
+        """(loss, gradient) at x, by default the model's own point, summed
+        state by state and pair by pair."""
+        x = model.drawdown_vector() if x is None else x
+        v = lambda s: self.value_at(model, x, s)  # noqa: E731
         g = lambda s: self.value_gradient(model, s)  # noqa: E731
         lam, mu = mix.lam, mix.mu_weight
         loss, grad = 0.0, np.zeros(model.drawdown_vector().size)
@@ -516,6 +589,62 @@ class TestVlpHandMix:
         mix = PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / n,) * n, lam=3.0)
         with pytest.raises(InvalidInputError):
             vlp_objective(model, StateWeighting.trie_uniform(e2.trie), mix, e2)
+
+    @staticmethod
+    def random_mix(inst, rng, lam, mu_weight):
+        """A hand mix over up to three states of each kind (incomplete on the
+        trie, incomplete off it, complete off the support, improper), each
+        with a random nonempty subset of the actions, at random weights."""
+        alphabet, trie = inst.alphabet, inst.trie
+        tokens, terminal, nonterminal = alphabet.tokens, alphabet.terminal, alphabet.nonterminal
+
+        def body(length):
+            return tuple(nonterminal[i] for i in rng.integers(0, len(nonterminal), size=length))
+
+        # a path of nonterminals as long as the deepest trie node is off the
+        # trie, and with the terminal appended, longer than any support path
+        deep = [body(trie.depth + int(rng.integers(0, 3))) for _ in range(3)]
+        kinds = [
+            [s for s in trie.nodes if terminal not in s],
+            deep + [s for s in trie.fringe_states() if terminal not in s],
+            [s + (terminal,) for s in deep]
+            + [s for s in trie.fringe_states() if alphabet.classify(s) is SeqClass.COMPLETE],
+            [s + (terminal,) + s for s in deep] + [s + (terminal, terminal) for s in deep],
+        ]
+        pairs = []
+        for states in kinds:
+            states = list(dict.fromkeys(s for s in states if s not in inst.yields))
+            for i in rng.permutation(len(states))[:3]:
+                actions = [a for a in tokens if rng.random() < 0.6] or [tokens[int(rng.integers(len(tokens)))]]
+                pairs += [(states[i], a) for a in actions]
+        raw = rng.uniform(0.1, 1.0, size=len(pairs))
+        return PenaltyMix(tilde_pairs=pairs, tilde_weights=tuple(raw / raw.sum()), lam=lam, mu_weight=mu_weight)
+
+    @given(
+        inst=instances(max_tokens=3, max_depth=4, max_paths=6, noise=NoiseModel.bernoulli()),
+        family=st.sampled_from(["tabular", EDGE_PAIR, DEPTH_EDGE_PAIR]),
+        mu_weight=st.sampled_from([0.0, 0.3]),
+        kappa=st.sampled_from([0.0, 2.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60)
+    def test_compiled_tilde_half_matches_per_pair_sum(self, inst, family, mu_weight, kappa, seed):
+        rng = np.random.default_rng(seed)
+        if family == "tabular":
+            model = TabularAdvantage.default(inst.trie, fallback_B=0.7)
+        else:
+            model = LinearAdvantage.default(inst.alphabet, kind=family)
+        mix = self.random_mix(inst, rng, lam=3.0, mu_weight=mu_weight)
+        p0 = StateWeighting.trie_uniform(inst.trie)
+        # drawdowns of both signs, and c of either sign: incomplete pairs
+        # with a step above 0 and complete states below 0 have positive
+        # residuals, and fallback steps (at -0.7) have negative ones
+        x = rng.normal(0.0, 1.0, size=model.drawdown_vector().size)
+        objective = vlp_objective(model, p0, mix, inst, kappa)
+        loss, grad = objective(x)
+        want_loss, want_grad = self.direct(model, p0, mix, inst, kappa, x)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+        assert np.allclose(grad, want_grad, rtol=1e-10, atol=1e-12)
 
 
 def linear_model(inst, features, seed, c=None):
@@ -710,6 +839,19 @@ class TestTrain:
         assert result.iterations >= 3
         assert np.all(np.diff(result.trace) < 0)
 
+    def test_linear_train_evaluates_no_point_twice_in_a_row(self, e2_bernoulli):
+        model, objective = self.make_linear_objective(e2_bernoulli, features=DEPTH_EDGE_PAIR)
+        points = []
+
+        def counting(x):
+            points.append(x.copy())
+            return objective(x)
+
+        result = train(model, counting, TrainConfig(max_iters=300))
+        assert result.solver == PROJECTED_BB
+        assert len(points) >= 3
+        assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+
     def test_converges_on_small_instance(self, e1):
         model, objective = self.make_objective(e1)
         config = TrainConfig(max_iters=30_000, tol=3e-8)
@@ -803,7 +945,7 @@ class TestTrain:
         def bad(x):
             return Evaluation(float("nan"), np.zeros_like(x))
 
-        with pytest.raises(TrainingDivergedError):
+        with pytest.raises(TrainingDivergedError, match="^non-finite loss or gradient at iteration 0"):
             train(model, bad, TrainConfig())
 
     def test_nonfinite_gradient_mid_run_diverges(self, e1):
@@ -833,7 +975,7 @@ class TestTrain:
         p0 = StateWeighting.trie_uniform(e1.trie)
         base = PenaltyMix.default(e1, 100.0)
         mix = PenaltyMix(tilde_pairs=base.tilde_pairs, tilde_weights=base.tilde_weights, lam=100.0, mu_weight=0.0)
-        with pytest.raises(TrainingDivergedError, match="unbounded below"):
+        with pytest.raises(TrainingDivergedError, match="^the loss is unbounded below at iteration "):
             train(model, vlp_objective(model, p0, mix, e1, kappa=0.0), TrainConfig(kappa=0.0))
 
     def test_report_json_fields(self, e1):
@@ -927,7 +1069,8 @@ class TestTreeSolve:
         assert result.solver == TREE_POOLING
         assert result.converged, result.grad_norm
         assert result.grad_norm <= config.tol
-        reference = _solve_drawdown(objective, model.drawdown_vector(), TrainConfig(tol=1e-10, max_iters=5000))
+        x = model.drawdown_vector()
+        reference = _solve_drawdown(objective, objective(x), x, TrainConfig(tol=1e-10, max_iters=5000))
         assert result.trace[-1] <= reference[1][-1] + 1e-9
         assert result.final_loss == pytest.approx(result.trace[-1], rel=1e-12, abs=1e-12)
 
@@ -936,7 +1079,7 @@ class TestTreeSolve:
         trie = PrefixTrie.build(e1.alphabet, list(e1.psi) + [("b", "b", "END")])
         model = TabularAdvantage.default(trie)
         objective = tar_objective(model, StateWeighting.trie_uniform(trie), e1, lam=10.0, kappa=0.0)
-        with pytest.raises(TrainingDivergedError, match="unbounded below"):
+        with pytest.raises(TrainingDivergedError, match="^the loss is unbounded below at iteration "):
             train(model, objective, TrainConfig(kappa=0.0))
         # a hinge bounds it
         bounded = tar_objective(model, StateWeighting.trie_uniform(trie), e1, lam=10.0, kappa=1.0)
@@ -949,7 +1092,7 @@ class TestTreeSolve:
         p0 = StateWeighting.trie_uniform(e1.trie)
         base = PenaltyMix.default(e1, 10.0)
         mix = PenaltyMix(tilde_pairs=base.tilde_pairs, tilde_weights=base.tilde_weights, lam=10.0, mu_weight=0.0)
-        with pytest.raises(TrainingDivergedError, match="unbounded below"):
+        with pytest.raises(TrainingDivergedError, match="^the loss is unbounded below at iteration "):
             train(model, vlp_objective(model, p0, mix, e1, kappa=0.0), TrainConfig(kappa=0.0))
 
     def test_iteration_cap_does_not_apply(self, e2_bernoulli):
