@@ -19,13 +19,14 @@ from tarpath.attribution import attribute
 from tarpath.instance import (
     InstanceSpec,
     NoiseModel,
+    PathDistribution,
     load_instance,
     random_instance,
     sample_dataset,
     save_dataset,
     save_instance,
 )
-from tarpath.losses import StateWeighting, TrainConfig, surrogate_gap, tar_objective, train
+from tarpath.losses import TrainConfig, surrogate_gap, tar_objective, train
 from tarpath.model import TabularAdvantage, save_model
 from tarpath.oracle import compute_optimal, save_oracle
 from tarpath.pathspace import PrefixTrie
@@ -71,7 +72,7 @@ def main():
     observed = sorted({p for p, _ in data.pairs}, key=instance.alphabet.sort_key)
     trie = PrefixTrie.build(instance.alphabet, observed)
     model = TabularAdvantage.default(trie)
-    p0 = StateWeighting.trie_uniform(trie)
+    p0 = PathDistribution.uniform(trie.nodes)
     config = TrainConfig(lam=args.lam, kappa=args.kappa, tol=args.tol)
     result = train(model, tar_objective(model, p0, data, config.lam, config.kappa), config)
     save_model(result.model, out("model.json"))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import AdvantageModel, predict_advantage
+from .model import AdvantageModel, value_steps
 from .pathspace import PathSeq
 
 
@@ -49,18 +49,14 @@ class AttributionReport:
 
 def attribute(model: AdvantageModel, path: PathSeq) -> AttributionReport:
     """Split the predicted value of a path into base plus per-step drawdowns."""
-    alphabet = model.alphabet
-    path = alphabet.require_seq(path)
-    if not alphabet.is_proper(path):
+    path = tuple(path)
+    found = value_steps(model, path)
+    if found is None:
         return AttributionReport(
             path=path, base=model.c, steps=(), total=0.0, improper=True
         )
-    steps = []
-    total = model.c
-    for k in range(len(path)):
-        drawdown = predict_advantage(model, path[:k], path[k])
-        steps.append(AttributionStep(path[:k], path[k], drawdown))
-        total += drawdown
-    return AttributionReport(
-        path=path, base=model.c, steps=tuple(steps), total=total
+    total, drawdowns = found
+    steps = tuple(
+        AttributionStep(path[:k], path[k], drawdown) for k, drawdown in enumerate(drawdowns)
     )
+    return AttributionReport(path=path, base=model.c, steps=steps, total=total)

@@ -20,6 +20,7 @@ from .errors import InvalidInputError, TarPathError
 from .instance import (
     InstanceSpec,
     NoiseModel,
+    PathDistribution,
     load_dataset,
     load_instance,
     random_instance,
@@ -28,8 +29,6 @@ from .instance import (
     save_instance,
 )
 from .losses import (
-    PenaltyMix,
-    StateWeighting,
     TrainConfig,
     surrogate_gap,
     tar_objective,
@@ -47,7 +46,7 @@ from .oracle import (
     max_bellman_violation,
     save_oracle,
 )
-from .pathspace import PrefixTrie, random_improper
+from .pathspace import ActionAlphabet, PrefixTrie, random_improper
 from .planner import default_max_len, evaluate_plan, greedy_path
 from .reduction import build_offline_dataset, save_rl_dataset
 
@@ -87,22 +86,31 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_state_weighting(path: str) -> StateWeighting:
-    """A ``--p0`` file: a JSON list of rows ``{"state": [...], "weight": w}``.
-    Errors name the file, and a malformed row its number (1-based)."""
+def _load_p0(path: str, alphabet: ActionAlphabet) -> PathDistribution:
+    """A ``--p0`` file: a nonempty JSON list of rows ``{"state": [...],
+    "weight": w}``, each state proper over ``alphabet``. Errors name the
+    file, and a bad row its number (1-based)."""
     rows = serialize.load_json(path)
-    if not isinstance(rows, list):
-        raise InvalidInputError(f"{path}: a state weighting must be a list of rows")
+    if not isinstance(rows, list) or not rows:
+        raise InvalidInputError(f"{path}: p0 must be a nonempty list of rows")
     states, weights = [], []
     for i, row in enumerate(rows, 1):
         try:
-            states.append(tuple(row["state"]))
-            weights.append(float(row["weight"]))
+            state, weight = tuple(row["state"]), float(row["weight"])
+            proper = alphabet.is_proper(state)
+        except InvalidInputError as exc:  # an unknown token
+            raise InvalidInputError(f"{path}: p0 row {i}: {exc}") from exc
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError(f"{path}: malformed state weighting row {i}: {row!r}") from exc
+            raise InvalidInputError(f"{path}: malformed p0 row {i}: {row!r}") from exc
+        if not proper:
+            raise InvalidInputError(f"{path}: p0 row {i}: state {state!r} is improper")
+        if not 0.0 <= weight <= 1.0:  # NaN fails too
+            raise InvalidInputError(f"{path}: p0 row {i}: weight must be in [0, 1], got {weight!r}")
+        states.append(state)
+        weights.append(weight)
     try:
-        return StateWeighting(states=tuple(states), weights=tuple(weights))
-    except (InvalidInputError, TypeError) as exc:  # TypeError: an unhashable token
+        return PathDistribution(paths=tuple(states), weights=tuple(weights))
+    except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
 
 
@@ -118,9 +126,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     else:
         model = LinearAdvantage.default(instance.alphabet, kind=args.features)
     p0 = (
-        StateWeighting.trie_uniform(trie)
+        PathDistribution.uniform(trie.nodes)
         if args.p0 == "trie"
-        else _load_state_weighting(args.p0)
+        else _load_p0(args.p0, instance.alphabet)
     )
     kappa = 10.0 * args.lam if args.kappa is None else args.kappa
     config = TrainConfig(
@@ -240,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument(
         "--features", choices=["edge_pair", "depth_edge_pair"], default="edge_pair"
     )
-    tr.add_argument("--p0", default="trie", help="'trie' or a state-weighting JSON file")
+    tr.add_argument("--p0", default="trie", help="'trie' or a JSON file of weighted states")
     tr.add_argument(
         "--max-iters", type=int, default=50_000,
         help="iteration cap of the linear family's solver; the tabular solve is exact and finite",

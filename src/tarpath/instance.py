@@ -83,7 +83,9 @@ def check_weights(weights: tuple[float, ...] | np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PathDistribution:
-    """Probability weights over a finite set of complete paths."""
+    """Probability weights over a finite set of distinct token sequences:
+    the path law over complete paths, or the covering law P_0 over the
+    proper states that the regression loss weights. It may be empty."""
 
     paths: tuple[PathSeq, ...]
     weights: tuple[float, ...]
@@ -99,7 +101,7 @@ class PathDistribution:
         object.__setattr__(self, "_weight", dict(zip(paths, weights)))
         if len(self._weight) != len(paths):
             raise InvalidInputError("distribution paths must be distinct")
-        check_weights(weights, "path")
+        check_weights(weights, "distribution")
 
     @classmethod
     def uniform(cls, paths: Iterable[PathSeq]) -> "PathDistribution":
@@ -109,13 +111,6 @@ class PathDistribution:
 
     def weight_of(self, path: PathSeq) -> float:
         return self._weight.get(tuple(path), 0.0)
-
-    @property
-    def support(self) -> tuple[PathSeq, ...]:
-        return tuple(p for p, w in zip(self.paths, self.weights) if w > 0.0)
-
-    def is_full_support_on(self, paths: Iterable[PathSeq]) -> bool:
-        return set(self.support) == {tuple(p) for p in paths}
 
     def items(self):
         return zip(self.paths, self.weights)
@@ -159,10 +154,6 @@ class NoiseModel:
     @classmethod
     def truncated_gaussian(cls, stddev: float) -> "NoiseModel":
         return cls(kind=cls.TRUNCATED_GAUSSIAN, stddev=stddev)
-
-    @property
-    def has_analytic_variance(self) -> bool:
-        return self.kind in (self.NOISELESS, self.BERNOULLI)
 
     def sample(self, rng: np.random.Generator, mean: float) -> float:
         if self.kind == self.NOISELESS:
@@ -222,6 +213,14 @@ class PLInstance:
         return tuple(sorted(self.yields.paths, key=self.alphabet.sort_key))
 
     @cached_property
+    def psi_weights(self) -> np.ndarray:
+        """The path law's weight of each support path, in ``psi`` order
+        (read-only)."""
+        weights = np.array([self.path_dist.weight_of(p) for p in self.psi], dtype=float)
+        weights.flags.writeable = False
+        return weights
+
+    @cached_property
     def trie(self) -> PrefixTrie:
         return PrefixTrie.build(self.alphabet, self.psi)
 
@@ -237,15 +236,10 @@ class PLInstance:
         )
 
     def to_json(self) -> dict:
-        paths = []
-        for path in self.psi:
-            paths.append(
-                {
-                    "path": list(path),
-                    "yield": self.yields[path],
-                    "weight": self.path_dist.weight_of(path),
-                }
-            )
+        paths = [
+            {"path": list(path), "yield": self.yields[path], "weight": weight}
+            for path, weight in zip(self.psi, self.psi_weights.tolist())
+        ]
         return {
             "alphabet": self.alphabet.to_json(),
             "paths": paths,
@@ -253,9 +247,9 @@ class PLInstance:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, source: str = "instance") -> "PLInstance":
-        """Parse an instance object; errors about a path row name ``source``
-        and the row (1-based)."""
+    def from_json(cls, obj: dict) -> "PLInstance":
+        """Parse an instance object; an error about a path row names the row
+        (1-based)."""
         try:
             alphabet = ActionAlphabet.from_json(obj["alphabet"])
             rows = obj["paths"]
@@ -263,7 +257,7 @@ class PLInstance:
         except (KeyError, TypeError, OverflowError) as exc:
             raise InvalidInputError(f"malformed instance object: {exc}") from exc
         if not isinstance(rows, list):
-            raise InvalidInputError(f"{source}: \"paths\" must be a list of path rows")
+            raise InvalidInputError("\"paths\" must be a list of path rows")
         entries: dict[PathSeq, float] = {}
         weights: dict[PathSeq, float] = {}
         first_row: dict[PathSeq, int] = {}
@@ -271,13 +265,25 @@ class PLInstance:
             try:
                 path = tuple(row["path"])
                 first = first_row.setdefault(path, i)
-                entries[path] = float(row["yield"])
-                if "weight" in row:
-                    weights[path] = float(row["weight"])
+                y = entries[path] = float(row["yield"])
+                w = float(row["weight"]) if "weight" in row else None
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise InvalidInputError(f"{source}: malformed path row {i}: {row!r}") from exc
+                raise InvalidInputError(f"malformed path row {i}: {row!r}") from exc
             if first != i:
-                raise InvalidInputError(f"{source}: path row {i} repeats path {path!r} of row {first}")
+                raise InvalidInputError(f"path row {i} repeats path {path!r} of row {first}")
+            try:
+                complete = alphabet.classify(path) is SeqClass.COMPLETE
+            except InvalidInputError as exc:  # an unknown token
+                raise InvalidInputError(f"path row {i}: {exc}") from exc
+            if not complete:
+                raise InvalidInputError(f"path row {i}: path {path!r} is not complete")
+            # NaN fails both comparisons
+            if not 0.0 <= y <= 1.0:
+                raise InvalidInputError(f"path row {i}: yield must be finite and in [0, 1], got {y!r}")
+            if w is not None:
+                if not 0.0 <= w <= 1.0:
+                    raise InvalidInputError(f"path row {i}: weight must be in [0, 1], got {w!r}")
+                weights[path] = w
         if weights and len(weights) != len(entries):
             raise InvalidInputError("either all path rows carry a weight or none do")
         if weights:
@@ -299,7 +305,6 @@ class PathYieldDataset:
     """Logged (complete path, observed yield) pairs."""
 
     pairs: tuple[tuple[PathSeq, float], ...]
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         pairs = tuple((tuple(p), float(y)) for p, y in self.pairs)
@@ -315,10 +320,6 @@ class PathYieldDataset:
     def paths(self) -> tuple[PathSeq, ...]:
         return tuple(p for p, _ in self.pairs)
 
-    def covers(self, paths: Iterable[PathSeq]) -> bool:
-        seen = {p for p, _ in self.pairs}
-        return all(tuple(p) in seen for p in paths)
-
 
 def sample_dataset(instance: PLInstance, n: int, seed: int) -> PathYieldDataset:
     """Draw n i.i.d. pairs: paths from the path law, yields from the noise."""
@@ -328,13 +329,12 @@ def sample_dataset(instance: PLInstance, n: int, seed: int) -> PathYieldDataset:
         raise InvalidInstanceError("cannot sample from an instance with empty support")
     rng = np.random.default_rng(seed)
     paths = instance.psi
-    weights = np.array([instance.path_dist.weight_of(p) for p in paths])
-    idx = rng.choice(len(paths), size=n, p=weights)
+    idx = rng.choice(len(paths), size=n, p=instance.psi_weights)
     pairs = []
     for i in idx:
         path = paths[int(i)]
         pairs.append((path, instance.noise.sample(rng, instance.yields[path])))
-    return PathYieldDataset(pairs=tuple(pairs), seed=seed)
+    return PathYieldDataset(pairs=tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -449,7 +449,11 @@ def save_instance(instance: PLInstance, path: str) -> None:
 
 
 def load_instance(path: str) -> PLInstance:
-    return PLInstance.from_json(serialize.load_json(path), source=path)
+    """Read an instance file; errors name the file."""
+    try:
+        return PLInstance.from_json(serialize.load_json(path))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def save_dataset(dataset: PathYieldDataset, path: str) -> None:

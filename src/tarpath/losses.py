@@ -48,7 +48,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergedError
-from .instance import PathYieldDataset, PLInstance, check_weights
+from .instance import PathDistribution, PathYieldDataset, PLInstance, check_weights
 from .model import AdvantageModel, TabularAdvantage, raw_from_advantage
 from .oracle import OptimalValues, compute_optimal
 from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, SeqClass
@@ -74,35 +74,6 @@ TREE_POOLING = "tree_pooling"
 PROJECTED_BB = "projected_bb"
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
-
-
-@dataclass(frozen=True, eq=False)
-class StateWeighting:
-    """A finite distribution over proper states (the covering law P_0)."""
-
-    states: tuple[PathSeq, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        states = tuple(tuple(s) for s in self.states)
-        weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "weights", weights)
-        if len(states) != len(weights):
-            raise InvalidInputError("states and weights must have equal length")
-        if not states:
-            raise InvalidInputError("state weighting must be nonempty")
-        if len(set(states)) != len(states):
-            raise InvalidInputError("weighted states must be distinct")
-        check_weights(weights, "state")
-
-    @classmethod
-    def trie_uniform(cls, trie: PrefixTrie) -> "StateWeighting":
-        n = len(trie.nodes)
-        return cls(states=trie.nodes, weights=tuple([1.0 / n] * n))
-
-    def items(self):
-        return zip(self.states, self.weights)
 
 
 class PenaltyMix:
@@ -257,6 +228,12 @@ def _require_proper(alphabet: ActionAlphabet, states: Iterable[PathSeq], what: s
     for s in dict.fromkeys(states):  # each distinct state once, in order
         if not alphabet.is_proper(s):
             raise InvalidInputError(f"{what} state {s!r} is improper")
+
+
+def _require_p0(alphabet: ActionAlphabet, p0: PathDistribution) -> None:
+    if not p0.paths:
+        raise InvalidInputError("p0 must weight at least one state")
+    _require_proper(alphabet, p0.paths, "p0")
 
 
 def _require_same_alphabet(model: AdvantageModel, instance: PLInstance) -> None:
@@ -562,7 +539,7 @@ def _data_arrays(
     if isinstance(data, PLInstance):
         _require_same_alphabet(model, data)
         paths = data.psi
-        weights = np.array([data.path_dist.weight_of(p) for p in paths])
+        weights = data.psi_weights
         targets = np.array([data.yields[p] for p in paths])
         return paths, weights, targets, data.noise_variance()
     if isinstance(data, PathYieldDataset):
@@ -579,17 +556,17 @@ def _data_arrays(
 
 def tar_objective(
     model: AdvantageModel,
-    p0: StateWeighting,
+    p0: PathDistribution,
     data: PathYieldDataset | PLInstance,
     lam: float,
     kappa: float,
 ) -> Objective:
     """Compile the regression loss at fixed evaluation points."""
-    _require_proper(model.alphabet, p0.states, "p0")
+    _require_p0(model.alphabet, p0)
     paths, d_weights, targets, var_floor = _data_arrays(model, data)
     _require_proper(model.alphabet, paths, "data")
-    batch = _ValueBatch(model, p0.states, paths)
-    n0 = len(p0.states)
+    batch = _ValueBatch(model, p0.paths, paths)
+    n0 = len(p0.paths)
     p0_w = np.array(p0.weights)
     hinge_w = 2.0 * kappa * p0_w
     misfit_w = lam * d_weights
@@ -621,7 +598,7 @@ def tar_objective(
 
 def tar_loss(
     model: AdvantageModel,
-    p0: StateWeighting,
+    p0: PathDistribution,
     data: PathYieldDataset | PLInstance,
     lam: float,
     kappa: float = 0.0,
@@ -631,7 +608,7 @@ def tar_loss(
 
 def vlp_objective(
     model: AdvantageModel,
-    p0: StateWeighting,
+    p0: PathDistribution,
     mix: PenaltyMix,
     instance: PLInstance,
     kappa: float = 0.0,
@@ -654,15 +631,15 @@ def vlp_objective(
     """
     alphabet = model.alphabet
     _require_same_alphabet(model, instance)
-    _require_proper(alphabet, p0.states, "p0")
+    _require_p0(alphabet, p0)
     lam, mu_w = mix.lam, mix.mu_weight
 
     # the p0 states, then the support paths (the mu half)
     paths = instance.psi
-    batch = _ValueBatch(model, p0.states, paths)
-    n0 = len(p0.states)
+    batch = _ValueBatch(model, p0.paths, paths)
+    n0 = len(p0.paths)
     p0_w = np.array(p0.weights)
-    mu_weights = np.array([instance.path_dist.weight_of(p) for p in paths])
+    mu_weights = instance.psi_weights
     mu_targets = np.array([instance.yields[p] for p in paths])
 
     # the tilde half, once per distinct state: check and classify it, and
@@ -751,7 +728,7 @@ def vlp_objective(
 
 def vlp_loss(
     model: AdvantageModel,
-    p0: StateWeighting,
+    p0: PathDistribution,
     mix: PenaltyMix,
     instance: PLInstance,
     kappa: float = 0.0,
@@ -788,7 +765,7 @@ def _path_values(model: AdvantageModel, paths: tuple[PathSeq, ...]) -> np.ndarra
 def surrogate_gap(
     model: AdvantageModel,
     instance: PLInstance,
-    p0: StateWeighting | None = None,
+    p0: PathDistribution | None = None,
     mix: PenaltyMix | None = None,
     lam: float = 100.0,
     kappa: float = 0.0,
@@ -807,7 +784,7 @@ def surrogate_gap(
     from the losses' internals.
     """
     if p0 is None:
-        p0 = StateWeighting.trie_uniform(instance.trie)
+        p0 = PathDistribution.uniform(instance.trie.nodes)
     if mix is None:
         mix = PenaltyMix.default(instance, lam)
     elif mix.lam != lam:

@@ -334,15 +334,24 @@ def _advantage(model: AdvantageModel, s: PathSeq, a: str) -> float:
     return advantage_transform(z)
 
 
-def predict_value(model: AdvantageModel, seq: PathSeq) -> float:
-    """c plus the left-to-right sum of step advantages; 0 if improper."""
+def value_steps(model: AdvantageModel, seq: PathSeq) -> tuple[float, tuple[float, ...]] | None:
+    """(value, step advantages) of a proper sequence, whose tokens are
+    checked once: the value is c plus each step's advantage, added left to
+    right, ((c + A_0) + A_1) + ...; None if the sequence is improper."""
     seq = model.alphabet.require_seq(seq)
     if not model.alphabet.is_proper(seq):
-        return 0.0
+        return None
+    steps = tuple(_advantage(model, seq[:k], seq[k]) for k in range(len(seq)))
     total = model.c
-    for k in range(len(seq)):
-        total += _advantage(model, seq[:k], seq[k])
-    return total
+    for a in steps:
+        total += a
+    return total, steps
+
+
+def predict_value(model: AdvantageModel, seq: PathSeq) -> float:
+    """c plus the left-to-right sum of step advantages; 0 if improper."""
+    found = value_steps(model, seq)
+    return 0.0 if found is None else found[0]
 
 
 def model_to_json(model: AdvantageModel) -> dict:

@@ -14,6 +14,7 @@ from tarpath.cli import main
 from tarpath.instance import (
     InstanceSpec,
     NoiseModel,
+    PathDistribution,
     PathYieldDataset,
     PLInstance,
     fixture_e1,
@@ -26,7 +27,6 @@ from tarpath.instance import (
 )
 from tarpath.losses import (
     PenaltyMix,
-    StateWeighting,
     TrainConfig,
     surrogate_gap,
     tar_loss,
@@ -154,7 +154,7 @@ def test_criterion_4_loss_identity():
 
     e2 = fixture_e2(NoiseModel.bernoulli())
     model = TabularAdvantage.from_oracle(compute_optimal(e2))
-    p0 = StateWeighting.trie_uniform(e2.trie)
+    p0 = PathDistribution.uniform(e2.trie.nodes)
     for lam in lams:
         loss, _ = tar_loss(model, p0, e2, lam=lam)
         assert loss == pytest.approx(0.625 + lam / 12.0, abs=1e-6)
@@ -173,7 +173,7 @@ def test_criterion_5_shared_minimizers():
         ("E1", fixture_e1(), ("a", "END")),
         ("E2", fixture_e2(), ("a", "a", "END")),
     ):
-        p0 = StateWeighting.trie_uniform(inst.trie)
+        p0 = PathDistribution.uniform(inst.trie.nodes)
         mix = PenaltyMix.default(inst, lam)
         shift = 0.5 * lam * inst.noise_variance()  # zero: the fixtures are noiseless
         rng = np.random.default_rng(0)
@@ -215,7 +215,7 @@ def test_criterion_6_end_to_end_learning():
         inst = random_instance(spec, seed)
         data = PathYieldDataset(pairs=tuple((p, inst.yields[p]) for p in inst.psi))
         model = TabularAdvantage.default(inst.trie)
-        p0 = StateWeighting.trie_uniform(inst.trie)
+        p0 = PathDistribution.uniform(inst.trie.nodes)
         result = train(model, tar_objective(model, p0, data, lam, kappa), config)
         plan = evaluate_plan(greedy_path(result.model, default_max_len(result.model)), inst)
         regrets.append(plan.regret)
@@ -245,7 +245,7 @@ def test_criterion_6_every_run_converges():
         inst = random_instance(spec, seed)
         data = PathYieldDataset(pairs=tuple((p, inst.yields[p]) for p in inst.psi))
         model = TabularAdvantage.default(inst.trie)
-        p0 = StateWeighting.trie_uniform(inst.trie)
+        p0 = PathDistribution.uniform(inst.trie.nodes)
         result = train(model, tar_objective(model, p0, data, lam, kappa), config)
         assert result.converged, f"seed {seed}: {result.stop_reason}, grad_norm {result.grad_norm}"
         assert result.stop_reason == "converged"
@@ -272,7 +272,7 @@ def test_criterion_7_gradient_check():
         )
         inst = random_instance(spec, 2000 + i)
         model = TabularAdvantage.default(inst.trie).with_random_params(rng)
-        p0 = StateWeighting.trie_uniform(inst.trie)
+        p0 = PathDistribution.uniform(inst.trie.nodes)
         lam = (1.0, 10.0, 100.0)[i % 3]
         kappa = (0.0, 100.0)[i % 2]
         if i % 2:

@@ -2,6 +2,7 @@
 
 import filecmp
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -266,14 +267,31 @@ class TestVerifyGolden:
 class TestLoadTimeErrors:
     """Bad input exits 1 at load time, naming the file and the row."""
 
-    def test_duplicate_instance_row(self, tmp_path, capsys):
-        inst = tmp_path / "dup.json"
-        obj = serialize.load_json(str(FIXTURES / "e1.json"))
-        obj["paths"].append(dict(obj["paths"][0], **{"yield": 0.3}))
-        serialize.dump_json(obj, str(inst))
+    @pytest.mark.parametrize(
+        "row, field, value, message",
+        [
+            (4, None, None, "path row 4 repeats path ('b', 'END') of row 1"),
+            (2, "yield", 1.5, "path row 2: yield must be finite and in [0, 1], got 1.5"),
+            (2, "yield", float("nan"), "path row 2: yield must be finite and in [0, 1], got nan"),
+            (2, "weight", -0.0001, "path row 2: weight must be in [0, 1], got -0.0001"),
+            (None, "weight", 0.5, "weights must sum to 1"),  # every row: no row to name
+            (2, "path", ["a", "a"], "path row 2: path ('a', 'a') is not complete"),
+            (1, "path", ["z", "END"], "path row 1: unknown token 'z'"),
+        ],
+    )
+    def test_bad_instance_file(self, tmp_path, capsys, row, field, value, message):
+        inst = tmp_path / "bad.json"
+        obj = serialize.load_json(str(FIXTURES / "e2.json"))
+        rows = obj["paths"]
+        if field is None:
+            rows.append(dict(rows[0], **{"yield": 0.3}))
+        else:
+            for entry in rows if row is None else [rows[row - 1]]:
+                entry[field] = value
+        inst.write_text(json.dumps(obj))
         assert run("oracle", "--instance", inst, "--out", tmp_path / "o.json") == 1
         err = capsys.readouterr().err
-        assert str(inst) in err and "path row 3" in err
+        assert f"error: {inst}: " in err and message in err
         assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize(
@@ -301,6 +319,10 @@ class TestLoadTimeErrors:
             ('[{"state": [], "weight": 1' + '0' * 400 + '}]', "row 1"),  # overflows a float
             ('{"state": [], "weight": 1.0}', "list of rows"),
             ('[{"state": [], "weight": 0.5}, {"state": [], "weight": 0.5}]', "distinct"),
+            ("[]", "nonempty"),
+            ('[{"state": ["END", "a"], "weight": 1.0}]', "p0 row 1: state ('END', 'a') is improper"),
+            ('[{"state": [], "weight": 0.5}, {"state": ["z"], "weight": 0.5}]', "p0 row 2: unknown token 'z'"),
+            ('[{"state": [], "weight": 1.5}, {"state": ["a"], "weight": -0.5}]', "p0 row 1: weight must be in [0, 1], got 1.5"),
         ],
     )
     def test_bad_p0_file(self, tmp_path, capsys, e1_file, rows, message):

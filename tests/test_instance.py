@@ -28,7 +28,7 @@ from tarpath.instance import (
     save_dataset,
     save_instance,
 )
-from tarpath.pathspace import ActionAlphabet
+from tarpath.pathspace import EMPTY, ActionAlphabet
 
 from .strategies import instances
 
@@ -51,29 +51,52 @@ class TestYieldTable:
 
 
 class TestPathDistribution:
-    def test_rejects_negative_weight(self):
-        with pytest.raises(InvalidInputError):
-            PathDistribution(paths=(("a", "END"),), weights=(-1.0,))
+    """One class weights both the path law and the covering law P_0."""
 
-    def test_rejects_bad_sum(self):
-        with pytest.raises(InvalidInputError):
-            PathDistribution(
-                paths=(("a", "END"), ("b", "END")), weights=(0.5, 0.6)
-            )
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(InvalidInputError, match="equal length"):
+            PathDistribution(paths=(EMPTY,), weights=(0.5, 0.5))
 
-    def test_rejects_duplicates(self):
-        with pytest.raises(InvalidInputError):
-            PathDistribution.uniform([("a", "END"), ("a", "END")])
+    @pytest.mark.parametrize(
+        "paths", [(("a", "END"), ("a", "END")), (EMPTY, EMPTY)]
+    )
+    def test_rejects_duplicates(self, paths):
+        with pytest.raises(InvalidInputError, match="distinct"):
+            PathDistribution(paths=paths, weights=(0.5, 0.5))
+        with pytest.raises(InvalidInputError, match="distinct"):
+            PathDistribution.uniform(paths)
 
-    def test_uniform(self):
+    @pytest.mark.parametrize(
+        "paths, weights",
+        [((("a", "END"),), (-1.0,)), ((EMPTY, ("a",)), (1.5, -0.5))],
+    )
+    def test_rejects_negative_weight(self, paths, weights):
+        with pytest.raises(InvalidInputError, match=r"must lie in \[0, 1\]"):
+            PathDistribution(paths=paths, weights=weights)
+
+    @pytest.mark.parametrize(
+        "paths, weights",
+        [((("a", "END"), ("b", "END")), (0.5, 0.6)), ((EMPTY, ("a",)), (0.4, 0.4))],
+    )
+    def test_rejects_bad_sum(self, paths, weights):
+        with pytest.raises(InvalidInputError, match="must sum to 1"):
+            PathDistribution(paths=paths, weights=weights)
+
+    def test_uniform(self, e2):
+        dist = PathDistribution.uniform([("a", "END"), ("b", "END")])
+        assert dist.paths == (("a", "END"), ("b", "END"))
+        assert dist.weights == (0.5, 0.5)
+        # the default covering law P_0
+        p0 = PathDistribution.uniform(e2.trie.nodes)
+        assert p0.paths == e2.trie.nodes and len(p0.paths) == 8
+        assert p0.weights == (1 / 8,) * 8
+        assert math.fsum(p0.weights) == 1.0
+
+    def test_weight_of_off_the_support_is_zero(self):
         dist = PathDistribution.uniform([("a", "END"), ("b", "END")])
         assert dist.weight_of(("a", "END")) == 0.5
         assert dist.weight_of(("b", "b", "END")) == 0.0
-
-    def test_full_support_check(self):
-        dist = PathDistribution.uniform([("a", "END")])
-        assert dist.is_full_support_on([("a", "END")])
-        assert not dist.is_full_support_on([("a", "END"), ("b", "END")])
+        assert dist.weight_of(EMPTY) == 0.0
 
 
 class TestNoiseModel:
@@ -106,7 +129,6 @@ class TestNoiseModel:
 
     def test_truncated_gaussian_has_no_analytic_variance(self):
         noise = NoiseModel.truncated_gaussian(stddev=0.1)
-        assert not noise.has_analytic_variance
         with pytest.raises(UnsupportedNoiseError):
             noise.conditional_variance(0.5)
 
@@ -219,8 +241,7 @@ class TestSampleDataset:
     def test_paths_come_from_support(self, e2_bernoulli):
         data = sample_dataset(e2_bernoulli, 200, seed=4)
         support = set(e2_bernoulli.psi)
-        assert {p for p, _ in data.pairs} <= support
-        assert data.covers(e2_bernoulli.psi)
+        assert {p for p, _ in data.pairs} == support
 
     def test_noiseless_yields_are_exact(self, e1):
         data = sample_dataset(e1, 40, seed=5)
@@ -259,7 +280,8 @@ class TestRandomInstance:
         for path in inst.psi:
             assert inst.alphabet.classify(path).name == "COMPLETE"
             assert 0.0 <= inst.yields[path] <= 1.0
-        assert inst.path_dist.is_full_support_on(inst.psi)
+        assert inst.path_dist.paths == inst.psi
+        assert all(w > 0.0 for w in inst.path_dist.weights)
 
     @given(instances(max_depth=4))
     def test_generated_depth_bound(self, inst):
@@ -288,10 +310,6 @@ class TestPersistence:
         save_dataset(data, str(fast))
         serialize.dump_jsonl(({"path": list(p), "y": y} for p, y in data.pairs), str(generic))
         assert fast.read_bytes() == generic.read_bytes()
-
-    def test_dataset_covers(self, e1):
-        data = PathYieldDataset(pairs=((("a", "END"), 0.8),), seed=0)
-        assert not data.covers(e1.psi)
 
 
 class TestLoadDataset:

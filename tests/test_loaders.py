@@ -1,6 +1,7 @@
 """Fuzzing the file loaders: every JSON input either loads or is rejected
-with a TarPathError, never with another exception. The ``train --p0`` state
-weighting goes through the command line, which must exit 0 or 1."""
+with a TarPathError, never with another exception, and an instance file's
+error names the file. The ``train --p0`` file of weighted states goes
+through the command line, which must exit 0 or 1."""
 
 import copy
 import json
@@ -89,7 +90,10 @@ _P0_ROWS = [{"state": [], "weight": 0.5}, {"state": ["a"], "weight": 0.25},
 def test_load_instance(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("fuzz") / "instance.json"
     path.write_text(json.dumps(doc))
-    _loads_or_rejects(load_instance, str(path))
+    try:
+        load_instance(str(path))
+    except TarPathError as exc:
+        assert str(path) in str(exc)
 
 
 @given(like(_MODELS[0]) | like(_MODELS[1]))

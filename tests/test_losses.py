@@ -10,6 +10,7 @@ from tarpath.errors import InvalidInputError, TrainingDivergedError
 from tarpath.instance import (
     InstanceSpec,
     NoiseModel,
+    PathDistribution,
     PathYieldDataset,
     PLInstance,
     fixture_e1,
@@ -25,7 +26,6 @@ from tarpath.losses import (
     UNCERTIFIED,
     Evaluation,
     PenaltyMix,
-    StateWeighting,
     TrainConfig,
     surrogate_gap,
     tar_loss,
@@ -68,35 +68,6 @@ def central_diff(objective, x, h=1e-6):
         f_minus, _ = objective(x - e)
         g[i] = (f_plus - f_minus) / (2 * h)
     return g
-
-
-class TestStateWeighting:
-    def test_trie_uniform(self, e2):
-        p0 = StateWeighting.trie_uniform(e2.trie)
-        assert p0.states == e2.trie.nodes
-        assert len(p0.states) == 8
-        assert all(w == pytest.approx(1 / 8) for w in p0.weights)
-        assert math.fsum(p0.weights) == pytest.approx(1.0)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            StateWeighting(states=(EMPTY,), weights=(0.5, 0.5))
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            StateWeighting(states=(), weights=())
-
-    def test_duplicate_states_rejected(self):
-        with pytest.raises(InvalidInputError):
-            StateWeighting(states=(EMPTY, EMPTY), weights=(0.5, 0.5))
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidInputError):
-            StateWeighting(states=(EMPTY, ("a",)), weights=(1.5, -0.5))
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(InvalidInputError):
-            StateWeighting(states=(EMPTY, ("a",)), weights=(0.4, 0.4))
 
 
 class TestPenaltyMix:
@@ -166,7 +137,7 @@ class TestPenaltyMix:
 
     def test_support_tilde_state_rejected_at_compile(self, e1):
         model = TabularAdvantage.default(e1.trie)
-        p0 = StateWeighting.trie_uniform(e1.trie)
+        p0 = PathDistribution.uniform(e1.trie.nodes)
         mix = PenaltyMix(
             tilde_pairs=((("a", "END"), "a"),), tilde_weights=(1.0,), lam=2.0
         )
@@ -198,27 +169,27 @@ class TestTrainConfig:
 class TestTarLoss:
     def test_hand_value_single_pair(self, e1):
         model = flat_model(e1.trie, c=0.5)
-        p0 = StateWeighting(states=(EMPTY,), weights=(1.0,))
+        p0 = PathDistribution(paths=(EMPTY,), weights=(1.0,))
         data = PathYieldDataset(pairs=((("b", "END"), 0.5),))
         loss, _ = tar_loss(model, p0, data, lam=2.0, kappa=0.0)
         assert loss == pytest.approx(0.5, abs=1e-12)
 
     def test_clamped_oracle_exact_noiseless(self, e2):
         model = TabularAdvantage.from_oracle(compute_optimal(e2))
-        p0 = StateWeighting.trie_uniform(e2.trie)
+        p0 = PathDistribution.uniform(e2.trie.nodes)
         loss, _ = tar_loss(model, p0, e2, lam=7.0, kappa=5.0)
         assert loss == pytest.approx(0.625, abs=1e-6)
 
     @pytest.mark.parametrize("lam", [2.0, 100.0])
     def test_clamped_oracle_exact_bernoulli(self, e2_bernoulli, lam):
         model = TabularAdvantage.from_oracle(compute_optimal(e2_bernoulli))
-        p0 = StateWeighting.trie_uniform(e2_bernoulli.trie)
+        p0 = PathDistribution.uniform(e2_bernoulli.trie.nodes)
         loss, _ = tar_loss(model, p0, e2_bernoulli, lam=lam)
         assert loss == pytest.approx(0.625 + lam / 12.0, abs=1e-6)
 
     def test_empirical_approaches_exact(self, e2_bernoulli):
         model = TabularAdvantage.default(e2_bernoulli.trie, c=0.4)
-        p0 = StateWeighting.trie_uniform(e2_bernoulli.trie)
+        p0 = PathDistribution.uniform(e2_bernoulli.trie.nodes)
         data = sample_dataset(e2_bernoulli, n=100_000, seed=7)
         exact, _ = tar_loss(model, p0, e2_bernoulli, lam=2.0)
         empirical, _ = tar_loss(model, p0, data, lam=2.0)
@@ -226,7 +197,7 @@ class TestTarLoss:
 
     def test_empty_dataset_rejected(self, e1):
         model = TabularAdvantage.default(e1.trie)
-        p0 = StateWeighting.trie_uniform(e1.trie)
+        p0 = PathDistribution.uniform(e1.trie.nodes)
         with pytest.raises(InvalidInputError):
             tar_loss(model, p0, PathYieldDataset(pairs=()), lam=1.0)
 
@@ -234,19 +205,30 @@ class TestTarLoss:
         other = ActionAlphabet(tokens=("x", "END"))
         trie = PrefixTrie.build(other, [("x", "END")])
         model = TabularAdvantage.default(trie)
-        p0 = StateWeighting.trie_uniform(trie)
+        p0 = PathDistribution.uniform(trie.nodes)
         with pytest.raises(InvalidInputError):
             tar_loss(model, p0, e2, lam=1.0)
 
     def test_improper_p0_state_rejected(self, e1):
         model = TabularAdvantage.default(e1.trie)
-        p0 = StateWeighting(states=(("END", "a"),), weights=(1.0,))
+        p0 = PathDistribution(paths=(("END", "a"),), weights=(1.0,))
         with pytest.raises(InvalidInputError):
             tar_loss(model, p0, e1, lam=1.0)
 
+    @pytest.mark.parametrize("kind", ["tar", "vlp"])
+    def test_empty_p0_rejected(self, e1, kind):
+        # an empty law is a valid PathDistribution, but no covering law
+        model = TabularAdvantage.default(e1.trie)
+        p0 = PathDistribution(paths=(), weights=())
+        with pytest.raises(InvalidInputError, match="^p0 must weight at least one state$"):
+            if kind == "tar":
+                tar_objective(model, p0, e1, lam=1.0, kappa=0.0)
+            else:
+                vlp_objective(model, p0, PenaltyMix.default(e1, lam=1.0), e1)
+
     def test_hinge_penalty_counts_negative_values(self, e1):
         model = flat_model(e1.trie, c=-0.25)
-        p0 = StateWeighting.trie_uniform(e1.trie)
+        p0 = PathDistribution.uniform(e1.trie.nodes)
         base, _ = tar_loss(model, p0, e1, lam=2.0, kappa=0.0)
         penalized, _ = tar_loss(model, p0, e1, lam=2.0, kappa=10.0)
         expected = 10.0 * math.fsum(
@@ -258,21 +240,21 @@ class TestTarLoss:
 class TestVlpLoss:
     def test_clamped_oracle_zero_penalty(self, e2):
         model = TabularAdvantage.from_oracle(compute_optimal(e2))
-        p0 = StateWeighting.trie_uniform(e2.trie)
+        p0 = PathDistribution.uniform(e2.trie.nodes)
         mix = PenaltyMix.default(e2, lam=3.0)
         loss, _ = vlp_loss(model, p0, mix, e2)
         assert loss == pytest.approx(0.625, abs=1e-6)
 
     def test_hand_value_flat_model(self, e1):
         model = flat_model(e1.trie, c=0.5)
-        p0 = StateWeighting(states=(EMPTY,), weights=(1.0,))
+        p0 = PathDistribution(paths=(EMPTY,), weights=(1.0,))
         mix = PenaltyMix.default(e1, lam=2.0)
         loss, _ = vlp_loss(model, p0, mix, e1)
         assert loss == pytest.approx(0.545, abs=1e-9)
 
     def test_kappa_term_matches_direct_sum(self, e1):
         model = flat_model(e1.trie, c=-1.0)
-        p0 = StateWeighting.trie_uniform(e1.trie)
+        p0 = PathDistribution.uniform(e1.trie.nodes)
         mix = PenaltyMix.default(e1, lam=2.0)
         base, _ = vlp_loss(model, p0, mix, e1, kappa=0.0)
         penalized, _ = vlp_loss(model, p0, mix, e1, kappa=4.0)
@@ -367,7 +349,7 @@ class TestGradients:
         model = TabularAdvantage.default(e2.trie).with_random_params(
             np.random.default_rng(seed)
         )
-        p0 = StateWeighting.trie_uniform(e2.trie)
+        p0 = PathDistribution.uniform(e2.trie.nodes)
         objective = tar_objective(model, p0, e2, lam=10.0, kappa=100.0)
         x = model.drawdown_vector()
         _, grad = objective(x)
@@ -380,7 +362,7 @@ class TestGradients:
         model = TabularAdvantage.default(e2.trie).with_random_params(
             np.random.default_rng(seed)
         )
-        p0 = StateWeighting.trie_uniform(e2.trie)
+        p0 = PathDistribution.uniform(e2.trie.nodes)
         mix = PenaltyMix.default(e2, lam=10.0)
         objective = vlp_objective(model, p0, mix, e2, kappa=100.0)
         x = model.drawdown_vector()
@@ -390,7 +372,7 @@ class TestGradients:
 
     def test_tar_gradient_on_empirical_data(self, e2_bernoulli):
         model = TabularAdvantage.default(e2_bernoulli.trie, c=0.4)
-        p0 = StateWeighting.trie_uniform(e2_bernoulli.trie)
+        p0 = PathDistribution.uniform(e2_bernoulli.trie.nodes)
         data = sample_dataset(e2_bernoulli, n=200, seed=3)
         objective = tar_objective(model, p0, data, lam=10.0, kappa=100.0)
         x = model.drawdown_vector()
@@ -404,7 +386,7 @@ class TestGradients:
         model = LinearAdvantage.default(e2_bernoulli.alphabet, kind=kind).with_random_params(
             np.random.default_rng(5)
         )
-        p0 = StateWeighting.trie_uniform(e2_bernoulli.trie)
+        p0 = PathDistribution.uniform(e2_bernoulli.trie.nodes)
         data = sample_dataset(e2_bernoulli, n=200, seed=3)
         objective = tar_objective(model, p0, data, lam=10.0, kappa=100.0)
         x = model.drawdown_vector()
@@ -564,7 +546,7 @@ class TestVlpHandMix:
         mix = PenaltyMix(
             tilde_pairs=self.PAIRS, tilde_weights=tuple(raw / raw.sum()), lam=3.0, mu_weight=0.3
         )
-        p0 = StateWeighting.trie_uniform(e2.trie)
+        p0 = PathDistribution.uniform(e2.trie.nodes)
         loss, grad = vlp_objective(model, p0, mix, e2, kappa=2.0)(model.drawdown_vector())
         want_loss, want_grad = self.direct(model, p0, mix, e2, kappa=2.0)
         assert loss == pytest.approx(want_loss, rel=1e-12)
@@ -588,7 +570,7 @@ class TestVlpHandMix:
         n = len(pairs)
         mix = PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / n,) * n, lam=3.0)
         with pytest.raises(InvalidInputError):
-            vlp_objective(model, StateWeighting.trie_uniform(e2.trie), mix, e2)
+            vlp_objective(model, PathDistribution.uniform(e2.trie.nodes), mix, e2)
 
     @staticmethod
     def random_mix(inst, rng, lam, mu_weight):
@@ -635,7 +617,7 @@ class TestVlpHandMix:
         else:
             model = LinearAdvantage.default(inst.alphabet, kind=family)
         mix = self.random_mix(inst, rng, lam=3.0, mu_weight=mu_weight)
-        p0 = StateWeighting.trie_uniform(inst.trie)
+        p0 = PathDistribution.uniform(inst.trie.nodes)
         # drawdowns of both signs, and c of either sign: incomplete pairs
         # with a step above 0 and complete states below 0 have positive
         # residuals, and fallback steps (at -0.7) have negative ones
@@ -678,7 +660,7 @@ class TestDrawdownView:
     @staticmethod
     def inputs(kind, inst):
         """(p0, what the loss is over: the instance, a dataset or a mix)."""
-        p0 = StateWeighting.trie_uniform(inst.trie)
+        p0 = PathDistribution.uniform(inst.trie.nodes)
         if kind == "tar_exact":
             return p0, inst
         if kind == "tar_empirical":
@@ -809,7 +791,7 @@ class TestDrawdownView:
         config = TrainConfig(lam=lam, kappa=kappa, tol=1e-7, max_iters=4000)
         for seed in range(20):
             inst, data = criterion_6_instance(seed)
-            p0 = StateWeighting.trie_uniform(inst.trie)
+            p0 = PathDistribution.uniform(inst.trie.nodes)
             linear = LinearAdvantage.default(inst.alphabet, kind=features)
             tied = train(linear, tar_objective(linear, p0, data, lam, kappa), config)
             assert tied.stop_reason == CONVERGED, (seed, tied.grad_norm)
@@ -823,13 +805,13 @@ class TestDrawdownView:
 class TestTrain:
     def make_objective(self, inst, lam=10.0, kappa=100.0):
         model = TabularAdvantage.default(inst.trie)
-        p0 = StateWeighting.trie_uniform(inst.trie)
+        p0 = PathDistribution.uniform(inst.trie.nodes)
         return model, tar_objective(model, p0, inst, lam=lam, kappa=kappa)
 
     def make_linear_objective(self, inst, features=DEPTH_EDGE_PAIR, lam=10.0, kappa=100.0):
         """The linear family keeps the iterative solver and its cap."""
         model = LinearAdvantage.default(inst.alphabet, kind=features)
-        p0 = StateWeighting.trie_uniform(inst.trie)
+        p0 = PathDistribution.uniform(inst.trie.nodes)
         return model, tar_objective(model, p0, inst, lam=lam, kappa=kappa)
 
     def test_trace_strictly_decreases(self, e2_bernoulli):
@@ -907,7 +889,7 @@ class TestTrain:
         # no iterations: the written model is the start, its bias moved
         # into every pair's weight
         model = linear_model(e2, features, 3)
-        p0 = StateWeighting.trie_uniform(e2.trie)
+        p0 = PathDistribution.uniform(e2.trie.nodes)
         objective = tar_objective(model, p0, e2, lam=10.0, kappa=100.0)
         result = train(model, objective, TrainConfig(max_iters=0))
         w, fitted = model.params_vector(), result.model.params_vector()
@@ -972,7 +954,7 @@ class TestTrain:
         # rounded projected gradient reads 0.
         e1 = fixture_e1()
         model = LinearAdvantage.default(e1.alphabet)
-        p0 = StateWeighting.trie_uniform(e1.trie)
+        p0 = PathDistribution.uniform(e1.trie.nodes)
         base = PenaltyMix.default(e1, 100.0)
         mix = PenaltyMix(tilde_pairs=base.tilde_pairs, tilde_weights=base.tilde_weights, lam=100.0, mu_weight=0.0)
         with pytest.raises(TrainingDivergedError, match="^the loss is unbounded below at iteration "):
@@ -1036,7 +1018,7 @@ def tree_case(inst, kind, lam, kappa, trie_paths, seed):
         # every proper fringe state too: off the trie, read through the
         # deepest trie prefix and the fallback drawdown
         states += [s for s in trie.fringe_states() if alphabet.is_proper(s)]
-    p0 = StateWeighting(states=tuple(states), weights=(1.0 / len(states),) * len(states))
+    p0 = PathDistribution(paths=tuple(states), weights=(1.0 / len(states),) * len(states))
     if kind == "vlp":
         pairs = tuple(
             (s, a) for s in trie.fringe_states() if s not in inst.yields for a in alphabet.tokens
@@ -1078,18 +1060,18 @@ class TestTreeSolve:
         # with kappa 0 nothing bounds the extra leaf's p0 term from below
         trie = PrefixTrie.build(e1.alphabet, list(e1.psi) + [("b", "b", "END")])
         model = TabularAdvantage.default(trie)
-        objective = tar_objective(model, StateWeighting.trie_uniform(trie), e1, lam=10.0, kappa=0.0)
+        objective = tar_objective(model, PathDistribution.uniform(trie.nodes), e1, lam=10.0, kappa=0.0)
         with pytest.raises(TrainingDivergedError, match="^the loss is unbounded below at iteration "):
             train(model, objective, TrainConfig(kappa=0.0))
         # a hinge bounds it
-        bounded = tar_objective(model, StateWeighting.trie_uniform(trie), e1, lam=10.0, kappa=1.0)
+        bounded = tar_objective(model, PathDistribution.uniform(trie.nodes), e1, lam=10.0, kappa=1.0)
         assert train(model, bounded, TrainConfig(kappa=1.0)).converged
 
     def test_root_block_without_hinges_is_unbounded(self, e1):
         # no mu half and no complete tilde states: the feasibility loss has
         # only its linear p0 term left, and every block pools into the root
         model = TabularAdvantage.default(e1.trie)
-        p0 = StateWeighting.trie_uniform(e1.trie)
+        p0 = PathDistribution.uniform(e1.trie.nodes)
         base = PenaltyMix.default(e1, 10.0)
         mix = PenaltyMix(tilde_pairs=base.tilde_pairs, tilde_weights=base.tilde_weights, lam=10.0, mu_weight=0.0)
         with pytest.raises(TrainingDivergedError, match="^the loss is unbounded below at iteration "):
@@ -1097,14 +1079,14 @@ class TestTreeSolve:
 
     def test_iteration_cap_does_not_apply(self, e2_bernoulli):
         model = TabularAdvantage.default(e2_bernoulli.trie)
-        objective = tar_objective(model, StateWeighting.trie_uniform(e2_bernoulli.trie), e2_bernoulli, 10.0, 100.0)
+        objective = tar_objective(model, PathDistribution.uniform(e2_bernoulli.trie.nodes), e2_bernoulli, 10.0, 100.0)
         capped = train(model, objective, TrainConfig(max_iters=0))
         assert capped.stop_reason == CONVERGED
         free = train(model, objective, TrainConfig(max_iters=50_000))
         assert np.array_equal(capped.model.params_vector(), free.model.params_vector())
 
     def test_solution_ignores_the_start(self, e2_bernoulli):
-        p0 = StateWeighting.trie_uniform(e2_bernoulli.trie)
+        p0 = PathDistribution.uniform(e2_bernoulli.trie.nodes)
         fitted = []
         for seed in range(3):
             model = TabularAdvantage.default(e2_bernoulli.trie).with_random_params(np.random.default_rng(seed))

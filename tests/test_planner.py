@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from tarpath.errors import InvalidInputError
-from tarpath.losses import StateWeighting, TrainConfig, tar_objective, train
+from tarpath.instance import PathDistribution
+from tarpath.losses import TrainConfig, tar_objective, train
 from tarpath.model import LinearAdvantage, TabularAdvantage
 from tarpath.oracle import compute_optimal
 from tarpath.planner import default_max_len, evaluate_plan, greedy_path
@@ -82,7 +83,7 @@ class TestGreedyPath:
 
     def test_trained_model_plans_e1_optimum(self, e1):
         model = TabularAdvantage.default(e1.trie)
-        p0 = StateWeighting.trie_uniform(e1.trie)
+        p0 = PathDistribution.uniform(e1.trie.nodes)
         objective = tar_objective(model, p0, e1, lam=10.0, kappa=100.0)
         result = train(model, objective, TrainConfig(max_iters=10_000, tol=1e-7))
         scored = evaluate_plan(greedy_path(result.model, default_max_len(result.model)), e1)

@@ -63,7 +63,7 @@ class TestBuildOfflineDataset:
             assert a in e2_bernoulli.alphabet.tokens
 
     def test_rejects_off_support_path(self, e1):
-        bad = PathYieldDataset(pairs=((("a", "a", "END"), 0.1),), seed=0)
+        bad = PathYieldDataset(pairs=((("a", "a", "END"), 0.1),))
         with pytest.raises(InvalidInputError):
             build_offline_dataset(e1, bad, seed=0)
 
