@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -196,11 +196,15 @@ class PLInstance:
     yields: YieldTable
     path_dist: PathDistribution
     noise: NoiseModel
+    # set by ``from_json`` alone, which classifies every path as it reads its
+    # row, to name the row of a path that is not complete
+    _paths_classified: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        for path in self.yields.paths:
-            if self.alphabet.classify(path) is not SeqClass.COMPLETE:
-                raise InvalidInstanceError(f"yield path {path!r} is not complete")
+    def __post_init__(self, _paths_classified: bool) -> None:
+        if not _paths_classified:
+            for path in self.yields.paths:
+                if self.alphabet.classify(path) is not SeqClass.COMPLETE:
+                    raise InvalidInstanceError(f"yield path {path!r} is not complete")
         for path in self.path_dist.paths:
             if path not in self.yields:
                 raise InvalidInstanceError(
@@ -297,6 +301,7 @@ class PLInstance:
             yields=YieldTable(entries),
             path_dist=dist,
             noise=noise,
+            _paths_classified=True,
         )
 
 
@@ -315,10 +320,6 @@ class PathYieldDataset:
 
     def __iter__(self):
         return iter(self.pairs)
-
-    @property
-    def paths(self) -> tuple[PathSeq, ...]:
-        return tuple(p for p, _ in self.pairs)
 
 
 def sample_dataset(instance: PLInstance, n: int, seed: int) -> PathYieldDataset:

@@ -3,10 +3,11 @@
 Two objectives over the same model family:
 
 * regression loss — expected predicted value under a covering state
-  distribution, plus (lam/2) times the squared misfit against observed
-  yields (empirical over a dataset, or in closed form under the instance's
-  path law and noise), plus a kappa-weighted hinge keeping values
-  nonnegative;
+  distribution, plus (lam/2) times the expected squared misfit against
+  observed yields, plus a kappa-weighted hinge keeping values nonnegative.
+  The misfit reads each distinct path's weight, mean yield and yield
+  variance, taken from a dataset's rows or from the instance's path law and
+  noise, so both data modes compile the same form (``_data_arrays``);
 * penalized feasibility loss — the same expected-value and nonnegativity
   terms, plus lam times the expected squared positive part of the one-step
   backup residual under an equal mixture of (i) the path law crossed with
@@ -20,7 +21,10 @@ optimal value on support paths; ``surrogate_gap`` evaluates every term of
 that identity independently and reports the discrepancy.
 
 Objectives are compiled once per call into flat index arrays so each
-evaluation is a handful of vectorized operations. A compiled objective takes
+evaluation is a handful of vectorized operations. Values are summed in
+``predict_value``'s order (``_ValueBatch``) and every loss term is a
+fixed-order numpy sum, never a BLAS dot (``_dot``), so no result depends on
+the BLAS thread count. A compiled objective takes
 drawdown coordinates x = [c, a_0, a_1, ...] (``AdvantageModel.drawdown_vector``),
 one drawdown per trie edge or, for the linear family, per feature pair (the
 bias is redundant there: it adds to every pair's raw score). Every value is
@@ -242,104 +246,103 @@ def _require_same_alphabet(model: AdvantageModel, instance: PLInstance) -> None:
         raise InvalidInputError("model and instance alphabets differ")
 
 
-def _prefix_steps(model: AdvantageModel, memo: dict, s: PathSeq) -> tuple[tuple[int, ...], float]:
-    """(step slots, fallback constant) of the steps along s, extending the
-    longest prefix of s already in ``memo`` one step at a time and recording
-    every prefix on the way."""
+# A ``_ValueBatch`` reads its steps from the extended vector
+# [-0.0, fallback, c, a_0, a_1, ...]: the padding step adds -0.0, which leaves
+# every float as it is, a fallback step adds the fallback, and slot i of
+# x = [c, a_0, a_1, ...] sits at index _C + i.
+_PAD, _FALLBACK, _C = 0, 1, 2
+# the head of the extended vector for a direction, which moves no padding
+# and no fallback step
+_JVP_HEAD = np.array([-0.0, 0.0])
+
+
+def _prefix_steps(model: AdvantageModel, memo: dict, s: PathSeq) -> tuple[int, ...]:
+    """c's index, then the extended-vector index of each step along s,
+    extending the longest prefix of s already in ``memo`` one step at a time
+    and recording every prefix on the way."""
     k = len(s)
     while s[:k] not in memo:
         k -= 1
-    slots, const = memo[s[:k]]
+    steps = memo[s[:k]]
     for k in range(k, len(s)):
         slot = model.step_slot(s[:k], s[k])
-        if slot is None:
-            const += model.fallback_advantage
-        else:
-            slots += (slot,)
-        memo[s[: k + 1]] = (slots, const)
-    return slots, const
+        steps += (_FALLBACK if slot is None else _C + slot,)
+        memo[s[: k + 1]] = steps
+    return steps
+
+
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """((rows[0] + rows[1]) + rows[2]) + ..., summed in place into rows[0].
+    (``np.add.reduce`` over the rows may sum them pairwise.)"""
+    total = rows[0]
+    for row in rows[1:]:
+        total += row
+    return total
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_j a_j b_j in a fixed order: numpy's pairwise sum of the products.
+    ``a @ b`` hands a long dot to BLAS, whose threads split the sum, so its
+    rounding would depend on the thread count."""
+    return np.add.reduce(a * b)
 
 
 class _ValueBatch:
-    """Predicted values over fixed lists of proper states, vectorized.
+    """Predicted values over a fixed list of proper states, vectorized, bit
+    for bit as ``predict_value`` sums them: ((c + A_0) + A_1) + ..., with a
+    fallback step adding the fallback in its place.
 
-    Each state's value is c plus a state constant (fallback steps) plus the
-    drawdowns of its steps; steps are flattened across states into index
-    arrays once, so evaluation at a new point x = [c, a_0, a_1, ...] is a
-    gather and a segmented sum. Every step reads one slot of x, its trie
-    edge or its feature pair.
-
-    The states come in groups (``values`` returns them concatenated);
-    gradients accumulate group by group, in the order of the groups, exactly
-    as one batch per group would.
+    Each distinct state's steps are looked up once (a log repeats its paths,
+    and a state's steps are its parent prefix's plus one), into a table with
+    one column per state and one row per step, row 0 reading c, as indices
+    into the extended vector [-0.0, fallback, x]; shorter states pad their
+    column. Evaluation at x = [c, a_0, a_1, ...] is one gather and a sum of
+    the rows, one after another (``_row_sum``).
     """
 
-    def __init__(self, model: AdvantageModel, *groups: tuple[PathSeq, ...]):
-        # each distinct state is looked up once (a log repeats its paths), and
-        # a state's steps are its parent prefix's steps plus one more, so each
-        # distinct (prefix, action) is looked up once
+    def __init__(self, model: AdvantageModel, states: tuple[PathSeq, ...]):
         index: dict[PathSeq, int] = {}
-        ids = np.array([index.setdefault(s, len(index)) for g in groups for s in g], dtype=np.intp)
-        self.n_states = ids.size
-        memo: dict[PathSeq, tuple[tuple[int, ...], float]] = {(): ((), 0.0)}
+        ids = [index.setdefault(s, len(index)) for s in states]
+        memo: dict[PathSeq, tuple[int, ...]] = {(): (_C,)}
         steps = [_prefix_steps(model, memo, s) for s in index]
-        counts = np.array([len(slots) for slots, _ in steps], dtype=np.intp)
-        slots = np.array([i for slots, _ in steps for i in slots], dtype=np.intp)
-        self.const = np.array([const for _, const in steps], dtype=float)[ids]
-        # state j's steps are its distinct state's slots, in order
-        n_steps = counts[ids]
-        self.step_state = np.repeat(np.arange(self.n_states, dtype=np.intp), n_steps)
-        starts = np.repeat((np.cumsum(counts) - counts)[ids], n_steps)
-        within = np.arange(self.step_state.size) - np.repeat(np.cumsum(n_steps) - n_steps, n_steps)
-        self.step_slot = slots[starts + within]
-        # per group: its state range and its step range
-        state_ends = np.cumsum([0] + [len(g) for g in groups])
-        step_ends = np.searchsorted(self.step_state, state_ends)
-        self.groups = [
-            (s_lo, s_hi, slice(lo, hi))
-            for s_lo, s_hi, lo, hi in zip(state_ends, state_ends[1:], step_ends, step_ends[1:])
-        ]
+        depth = max(map(len, steps), default=1)
+        table = np.array([row + (_PAD,) * (depth - len(row)) for row in steps], dtype=np.intp)
+        self.index = np.ascontiguousarray(table.reshape(len(steps), depth)[ids].T)
+        falls = bool(np.any(self.index == _FALLBACK))
+        self.head = np.array([-0.0, model.fallback_advantage if falls else 0.0])
+        # the gradient reads c and every step with a slot, state by state
+        self.grad_state, step = np.nonzero(self.index.T >= _C)
+        self.grad_slot = self.index[step, self.grad_state] - _C
+
+    def _sum(self, head: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return _row_sum(np.concatenate((head, x))[self.index])
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """The value of every state at x."""
-        summed = np.bincount(self.step_state, weights=x[self.step_slot], minlength=self.n_states)
-        return x[0] + self.const + summed
+        return self._sum(self.head, x)
 
-    def add_value_grad(self, grad: np.ndarray, state_coef: np.ndarray) -> None:
-        """grad += sum_j state_coef[j] * d(value_j)/dx."""
-        step_coef = state_coef[self.step_state]
-        for s_lo, s_hi, steps in self.groups:
-            grad[0] += state_coef[s_lo:s_hi].sum()
-            if steps.stop > steps.start:
-                grad += np.bincount(self.step_slot[steps], weights=step_coef[steps], minlength=grad.size)
+    def value_grad(self, state_coef: np.ndarray, size: int) -> np.ndarray:
+        """sum_j state_coef[j] * d(value_j)/dx, for x of the given size."""
+        return np.bincount(self.grad_slot, weights=state_coef[self.grad_state], minlength=size)
 
     def jvp(self, d: np.ndarray) -> np.ndarray:
         """Change of every value along the direction d."""
-        return d[0] + np.bincount(self.step_state, weights=d[self.step_slot], minlength=self.n_states)
+        return self._sum(_JVP_HEAD, d)
 
-    def trie_nodes(self) -> np.ndarray:
+    def hessian(self, curvature: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Hessian-vector product J^T diag(curvature) J of a loss whose second
+        derivative in value j is curvature[j] (every value is linear in x)."""
+        return lambda d: self.value_grad(curvature * self.jvp(d), d.size)
+
+    def trie_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """For a tabular model: each state's deepest trie prefix, as its index
-        in canonical node order. A state's on-trie steps come first, and the
-        slot of the edge into a node is the node's index (the root is 0)."""
-        counts = np.bincount(self.step_state, minlength=self.n_states)
-        nodes = np.zeros(self.n_states, dtype=np.intp)
-        some = counts > 0
-        nodes[some] = self.step_slot[np.cumsum(counts)[some] - 1]
-        return nodes
-
-
-def _hessian(terms: list[tuple[_ValueBatch, np.ndarray]]) -> Callable[[np.ndarray], np.ndarray]:
-    """Hessian-vector product, where every value is linear in x: the sum
-    over batches of J^T diag(curvature) J, from each batch's per-state second
-    derivative of the loss in that value."""
-
-    def product(d: np.ndarray) -> np.ndarray:
-        out = np.zeros(d.size)
-        for batch, curvature in terms:
-            batch.add_value_grad(out, curvature * batch.jvp(d))
-        return out
-
-    return product
+        in canonical node order, and the sum of its fallback steps. A state's
+        on-trie steps come first, and the slot of the edge into a node is the
+        node's index (c's slot 0 is the root's)."""
+        n = self.index.shape[1]
+        last = np.count_nonzero(self.index >= _C, axis=0) - 1
+        nodes = self.index[last, np.arange(n)] - _C
+        return nodes, _row_sum(np.where(self.index == _FALLBACK, self.head[_FALLBACK], 0.0))
 
 
 class Evaluation(tuple):
@@ -348,20 +351,20 @@ class Evaluation(tuple):
     piecewise quadratic on the feasible set a <= 0.
 
     ``hessian()`` gives the exact Hessian-vector product at x, valid while no
-    hinge changes side; an evaluation built without ``curvature`` has none
-    (a zero product). ``node_pieces()`` gives, for an objective compiled for
+    hinge changes side; an evaluation built without ``hessian`` has none (a
+    zero product). ``node_pieces()`` gives, for an objective compiled for
     a tabular model, the same loss as a sum of one-node terms
     (``_NodePieces``), and None otherwise.
     """
 
-    def __new__(cls, loss: float, grad: np.ndarray, curvature=list, pieces=None):
+    def __new__(cls, loss: float, grad: np.ndarray, hessian=None, pieces=None):
         self = super().__new__(cls, (loss, grad))
-        self._curvature = curvature
+        self._hessian = hessian
         self._pieces = pieces
         return self
 
     def hessian(self) -> Callable[[np.ndarray], np.ndarray]:
-        return _hessian(self._curvature())
+        return np.zeros_like if self._hessian is None else self._hessian()
 
     def node_pieces(self) -> "_NodePieces | None":
         return None if self._pieces is None else self._pieces()
@@ -422,8 +425,8 @@ class _NodePieces:
     With V(n) = c + the drawdowns on the path to trie node n, the bound
     a <= 0 is V(child) <= V(parent), and every term of ``tar_objective`` and
     ``vlp_objective`` reads one node: a state off the trie reads its deepest
-    trie prefix plus its fallback constant. Up to a constant the loss is a
-    sum over nodes of
+    trie prefix plus the sum of its fallback steps. Up to a constant the loss
+    is a sum over nodes of
 
         linear V + quad (V - y)^2 + hinge0 max(-V, 0)^2 + sum_j w_j max(t_j - V, 0)^2
 
@@ -450,20 +453,20 @@ class _NodePieces:
         return np.bincount(nodes, weights=w, minlength=self.parent.size)
 
     # Each term reads state j through its deepest trie prefix nodes[j], whose
-    # value plus const[j] is the state's (see ``_ValueBatch.trie_nodes``).
+    # value plus offset[j] is the state's (see ``_ValueBatch.trie_nodes``).
 
     def add_linear(self, nodes: np.ndarray, w: np.ndarray) -> None:
         """sum_j w_j value_j (up to a constant)."""
         self.linear += self._sum(nodes, w)
 
-    def add_misfit(self, nodes: np.ndarray, const: np.ndarray, w: np.ndarray, y: np.ndarray) -> None:
+    def add_misfit(self, nodes: np.ndarray, offset: np.ndarray, w: np.ndarray, y: np.ndarray) -> None:
         """sum_j w_j (value_j - y_j)^2 (up to a constant)."""
         self.quad += self._sum(nodes, w)
-        self.quad_y += self._sum(nodes, w * (y - const))
+        self.quad_y += self._sum(nodes, w * (y - offset))
 
-    def add_hinge(self, nodes: np.ndarray, const: np.ndarray, w: np.ndarray, t) -> None:
+    def add_hinge(self, nodes: np.ndarray, offset: np.ndarray, w: np.ndarray, t) -> None:
         """sum_j w_j max(t_j - value_j, 0)^2."""
-        t = np.broadcast_to(t, w.shape) - const
+        t = np.broadcast_to(t, w.shape) - offset
         at0 = t == 0.0
         self.hinge0 += self._sum(nodes[at0], w[at0])
         for node, tj, wj in zip(nodes[~at0].tolist(), t[~at0].tolist(), w[~at0].tolist()):
@@ -535,20 +538,39 @@ class _NodePieces:
 def _data_arrays(
     model: AdvantageModel, data: PathYieldDataset | PLInstance
 ) -> tuple[tuple[PathSeq, ...], np.ndarray, np.ndarray, float]:
-    """(paths, weights, targets, variance floor) for the misfit term."""
+    """(distinct paths, weights, mean yields, variance floor) of the misfit
+    term sum_p w_p (value_p - mean_p)^2 + floor, the same four for a dataset
+    as for an instance.
+
+    An instance gives its support paths, path law, yields and average noise
+    variance. A dataset gives its paths in order of first appearance, each
+    weighted by its row count / n, with the mean of its yields; the floor is
+    the mean squared deviation of a row's yield from its path's mean,
+    computed after the means. The misfit then equals the mean over rows of
+    (value - yield)^2 in exact arithmetic. A yield that is not finite and in
+    [0, 1] is rejected, naming its row (1-based).
+    """
     if isinstance(data, PLInstance):
         _require_same_alphabet(model, data)
         paths = data.psi
-        weights = data.psi_weights
         targets = np.array([data.yields[p] for p in paths])
-        return paths, weights, targets, data.noise_variance()
+        return paths, data.psi_weights, targets, data.noise_variance()
     if isinstance(data, PathYieldDataset):
         if not len(data):
             raise InvalidInputError("empirical mode needs a nonempty dataset")
-        paths = data.paths
-        weights = np.full(len(paths), 1.0 / len(paths))
-        targets = np.array([y for _, y in data.pairs])
-        return paths, weights, targets, 0.0
+        index: dict[PathSeq, int] = {}
+        rows = np.array([index.setdefault(p, len(index)) for p, _ in data.pairs], dtype=np.intp)
+        ys = np.array([y for _, y in data.pairs])
+        bad = np.flatnonzero(~((ys >= 0.0) & (ys <= 1.0)))  # NaN fails both
+        if bad.size:
+            i = int(bad[0])
+            raise InvalidInputError(
+                f"dataset row {i + 1}: yield must be finite and in [0, 1], got {ys[i].item()!r}"
+            )
+        counts = np.bincount(rows)
+        means = np.bincount(rows, weights=ys) / counts
+        dev = ys - means[rows]
+        return tuple(index), counts / ys.size, means, float(np.add.reduce(dev * dev)) / ys.size
     raise InvalidInputError(
         f"data must be a dataset or an instance, got {type(data).__name__}"
     )
@@ -565,7 +587,7 @@ def tar_objective(
     _require_p0(model.alphabet, p0)
     paths, d_weights, targets, var_floor = _data_arrays(model, data)
     _require_proper(model.alphabet, paths, "data")
-    batch = _ValueBatch(model, p0.paths, paths)
+    batch = _ValueBatch(model, p0.paths + paths)
     n0 = len(p0.paths)
     p0_w = np.array(p0.weights)
     hinge_w = 2.0 * kappa * p0_w
@@ -577,21 +599,18 @@ def tar_objective(
         resid = v[n0:] - targets
         neg = np.maximum(-v0, 0.0)
         loss = (
-            p0_w @ v0
-            + 0.5 * lam * (d_weights @ (resid * resid) + var_floor)
-            + kappa * (p0_w @ (neg * neg))
+            _dot(p0_w, v0)
+            + 0.5 * lam * (_dot(d_weights, resid * resid) + var_floor)
+            + kappa * _dot(p0_w, neg * neg)
         )
-        grad = np.zeros(x.size)
-        batch.add_value_grad(grad, np.concatenate((p0_w - hinge_w * neg, misfit_w * resid)))
-        return float(loss), grad, lambda: [
-            (batch, np.concatenate((hinge_w * (neg > 0.0), misfit_w))),
-        ]
+        grad = batch.value_grad(np.concatenate((p0_w - hinge_w * neg, misfit_w * resid)), x.size)
+        return float(loss), grad, lambda: batch.hessian(np.concatenate((hinge_w * (neg > 0.0), misfit_w)))
 
     def add_pieces(pieces: _NodePieces) -> None:
-        nodes, const = batch.trie_nodes(), batch.const
+        nodes, offset = batch.trie_nodes()
         pieces.add_linear(nodes[:n0], p0_w)
-        pieces.add_hinge(nodes[:n0], const[:n0], kappa * p0_w, 0.0)
-        pieces.add_misfit(nodes[n0:], const[n0:], 0.5 * lam * d_weights, targets)
+        pieces.add_hinge(nodes[:n0], offset[:n0], kappa * p0_w, 0.0)
+        pieces.add_misfit(nodes[n0:], offset[n0:], 0.5 * lam * d_weights, targets)
 
     return _compiled(evaluate, model, add_pieces)
 
@@ -634,14 +653,6 @@ def vlp_objective(
     _require_p0(alphabet, p0)
     lam, mu_w = mix.lam, mix.mu_weight
 
-    # the p0 states, then the support paths (the mu half)
-    paths = instance.psi
-    batch = _ValueBatch(model, p0.paths, paths)
-    n0 = len(p0.paths)
-    p0_w = np.array(p0.weights)
-    mu_weights = instance.psi_weights
-    mu_targets = np.array([instance.yields[p] for p in paths])
-
     # the tilde half, once per distinct state: check and classify it, and
     # look up an incomplete state's steps, one slot per action of the mix
     for a in mix.actions:
@@ -658,70 +669,47 @@ def vlp_objective(
     # row r: the step slots at the r-th incomplete state, 0 where a step falls back
     slot_table = model.step_table(tuple(mix.states[i] for i in inc_ids.tolist()), mix.actions)
 
-    # a complete state's residual does not depend on the action: the pairs'
-    # weights add up per state. An improper state and its successor both
-    # predict 0: no term.
+    # One batch of values: the p0 states, the support paths (the mu half)
+    # and the tilde half's complete states. Each of them has a hinge term
+    # w_j max(t_j - value_j, 0)^2: below 0 for a p0 state, below its yield
+    # for a support path, and below 0 for a complete state, whose residual
+    # does not depend on the action, so its pairs' weights add up. An
+    # improper state and its successor both predict 0: no term.
+    paths = instance.psi
+    batch = _ValueBatch(model, p0.paths + paths + comp_states)
+    n0 = len(p0.paths)
+    p0_w = np.array(p0.weights)
     comp = is_complete[mix.pair_state]
     comp_weight = np.bincount(mix.pair_state[comp], weights=mix.weights[comp], minlength=len(mix.states))
-    comp_batch = _ValueBatch(model, comp_states)
-    comp_w = comp_weight[comp_ids]
-    # an incomplete pair's residual is its step's drawdown, or the fallback
+    hinge_w = np.concatenate(
+        (kappa * p0_w, lam * mu_w * instance.psi_weights, lam * (1.0 - mu_w) * comp_weight[comp_ids])
+    )
+    hinge_t = np.concatenate((np.zeros(n0), [instance.yields[p] for p in paths], np.zeros(comp_ids.size)))
+    linear_w = np.concatenate((p0_w, np.zeros(hinge_w.size - n0)))
+    # an incomplete pair's residual is its step's drawdown, or the fallback,
+    # read as a ``_ValueBatch`` reads a step
     inc = is_incomplete[mix.pair_state]
-    inc_w = mix.weights[inc]
+    inc_w = lam * (1.0 - mu_w) * mix.weights[inc]
     inc_row = np.cumsum(is_incomplete) - 1  # a state's row in slot_table
     inc_slot = slot_table[inc_row[mix.pair_state[inc]], mix.pair_action[inc]]
-    on = inc_slot > 0
-    inc_const_arr = np.zeros(on.size)
-    if not on.all():
-        inc_const_arr[~on] = model.fallback_advantage
-    inc_mask = on.astype(float)
+    inc_step = np.where(inc_slot > 0, _C + inc_slot, _FALLBACK)
+    inc_head = np.array([-0.0, model.fallback_advantage if np.any(inc_slot == 0) else 0.0])
 
     def evaluate(x: np.ndarray):
         v = batch.values(x)
-        v0, vmu = v[:n0], v[n0:]
-        neg0 = np.maximum(-v0, 0.0)
-        mu_pos = np.maximum(mu_targets - vmu, 0.0)
-        vc = comp_batch.values(x)
-        comp_pos = np.maximum(-vc, 0.0)
-        a_inc = x[inc_slot] * inc_mask + inc_const_arr
-        inc_pos = np.maximum(a_inc, 0.0)
-
-        loss = (
-            p0_w @ v0
-            + lam * mu_w * (mu_weights @ (mu_pos * mu_pos))
-            + lam * (1.0 - mu_w) * (comp_w @ (comp_pos * comp_pos))
-            # summed pairwise, not as a BLAS dot, which wakes its threads
-            # (milliseconds) past 10k entries
-            + lam * (1.0 - mu_w) * np.sum(inc_w * (inc_pos * inc_pos))
-            + kappa * (p0_w @ (neg0 * neg0))
-        )
-        grad = np.zeros(x.size)
-        batch.add_value_grad(
-            grad,
-            np.concatenate((p0_w - 2.0 * kappa * p0_w * neg0, -2.0 * lam * mu_w * mu_weights * mu_pos)),
-        )
-        comp_batch.add_value_grad(grad, -2.0 * lam * (1.0 - mu_w) * comp_w * comp_pos)
-        if inc_w.size:
-            step_coef = 2.0 * lam * (1.0 - mu_w) * inc_w * inc_pos
-            grad += np.bincount(inc_slot, weights=step_coef * inc_mask, minlength=grad.size)
+        pos = np.maximum(hinge_t - v, 0.0)
+        inc_pos = np.maximum(np.concatenate((inc_head, x))[inc_step], 0.0)
+        loss = _dot(p0_w, v[:n0]) + _dot(hinge_w, pos * pos) + _dot(inc_w, inc_pos * inc_pos)
+        grad = batch.value_grad(linear_w - 2.0 * hinge_w * pos, x.size)
+        grad += np.bincount(inc_step, weights=2.0 * inc_w * inc_pos, minlength=_C + x.size)[_C:]
         # the incomplete-state term is (a)_+^2 of one drawdown or of the
         # fallback: zero, with zero curvature, wherever a <= 0
-        return float(loss), grad, lambda: [
-            (
-                batch,
-                np.concatenate(
-                    (2.0 * kappa * p0_w * (neg0 > 0.0), 2.0 * lam * mu_w * mu_weights * (mu_pos > 0.0))
-                ),
-            ),
-            (comp_batch, 2.0 * lam * (1.0 - mu_w) * comp_w * (comp_pos > 0.0)),
-        ]
+        return float(loss), grad, lambda: batch.hessian(2.0 * hinge_w * (pos > 0.0))
 
     def add_pieces(pieces: _NodePieces) -> None:
-        nodes, const = batch.trie_nodes(), batch.const
+        nodes, offset = batch.trie_nodes()
         pieces.add_linear(nodes[:n0], p0_w)
-        pieces.add_hinge(nodes[:n0], const[:n0], kappa * p0_w, 0.0)
-        pieces.add_hinge(nodes[n0:], const[n0:], lam * mu_w * mu_weights, mu_targets)
-        pieces.add_hinge(comp_batch.trie_nodes(), comp_batch.const, lam * (1.0 - mu_w) * comp_w, 0.0)
+        pieces.add_hinge(nodes, offset, hinge_w, hinge_t)
 
     return _compiled(evaluate, model, add_pieces)
 
@@ -734,32 +722,6 @@ def vlp_loss(
     kappa: float = 0.0,
 ) -> tuple[float, np.ndarray]:
     return vlp_objective(model, p0, mix, instance, kappa)(model.drawdown_vector())
-
-
-def _path_values(model: AdvantageModel, paths: tuple[PathSeq, ...]) -> np.ndarray:
-    """``predict_value`` of each complete path, bit for bit.
-
-    The steps' drawdowns (or the fallback) are added to c one column at a
-    time, left to right, in ``predict_value``'s order ((c + a_0) + a_1) + ...;
-    ``_ValueBatch`` sums in another order (c + const + summed drawdowns),
-    which can differ in the last bit.
-    """
-    x = model.drawdown_vector()
-    rows = [[model.step_slot(p[:k], p[k]) for k in range(len(p))] for p in paths]
-    width = max(map(len, rows), default=0)
-    # x, then 0.0 for the columns past a path's end, then the fallback
-    pad, fallback = x.size, x.size + 1
-    falls = any(None in row for row in rows)
-    x = np.concatenate((x, [0.0, model.fallback_advantage if falls else 0.0]))
-    index = np.array(
-        [[fallback if slot is None else slot for slot in row] + [pad] * (width - len(row)) for row in rows],
-        dtype=np.intp,
-    )
-    steps = x[index]
-    values = np.full(len(rows), x[0])
-    for k in range(width):
-        values += steps[:, k]
-    return values
 
 
 def surrogate_gap(
@@ -780,8 +742,7 @@ def surrogate_gap(
     pair by pair, though the default mix makes it 0), and the overshoot from
     oracle values (the instance's ``ov`` when the caller already has it,
     else a fresh ``compute_optimal``) and the model's value on each support
-    path, summed as ``predict_value`` sums it (``_path_values``), not taken
-    from the losses' internals.
+    path, which ``_ValueBatch`` sums bit for bit as ``predict_value`` does.
     """
     if p0 is None:
         p0 = PathDistribution.uniform(instance.trie.nodes)
@@ -796,7 +757,7 @@ def surrogate_gap(
     if ov is None:
         ov = compute_optimal(instance)
     dist = instance.path_dist
-    values = _path_values(model, dist.paths).tolist()
+    values = _ValueBatch(model, dist.paths).values(model.drawdown_vector()).tolist()
     excess = 0.5 * lam * math.fsum(
         w * max(v - ov.v_star[p], 0.0) ** 2 for (p, w), v in zip(dist.items(), values)
     )

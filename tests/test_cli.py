@@ -3,10 +3,14 @@
 import filecmp
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tarpath
 from tarpath import serialize
 from tarpath.cli import main
 from tarpath.instance import NoiseModel, fixture_e1, fixture_e2, load_instance, save_instance
@@ -215,16 +219,16 @@ class TestVerify:
 
 
 class TestVerifyGolden:
-    """verify.json for trained models, pinned to the bytes written before its
-    loss-identity check was compiled once per distinct state (x86-64,
-    numpy 2.4): the check's speed-ups must not move a bit of the report. The
-    reports are pinned for the models that the tree solve (tabular) and the
-    pair-drawdown solve (linear) write; the model the iterative tabular solve
-    wrote before keeps its own pinned report."""
+    """verify.json for trained models, pinned to the bytes written since
+    values are summed in ``predict_value``'s order and every loss term in a
+    fixed order (x86-64, numpy 2.4): a speed-up of the check must not move a
+    bit of the report. The reports are pinned for the models that the tree
+    solve (tabular) and the pair-drawdown solve (linear) write; the model the
+    iterative tabular solve wrote before keeps its own pinned report."""
 
     REPORTS = {
-        "tabular": "3bdf543e5c6145516e180cbc1884226bd13fa7219f0e507dae891f34b5601939",
-        "linear": "376b846f33e3c427eaeaf5dd8ab5157ad7d7999c3fd7444fd780c1cc874196f8",
+        "tabular": "9f4c350f536be2b329056eadb9e85624b1d9ff5dd1ed675b2314bfb2e495eb12",
+        "linear": "063e7d9631e6b1877cfb3cb713fd7e286067f74303668e7c28eb9057a2abe0ba",
     }
 
     @pytest.mark.parametrize("family", sorted(REPORTS))
@@ -378,6 +382,37 @@ class TestPipelineDeterminism:
             assert filecmp.cmp(fa, fb, shallow=False), fa.name
 
 
+class TestThreadIndependence:
+    """A train and a verify write the same bytes at any BLAS thread count.
+    OpenBLAS splits a dot of more than 10k entries across its threads, so a
+    dot over the 20k logged rows, or over the 10,748 trie nodes that the
+    covering law weights, would round by the thread count. On a host with
+    one CPU the split may not show."""
+
+    def test_train_and_verify_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        inst, data = tmp_path / "inst.json", tmp_path / "data.jsonl"
+        assert run("gen", "--actions", 5, "--depth", 8, "--paths", 2800, "--seed", 1, "--out", inst) == 0
+        assert run("sample", "--instance", inst, "--n", 20_000, "--seed", 2, "--out", data) == 0
+        # the subprocesses import this package, whatever PYTHONPATH says
+        src = str(Path(tarpath.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        names = ("model.json", "report.json", "verify.json")
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            model, report, verify = (out / name for name in names)
+            for argv in (
+                ("train", "--instance", inst, "--data", data, "--out", model, "--report", report),
+                ("verify", "--instance", inst, "--model", model, "--report", verify),
+            ):
+                subprocess.run([sys.executable, "-m", "tarpath", *map(str, argv)], env=env, check=True)
+            written.append([(out / name).read_bytes() for name in names])
+        for name, one, two in zip(names, *written):
+            assert one == two, name
+
+
 class TestLinearGolden:
     """The linear family trains in pair-drawdown coordinates, through the
     solver and objective code of the tabular drawdown solve. These bytes and
@@ -385,12 +420,12 @@ class TestLinearGolden:
     a change to the shared code must leave them intact."""
 
     MODELS = {
-        "edge_pair": "2534fccc63d9b821cb9058e544a7796f5d118d194a5cabc30636eefdba6037dc",
-        "depth_edge_pair": "b50723000e989033e2c013c23a4700de3eb3b4546acbf38a2588ba2769616202",
+        "edge_pair": "d91c9bfc3272ec48a2db103f4e5a3ce1da349df6631e2f25d13c1c552cdbeafd",
+        "depth_edge_pair": "718684a6f28bb31446651d4e668492aad5ccbde441bdd0d35d1f086c0f9aea5a",
     }
     REPORTS = {
-        "edge_pair": (5.274744705177477, 19, 8.659739592076221e-15),
-        "depth_edge_pair": (5.246539182301705, 55, 1.6486811915683575e-13),
+        "edge_pair": (5.274744705177478, 19, 5.10702591327572e-15),
+        "depth_edge_pair": (5.246539182301706, 57, 3.9968028886505635e-15),
     }
     # the final loss of the softplus-coordinate descent that trained this
     # family before, capped at 400 iterations; a convex solve must beat it

@@ -231,6 +231,20 @@ class TestPLInstance:
         with pytest.raises(InvalidInputError, match=re.escape(path)):
             load_instance(path)
 
+    def test_load_classifies_each_path_once(self, tmp_path, monkeypatch, e2_bernoulli):
+        path = str(tmp_path / "instance.json")
+        save_instance(e2_bernoulli, path)
+        calls = []
+        classify = ActionAlphabet.classify
+
+        def counted(alphabet, seq):
+            calls.append(tuple(seq))
+            return classify(alphabet, seq)
+
+        monkeypatch.setattr(ActionAlphabet, "classify", counted)
+        load_instance(path)
+        assert sorted(calls) == sorted(e2_bernoulli.psi)
+
 
 class TestSampleDataset:
     def test_deterministic(self, e2_bernoulli):

@@ -312,13 +312,12 @@ class TestSurrogateGap:
         )
         assert report["hinge_excess_term"] == want
         assert report["gap"] <= 1e-9
-        # the value batch of the compiled losses sums c + (fallback steps) +
-        # (drawdowns) instead, which moves this sum in its last bits
+        # the value batch of the compiled losses sums in the same order
         values = _ValueBatch(model, dist.paths).values(model.drawdown_vector())
         batched = 0.5 * lam * math.fsum(
             w * max(v - ov.v_star[p], 0.0) ** 2 for (p, w), v in zip(dist.items(), values.tolist())
         )
-        assert batched != want
+        assert batched == want
 
     def test_tar_dominates_vlp_plus_floor(self, e2_bernoulli):
         model = TabularAdvantage.default(e2_bernoulli.trie, c=0.3)
@@ -396,76 +395,106 @@ class TestGradients:
 
 
 class TestValueBatch:
-    """A batch over several groups of states computes, bit for bit, what one
-    batch per group does: values side by side, gradients group after group."""
+    """A batch sums each state's value as ``predict_value`` does, bit for bit,
+    and differentiates it exactly."""
 
-    @pytest.mark.parametrize("family", ["tabular", "linear"])
-    def test_groups_match_separate_batches(self, e2_bernoulli, family):
-        rng = np.random.default_rng(11)
+    @staticmethod
+    def model_and_states(inst, family, seed):
+        """A model with random parameters, and states on and off its trie:
+        the instance's trie nodes and proper fringe states, paths that extend
+        support paths, and repeats. A tabular model holds every other support
+        path and falls back by 0.1, which is inexact in binary."""
+        rng = np.random.default_rng(seed)
         if family == "tabular":
-            model = TabularAdvantage.default(e2_bernoulli.trie)
-        else:
-            model = LinearAdvantage.default(e2_bernoulli.alphabet, kind=DEPTH_EDGE_PAIR)
-        model = model.with_random_params(rng)
-        states = e2_bernoulli.trie.nodes
-        paths = sample_dataset(e2_bernoulli, n=50, seed=2).paths
-        joint = _ValueBatch(model, states, paths)
-        parts = [_ValueBatch(model, states), _ValueBatch(model, paths)]
-        x = model.drawdown_vector()
-        v = joint.values(x)
-        assert np.array_equal(v, np.concatenate([b.values(x) for b in parts]))
-        coef = rng.normal(size=v.size)
-        grad = np.zeros(x.size)
-        joint.add_value_grad(grad, coef)
-        expected = np.zeros(x.size)
-        for b, c in zip(parts, np.split(coef, [len(states)])):
-            b.add_value_grad(expected, c)
-        assert np.array_equal(grad, expected)
-
-
-    @pytest.mark.parametrize(
-        "family", ["tabular", EDGE_PAIR, DEPTH_EDGE_PAIR]
-    )
-    def test_compiled_arrays_match_per_prefix_reference(self, e2_bernoulli, family):
-        inst = e2_bernoulli
-        if family == "tabular":
-            # a trie over one path, so most steps fall back; 0.1 is inexact
-            # in binary, so the summed constants must match bit for bit
-            trie = PrefixTrie.build(inst.alphabet, [("a", "a", "END")])
+            trie = PrefixTrie.build(inst.alphabet, inst.psi[::2])
             model = TabularAdvantage.default(trie, fallback_B=0.1)
         else:
             model = LinearAdvantage.default(inst.alphabet, kind=family)
-        proper = [s for s in inst.trie.fringe_states() if inst.alphabet.is_proper(s)]
-        groups = (
-            inst.trie.nodes,
-            tuple(proper) + (("b", "a", "b", "a", "END"),),
-            sample_dataset(inst, n=40, seed=3).paths,
-        )
-        batch = _ValueBatch(model, *groups)
-        const, step_state, slots = per_prefix_steps(model, *groups)
-        assert batch.const.tobytes() == const.tobytes()
-        assert np.array_equal(batch.step_state, step_state)
-        assert np.array_equal(batch.step_slot, slots)
+        model = model.with_random_params(rng, c_range=(-1.0, 2.0), z_scale=3.0)
+        alphabet = inst.alphabet
+        fringe = [s for s in inst.trie.fringe_states() if alphabet.is_proper(s)]
+        longer = [p[:-1] + p for p in inst.psi]
+        states = list(inst.trie.nodes) + fringe + longer
+        repeats = [states[int(i)] for i in rng.integers(len(states), size=5)]
+        return model, tuple(states + repeats)
+
+    @given(
+        inst=instances(max_tokens=4, max_depth=4, max_paths=8),
+        family=st.sampled_from(["tabular", EDGE_PAIR, DEPTH_EDGE_PAIR]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60)
+    def test_values_equal_predict_value_bit_for_bit(self, inst, family, seed):
+        model, states = self.model_and_states(inst, family, seed)
+        values = _ValueBatch(model, states).values(model.drawdown_vector())
+        want = np.array([predict_value(model, s) for s in states])
+        assert values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", ["tabular", EDGE_PAIR, DEPTH_EDGE_PAIR])
+    def test_gradient_and_direction_count_every_step(self, e2_bernoulli, family):
+        model, states = self.model_and_states(e2_bernoulli, family, 5)
+        batch = _ValueBatch(model, states)
+        # d(value_j)/dx: 1 in c's slot, plus 1 per step that reads a slot
+        jac = np.zeros((len(states), model.drawdown_vector().size))
+        for j, s in enumerate(states):
+            jac[j, 0] = 1.0
+            for k in range(len(s)):
+                slot = model.step_slot(s[:k], s[k])
+                if slot is not None:
+                    jac[j, slot] += 1.0
+        rng = np.random.default_rng(6)
+        coef, d = rng.normal(size=len(states)), rng.normal(size=jac.shape[1])
+        assert np.allclose(batch.value_grad(coef, jac.shape[1]), coef @ jac, rtol=1e-12, atol=1e-12)
+        assert np.allclose(batch.jvp(d), jac @ d, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["tabular", EDGE_PAIR, DEPTH_EDGE_PAIR])
+    def test_empirical_loss_equals_row_by_row_sum(self, e2_bernoulli, family):
+        # 300 rows of three paths with 0/1 yields: the objective compiles
+        # the three distinct paths, and must still equal the sum over rows
+        inst = e2_bernoulli
+        data = sample_dataset(inst, n=300, seed=8)
         if family == "tabular":
-            assert const.min() < 0.0 and np.unique(const).size > 2
+            model = TabularAdvantage.default(inst.trie)
+        else:
+            model = LinearAdvantage.default(inst.alphabet, kind=family)
+        model = model.with_random_params(np.random.default_rng(9), c_range=(-0.5, 1.0), z_scale=2.0)
+        p0 = PathDistribution.uniform(inst.trie.nodes)
+        lam, kappa = 10.0, 100.0
+        loss, grad = tar_objective(model, p0, data, lam, kappa)(model.drawdown_vector())
 
+        def value_and_grad(s):
+            g = np.zeros(grad.size)
+            g[0] = 1.0
+            for k in range(len(s)):
+                g[model.step_slot(s[:k], s[k])] += 1.0
+            return predict_value(model, s), g
 
-def per_prefix_steps(model, *groups):
-    """What ``_ValueBatch`` compiles, the direct way: every state's steps
-    looked up prefix by prefix, fallback constants summed in step order.
-    Returns (constant per state, step owner per step, slot per step)."""
-    states = [s for g in groups for s in g]
-    const = np.zeros(len(states))
-    step_state, slots = [], []
-    for j, s in enumerate(states):
-        for k in range(len(s)):
-            slot = model.step_slot(s[:k], s[k])
-            if slot is None:
-                const[j] += model.fallback_advantage
-            else:
-                step_state.append(j)
-                slots.append(slot)
-    return const, np.array(step_state, dtype=np.intp), np.array(slots, dtype=np.intp)
+        terms, grad_terms = [], []
+        for s, w in p0.items():
+            v, g = value_and_grad(s)
+            neg = max(-v, 0.0)
+            terms.append(w * v + kappa * w * neg * neg)
+            grad_terms.append(w * (1.0 - 2.0 * kappa * neg) * g)
+        n = len(data)
+        for p, y in data.pairs:
+            v, g = value_and_grad(p)
+            terms.append(0.5 * lam * (v - y) ** 2 / n)
+            grad_terms.append(lam * (v - y) / n * g)
+        want_grad = [math.fsum(column) for column in zip(*grad_terms)]
+        assert {y for _, y in data.pairs} == {0.0, 1.0}
+        assert loss == pytest.approx(math.fsum(terms), rel=1e-12, abs=0.0)
+        assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("y, shown", [(float("nan"), "nan"), (7.0, "7.0"), (-0.5, "-0.5"), (math.inf, "inf")])
+    @pytest.mark.parametrize("family", ["tabular", "linear"])
+    def test_bad_dataset_yield_rejected(self, e2, family, y, shown):
+        paths = e2.psi
+        data = PathYieldDataset(pairs=((paths[0], 1.0), (paths[1], 0.0), (paths[0], y), (paths[2], 0.5)))
+        model = TabularAdvantage.default(e2.trie) if family == "tabular" else LinearAdvantage.default(e2.alphabet)
+        p0 = PathDistribution.uniform(e2.trie.nodes)
+        message = rf"^dataset row 3: yield must be finite and in \[0, 1\], got {shown}$"
+        with pytest.raises(InvalidInputError, match=message):
+            tar_objective(model, p0, data, lam=1.0, kappa=0.0)
 
 
 class TestVlpHandMix:
