@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -44,6 +45,7 @@ from .oracle import (
     check_decomposition,
     compute_optimal,
     max_bellman_violation,
+    node_decomposition,
     save_oracle,
 )
 from .pathspace import ActionAlphabet, PrefixTrie, random_improper
@@ -148,7 +150,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     instance = load_instance(args.instance)
-    max_len = args.max_len or default_max_len(model, instance)
+    max_len = default_max_len(model, instance) if args.max_len is None else args.max_len
     result = greedy_path(model, max_len)
     result = evaluate_plan(result, instance)
     serialize.dump_json(result.to_json(), args.out)
@@ -163,15 +165,17 @@ def _cmd_attribute(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.improper_samples < 0:
+        raise InvalidInputError(f"--improper-samples must be nonnegative, got {args.improper_samples}")
+    if not (math.isfinite(args.gap_tol) and args.gap_tol >= 0.0):
+        raise InvalidInputError(f"--gap-tol must be finite and nonnegative, got {args.gap_tol!r}")
     instance = load_instance(args.instance)
     ov = compute_optimal(instance)
     model = load_model(args.model) if args.model else TabularAdvantage.from_oracle(ov)
 
     gap = surrogate_gap(model, instance, lam=args.lam, kappa=args.kappa, ov=ov)
 
-    worst = 0.0
-    for node in ov.trie.nodes:
-        worst = max(worst, abs(check_decomposition(ov, node)))
+    worst = float(np.max(np.abs(node_decomposition(ov))))
     rng = np.random.default_rng(args.seed)
     max_len = ov.trie.depth + 3
     for _ in range(args.improper_samples):

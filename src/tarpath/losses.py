@@ -152,15 +152,15 @@ class PenaltyMix:
     def default(cls, instance: PLInstance, lam: float) -> "PenaltyMix":
         alphabet = instance.alphabet
         trie, tokens, terminal = instance.trie, alphabet.tokens, alphabet.terminal
-        nonterminal = alphabet.nonterminal
+        ranked = tuple(enumerate(tokens))
+        nonterminal = tuple((r, t) for r, t in ranked if t != terminal)
         # the fringe states of ``PrefixTrie.fringe_states`` that are not
         # complete, in its order: node + (t,) is complete exactly when the
         # node holds no terminal and t is the terminal
         states = []
-        for node in trie.nodes:
-            on_trie = trie.children(node)
-            ends = tokens if terminal in node else nonterminal
-            states.extend([node + (t,) for t in ends if t not in on_trie])
+        for node, row in zip(trie.nodes, trie.child.tolist()):
+            ends = ranked if terminal in node else nonterminal
+            states.extend([node + (t,) for r, t in ends if row[r] < 0])
         n_states, n_actions = len(states), len(tokens)
         n = n_states * n_actions
         mix = cls.__new__(cls)
@@ -437,12 +437,11 @@ class _NodePieces:
     """
 
     def __init__(self, trie: PrefixTrie):
-        counts = np.array([len(trie.children(s)) for s in trie.nodes], dtype=np.intp)
-        n = counts.size
+        self.parent = trie.parent
+        n = self.parent.size
         # canonical order is breadth first: the children of node i are the
         # nodes first_child[i] .. first_child[i + 1] - 1
-        self.first_child = np.concatenate(([1], 1 + np.cumsum(counts)))
-        self.parent = np.concatenate(([-1], np.repeat(np.arange(n), counts)))
+        self.first_child = np.concatenate(([1], 1 + np.cumsum(np.bincount(self.parent[1:], minlength=n))))
         self.linear = np.zeros(n)
         self.quad = np.zeros(n)
         self.quad_y = np.zeros(n)
@@ -743,7 +742,10 @@ def surrogate_gap(
     oracle values (the instance's ``ov`` when the caller already has it,
     else a fresh ``compute_optimal``) and the model's value on each support
     path, which ``_ValueBatch`` sums bit for bit as ``predict_value`` does.
+    A kappa that is not finite and >= 0 is rejected.
     """
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise InvalidInputError(f"kappa must be finite and nonnegative, got {kappa!r}")
     if p0 is None:
         p0 = PathDistribution.uniform(instance.trie.nodes)
     if mix is None:
@@ -758,8 +760,9 @@ def surrogate_gap(
         ov = compute_optimal(instance)
     dist = instance.path_dist
     values = _ValueBatch(model, dist.paths).values(model.drawdown_vector()).tolist()
+    optimal = ov.v[[ov.trie.index[p] for p in dist.paths]].tolist()
     excess = 0.5 * lam * math.fsum(
-        w * max(v - ov.v_star[p], 0.0) ** 2 for (p, w), v in zip(dist.items(), values)
+        w * max(v - v_opt, 0.0) ** 2 for w, v, v_opt in zip(dist.weights, values, optimal)
     )
     rhs = sigma2_term + vlp + excess
     return {

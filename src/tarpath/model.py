@@ -8,9 +8,10 @@ always <= 0.
 
 Two families produce the raw score:
 
-* tabular — one z per edge of a fixed prefix trie; queries at pairs that are
-  not trie edges return the constant fallback advantage -B (a drawdown large
-  enough that planners never prefer unobserved continuations);
+* tabular — one z per edge of a fixed prefix trie, in node order (z[i - 1]
+  scores the edge into node i); queries at pairs that are not trie edges
+  return the constant fallback advantage -B (a drawdown large enough that
+  planners never prefer unobserved continuations);
 * linear — z is a weight vector dotted with sparse indicator features of the
   (previous token, action) pair, optionally crossed with a bucketed prefix
   depth, plus a bias.
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import serialize
 from .errors import InvalidInputError
-from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, SeqClass
+from .pathspace import ActionAlphabet, PathSeq, PrefixTrie
 
 if TYPE_CHECKING:
     from .oracle import OptimalValues
@@ -114,12 +115,6 @@ class FeatureMap:
             pair += min(len(s), DEPTH_BUCKETS - 1) * self.n_pairs
         return pair, self.dim - 1
 
-    def vector(self, s: PathSeq, a: str) -> np.ndarray:
-        phi = np.zeros(self.dim)
-        for i in self.indices(s, a):
-            phi[i] += 1.0
-        return phi
-
 
 @dataclass(frozen=True, eq=False)
 class AdvantageModel:
@@ -184,7 +179,11 @@ class AdvantageModel:
 
 @dataclass(frozen=True, eq=False)
 class TabularAdvantage(AdvantageModel):
-    """One raw score per trie edge; -B off the trie (B finite, >= 0)."""
+    """One raw score per trie edge; -B off the trie (B finite, >= 0).
+
+    ``raw[i - 1]`` scores the edge into trie node i, so the step's slot in
+    ``drawdown_vector`` is the node's position, i.
+    """
 
     trie: PrefixTrie = None
     raw: np.ndarray = None
@@ -193,7 +192,7 @@ class TabularAdvantage(AdvantageModel):
     family = TABULAR
 
     def __post_init__(self) -> None:
-        n_edges = len(self.trie.edge_index)
+        n_edges = len(self.trie) - 1
         raw = np.asarray(self.raw, dtype=float)
         if raw.shape != (n_edges,):
             raise InvalidInputError(
@@ -214,7 +213,7 @@ class TabularAdvantage(AdvantageModel):
             alphabet=trie.alphabet,
             c=c,
             trie=trie,
-            raw=np.full(len(trie.edge_index), DEFAULT_RAW),
+            raw=np.full(len(trie) - 1, DEFAULT_RAW),
             fallback_B=fallback_B,
         )
 
@@ -224,26 +223,24 @@ class TabularAdvantage(AdvantageModel):
     ) -> "TabularAdvantage":
         """Clamped encoding of exact optimal values: c is the optimal yield
         and each edge's raw score inverts the exact drawdown (zeros clamp)."""
-        drawdowns = [ov.a_star[edge] for edge in ov.trie.edge_index]
         return cls(
             alphabet=ov.trie.alphabet,
             c=ov.j_star,
             trie=ov.trie,
-            raw=raw_from_advantage(np.array(drawdowns, dtype=float)),
+            raw=raw_from_advantage(ov.edge_drawdowns),
             fallback_B=fallback_B,
         )
 
     @property
     def edges(self) -> tuple[tuple[PathSeq, str], ...]:
-        return tuple(self.trie.edge_index)
+        return tuple((s, a) for s, a, _ in self.trie.iter_edges())
 
     def raw_z(self, s: PathSeq, a: str) -> float | None:
-        slot = self.trie.edge_index.get((s, a))
-        return None if slot is None else float(self.raw[slot])
+        slot = self.trie.index.get(s + (a,))
+        return None if slot is None else float(self.raw[slot - 1])
 
     def step_slot(self, s: PathSeq, a: str) -> int | None:
-        slot = self.trie.edge_index.get((s, a))
-        return None if slot is None else 1 + slot
+        return self.trie.index.get(s + (a,))
 
     def step_table(self, states: tuple[PathSeq, ...], actions: tuple[str, ...]) -> np.ndarray:
         # every step from a state off the trie falls back: look up the others only
@@ -356,11 +353,11 @@ def predict_value(model: AdvantageModel, seq: PathSeq) -> float:
 
 def model_to_json(model: AdvantageModel) -> dict:
     if isinstance(model, TabularAdvantage):
-        entries = [
-            {"state": list(s), "action": a, "z": float(model.raw[i])}
-            for i, (s, a) in enumerate(model.edges)
-        ]
-        raw = {"entries": entries}
+        trie = model.trie
+        raw = {
+            "paths": [list(node) for node in trie.nodes if node in trie.members],
+            "z": model.raw.tolist(),
+        }
         fallback = model.fallback_B
     elif isinstance(model, LinearAdvantage):
         raw = {
@@ -393,25 +390,17 @@ def model_from_json(obj: dict) -> AdvantageModel:
         raise InvalidInputError(f"model constant c must be finite, got {c!r}")
     if family == TABULAR:
         try:
-            scores = {(tuple(e["state"]), e["action"]): float(e["z"]) for e in raw["entries"]}
+            # build rejects an incomplete path and an unknown token
+            trie = PrefixTrie.build(alphabet, [tuple(p) for p in raw["paths"]])
+            z = np.array([float(v) for v in raw["z"]])
             fallback_B = float(obj.get("fallback_B", DEFAULT_FALLBACK_B))
+        except InvalidInputError:
+            raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError(f"malformed tabular raw entries: {exc}") from exc
-        if not all(math.isfinite(z) for z in scores.values()):
+            raise InvalidInputError(f"malformed tabular raw block (paths and z): {exc!r}") from exc
+        if not np.all(np.isfinite(z)):
             raise InvalidInputError("tabular raw scores must be finite")
-        nodes = {s for s, _ in scores} | {s + (a,) for s, a in scores}
-        members = [n for n in nodes if alphabet.classify(n) is SeqClass.COMPLETE]
-        trie = PrefixTrie.build(alphabet, members)
-        edges = trie.edge_index
-        if edges.keys() != scores.keys():
-            raise InvalidInputError("tabular raw entries do not form a prefix trie")
-        return TabularAdvantage(
-            alphabet=alphabet,
-            c=c,
-            trie=trie,
-            raw=np.array([scores[e] for e in edges]),
-            fallback_B=fallback_B,
-        )
+        return TabularAdvantage(alphabet=alphabet, c=c, trie=trie, raw=z, fallback_B=fallback_B)
     if family == LINEAR:
         try:
             kind = raw["feature_kind"]

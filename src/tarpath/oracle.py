@@ -1,99 +1,82 @@
 """Exact ground-truth values on small instances.
 
-Backward induction over the prefix trie computes, for every trie state s:
+Backward induction over the prefix trie computes, for every trie node s,
+held in arrays indexed by the node's position (``PrefixTrie.index``) and, per
+action, by the token's rank:
 
-* ``v_star``: the best yield reachable from s (over all completions,
-  including s itself when it is a support path), zero one step off the trie;
-* ``q_star``: expected immediate reward plus the optimal value of the
-  successor, for every action;
-* ``a_star = q_star - v_star``: the drawdown of committing to an action,
-  nonpositive everywhere.
+* ``v``: the best yield reachable from s (over all completions, including s
+  itself when it is a support path), zero one step off the trie;
+* ``q``: expected immediate reward plus the optimal value of the successor,
+  for every action;
+* ``a = q - v``: the drawdown of committing to an action, nonpositive
+  everywhere.
 
-A second, deliberately independent implementation recomputes the same
-quantities by enumerating support-path extensions directly (no trie, no
-recursion); both take maxima over the same finite set of stored yields, so
-agreement is exact in floating point, not merely approximate.
+``value_at`` and ``advantage_at`` look them up by sequence. A second,
+deliberately independent implementation recomputes the same quantities by
+enumerating support-path extensions directly (no trie, no recursion); both
+take maxima over the same finite set of stored yields, so agreement is exact
+in floating point, not merely approximate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
+
+import numpy as np
 
 from . import serialize
 from .errors import InvalidInstanceError
 from .instance import PLInstance
-from .pathspace import EMPTY, PathSeq, PrefixTrie, SeqClass
-
-ValueMap = Mapping[PathSeq, float] | Callable[[PathSeq], float]
+from .pathspace import PathSeq, PrefixTrie, SeqClass
 
 
 @dataclass(frozen=True, eq=False)
 class OptimalValues:
-    """Exact optimal values over a trie; off-trie states implicitly carry 0."""
+    """Exact optimal values over a trie, in node order: ``v[i]`` at node i,
+    ``q[i, t]`` and ``a[i, t]`` for the token of rank t there. Off-trie
+    states implicitly carry 0."""
 
     trie: PrefixTrie
-    v_star: Mapping[PathSeq, float]
-    q_star: Mapping[tuple[PathSeq, str], float]
-    a_star: Mapping[tuple[PathSeq, str], float]
+    v: np.ndarray
+    q: np.ndarray
+    a: np.ndarray
     j_star: float
 
     def value_at(self, seq: PathSeq) -> float:
-        return self.v_star.get(tuple(seq), 0.0)
+        i = self.trie.index.get(tuple(seq))
+        return 0.0 if i is None else float(self.v[i])
 
     def advantage_at(self, seq: PathSeq, token: str) -> float:
-        return self.a_star.get((tuple(seq), token), 0.0)
+        i = self.trie.index.get(tuple(seq))
+        return 0.0 if i is None else float(self.a[i, self.trie.alphabet.index(token)])
 
-
-def _lookup(values: ValueMap, seq: PathSeq) -> float:
-    if callable(values):
-        return values(seq)
-    return values.get(seq, 0.0)
-
-
-def transition_operator(
-    values: ValueMap, instance: PLInstance, s: PathSeq, a: str
-) -> float:
-    """Exact one-step backup: expected reward at s plus the value of s + a."""
-    instance.alphabet.require_token(a)
-    s = instance.alphabet.require_seq(s)
-    return instance.yields.get(s, 0.0) + _lookup(values, s + (a,))
+    @property
+    def edge_drawdowns(self) -> np.ndarray:
+        """The drawdown of every trie edge, the edge into node i at i - 1:
+        row-major order over the child table is node order."""
+        return self.a[self.trie.child >= 0]
 
 
 def compute_optimal(instance: PLInstance) -> OptimalValues:
     if not len(instance.yields):
         raise InvalidInstanceError("optimal values need a nonempty path support")
     trie = instance.trie
-    tokens = instance.alphabet.tokens
+    get = instance.yields.entries.get
+    reward = [get(node, 0.0) for node in trie.nodes]
 
-    yields, children = instance.yields.entries, trie.children
-    v_star: dict[PathSeq, float] = {}
-    for node in trie.nodes_deepest_first():
-        best = yields.get(node, 0.0)
-        for a in children(node):
-            child = v_star[node + (a,)]
-            if child > best:
-                best = child
-        v_star[node] = best
+    # deepest first, each node's value folds into its parent's
+    value = list(reward)
+    parent = trie.parent.tolist()
+    for i in range(len(value) - 1, 0, -1):
+        if value[i] > value[parent[i]]:
+            value[parent[i]] = value[i]
+    v = np.array(value)
 
     # off the trie, node + (a,) has value 0.0
-    q_star: dict[tuple[PathSeq, str], float] = {}
-    a_star: dict[tuple[PathSeq, str], float] = {}
-    for node in trie.nodes:
-        reward, v, on_trie = yields.get(node, 0.0), v_star[node], children(node)
-        for a in tokens:
-            q = reward + (v_star[node + (a,)] if a in on_trie else 0.0)
-            key = (node, a)
-            q_star[key] = q
-            a_star[key] = q - v
-
-    return OptimalValues(
-        trie=trie,
-        v_star=v_star,
-        q_star=q_star,
-        a_star=a_star,
-        j_star=v_star[EMPTY],
-    )
+    child = trie.child
+    q = np.array(reward)[:, None] + np.where(child >= 0, v[child], 0.0)
+    return OptimalValues(trie=trie, v=v, q=q, a=q - v[:, None], j_star=value[0])
 
 
 def check_decomposition(ov: OptimalValues, seq: Iterable[str]) -> float:
@@ -107,10 +90,21 @@ def check_decomposition(ov: OptimalValues, seq: Iterable[str]) -> float:
     # classify rejects unknown tokens
     if ov.trie.alphabet.classify(seq) is SeqClass.IMPROPER:
         return ov.value_at(seq) - 0.0
-    total, a_star = ov.j_star, ov.a_star
+    total = ov.j_star
     for k in range(len(seq)):
-        total += a_star.get((seq[:k], seq[k]), 0.0)
+        total += ov.advantage_at(seq[:k], seq[k])
     return ov.value_at(seq) - total
+
+
+def node_decomposition(ov: OptimalValues) -> np.ndarray:
+    """``check_decomposition`` at every trie node, in node order, in one
+    pass: a node's sum is its parent's plus the drawdown of the edge into
+    it, the same left-to-right additions."""
+    edge = ov.edge_drawdowns.tolist()
+    total = [ov.j_star]
+    for i, p in enumerate(ov.trie.parent[1:].tolist()):
+        total.append(total[p] + edge[i])
+    return ov.v - np.array(total)
 
 
 def max_bellman_violation(ov: OptimalValues) -> float:
@@ -119,12 +113,7 @@ def max_bellman_violation(ov: OptimalValues) -> float:
     Feasibility of the optimal values means this is exactly 0: the backup
     never exceeds the value it backs up to.
     """
-    worst = 0.0
-    for (node, _a), q in ov.q_star.items():
-        excess = q - ov.v_star[node]
-        if excess > worst:
-            worst = excess
-    return worst
+    return max(0.0, float(np.max(ov.q - ov.v[:, None])))
 
 
 def enumeration_value(instance: PLInstance, seq: Iterable[str]) -> float:
@@ -147,14 +136,9 @@ def enumeration_advantage(instance: PLInstance, seq: Iterable[str], token: str) 
 def oracle_to_json(ov: OptimalValues) -> dict:
     tokens = ov.trie.alphabet.tokens
     nodes = []
-    for node in ov.trie.nodes:
+    for node, v, q, a in zip(ov.trie.nodes, ov.v.tolist(), ov.q.tolist(), ov.a.tolist()):
         nodes.append(
-            {
-                "state": list(node),
-                "v": ov.v_star[node],
-                "q": {a: ov.q_star[(node, a)] for a in tokens},
-                "adv": {a: ov.a_star[(node, a)] for a in tokens},
-            }
+            {"state": list(node), "v": v, "q": dict(zip(tokens, q)), "adv": dict(zip(tokens, a))}
         )
     return {"j_star": ov.j_star, "nodes": nodes}
 
@@ -166,15 +150,14 @@ def save_oracle(ov: OptimalValues, path: str) -> None:
     num, tokens = serialize.format_float, ov.trie.alphabet.tokens
     # state entries and q/adv keys sit at depth 4 (8 spaces)
     token_text = {a: "\n        " + serialize.dumps(a) for a in tokens}
-    keys = [(a, token_text[a] + ": ") for a in tokens]
-    v_star, q_star, a_star = ov.v_star, ov.q_star, ov.a_star
+    keys = [token_text[a] + ": " for a in tokens]
     nodes = []
-    for node in ov.trie.nodes:
+    for node, v, q_row, a_row in zip(ov.trie.nodes, ov.v.tolist(), ov.q.tolist(), ov.a.tolist()):
         state = "[" + ",".join([token_text[t] for t in node]) + "\n      ]" if node else "[]"
-        q = ",".join([key + num(q_star[(node, a)]) for a, key in keys])
-        adv = ",".join([key + num(a_star[(node, a)]) for a, key in keys])
+        q = ",".join([key + num(x) for key, x in zip(keys, q_row)])
+        adv = ",".join([key + num(x) for key, x in zip(keys, a_row)])
         nodes.append(
-            f'{{\n      "state": {state},\n      "v": {num(v_star[node])},'
+            f'{{\n      "state": {state},\n      "v": {num(v)},'
             f'\n      "q": {{{q}\n      }},\n      "adv": {{{adv}\n      }}\n    }}'
         )
     serialize.atomic_write_text(

@@ -11,20 +11,20 @@ Complete and proper-incomplete sequences together are "proper" — exactly the
 prefixes of complete sequences. The prefix trie over a finite set of complete
 paths is the finite carrier for every value computation downstream: sequences
 off the trie are reached only through fringe states one append beyond it, and
-those carry optimal value zero.
+those carry optimal value zero. A node's position in canonical order indexes
+every per-node and per-edge array downstream (optimal values, tabular scores,
+node pieces).
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import InvalidInputError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # A path is an immutable tuple of token strings; () is the empty path.
 PathSeq = tuple[str, ...]
@@ -135,15 +135,22 @@ class ActionAlphabet:
 class PrefixTrie:
     """Prefix closure of a finite set of complete paths, rooted at ().
 
-    Nodes are the paths themselves (tuples are their own ids). ``nodes`` is
-    in canonical order — shallow to deep, declaration order within a depth —
-    so iteration, serialization, and backward induction are deterministic.
+    ``nodes`` is in canonical order — shallow to deep, declaration order
+    within a depth — and a node's position in it is its one index, which
+    every layer reads: ``index`` maps a node to it, ``parent[i]`` is the
+    position of node i's parent (-1 at the root), and ``child[i, t]`` the
+    position of node i's child by the token of rank t (-1 where there is
+    none). The order is breadth first, so the edge into node i is edge
+    i - 1 of ``iter_edges``. Tuples appear only at the API boundary:
+    ``nodes``, ``children`` and ``iter_edges``.
     """
 
     alphabet: ActionAlphabet
     nodes: tuple[PathSeq, ...]
     members: frozenset[PathSeq]
-    _children: Mapping[PathSeq, tuple[str, ...]] = field(repr=False)
+    index: Mapping[PathSeq, int] = field(repr=False)
+    parent: np.ndarray = field(repr=False)
+    child: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, alphabet: ActionAlphabet, paths: Iterable[PathSeq]) -> "PrefixTrie":
@@ -166,27 +173,41 @@ class PrefixTrie:
         # breadth first, children in declaration order: shallow to deep and,
         # within a depth, lexicographic in token rank, i.e. canonical order
         nodes = [EMPTY]
-        children: dict[PathSeq, tuple[str, ...]] = {}
-        for node in nodes:
+        parent, rank = [-1], [-1]
+        ranked = tuple(enumerate(alphabet.tokens))
+        for i, node in enumerate(nodes):
             tokens = extensions.get(node)
-            kids = tuple(t for t in alphabet.tokens if t in tokens) if tokens else ()
-            children[node] = kids
-            nodes.extend(node + (t,) for t in kids)
+            if tokens:
+                for t, token in ranked:
+                    if token in tokens:
+                        nodes.append(node + (token,))
+                        parent.append(i)
+                        rank.append(t)
+        n = len(nodes)
+        parent = np.array(parent, dtype=np.intp)
+        child = np.full((n, len(ranked)), -1, dtype=np.intp)
+        child[parent[1:], rank[1:]] = np.arange(1, n)
+        parent.flags.writeable = child.flags.writeable = False
         return cls(
             alphabet=alphabet,
             nodes=tuple(nodes),
             members=frozenset(members),
-            _children=children,
+            index={node: i for i, node in enumerate(nodes)},
+            parent=parent,
+            child=child,
         )
 
     def __contains__(self, seq: PathSeq) -> bool:
-        return seq in self._children
+        return seq in self.index
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def children(self, seq: PathSeq) -> tuple[str, ...]:
-        return self._children.get(seq, ())
+        i = self.index.get(seq)
+        if i is None:
+            return ()
+        return tuple(t for t, c in zip(self.alphabet.tokens, self.child[i].tolist()) if c >= 0)
 
     @property
     def root(self) -> PathSeq:
@@ -197,9 +218,6 @@ class PrefixTrie:
         # canonical order is by length, and the root is always a node
         return len(self.nodes[-1])
 
-    def nodes_deepest_first(self) -> tuple[PathSeq, ...]:
-        return tuple(reversed(self.nodes))
-
     def fringe_states(self) -> tuple[PathSeq, ...]:
         """States exactly one append beyond the trie, in canonical order.
 
@@ -207,28 +225,21 @@ class PrefixTrie:
         value is zero; together with the nodes these are all states a finite
         value computation ever touches.
         """
+        tokens = self.alphabet.tokens
         out = []
-        for node in self.nodes:
-            on_trie = set(self._children[node])
-            for token in self.alphabet.tokens:
-                if token not in on_trie:
-                    out.append(node + (token,))
+        for node, row in zip(self.nodes, self.child.tolist()):
+            out.extend(node + (t,) for t, c in zip(tokens, row) if c < 0)
         return tuple(out)
 
     def iter_edges(self) -> Iterator[tuple[PathSeq, str, PathSeq]]:
-        for node in self.nodes:
-            for token in self._children[node]:
-                yield node, token, node + (token,)
-
-    @functools.cached_property
-    def edge_index(self) -> Mapping[tuple[PathSeq, str], int]:
-        """Each edge (node, token) -> its position in ``iter_edges`` order,
-        built once per trie. The edge into node i is edge i - 1."""
-        return {(node, token): i for i, (node, token, _) in enumerate(self.iter_edges())}
+        """(parent, token, node) for every node but the root, in node order."""
+        nodes = self.nodes
+        for p, node in zip(self.parent[1:].tolist(), nodes[1:]):
+            yield nodes[p], node[-1], node
 
 
 def random_improper(
-    alphabet: ActionAlphabet, rng: "np.random.Generator", max_len: int = 8
+    alphabet: ActionAlphabet, rng: np.random.Generator, max_len: int = 8
 ) -> PathSeq:
     """Random sequence with the terminal forced onto a non-final index."""
     length = int(rng.integers(2, max(max_len, 2) + 1))

@@ -100,12 +100,12 @@ def test_criterion_2_oracle_cross_validation(pool):
     advantages = 0
     for inst, ov in pool:
         for node in inst.trie.nodes:
-            assert ov.v_star[node] == enumeration_value(inst, node)
+            assert ov.value_at(node) == enumeration_value(inst, node)
             states += 1
             if node in inst.yields:
                 continue
             for a in inst.alphabet.tokens:
-                assert ov.a_star[(node, a)] == enumeration_advantage(inst, node, a)
+                assert ov.advantage_at(node, a) == enumeration_advantage(inst, node, a)
                 advantages += 1
     print(
         f"ACCEPTANCE 2 oracle cross-validation: PASS "

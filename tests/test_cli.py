@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,14 @@ class TestTrainPlanAttribute:
         assert len(plan["margins"]) == 2 and min(plan["margins"]) >= 0.0
         assert plan["ties"] == plan["margins"].count(0.0)
 
+    def test_plan_rejects_a_zero_step_budget(self, tmp_path, capsys, e1_file):
+        model_path, _ = self.fit(tmp_path, e1_file)
+        out = tmp_path / "plan.json"
+        code = run("plan", "--model", model_path, "--instance", e1_file, "--out", out, "--max-len", 0)
+        assert code == 1
+        assert "error: max_len must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_attribute_explains_a_path(self, tmp_path, e1_file):
         model_path, _ = self.fit(tmp_path, e1_file)
         out = tmp_path / "attr.json"
@@ -208,14 +217,37 @@ class TestVerify:
         assert report["bellman_violation"] == 0.0
         assert report["decomposition_max_abs_residual"] <= 1e-12
 
-    def test_unreachable_tolerance_fails(self, tmp_path, e2_file):
-        report_path = tmp_path / "verify.json"
+    def test_unreachable_tolerance_fails(self, tmp_path):
+        # this model's loss identity holds to 1.8e-15, not to 0
+        inst, report_path = tmp_path / "inst.json", tmp_path / "verify.json"
+        assert run("gen", "--actions", 3, "--depth", 4, "--paths", 6, "--seed", 21, "--out", inst) == 0
         code = run(
-            "verify", "--instance", e2_file, "--report", report_path,
-            "--gap-tol", -1.0,
+            "verify", "--instance", inst, "--model", FIXTURES / "tabular_iterative_model.json",
+            "--report", report_path, "--gap-tol", 0.0,
         )
         assert code == 1
-        assert serialize.load_json(str(report_path))["passed"] is False
+        report = serialize.load_json(str(report_path))
+        assert report["passed"] is False and report["gap"]["gap"] > 0.0
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--kappa", "nan", "kappa must be finite and nonnegative, got nan"),
+            ("--kappa", "inf", "kappa must be finite and nonnegative, got inf"),
+            ("--kappa", "-5", "kappa must be finite and nonnegative, got -5.0"),
+            ("--improper-samples", "-3", "--improper-samples must be nonnegative, got -3"),
+            ("--gap-tol", "-1", "--gap-tol must be finite and nonnegative, got -1.0"),
+            ("--gap-tol", "nan", "--gap-tol must be finite and nonnegative, got nan"),
+        ],
+    )
+    def test_bad_numbers_are_rejected(self, tmp_path, capsys, e2_file, flag, value, message):
+        report_path = tmp_path / "verify.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            code = run("verify", "--instance", e2_file, "--report", report_path, flag, value)
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not report_path.exists()
 
 
 class TestVerifyGolden:
@@ -266,6 +298,39 @@ class TestVerifyGolden:
                    "--report", verify) == 0
         digest = hashlib.sha256(verify.read_bytes()).hexdigest()
         assert digest == "434262a38edf197de4ebf3ec2788b117143da7ed463c1b7226fc0a5ea56abb7c"
+
+
+class TestArtifactGolden:
+    """oracle.json, plan.json and attribution.json, pinned to the bytes that
+    the tuple-keyed oracle and trie wrote (x86-64, numpy 2.4) for the
+    instance of ``TestVerifyGolden``'s tabular case, and oracle.json for a
+    larger instance: the node-order arrays must not move a bit of them."""
+
+    def test_pipeline_artifacts_are_pinned(self, tmp_path):
+        inst, data, model = tmp_path / "inst.json", tmp_path / "data.jsonl", tmp_path / "model.json"
+        oracle, plan, attr = tmp_path / "oracle.json", tmp_path / "plan.json", tmp_path / "attribution.json"
+        assert run("gen", "--actions", 3, "--depth", 4, "--paths", 6, "--seed", 21, "--out", inst) == 0
+        assert run("sample", "--instance", inst, "--n", 300, "--seed", 22, "--out", data) == 0
+        assert run("train", "--instance", inst, "--data", data, "--lambda", 100.0, "--kappa", 1000.0,
+                   "--tol", 1e-7, "--out", model, "--max-iters", 4000) == 0
+        assert run("oracle", "--instance", inst, "--out", oracle) == 0
+        assert run("plan", "--model", model, "--instance", inst, "--out", plan) == 0
+        path = serialize.load_json(str(plan))["path"]
+        assert path == ["b", "b", "a", "END"]
+        assert run("attribute", "--model", model, "--path", *path, "--out", attr) == 0
+        digests = [hashlib.sha256(f.read_bytes()).hexdigest() for f in (oracle, plan, attr)]
+        assert digests == [
+            "f869762efeb576e0bf72d00f280b8286c70e8a940cb63d2e1405f8a4750baa43",
+            "b64ab416c845473965ba5d7ad707adb86a2a07684f36ac3c7259c7dc1d092377",
+            "763225e5cfdaca3f25b8fb553dab1b10503264bc290a1c8fffda29b0ad6026bb",
+        ]
+
+    def test_larger_oracle_is_pinned(self, tmp_path):
+        inst, oracle = tmp_path / "inst.json", tmp_path / "oracle.json"
+        assert run("gen", "--actions", 5, "--depth", 6, "--paths", 300, "--seed", 1, "--out", inst) == 0
+        assert run("oracle", "--instance", inst, "--out", oracle) == 0
+        digest = hashlib.sha256(oracle.read_bytes()).hexdigest()
+        assert digest == "6b9622a1e72eaf1f1dffe17244f9166624453d34f5ccfb3bbf7d1d242cb2f22c"
 
 
 class TestLoadTimeErrors:

@@ -22,8 +22,8 @@ E1 = fixture_e1()
 # the first lookup
 _KEYS = st.sampled_from(
     ["alphabet", "tokens", "terminal", "paths", "path", "yield", "weight", "noise",
-     "kind", "stddev", "y", "s", "a", "r", "s_next", "state", "c", "family", "raw", "entries",
-     "action", "z", "feature_kind", "weights", "fallback_B"]
+     "kind", "stddev", "y", "s", "a", "r", "s_next", "state", "c", "family", "raw",
+     "z", "feature_kind", "weights", "fallback_B"]
 )
 _SCALARS = (
     st.none()

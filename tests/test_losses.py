@@ -308,14 +308,14 @@ class TestSurrogateGap:
         report = surrogate_gap(model, inst, lam=lam, ov=ov)
         dist = inst.path_dist
         want = 0.5 * lam * math.fsum(
-            w * max(predict_value(model, p) - ov.v_star[p], 0.0) ** 2 for p, w in dist.items()
+            w * max(predict_value(model, p) - ov.value_at(p), 0.0) ** 2 for p, w in dist.items()
         )
         assert report["hinge_excess_term"] == want
         assert report["gap"] <= 1e-9
         # the value batch of the compiled losses sums in the same order
         values = _ValueBatch(model, dist.paths).values(model.drawdown_vector())
         batched = 0.5 * lam * math.fsum(
-            w * max(v - ov.v_star[p], 0.0) ** 2 for (p, w), v in zip(dist.items(), values.tolist())
+            w * max(v - ov.value_at(p), 0.0) ** 2 for (p, w), v in zip(dist.items(), values.tolist())
         )
         assert batched == want
 

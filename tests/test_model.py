@@ -3,11 +3,13 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tarpath import serialize
 from tarpath.errors import InvalidInputError
 from tarpath.model import (
     DEFAULT_RAW,
@@ -26,7 +28,7 @@ from tarpath.model import (
     save_model,
 )
 from tarpath.oracle import compute_optimal
-from tarpath.pathspace import EMPTY, ActionAlphabet, PrefixTrie
+from tarpath.pathspace import EMPTY, ActionAlphabet
 
 from .strategies import alphabets, instances, linear_models, tabular_models
 
@@ -98,12 +100,6 @@ class TestFeatureMap:
         with pytest.raises(InvalidInputError):
             FeatureMap(kind="mystery", alphabet=AB)
 
-    def test_two_hot_vector(self):
-        fm = FeatureMap(kind="edge_pair", alphabet=AB)
-        phi = fm.vector(("a",), "b")
-        assert phi.sum() == 2.0
-        assert phi[fm.dim - 1] == 1.0
-
     def test_start_state_has_own_row(self):
         fm = FeatureMap(kind="edge_pair", alphabet=AB)
         i_start, _ = fm.indices(EMPTY, "a")
@@ -162,13 +158,19 @@ class TestTabular:
         with pytest.raises(InvalidInputError):
             TabularAdvantage.default(e2.trie, fallback_B=fallback_B)
 
-    def test_copies_reuse_the_trie_edge_map(self, e2, monkeypatch):
+    def test_copies_share_the_trie(self, e2):
         model = TabularAdvantage.default(e2.trie)
-        edges = tuple(edge[:2] for edge in e2.trie.iter_edges())
-        monkeypatch.setattr(PrefixTrie, "iter_edges", None)  # a rebuilt map would fail
         again = model.with_params(model.params_vector() * 2.0)
-        assert again.edges == edges
-        assert again.step_slot(*edges[-1]) == len(edges)
+        assert again.trie is model.trie is e2.trie
+
+    @given(tabular_models())
+    def test_step_slot_is_the_node_position(self, model):
+        trie = model.trie
+        for s in trie.nodes:
+            for a in model.alphabet.tokens:
+                assert model.step_slot(s, a) == trie.index.get(s + (a,))
+        for s in trie.fringe_states():
+            assert model.step_slot(s, model.alphabet.terminal) is None
 
     def test_with_random_params_deterministic(self, e2):
         model = TabularAdvantage.default(e2.trie)
@@ -218,7 +220,7 @@ class TestPredictValue:
         model = TabularAdvantage.from_oracle(ov)
         for node in inst.trie.nodes:
             assert predict_value(model, node) == pytest.approx(
-                ov.v_star[node], abs=1e-9
+                ov.value_at(node), abs=1e-9
             )
 
 
@@ -269,6 +271,21 @@ class TestSerialization:
         loaded = load_model(str(out))
         assert np.array_equal(loaded.params_vector(), model.params_vector())
 
+    @given(tabular_models(), st.floats(min_value=0.0, max_value=50.0))
+    def test_tabular_file_keeps_the_trie(self, tmp_path_factory, model, fallback_B):
+        model = replace(model, fallback_B=fallback_B)
+        out = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, str(out))
+        loaded = load_model(str(out))
+        assert loaded.c == model.c
+        assert loaded.raw.tobytes() == model.raw.tobytes()
+        assert loaded.fallback_B == model.fallback_B
+        assert loaded.trie.nodes == model.trie.nodes
+        # the file lists the member paths in canonical order, then one score per edge
+        raw = serialize.load_json(str(out))["raw"]
+        assert [tuple(p) for p in raw["paths"]] == sorted(model.trie.members, key=model.alphabet.sort_key)
+        assert len(raw["z"]) == len(model.trie) - 1
+
     def test_rejects_unknown_family(self, e2):
         obj = model_to_json(TabularAdvantage.default(e2.trie))
         obj["family"] = "mystery"
@@ -280,10 +297,10 @@ class TestSerialization:
         [
             ("tabular", lambda doc: doc.update(c="x")),
             ("tabular", lambda doc: doc.update(c=float("nan"))),
-            ("tabular", lambda doc: doc["raw"]["entries"][0].update(z="x")),
-            ("tabular", lambda doc: doc["raw"]["entries"][0].update(z=10**400)),
-            ("tabular", lambda doc: doc["raw"]["entries"][0].update(z=float("nan"))),
-            ("tabular", lambda doc: doc["raw"]["entries"][0].update(state=[["a"]])),
+            ("tabular", lambda doc: doc["raw"]["z"].__setitem__(0, "x")),
+            ("tabular", lambda doc: doc["raw"]["z"].__setitem__(0, 10**400)),
+            ("tabular", lambda doc: doc["raw"]["paths"].__setitem__(0, [["a"]])),
+            ("tabular", lambda doc: doc["raw"].pop("z")),
             ("tabular", lambda doc: doc.update(fallback_B=-3.0)),
             ("tabular", lambda doc: doc.update(fallback_B="x")),
             ("linear", lambda doc: doc["raw"]["weights"].__setitem__(0, float("nan"))),
@@ -299,9 +316,22 @@ class TestSerialization:
         with pytest.raises(InvalidInputError, match=re.escape(str(path))):
             load_model(str(path))
 
-    def test_tabular_entries_define_the_trie(self, e2):
-        obj = model_to_json(TabularAdvantage.default(e2.trie))
-        # dropping one edge breaks prefix-closure of the encoded trie
-        obj["raw"]["entries"] = obj["raw"]["entries"][1:]
-        with pytest.raises(InvalidInputError):
-            model_from_json(obj)
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["raw"]["z"].pop(), "one score per trie edge (7), got shape (6,)"),
+            (lambda doc: doc["raw"]["paths"][0].pop(), "trie paths must be complete sequences"),
+            (lambda doc: doc["raw"]["paths"][0].insert(0, "z"), "unknown token 'z'"),
+            (lambda doc: doc["raw"]["z"].__setitem__(3, float("nan")), "tabular raw scores must be finite"),
+            # the per-edge rows that tabular model files held before
+            (lambda doc: doc.update(raw={"entries": [{"state": [], "action": "a", "z": -2.25}]}), "'paths'"),
+        ],
+    )
+    def test_tabular_file_errors_name_the_file(self, tmp_path, e2, edit, message):
+        doc = model_to_json(TabularAdvantage.default(e2.trie))
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match=re.escape(str(path))) as exc:
+            load_model(str(path))
+        assert message in str(exc.value)

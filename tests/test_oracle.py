@@ -7,14 +7,15 @@ from hypothesis import given, strategies as st
 from tarpath.errors import InvalidInstanceError
 from tarpath.instance import NoiseModel, PathDistribution, PLInstance, YieldTable
 from tarpath.oracle import (
+    OptimalValues,
     check_decomposition,
     compute_optimal,
     enumeration_advantage,
     enumeration_value,
     max_bellman_violation,
+    node_decomposition,
     oracle_to_json,
     save_oracle,
-    transition_operator,
 )
 from tarpath.pathspace import EMPTY, ActionAlphabet, random_improper
 from tarpath.planner import PlanResult, evaluate_plan, greedy_rollout
@@ -62,7 +63,8 @@ class TestInvariants:
     @given(instances())
     def test_advantages_nonpositive(self, inst):
         ov = compute_optimal(inst)
-        assert all(a <= 0.0 for a in ov.a_star.values())
+        tokens = inst.alphabet.tokens
+        assert all(ov.advantage_at(node, a) <= 0.0 for node in inst.trie.nodes for a in tokens)
 
     @given(instances())
     def test_terminal_advantage_zero_on_support(self, inst):
@@ -80,6 +82,17 @@ class TestInvariants:
         ov = compute_optimal(inst)
         for node in inst.trie.nodes:
             assert abs(check_decomposition(ov, node)) <= 1e-12
+
+    @given(instances(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_node_pass_is_check_decomposition_bit_for_bit(self, inst, seed):
+        # arbitrary values and drawdowns, so that the sums round
+        trie = inst.trie
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0.0, 1.0, size=len(trie))
+        q = rng.uniform(-1.0, 1.0, size=(len(trie), len(inst.alphabet.tokens)))
+        ov = OptimalValues(trie=trie, v=v, q=q, a=q - v[:, None], j_star=float(v[0]))
+        want = np.array([check_decomposition(ov, node) for node in trie.nodes])
+        assert node_decomposition(ov).tobytes() == want.tobytes()
 
     @given(instances(), st.integers(min_value=0, max_value=2**32 - 1))
     def test_decomposition_on_improper(self, inst, seed):
@@ -103,7 +116,7 @@ class TestEnumerationAgreement:
     def test_values_equal_exactly(self, inst):
         ov = compute_optimal(inst)
         for node in inst.trie.nodes:
-            assert ov.v_star[node] == enumeration_value(inst, node)
+            assert ov.value_at(node) == enumeration_value(inst, node)
 
     @given(instances())
     def test_advantages_equal_exactly_off_support(self, inst):
@@ -112,23 +125,11 @@ class TestEnumerationAgreement:
             if node in inst.yields:
                 continue
             for a in inst.alphabet.tokens:
-                assert ov.a_star[(node, a)] == enumeration_advantage(inst, node, a)
+                assert ov.advantage_at(node, a) == enumeration_advantage(inst, node, a)
 
     def test_enumeration_off_trie(self, e2):
         assert enumeration_value(e2, ("b", "a")) == 0.0
         assert enumeration_value(e2, EMPTY) == 0.9
-
-
-class TestTransitionOperator:
-    def test_backup_with_mapping(self, e2):
-        ov = compute_optimal(e2)
-        # at a support path the reward fires and the successor is off-trie
-        assert transition_operator(ov.v_star, e2, ("b", "END"), "a") == 0.5
-        # at an interior node the reward is zero and the child value carries
-        assert transition_operator(ov.v_star, e2, ("a",), "a") == 0.9
-
-    def test_backup_with_callable(self, e2):
-        assert transition_operator(lambda s: 1.0, e2, ("a",), "b") == 1.0
 
 
 class TestGreedyPolicy:
@@ -176,8 +177,10 @@ class TestSerialization:
     def test_json_matches_maps(self, e2):
         ov = compute_optimal(e2)
         obj = oracle_to_json(ov)
-        for entry in obj["nodes"]:
+        for i, entry in enumerate(obj["nodes"]):
             node = tuple(entry["state"])
-            assert entry["v"] == ov.v_star[node]
-            for a, q in entry["q"].items():
-                assert q == ov.q_star[(node, a)]
+            assert node == e2.trie.nodes[i]
+            assert entry["v"] == ov.value_at(node)
+            for t, a in enumerate(e2.alphabet.tokens):
+                assert entry["q"][a] == ov.q[i, t]
+                assert entry["adv"][a] == ov.advantage_at(node, a)

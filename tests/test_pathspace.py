@@ -13,7 +13,7 @@ from tarpath.pathspace import (
     random_improper,
 )
 
-from .strategies import alphabets
+from .strategies import alphabets, instances
 
 AB = ActionAlphabet(tokens=("a", "b", "END"), terminal="END")
 
@@ -167,16 +167,28 @@ class TestPrefixTrie:
             assert s not in trie
             assert s[:-1] in trie
 
-    def test_deepest_first_visits_children_before_parents(self):
-        trie = PrefixTrie.build(AB, [("a", "a", "END"), ("b", "END")])
-        order = {s: i for i, s in enumerate(trie.nodes_deepest_first())}
-        for node, _, child in trie.iter_edges():
-            assert order[child] < order[node]
-
     def test_iter_edges_covers_every_nonroot_node(self):
         trie = PrefixTrie.build(AB, [("a", "a", "END"), ("b", "END")])
         children = {child for _, _, child in trie.iter_edges()}
         assert children == set(trie.nodes) - {EMPTY}
+
+    @given(instances())
+    def test_node_positions_index_every_array(self, inst):
+        trie, tokens = inst.trie, inst.alphabet.tokens
+        assert trie.parent[0] == -1
+        assert trie.child.shape == (len(trie), len(tokens))
+        for i, node in enumerate(trie.nodes):
+            assert trie.index[node] == i
+            if i:
+                assert trie.nodes[trie.parent[i]] == node[:-1]
+            row = trie.child[i].tolist()
+            assert tuple(t for t, c in zip(tokens, row) if c >= 0) == trie.children(node)
+            for t, c in zip(tokens, row):
+                assert (c >= 0) == (node + (t,) in trie)
+                if c >= 0:
+                    assert trie.nodes[c] == node + (t,)
+        # the edge into node i is edge i - 1
+        assert [child for _, _, child in trie.iter_edges()] == list(trie.nodes[1:])
 
 
 class TestRandomImproper:
