@@ -28,6 +28,7 @@ from .instance import (
     sample_dataset,
     save_dataset,
     save_instance,
+    seeded_rng,
 )
 from .losses import (
     TrainConfig,
@@ -150,6 +151,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     instance = load_instance(args.instance)
+    model.require_alphabet(instance.alphabet)
     max_len = default_max_len(model, instance) if args.max_len is None else args.max_len
     result = greedy_path(model, max_len)
     result = evaluate_plan(result, instance)
@@ -169,6 +171,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"--improper-samples must be nonnegative, got {args.improper_samples}")
     if not (math.isfinite(args.gap_tol) and args.gap_tol >= 0.0):
         raise InvalidInputError(f"--gap-tol must be finite and nonnegative, got {args.gap_tol!r}")
+    rng = seeded_rng(args.seed)
     instance = load_instance(args.instance)
     ov = compute_optimal(instance)
     model = load_model(args.model) if args.model else TabularAdvantage.from_oracle(ov)
@@ -176,7 +179,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     gap = surrogate_gap(model, instance, lam=args.lam, kappa=args.kappa, ov=ov)
 
     worst = float(np.max(np.abs(node_decomposition(ov))))
-    rng = np.random.default_rng(args.seed)
     max_len = ov.trie.depth + 3
     for _ in range(args.improper_samples):
         seq = random_improper(instance.alphabet, rng, max_len=max_len)

@@ -322,13 +322,21 @@ class PathYieldDataset:
         return iter(self.pairs)
 
 
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, rejecting a negative seed as bad input."""
+    try:
+        return np.random.default_rng(seed)
+    except ValueError as exc:  # numpy's "expected non-negative integer"
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}") from exc
+
+
 def sample_dataset(instance: PLInstance, n: int, seed: int) -> PathYieldDataset:
     """Draw n i.i.d. pairs: paths from the path law, yields from the noise."""
     if n < 0:
         raise InvalidInputError(f"sample count must be nonnegative, got {n}")
     if not len(instance.yields):
         raise InvalidInstanceError("cannot sample from an instance with empty support")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     paths = instance.psi
     idx = rng.choice(len(paths), size=n, p=instance.psi_weights)
     pairs = []
@@ -384,7 +392,7 @@ def random_instance(spec: InstanceSpec, seed: int) -> PLInstance:
             f"for {m} tokens at depth {spec.max_depth}"
         )
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     if total <= ENUMERATION_LIMIT:
         candidates = [
             body + (alphabet.terminal,)

@@ -36,9 +36,10 @@ values V(n) = c + (drawdowns on the path to n) the bound is the tree order
 V(child) <= V(parent) and every term reads one node, so training is
 isotonic regression on the trie, solved by pooling adjacent violators bottom
 up (``_NodePieces``). The linear family's drawdowns are tied across edges,
-which is not a tree order; it is solved by projected Barzilai-Borwein steps
-with a free-set Newton finish (``_solve_drawdown``). Either way the result
-is certified by the projected gradient of the compiled objective.
+which is not a tree order; it is solved by projected Newton iterations on
+the dense Hessian of its few parameters (``_solve_drawdown``). Either way
+the result is certified by the projected gradient of the compiled
+objective.
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, SeqClass
 
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 60
-BB_STEP_CAP = 1e9
-# The first trial step of a solve.
-FIRST_STEP = 0.1
-# Conjugate-gradient steps per Newton attempt on the free drawdowns.
-CG_STEPS = 10
+# A step that leaves the loss within this many ulps counts as level.
+LEVEL_ULPS = 4
+# The linear solve's bound set: drawdowns within min(BOUND_EPS, pg) of 0.
+BOUND_EPS = 1e-3
+# The linear solve's damping mu, as a multiple of pg.
+DAMPING = 0.01
 
 # Why training stopped.
 CONVERGED = "converged"
@@ -73,9 +75,9 @@ NO_DECREASE = "no_decrease"
 UNCERTIFIED = "uncertified"
 
 # Which solver ran: exact pooling on the trie (tabular models), or projected
-# Barzilai-Borwein descent with a Newton finish (the linear family).
+# Newton iterations (the linear family).
 TREE_POOLING = "tree_pooling"
-PROJECTED_BB = "projected_bb"
+PROJECTED_NEWTON = "projected_newton"
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -240,12 +242,6 @@ def _require_p0(alphabet: ActionAlphabet, p0: PathDistribution) -> None:
     _require_proper(alphabet, p0.paths, "p0")
 
 
-def _require_same_alphabet(model: AdvantageModel, instance: PLInstance) -> None:
-    a, b = model.alphabet, instance.alphabet
-    if a.tokens != b.tokens or a.terminal != b.terminal:
-        raise InvalidInputError("model and instance alphabets differ")
-
-
 # A ``_ValueBatch`` reads its steps from the extended vector
 # [-0.0, fallback, c, a_0, a_1, ...]: the padding step adds -0.0, which leaves
 # every float as it is, a fallback step adds the fallback, and slot i of
@@ -325,14 +321,11 @@ class _ValueBatch:
         """sum_j state_coef[j] * d(value_j)/dx, for x of the given size."""
         return np.bincount(self.grad_slot, weights=state_coef[self.grad_state], minlength=size)
 
-    def jvp(self, d: np.ndarray) -> np.ndarray:
-        """Change of every value along the direction d."""
-        return self._sum(_JVP_HEAD, d)
-
     def hessian(self, curvature: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Hessian-vector product J^T diag(curvature) J of a loss whose second
-        derivative in value j is curvature[j] (every value is linear in x)."""
-        return lambda d: self.value_grad(curvature * self.jvp(d), d.size)
+        derivative in value j is curvature[j]: every value is linear in x,
+        and J d, its change along d, is a sum of the steps of d."""
+        return lambda d: self.value_grad(curvature * self._sum(_JVP_HEAD, d), d.size)
 
     def trie_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """For a tabular model: each state's deepest trie prefix, as its index
@@ -550,7 +543,7 @@ def _data_arrays(
     [0, 1] is rejected, naming its row (1-based).
     """
     if isinstance(data, PLInstance):
-        _require_same_alphabet(model, data)
+        model.require_alphabet(data.alphabet)
         paths = data.psi
         targets = np.array([data.yields[p] for p in paths])
         return paths, data.psi_weights, targets, data.noise_variance()
@@ -583,8 +576,8 @@ def tar_objective(
     kappa: float,
 ) -> Objective:
     """Compile the regression loss at fixed evaluation points."""
-    _require_p0(model.alphabet, p0)
     paths, d_weights, targets, var_floor = _data_arrays(model, data)
+    _require_p0(model.alphabet, p0)
     _require_proper(model.alphabet, paths, "data")
     batch = _ValueBatch(model, p0.paths + paths)
     n0 = len(p0.paths)
@@ -648,7 +641,7 @@ def vlp_objective(
     * improper state: value and successor value are both 0.
     """
     alphabet = model.alphabet
-    _require_same_alphabet(model, instance)
+    model.require_alphabet(instance.alphabet)
     _require_p0(alphabet, p0)
     lam, mu_w = mix.lam, mix.mu_weight
 
@@ -782,10 +775,10 @@ def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> T
     convex under the bound a <= 0. For a tabular model the solve is exact
     and finite (``_solve_tree``): it pools the trie's node values, whatever
     the model's current parameters, and ``config.max_iters`` does not apply.
-    For the linear family it is iterative (``_solve_drawdown``), from the
-    model's ``drawdown_vector``. The solved drawdowns are stored back as raw
-    scores, and a linear model's bias as 0. An objective whose calls do not
-    return an ``Evaluation`` is rejected.
+    For the linear family it is iterative, projected Newton steps from the
+    model's ``drawdown_vector`` (``_solve_drawdown``). The solved drawdowns
+    are stored back as raw scores, and a linear model's bias as 0. An
+    objective whose calls do not return an ``Evaluation`` is rejected.
 
     ``final_loss`` is the objective at the returned model. ``grad_norm`` is
     the max-norm of the gradient in drawdown coordinates, projected onto the
@@ -793,7 +786,8 @@ def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> T
     ``config.tol``. ``stop_reason`` says why the run ended: converged, the
     iteration cap, no representable decrease, or, for the tree solve, a
     solution whose certificate exceeds the tolerance (uncertified).
-    ``iterations`` counts solver iterations, or the tree solve's merges.
+    ``iterations`` counts the projected Newton steps, or the tree solve's
+    merges.
     """
     x = model.drawdown_vector()
     start = objective(x)
@@ -803,7 +797,7 @@ def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> T
     blocks = zero_drawdowns = None
     if pieces is None:
         x_out, trace, grad_norm, iterations, reason = _solve_drawdown(objective, start, x, config)
-        solver = PROJECTED_BB
+        solver = PROJECTED_NEWTON
     else:
         x_out, trace, grad_norm, iterations, reason = _solve_tree(objective, pieces, start[0], config)
         solver = TREE_POOLING
@@ -865,104 +859,58 @@ def _exact_projected_grad_norm(x: np.ndarray, g: np.ndarray) -> float:
     return float(np.max(np.abs(np.concatenate((g[:1], np.maximum(g[1:], x[1:]))))))
 
 
-def _newton_step(hess, x: np.ndarray, g: np.ndarray, free: np.ndarray, tol: float):
-    """Conjugate gradients on H d = -g over the free coordinates (the others
-    held at zero), kept inside the bound a <= 0.
-
-    Returns (d, blocked): at most CG_STEPS steps, stopping early at a
-    residual max-norm below tol. A step that would cross the bound, or a
-    direction without positive curvature, goes to the bound instead and
-    stops there; ``blocked`` is then the index of the coordinate that
-    reached it, else -1. Every step lowers the quadratic model.
-    """
-    d = np.zeros(g.size)
-    r = np.where(free, -g, 0.0)
-    p = r
-    rr = float(r @ r)
-    for _ in range(CG_STEPS):
-        hp = np.where(free, hess(p), 0.0)
-        php = float(p @ hp)
-        rising = np.flatnonzero(p[1:] > 0.0)
-        room = -(x[1:] + d[1:])[rising] / p[1:][rising]
-        k = int(np.argmin(room)) if room.size else -1
-        if not php > 0.0 or (room.size and rr / php >= room[k]):
-            if k < 0:
-                break
-            d += room[k] * p
-            return d, 1 + int(rising[k])
-        alpha = rr / php
-        d += alpha * p
-        r = r - alpha * hp
-        if np.max(np.abs(r)) <= tol:
-            break
-        rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    return d, -1
-
-
 def _solve_drawdown(objective, at: Evaluation, x: np.ndarray, config: TrainConfig):
-    """Projected Barzilai-Borwein descent with a free-set Newton finish, in
-    drawdown coordinates, from x, whose evaluation is ``at``.
+    """Projected Newton iterations (Bertsekas 1982) in drawdown coordinates,
+    from x, whose evaluation is ``at``.
 
-    Each iteration backtracks along the projection arc P(x - s g) from the
-    Barzilai-Borwein trial step s until the Armijo condition holds with a
-    strict decrease (Bertsekas 1982). The trial is the long quotient
-    |dx|^2 / (dx . dg): drawdowns whose states carry no curvature leave the
-    loss linear along some directions, and the short quotient there reads
-    the curvature of the others. When the free set {a < 0} is the same as
-    after the previous iteration, the iteration then tries a Newton step on
-    the free coordinates (``_newton_step``, after Moré and Toraldo 1991).
-    Plain projected steps stall at float resolution short of the tolerance;
-    on a piecewise quadratic, the Newton step lands on the minimizer once
-    the hinges and the free set settle.
+    Each iteration takes the direction of ``_newton_direction`` and halves
+    the step from 1 along the projection arc P(x + s d) until the Armijo
+    condition holds with a strict decrease, or until the loss stays within
+    LEVEL_ULPS ulps while the projected gradient falls: the loss's float
+    resolution can be reached before the tolerance. A full step along a
+    direction without curvature is doubled while the loss keeps falling, so
+    a loss unbounded below runs off in a few iterations.
 
     Returns (x, trace, projected-gradient max-norm, iterations, stop reason).
-    Raises ``TrainingDivergedError`` when that max-norm meets the tolerance
-    only through rounding (``_exact_projected_grad_norm``), as on a loss
-    unbounded below once the parameters have run off far enough.
+    Raises ``TrainingDivergedError`` at a non-finite accepted point, and
+    when that max-norm meets the tolerance only through rounding
+    (``_exact_projected_grad_norm``), as on a loss unbounded below once the
+    parameters have run off far enough.
     """
-    f, g = at
-    if not (math.isfinite(f) and np.all(np.isfinite(g))):
-        raise TrainingDivergedError(0)
-    trace = [f]
-    step = FIRST_STEP
-    iterations = 0
+    trace = []
     reason = ITERATION_CAP
-    pg = _projected_grad_norm(x, g)
-    free = None
-    for it in range(1, config.max_iters + 1):
-        if pg <= config.tol:
-            break
-        s = step
-        for _ in range(MAX_HALVINGS):
-            x_new = _project(x - s * g)
-            f_new, g_new = result = objective(x_new)
-            if f_new < f and f_new <= f + ARMIJO_C * float(g @ (x_new - x)):
-                break
-            s *= 0.5
-        else:
-            reason = NO_DECREASE
-            break
-        if not np.all(np.isfinite(g_new)):
-            raise TrainingDivergedError(it)
-        pg_new = _projected_grad_norm(x_new, g_new)
-        was_free, free = free, x_new[1:] < 0.0
-        if was_free is not None and np.array_equal(free, was_free):
-            x_new, f_new, g_new, pg_new = _newton_finish(
-                objective, result, x_new, pg_new, np.concatenate(([True], free)), config.tol
-            )
-            free = x_new[1:] < 0.0
-        dx = x_new - x
-        dg = g_new - g
-        curv = float(dx @ dg)
-        if curv > 0.0:
-            step = min(max(float(dx @ dx) / curv, 1e-16), BB_STEP_CAP)
-        else:
-            step = 2.0 * s
-        x, f, g, pg = x_new, f_new, g_new, pg_new
+    for iterations in range(config.max_iters + 1):
+        f, g = at
+        if not (math.isfinite(f) and np.all(np.isfinite(g))):
+            raise TrainingDivergedError(iterations)
+        pg = _projected_grad_norm(x, g)
         trace.append(f)
-        iterations = it
+        if pg <= config.tol or iterations == config.max_iters:
+            break
+        d, flat = _newton_direction(at.hessian(), x, g, pg)
+        s = 1.0
+        # a long step can overflow; its non-finite loss is rejected like any
+        # increase
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(MAX_HALVINGS):
+                x_new = _project(x + s * d)
+                new = objective(x_new)
+                if new[0] < f and new[0] <= f + ARMIJO_C * _dot(g, x_new - x):
+                    break
+                if abs(new[0] - f) <= LEVEL_ULPS * math.ulp(f) and _projected_grad_norm(x_new, new[1]) < pg:
+                    break
+                s *= 0.5
+            else:
+                reason = NO_DECREASE
+                break
+            while flat and s >= 1.0:
+                s *= 2.0
+                x_far = _project(x + s * d)
+                far = objective(x_far)
+                if not (math.isfinite(far[0]) and far[0] < new[0]):
+                    break
+                x_new, new = x_far, far
+        at, x = new, x_new
     if pg <= config.tol:
         if _exact_projected_grad_norm(x, g) > config.tol:
             raise TrainingDivergedError(
@@ -975,26 +923,55 @@ def _solve_drawdown(objective, at: Evaluation, x: np.ndarray, config: TrainConfi
     return x, np.array(trace), pg, iterations, reason
 
 
-def _newton_finish(objective, at: Evaluation, x: np.ndarray, pg: float, free: np.ndarray, tol: float):
-    """The Newton step of ``_newton_step`` from x, whose evaluation is
-    ``at``, if it lowers the loss, or leaves it level while lowering the
-    projected gradient: the loss's float resolution can be reached before
-    the optimality tolerance. Returns (x, loss, gradient, pg) of the point
-    kept."""
-    f, g = at
-    d, blocked = _newton_step(at.hessian(), x, g, free, 0.5 * tol)
-    if not np.any(d):
-        return x, f, g, pg
-    x_new = _project(x + d)
-    if blocked >= 0:
-        x_new[blocked] = 0.0
-    # a direction the model at x sees as flat can reach far enough to
-    # overflow; the non-finite loss is then rejected like any increase
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_new, g_new = objective(x_new)
-    if not (math.isfinite(f_new) and np.all(np.isfinite(g_new))):
-        return x, f, g, pg
-    pg_new = _projected_grad_norm(x_new, g_new)
-    if f_new < f or (f_new == f and pg_new < pg):
-        return x_new, f_new, g_new, pg_new
-    return x, f, g, pg
+def _newton_direction(hess, x: np.ndarray, g: np.ndarray, pg: float) -> tuple[np.ndarray, bool]:
+    """The projected Newton direction d at x, whose projected-gradient
+    max-norm is pg, and whether d carries no curvature (d.H d <= 0).
+
+    The drawdowns within min(BOUND_EPS, pg) of 0 whose gradient is negative
+    (descent would push them above 0) go onto the bound: d = -x there. The
+    other coordinates F solve (H_FF + mu I) d_F = -g_F, mu = DAMPING * pg,
+    on the dense Hessian H of the current piece, formed from one Hessian
+    product per free coordinate. Unused feature pairs leave H singular, and
+    the covering law's linear term leaves directions with gradient but no
+    curvature until a hinge turns on: the damping makes those gradient
+    steps.
+    """
+    bound = np.zeros(x.size, dtype=bool)
+    bound[1:] = (x[1:] >= -min(BOUND_EPS, pg)) & (g[1:] < 0.0)
+    d = np.where(bound, -x, 0.0)
+    free = np.flatnonzero(~bound)
+    unit = np.zeros(x.size)
+    h = np.empty((free.size, free.size))
+    for k, j in enumerate(free.tolist()):
+        unit[j] = 1.0
+        h[:, k] = hess(unit)[free]
+        unit[j] = 0.0
+    mu = DAMPING * pg
+    h[np.diag_indices(free.size)] += mu
+    d[free] = _cholesky_solve(h, -g[free], mu)
+    return d, _dot(d, hess(d)) <= 0.0
+
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray, floor: float) -> np.ndarray:
+    """a^-1 b for a symmetric a whose eigenvalues are at least floor > 0, by
+    a Cholesky factorization in a fixed order: a column loop of outer-product
+    updates, then two substitutions with ``_dot``. (LAPACK's factorization
+    rounds by the BLAS thread count.) A pivot that rounding takes below the
+    floor, which bounds every pivot in exact arithmetic, is raised to it,
+    which keeps the factor positive definite. Reads the lower triangle; a is
+    overwritten."""
+    n = b.size
+    low = np.zeros((n, n))
+    for j in range(n):
+        root = math.sqrt(max(a[j, j], floor))
+        col = a[j:, j] / root
+        col[0] = root
+        low[j:, j] = col
+        a[j + 1 :, j + 1 :] -= np.multiply.outer(col[1:], col[1:])
+    y = np.zeros(n)
+    for i in range(n):
+        y[i] = (b[i] - _dot(low[i, :i], y[:i])) / low[i, i]
+    out = np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        out[i] = (y[i] - _dot(low[i + 1 :, i], out[i + 1 :])) / low[i, i]
+    return out

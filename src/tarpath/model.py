@@ -176,6 +176,11 @@ class AdvantageModel:
         vec[1:] = rng.normal(DEFAULT_RAW, z_scale, size=vec.size - 1)
         return self.with_params(vec)
 
+    def require_alphabet(self, alphabet: ActionAlphabet) -> None:
+        """Reject an instance over another alphabet, before reading its states."""
+        if self.alphabet != alphabet:
+            raise InvalidInputError("model and instance alphabets differ")
+
 
 @dataclass(frozen=True, eq=False)
 class TabularAdvantage(AdvantageModel):

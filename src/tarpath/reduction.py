@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import serialize
 from .errors import InvalidInputError
-from .instance import PathYieldDataset, PLInstance
+from .instance import PathYieldDataset, PLInstance, seeded_rng
 from .pathspace import PathSeq
 
 RLRow = tuple[PathSeq, str, float]
@@ -33,7 +31,7 @@ def build_offline_dataset(
         if path not in support:
             raise InvalidInputError(f"dataset path {path!r} is not in the instance support")
     tokens = instance.alphabet.tokens
-    actions = np.random.default_rng(seed).integers(0, len(tokens), size=len(data))
+    actions = seeded_rng(seed).integers(0, len(tokens), size=len(data))
     return [(path, tokens[ai], y) for (path, y), ai in zip(data.pairs, actions.tolist())]
 
 

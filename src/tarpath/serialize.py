@@ -92,7 +92,10 @@ def loads(text: str) -> Any:
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the same directory, then rename into place."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:  # name the destination, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -256,6 +256,45 @@ def test_criterion_6_every_run_converges():
     )
 
 
+def test_criterion_6_linear_every_run_converges():
+    """The linear family on criterion 6's 100 instances: the regression loss
+    and the feasibility loss at kappa 0 and 100, each with both feature
+    maps, 600 runs, every one meeting the optimality tolerance before the
+    iteration cap."""
+    lam = 100.0
+    config = TrainConfig(lam=lam, kappa=1000.0, tol=1e-7, max_iters=4000)
+    iterations = []
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        spec = InstanceSpec(
+            n_actions=3,
+            max_depth=4,
+            n_paths=int(rng.integers(2, 7)),
+            noise=NoiseModel.noiseless(),
+        )
+        inst = random_instance(spec, seed)
+        data = PathYieldDataset(pairs=tuple((p, inst.yields[p]) for p in inst.psi))
+        p0 = PathDistribution.uniform(inst.trie.nodes)
+        mix = PenaltyMix.default(inst, lam)
+        for features in ("edge_pair", "depth_edge_pair"):
+            model = LinearAdvantage.default(inst.alphabet, kind=features)
+            objectives = {
+                "tar": tar_objective(model, p0, data, lam, config.kappa),
+                "vlp kappa 0": vlp_objective(model, p0, mix, inst, 0.0),
+                "vlp kappa 100": vlp_objective(model, p0, mix, inst, 100.0),
+            }
+            for name, objective in objectives.items():
+                result = train(model, objective, config)
+                assert result.stop_reason == "converged", (
+                    f"seed {seed}, {name}, {features}: {result.stop_reason}, grad_norm {result.grad_norm}"
+                )
+                iterations.append(result.iterations)
+    print(
+        f"ACCEPTANCE 6 (linear): PASS ({len(iterations)}/600 runs converged; "
+        f"iterations median {int(np.median(iterations))}, max {max(iterations)})"
+    )
+
+
 def test_criterion_7_gradient_check():
     h = 1e-5
     worst = 0.0

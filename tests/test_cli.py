@@ -150,7 +150,7 @@ class TestTrainPlanAttribute:
         assert report["iterations"] == 2
         assert report["converged"] is False
         assert report["stop_reason"] == "iteration_cap"
-        assert report["solver"] == "projected_bb"
+        assert report["solver"] == "projected_newton"
 
     def test_plan_scores_the_greedy_path(self, tmp_path, e1_file):
         model_path, _ = self.fit(tmp_path, e1_file)
@@ -260,7 +260,7 @@ class TestVerifyGolden:
 
     REPORTS = {
         "tabular": "9f4c350f536be2b329056eadb9e85624b1d9ff5dd1ed675b2314bfb2e495eb12",
-        "linear": "063e7d9631e6b1877cfb3cb713fd7e286067f74303668e7c28eb9057a2abe0ba",
+        "linear": "bdb6958b87ac48ee92cc49b65be4a816b795fb42a967484e74fe5418f7ff8afe",
     }
 
     @pytest.mark.parametrize("family", sorted(REPORTS))
@@ -417,6 +417,49 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+class TestRejectedArguments:
+    """Arguments that parse but cannot be used exit 1 with one error line,
+    and write no file."""
+
+    @pytest.mark.parametrize("command", ["gen", "sample", "verify"])
+    def test_negative_seed(self, tmp_path, capsys, e1_file, command):
+        out, rl = tmp_path / "out.json", tmp_path / "rl.jsonl"
+        argv = {
+            "gen": ("gen", "--actions", 3, "--depth", 2, "--paths", 2, "--seed", -1, "--out", out),
+            "sample": ("sample", "--instance", e1_file, "--n", 5, "--seed", -3, "--out", out, "--rl-out", rl),
+            "verify": ("verify", "--instance", e1_file, "--seed", -2, "--report", out),
+        }[command]
+        assert run(*argv) == 1
+        seed = argv[argv.index("--seed") + 1]
+        assert capsys.readouterr().err == f"error: seed must be nonnegative, got {seed}\n"
+        assert not out.exists() and not rl.exists()
+
+    @pytest.mark.parametrize("command", ["plan", "verify"])
+    def test_model_over_another_alphabet(self, tmp_path, capsys, command):
+        # a model over (a, b, END) read against an instance over (a, b, c, END)
+        small, big, data = tmp_path / "small.json", tmp_path / "big.json", tmp_path / "data.jsonl"
+        model, out = tmp_path / "model.json", tmp_path / "out.json"
+        assert run("gen", "--actions", 3, "--depth", 2, "--paths", 3, "--seed", 1, "--out", small) == 0
+        assert run("gen", "--actions", 4, "--depth", 2, "--paths", 3, "--seed", 1, "--out", big) == 0
+        assert run("sample", "--instance", small, "--n", 20, "--seed", 2, "--out", data) == 0
+        assert run("train", "--instance", small, "--data", data, "--out", model) == 0
+        capsys.readouterr()
+        if command == "plan":
+            argv = ("plan", "--model", model, "--instance", big, "--out", out)
+        else:
+            argv = ("verify", "--instance", big, "--model", model, "--report", out)
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == "error: model and instance alphabets differ\n"
+        assert not out.exists()
+
+    def test_output_in_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "inst.json"
+        assert run("gen", "--actions", 3, "--depth", 2, "--paths", 2, "--seed", 1, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert not out.parent.exists()
+
+
 class TestPipelineDeterminism:
     def pipeline(self, base):
         base.mkdir()
@@ -448,11 +491,13 @@ class TestPipelineDeterminism:
 
 
 class TestThreadIndependence:
-    """A train and a verify write the same bytes at any BLAS thread count.
-    OpenBLAS splits a dot of more than 10k entries across its threads, so a
-    dot over the 20k logged rows, or over the 10,748 trie nodes that the
-    covering law weights, would round by the thread count. On a host with
-    one CPU the split may not show."""
+    """A train and a verify write the same bytes at any BLAS thread count,
+    for a tabular and for a linear model. OpenBLAS splits a dot of more than
+    10k entries across its threads, so a dot over the 20k logged rows, or
+    over the 10,748 trie nodes that the covering law weights, would round by
+    the thread count, and so would a LAPACK factorization of the linear
+    solve's 121 x 121 Hessian. On a host with one CPU the split may not
+    show."""
 
     def test_train_and_verify_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         inst, data = tmp_path / "inst.json", tmp_path / "data.jsonl"
@@ -461,36 +506,41 @@ class TestThreadIndependence:
         # the subprocesses import this package, whatever PYTHONPATH says
         src = str(Path(tarpath.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        names = ("model.json", "report.json", "verify.json")
+        names = ("model.json", "report.json", "verify.json", "linear.json", "linear_report.json",
+                 "linear_verify.json")
         written = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
             out.mkdir()
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
-            model, report, verify = (out / name for name in names)
+            model, report, verify, linear, linear_report, linear_verify = (out / name for name in names)
             for argv in (
                 ("train", "--instance", inst, "--data", data, "--out", model, "--report", report),
                 ("verify", "--instance", inst, "--model", model, "--report", verify),
+                ("train", "--instance", inst, "--data", data, "--out", linear, "--report", linear_report,
+                 "--family", "linear", "--features", "depth_edge_pair"),
+                ("verify", "--instance", inst, "--model", linear, "--report", linear_verify),
             ):
                 subprocess.run([sys.executable, "-m", "tarpath", *map(str, argv)], env=env, check=True)
             written.append([(out / name).read_bytes() for name in names])
         for name, one, two in zip(names, *written):
             assert one == two, name
+        assert json.loads(written[0][names.index("linear_report.json")])["converged"] is True
 
 
 class TestLinearGolden:
-    """The linear family trains in pair-drawdown coordinates, through the
-    solver and objective code of the tabular drawdown solve. These bytes and
-    report values pin its iterates on a seeded instance (x86-64, numpy 2.4);
-    a change to the shared code must leave them intact."""
+    """The linear family trains in pair-drawdown coordinates by projected
+    Newton iterations. These bytes and report values pin its iterates on a
+    seeded instance (x86-64, numpy 2.4); a change to the solver or to the
+    objective code must leave them intact."""
 
     MODELS = {
-        "edge_pair": "d91c9bfc3272ec48a2db103f4e5a3ce1da349df6631e2f25d13c1c552cdbeafd",
-        "depth_edge_pair": "718684a6f28bb31446651d4e668492aad5ccbde441bdd0d35d1f086c0f9aea5a",
+        "edge_pair": "16faa4f33a1b627f5855a548cbcda407522e22d3a3cfcaa8d559e7593e73f641",
+        "depth_edge_pair": "873d9b7e63518d81d57ffe5bafc5edc9f90b4d81db316cef99ad0a46f6c81dd2",
     }
     REPORTS = {
-        "edge_pair": (5.274744705177478, 19, 5.10702591327572e-15),
-        "depth_edge_pair": (5.246539182301706, 57, 3.9968028886505635e-15),
+        "edge_pair": (5.274744705177478, 9, 1.1607842465011231e-10),
+        "depth_edge_pair": (5.2465391823017065, 8, 2.1044277431769842e-12),
     }
     # the final loss of the softplus-coordinate descent that trained this
     # family before, capped at 400 iterations; a convex solve must beat it

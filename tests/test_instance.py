@@ -266,6 +266,10 @@ class TestSampleDataset:
         with pytest.raises(InvalidInputError):
             sample_dataset(e1, -1, seed=0)
 
+    def test_rejects_negative_seed(self, e1):
+        with pytest.raises(InvalidInputError, match="^seed must be nonnegative, got -1$"):
+            sample_dataset(e1, 3, seed=-1)
+
 
 class TestRandomInstance:
     def test_spec_validation(self):
@@ -281,6 +285,11 @@ class TestRandomInstance:
         spec = InstanceSpec(n_actions=2, max_depth=2, n_paths=4)
         with pytest.raises(GeneratorError):
             random_instance(spec, 0)
+
+    def test_rejects_negative_seed(self):
+        spec = InstanceSpec(n_actions=4, max_depth=3, n_paths=7)
+        with pytest.raises(InvalidInputError, match="^seed must be nonnegative, got -5$"):
+            random_instance(spec, -5)
 
     def test_deterministic_given_seed(self):
         spec = InstanceSpec(n_actions=4, max_depth=3, n_paths=7)

@@ -21,7 +21,7 @@ from tarpath.losses import (
     CONVERGED,
     ITERATION_CAP,
     NO_DECREASE,
-    PROJECTED_BB,
+    PROJECTED_NEWTON,
     TREE_POOLING,
     UNCERTIFIED,
     Evaluation,
@@ -31,6 +31,7 @@ from tarpath.losses import (
     tar_loss,
     _ValueBatch,
     _block_min,
+    _cholesky_solve,
     _solve_drawdown,
     tar_objective,
     train,
@@ -445,7 +446,8 @@ class TestValueBatch:
         rng = np.random.default_rng(6)
         coef, d = rng.normal(size=len(states)), rng.normal(size=jac.shape[1])
         assert np.allclose(batch.value_grad(coef, jac.shape[1]), coef @ jac, rtol=1e-12, atol=1e-12)
-        assert np.allclose(batch.jvp(d), jac @ d, rtol=1e-12, atol=1e-12)
+        want = jac.T @ (coef * (jac @ d))
+        assert np.allclose(batch.hessian(coef)(d), want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("family", ["tabular", EDGE_PAIR, DEPTH_EDGE_PAIR])
     def test_empirical_loss_equals_row_by_row_sum(self, e2_bernoulli, family):
@@ -846,7 +848,7 @@ class TestTrain:
     def test_trace_strictly_decreases(self, e2_bernoulli):
         model, objective = self.make_linear_objective(e2_bernoulli)
         result = train(model, objective, TrainConfig(max_iters=300, tol=1e-12))
-        assert result.solver == PROJECTED_BB
+        assert result.solver == PROJECTED_NEWTON
         assert result.iterations >= 3
         assert np.all(np.diff(result.trace) < 0)
 
@@ -859,7 +861,7 @@ class TestTrain:
             return objective(x)
 
         result = train(model, counting, TrainConfig(max_iters=300))
-        assert result.solver == PROJECTED_BB
+        assert result.solver == PROJECTED_NEWTON
         assert len(points) >= 3
         assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
 
@@ -938,8 +940,8 @@ class TestTrain:
         assert not result.converged
 
     def test_evaluation_without_curvature(self, e2):
-        # |x - t|^2 by hand: the Newton finish sees a zero Hessian, and the
-        # projected steps solve it
+        # |x - t|^2 by hand: the Newton step sees a zero Hessian, and its
+        # damping makes every step a gradient step
         model = LinearAdvantage.default(e2.alphabet)
         t = -np.linspace(0.1, 1.0, model.drawdown_vector().size)
 
@@ -949,6 +951,20 @@ class TestTrain:
         result = train(model, quadratic, TrainConfig(max_iters=100))
         assert result.stop_reason == CONVERGED
         assert np.allclose(result.model.drawdown_vector(), t)
+
+    def test_level_step_reaches_the_tolerance(self):
+        # the exact optimum of this objective rounds 1 ulp above an iterate
+        # at a projected gradient of 2.2e-7: only a step that leaves the loss
+        # level while lowering the projected gradient certifies it
+        inst = random_instance(InstanceSpec(n_actions=3, max_depth=4, n_paths=2), 643499635)
+        data = sample_dataset(inst, 200, 1126166762)
+        observed = sorted({p for p, _ in data.pairs}, key=inst.alphabet.sort_key)
+        p0 = PathDistribution.uniform(PrefixTrie.build(inst.alphabet, observed).nodes)
+        model = LinearAdvantage.default(inst.alphabet)
+        config = TrainConfig(lam=100.0, kappa=1000.0, tol=1e-7, max_iters=4000)
+        result = train(model, tar_objective(model, p0, data, 100.0, 1000.0), config)
+        assert result.stop_reason == CONVERGED, (result.stop_reason, result.grad_norm)
+        assert result.final_loss == 3.5387500000000003
 
     def test_nonfinite_start_diverges(self, e1):
         model, _ = self.make_objective(e1)
@@ -1027,7 +1043,27 @@ class TestTrain:
             "lambda",
             "kappa",
         }
-        assert report["solver"] == PROJECTED_BB
+        assert report["solver"] == PROJECTED_NEWTON
+
+
+class TestCholeskySolve:
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_solves_positive_definite_systems(self, n, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n))
+        a = m @ m.T + 0.1 * np.eye(n)
+        b = rng.normal(size=n)
+        x = _cholesky_solve(a.copy(), b, 0.1)
+        assert np.allclose(a @ x, b, rtol=1e-9, atol=1e-9)
+
+    def test_floor_keeps_a_singular_system_a_descent_step(self):
+        # rank one: every pivot after the first rounds to about 0 and is
+        # raised to the floor, so the solve is finite and b . x > 0
+        v = np.array([1.0, 1.0 / 3.0, 2.0 / 7.0, 0.1])
+        b = np.array([1.0, -2.0, 0.5, 3.0])
+        x = _cholesky_solve(np.multiply.outer(v, v), b, 1e-6)
+        assert np.all(np.isfinite(x))
+        assert b @ x > 0.0
 
 
 def tree_case(inst, kind, lam, kappa, trie_paths, seed):

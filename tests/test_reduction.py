@@ -67,6 +67,11 @@ class TestBuildOfflineDataset:
         with pytest.raises(InvalidInputError):
             build_offline_dataset(e1, bad, seed=0)
 
+    def test_rejects_negative_seed(self, e2_bernoulli):
+        data = sample_dataset(e2_bernoulli, 5, seed=1)
+        with pytest.raises(InvalidInputError, match="^seed must be nonnegative, got -2$"):
+            build_offline_dataset(e2_bernoulli, data, seed=-2)
+
 
 class TestRolloutGreedy:
     """A deterministic policy rolls out as the score 1 on its action, 0 elsewhere."""
