@@ -69,8 +69,7 @@ def main():
     save_dataset(data, out("data.jsonl"))
     print(f"sampled {len(data)} noisy observations")
 
-    observed = sorted({p for p, _ in data.pairs}, key=instance.alphabet.sort_key)
-    trie = PrefixTrie.build(instance.alphabet, observed)
+    trie = PrefixTrie.build(instance.alphabet, dict.fromkeys(p for p, _ in data.pairs))
     model = TabularAdvantage.default(trie)
     p0 = PathDistribution.uniform(trie.nodes)
     config = TrainConfig(lam=args.lam, kappa=args.kappa, tol=args.tol)

@@ -120,10 +120,8 @@ def _load_p0(path: str, alphabet: ActionAlphabet) -> PathDistribution:
 def _cmd_train(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     data = load_dataset(args.data, instance)
-    observed = sorted(
-        {p for p, _ in data.pairs}, key=instance.alphabet.sort_key
-    )
-    trie = PrefixTrie.build(instance.alphabet, observed)
+    # build orders the trie's nodes itself
+    trie = PrefixTrie.build(instance.alphabet, dict.fromkeys(p for p, _ in data.pairs))
     if args.family == "tabular":
         model = TabularAdvantage.default(trie)
     else:

@@ -475,9 +475,10 @@ def save_dataset(dataset: PathYieldDataset, path: str) -> None:
 
 
 def load_dataset(path: str, instance: PLInstance | None = None) -> PathYieldDataset:
-    """Read a JSONL dataset. Every yield must be finite and in [0, 1], and,
-    when ``instance`` is given, every path one of its support paths; errors
-    name the file and the row (1-based, counting nonblank lines)."""
+    """Read a JSONL dataset of at least one row. Every yield must be finite
+    and in [0, 1], and, when ``instance`` is given, every path one of its
+    support paths; errors name the file and the row (1-based, counting
+    nonblank lines)."""
     support = None if instance is None else instance.yields.entries
     # a log repeats its rows (binary yields on a finite support), so each
     # distinct line is parsed and checked once, at its first row
@@ -488,6 +489,8 @@ def load_dataset(path: str, instance: PLInstance | None = None) -> PathYieldData
         if pair is None:
             pair = seen[line] = _dataset_row(path, i, serialize.loads(line), support)
         pairs.append(pair)
+    if not pairs:
+        raise InvalidInputError(f"{path}: dataset has no rows")
     return PathYieldDataset(pairs=tuple(pairs))
 
 

@@ -21,8 +21,10 @@ optimal value on support paths; ``surrogate_gap`` evaluates every term of
 that identity independently and reports the discrepancy.
 
 Objectives are compiled once per call into flat index arrays so each
-evaluation is a handful of vectorized operations. Values are summed in
-``predict_value``'s order (``_ValueBatch``) and every loss term is a
+evaluation is a handful of vectorized operations. A compile builds one prefix
+tree of the states it evaluates (``_ValueBatch``), starting from a tabular
+model's own trie: every value is its parent node's plus one step, summed one
+depth at a time in ``predict_value``'s order, and every loss term is a
 fixed-order numpy sum, never a BLAS dot (``_dot``), so no result depends on
 the BLAS thread count. A compiled objective takes
 drawdown coordinates x = [c, a_0, a_1, ...] (``AdvantageModel.drawdown_vector``),
@@ -56,7 +58,7 @@ from .errors import InvalidInputError, TrainingDivergedError
 from .instance import PathDistribution, PathYieldDataset, PLInstance, check_weights
 from .model import AdvantageModel, TabularAdvantage, raw_from_advantage
 from .oracle import OptimalValues, compute_optimal
-from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, SeqClass
+from .pathspace import PathSeq, PrefixTrie
 
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 60
@@ -230,52 +232,6 @@ class TrainResult:
         return report
 
 
-def _require_proper(alphabet: ActionAlphabet, states: Iterable[PathSeq], what: str) -> None:
-    for s in dict.fromkeys(states):  # each distinct state once, in order
-        if not alphabet.is_proper(s):
-            raise InvalidInputError(f"{what} state {s!r} is improper")
-
-
-def _require_p0(alphabet: ActionAlphabet, p0: PathDistribution) -> None:
-    if not p0.paths:
-        raise InvalidInputError("p0 must weight at least one state")
-    _require_proper(alphabet, p0.paths, "p0")
-
-
-# A ``_ValueBatch`` reads its steps from the extended vector
-# [-0.0, fallback, c, a_0, a_1, ...]: the padding step adds -0.0, which leaves
-# every float as it is, a fallback step adds the fallback, and slot i of
-# x = [c, a_0, a_1, ...] sits at index _C + i.
-_PAD, _FALLBACK, _C = 0, 1, 2
-# the head of the extended vector for a direction, which moves no padding
-# and no fallback step
-_JVP_HEAD = np.array([-0.0, 0.0])
-
-
-def _prefix_steps(model: AdvantageModel, memo: dict, s: PathSeq) -> tuple[int, ...]:
-    """c's index, then the extended-vector index of each step along s,
-    extending the longest prefix of s already in ``memo`` one step at a time
-    and recording every prefix on the way."""
-    k = len(s)
-    while s[:k] not in memo:
-        k -= 1
-    steps = memo[s[:k]]
-    for k in range(k, len(s)):
-        slot = model.step_slot(s[:k], s[k])
-        steps += (_FALLBACK if slot is None else _C + slot,)
-        memo[s[: k + 1]] = steps
-    return steps
-
-
-def _row_sum(rows: np.ndarray) -> np.ndarray:
-    """((rows[0] + rows[1]) + rows[2]) + ..., summed in place into rows[0].
-    (``np.add.reduce`` over the rows may sum them pairwise.)"""
-    total = rows[0]
-    for row in rows[1:]:
-        total += row
-    return total
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """sum_j a_j b_j in a fixed order: numpy's pairwise sum of the products.
     ``a @ b`` hands a long dot to BLAS, whose threads split the sum, so its
@@ -284,58 +240,108 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class _ValueBatch:
-    """Predicted values over a fixed list of proper states, vectorized, bit
-    for bit as ``predict_value`` sums them: ((c + A_0) + A_1) + ..., with a
-    fallback step adding the fallback in its place.
+    """The prefix tree of the states a compile evaluates, as arrays, and
+    their values, bit for bit as ``predict_value`` sums them: V[n] =
+    V[parent[n]] + step[n], one depth at a time, from V[root] = c.
 
-    Each distinct state's steps are looked up once (a log repeats its paths,
-    and a state's steps are its parent prefix's plus one), into a table with
-    one column per state and one row per step, row 0 reading c, as indices
-    into the extended vector [-0.0, fallback, x]; shorter states pad their
-    column. Evaluation at x = [c, a_0, a_1, ...] is one gather and a sum of
-    the rows, one after another (``_row_sum``).
+    A tabular model's tree starts as its trie, so an on-trie node's id is its
+    slot; a linear model's at the root, node 0. Each state is walked from its
+    longest prefix in the tree, adding a node per step. ``node[j]`` is state
+    j's node and ``slot[n]`` the slot of the step into node n
+    (``AdvantageModel.edge_slots``: c's 0 at the root, -1 for a fallback).
     """
 
-    def __init__(self, model: AdvantageModel, states: tuple[PathSeq, ...]):
-        index: dict[PathSeq, int] = {}
-        ids = [index.setdefault(s, len(index)) for s in states]
-        memo: dict[PathSeq, tuple[int, ...]] = {(): (_C,)}
-        steps = [_prefix_steps(model, memo, s) for s in index]
-        depth = max(map(len, steps), default=1)
-        table = np.array([row + (_PAD,) * (depth - len(row)) for row in steps], dtype=np.intp)
-        self.index = np.ascontiguousarray(table.reshape(len(steps), depth)[ids].T)
-        falls = bool(np.any(self.index == _FALLBACK))
-        self.head = np.array([-0.0, model.fallback_advantage if falls else 0.0])
-        # the gradient reads c and every step with a slot, state by state
-        self.grad_state, step = np.nonzero(self.index.T >= _C)
-        self.grad_slot = self.index[step, self.grad_state] - _C
+    def __init__(self, model: AdvantageModel, states: Iterable[PathSeq]):
+        alphabet = model.alphabet
+        if isinstance(model, TabularAdvantage):
+            trie = model.trie
+            index, parent, depth = dict(trie.index), trie.parent.tolist(), list(map(len, trie.nodes))
+            rank = [-1] + np.nonzero(trie.child >= 0)[1].tolist()  # row-major is node order
+        else:
+            index, parent, rank, depth = {(): 0}, [-1], [-1], [0]
+        ids = []
+        for s in states:
+            i = index.get(s)
+            if i is None:
+                k = len(s) - 1
+                while (i := index.get(s[:k])) is None:
+                    k -= 1
+                for k in range(k, len(s)):
+                    rank.append(alphabet.index(s[k]))  # rejects an unknown token
+                    parent.append(i)
+                    depth.append(k + 1)
+                    i = index[s[: k + 1]] = len(parent) - 1
+            ids.append(i)
+        arrays = (np.array(a, dtype=np.intp) for a in (ids, parent, rank, depth))
+        self.node, self.parent, self.rank, self.depth = arrays
+        order = np.argsort(self.depth, kind="stable")
+        levels = np.split(order, np.flatnonzero(np.diff(self.depth[order])) + 1)[1:]
+        self.levels = [(lv, self.parent[lv]) for lv in levels]
+        # whether a node's path holds the terminal; a node is improper when
+        # its parent's does
+        self.ended = self._pass(self.rank == alphabet.index(alphabet.terminal))
+        self.improper = self.ended[self.parent] & (self.parent >= 0)
+        up = self.parent[1:]
+        self.slot = np.concatenate(([0], model.edge_slots(up, self.rank[up], self.depth[up], self.rank[1:])))
+        # each step's index into [fallback, c, a_0, a_1, ...]
+        self.step = self.slot + 1
+        self.fallback = np.array([model.fallback_advantage if np.any(self.slot < 0) else 0.0])
 
-    def _sum(self, head: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return _row_sum(np.concatenate((head, x))[self.index])
+    def _pass(self, steps: np.ndarray) -> np.ndarray:
+        """Each node's sum of the steps on its path, root first (for flags: any)."""
+        for lv, up in self.levels:
+            steps[lv] += steps[up]
+        return steps
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        """The value of every state at x."""
-        return self._sum(self.head, x)
+    def values(self, x: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
+        """The value of every node at x = [c, a_0, a_1, ...]."""
+        return self._pass(np.concatenate((self.fallback if fallback is None else fallback, x))[self.step])
 
-    def value_grad(self, state_coef: np.ndarray, size: int) -> np.ndarray:
-        """sum_j state_coef[j] * d(value_j)/dx, for x of the given size."""
-        return np.bincount(self.grad_slot, weights=state_coef[self.grad_state], minlength=size)
+    def pairs(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(j, slot) for every step of state j, at node nodes[j], that reads
+        a slot: state by state, from c's at the root to the leaf."""
+        depth = self.depth[nodes]
+        path = np.full((nodes.size, int(depth.max(initial=0)) + 1), -1, dtype=np.intp)
+        path[np.arange(nodes.size), depth] = nodes
+        for k in range(path.shape[1] - 1, 0, -1):
+            on = depth >= k
+            path[on, k - 1] = self.parent[path[on, k]]
+        slot = np.where(path >= 0, self.slot[path], -1)
+        state, k = np.nonzero(slot >= 0)
+        return state, slot[state, k]
 
-    def hessian(self, curvature: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    def hessian(self, nodes: np.ndarray, pairs, curvature: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Hessian-vector product J^T diag(curvature) J of a loss whose second
-        derivative in value j is curvature[j]: every value is linear in x,
-        and J d, its change along d, is a sum of the steps of d."""
-        return lambda d: self.value_grad(curvature * self._sum(_JVP_HEAD, d), d.size)
+        derivative in state j's value is curvature[j]: every value is linear
+        in x, and J d, its change along d, moves no fallback step."""
+        still = np.zeros(1)
+        return lambda d: _value_grad(pairs, curvature * self.values(d, still)[nodes], d.size)
 
-    def trie_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """For a tabular model: each state's deepest trie prefix, as its index
-        in canonical node order, and the sum of its fallback steps. A state's
-        on-trie steps come first, and the slot of the edge into a node is the
-        node's index (c's slot 0 is the root's)."""
-        n = self.index.shape[1]
-        last = np.count_nonzero(self.index >= _C, axis=0) - 1
-        nodes = self.index[last, np.arange(n)] - _C
-        return nodes, _row_sum(np.where(self.index == _FALLBACK, self.head[_FALLBACK], 0.0))
+    def trie_prefixes(self, nodes: np.ndarray, pairs) -> tuple[np.ndarray, np.ndarray]:
+        """For a tabular model: each state's deepest trie node, the last slot
+        it reads, and the sum of its fallback steps, which all follow it."""
+        last = np.cumsum(np.bincount(pairs[0], minlength=nodes.size)) - 1
+        return pairs[1][last], self._pass(np.where(self.slot < 0, self.fallback[0], 0.0))[nodes]
+
+
+def _value_grad(pairs: tuple[np.ndarray, np.ndarray], state_coef: np.ndarray, size: int) -> np.ndarray:
+    """sum_j state_coef[j] * d(value_j)/dx over the (state, slot) pairs of ``_ValueBatch.pairs``."""
+    state, slot = pairs
+    return np.bincount(slot, weights=state_coef[state], minlength=size)
+
+
+def _checked_batch(model: AdvantageModel, p0: PathDistribution, paths, more=()) -> _ValueBatch:
+    """The batch of the p0 states, the data paths and ``more``, in that
+    order; a p0 or data state that is improper is rejected."""
+    if not p0.paths:
+        raise InvalidInputError("p0 must weight at least one state")
+    states = p0.paths + paths
+    batch = _ValueBatch(model, states + more)
+    bad = np.flatnonzero(batch.improper[batch.node[: len(states)]])
+    if bad.size:
+        j = int(bad[0])
+        raise InvalidInputError(f"{'p0' if j < len(p0.paths) else 'data'} state {states[j]!r} is improper")
+    return batch
 
 
 class Evaluation(tuple):
@@ -363,16 +369,17 @@ class Evaluation(tuple):
         return None if self._pieces is None else self._pieces()
 
 
-def _compiled(evaluate, model: AdvantageModel, add_pieces) -> Objective:
+def _compiled(evaluate, model: AdvantageModel, batch: _ValueBatch, nodes, pairs, add_pieces) -> Objective:
     """The objective returning ``Evaluation``s. For a tabular model,
-    ``add_pieces`` fills in its ``_NodePieces``, once, on first use."""
+    ``add_pieces`` fills in its ``_NodePieces``, once, on first use, from
+    the ``_ValueBatch.trie_prefixes`` of the states it reads."""
     pieces = None
     if isinstance(model, TabularAdvantage):
 
         @functools.cache
         def pieces() -> _NodePieces:
             built = _NodePieces(model.trie)
-            add_pieces(built)
+            add_pieces(built, *batch.trie_prefixes(nodes, pairs))
             return built
 
     def objective(x: np.ndarray) -> Evaluation:
@@ -445,7 +452,7 @@ class _NodePieces:
         return np.bincount(nodes, weights=w, minlength=self.parent.size)
 
     # Each term reads state j through its deepest trie prefix nodes[j], whose
-    # value plus offset[j] is the state's (see ``_ValueBatch.trie_nodes``).
+    # value plus offset[j] is the state's (``_ValueBatch.trie_prefixes``).
 
     def add_linear(self, nodes: np.ndarray, w: np.ndarray) -> None:
         """sum_j w_j value_j (up to a constant)."""
@@ -577,16 +584,21 @@ def tar_objective(
 ) -> Objective:
     """Compile the regression loss at fixed evaluation points."""
     paths, d_weights, targets, var_floor = _data_arrays(model, data)
-    _require_p0(model.alphabet, p0)
-    _require_proper(model.alphabet, paths, "data")
-    batch = _ValueBatch(model, p0.paths + paths)
+    batch = _checked_batch(model, p0, paths)
+    return _tar_compiled(model, batch, p0, d_weights, targets, var_floor, lam, kappa)
+
+
+def _tar_compiled(model, batch: _ValueBatch, p0, d_weights, targets, var_floor, lam, kappa) -> Objective:
+    """``tar_objective`` on a batch that starts with the p0 states and the data paths."""
     n0 = len(p0.paths)
+    nodes = batch.node[: n0 + d_weights.size]
+    pairs = batch.pairs(nodes)
     p0_w = np.array(p0.weights)
     hinge_w = 2.0 * kappa * p0_w
     misfit_w = lam * d_weights
 
     def evaluate(x: np.ndarray):
-        v = batch.values(x)
+        v = batch.values(x)[nodes]
         v0 = v[:n0]
         resid = v[n0:] - targets
         neg = np.maximum(-v0, 0.0)
@@ -595,16 +607,16 @@ def tar_objective(
             + 0.5 * lam * (_dot(d_weights, resid * resid) + var_floor)
             + kappa * _dot(p0_w, neg * neg)
         )
-        grad = batch.value_grad(np.concatenate((p0_w - hinge_w * neg, misfit_w * resid)), x.size)
-        return float(loss), grad, lambda: batch.hessian(np.concatenate((hinge_w * (neg > 0.0), misfit_w)))
+        grad = _value_grad(pairs, np.concatenate((p0_w - hinge_w * neg, misfit_w * resid)), x.size)
+        curvature = np.concatenate((hinge_w * (neg > 0.0), misfit_w))
+        return float(loss), grad, lambda: batch.hessian(nodes, pairs, curvature)
 
-    def add_pieces(pieces: _NodePieces) -> None:
-        nodes, offset = batch.trie_nodes()
-        pieces.add_linear(nodes[:n0], p0_w)
-        pieces.add_hinge(nodes[:n0], offset[:n0], kappa * p0_w, 0.0)
-        pieces.add_misfit(nodes[n0:], offset[n0:], 0.5 * lam * d_weights, targets)
+    def add_pieces(pieces: _NodePieces, deep: np.ndarray, offset: np.ndarray) -> None:
+        pieces.add_linear(deep[:n0], p0_w)
+        pieces.add_hinge(deep[:n0], offset[:n0], kappa * p0_w, 0.0)
+        pieces.add_misfit(deep[n0:], offset[n0:], 0.5 * lam * d_weights, targets)
 
-    return _compiled(evaluate, model, add_pieces)
+    return _compiled(evaluate, model, batch, nodes, pairs, add_pieces)
 
 
 def tar_loss(
@@ -626,11 +638,11 @@ def vlp_objective(
 ) -> Objective:
     """Compile the penalized feasibility loss.
 
-    The mix's tilde states are checked and classified once each, and an
-    incomplete state's step slots are looked up once for every action of
-    the mix (``AdvantageModel.step_table``); each pair's residual is then
-    evaluated with numpy, at every call. Residuals are evaluated exactly,
-    split by state class:
+    The mix's tilde states join the batch's tree, which classifies each of
+    them once, and an incomplete state's step slots are looked up once for
+    every action of the mix (``AdvantageModel.edge_slots``); each pair's
+    residual is then evaluated with numpy, at every call. Residuals are
+    evaluated exactly, split by state class:
 
     * support path (mu half): successor is improper and predicts 0, so the
       residual is yield minus value;
@@ -640,26 +652,23 @@ def vlp_objective(
       advantage, nonpositive by construction;
     * improper state: value and successor value are both 0.
     """
-    alphabet = model.alphabet
     model.require_alphabet(instance.alphabet)
-    _require_p0(alphabet, p0)
-    lam, mu_w = mix.lam, mix.mu_weight
+    batch = _checked_batch(model, p0, instance.psi, mix.states)
+    return _vlp_compiled(model, batch, p0, mix, instance, kappa)
 
-    # the tilde half, once per distinct state: check and classify it, and
-    # look up an incomplete state's steps, one slot per action of the mix
-    for a in mix.actions:
-        alphabet.require_token(a)
-    classes = [alphabet.classify(s) for s in mix.states]
-    is_complete = np.array([cls is SeqClass.COMPLETE for cls in classes], dtype=bool)
-    is_incomplete = np.array([cls is SeqClass.PROPER_INCOMPLETE for cls in classes], dtype=bool)
+
+def _vlp_compiled(model, batch: _ValueBatch, p0, mix: PenaltyMix, instance: PLInstance, kappa) -> Objective:
+    """``vlp_objective`` on a batch of the p0 states, the support paths and the mix's states."""
+    lam, mu_w = mix.lam, mix.mu_weight
+    n0, psi = len(p0.paths), instance.psi
+    action = np.array([model.alphabet.index(a) for a in mix.actions], dtype=np.intp)
+    tilde = batch.node[n0 + len(psi) :]
+    is_complete = batch.ended[tilde] & ~batch.improper[tilde]
     comp_ids = np.flatnonzero(is_complete)
-    comp_states = tuple(mix.states[i] for i in comp_ids.tolist())
-    for s in comp_states:  # support paths are complete
-        if s in instance.yields:
-            raise InvalidInputError(f"tilde state {s!r} lies on the support")
-    inc_ids = np.flatnonzero(is_incomplete)
-    # row r: the step slots at the r-th incomplete state, 0 where a step falls back
-    slot_table = model.step_table(tuple(mix.states[i] for i in inc_ids.tolist()), mix.actions)
+    # support paths are complete, and a state on the support is a psi node
+    on_support = np.flatnonzero(np.isin(tilde[comp_ids], batch.node[n0 : n0 + len(psi)]))
+    if on_support.size:
+        raise InvalidInputError(f"tilde state {mix.states[comp_ids[on_support[0]]]!r} lies on the support")
 
     # One batch of values: the p0 states, the support paths (the mu half)
     # and the tilde half's complete states. Each of them has a hinge term
@@ -667,43 +676,40 @@ def vlp_objective(
     # for a support path, and below 0 for a complete state, whose residual
     # does not depend on the action, so its pairs' weights add up. An
     # improper state and its successor both predict 0: no term.
-    paths = instance.psi
-    batch = _ValueBatch(model, p0.paths + paths + comp_states)
-    n0 = len(p0.paths)
+    nodes = np.concatenate((batch.node[: n0 + len(psi)], tilde[comp_ids]))
+    pairs = batch.pairs(nodes)
     p0_w = np.array(p0.weights)
     comp = is_complete[mix.pair_state]
     comp_weight = np.bincount(mix.pair_state[comp], weights=mix.weights[comp], minlength=len(mix.states))
     hinge_w = np.concatenate(
         (kappa * p0_w, lam * mu_w * instance.psi_weights, lam * (1.0 - mu_w) * comp_weight[comp_ids])
     )
-    hinge_t = np.concatenate((np.zeros(n0), [instance.yields[p] for p in paths], np.zeros(comp_ids.size)))
+    hinge_t = np.concatenate((np.zeros(n0), [instance.yields[p] for p in psi], np.zeros(comp_ids.size)))
     linear_w = np.concatenate((p0_w, np.zeros(hinge_w.size - n0)))
     # an incomplete pair's residual is its step's drawdown, or the fallback,
-    # read as a ``_ValueBatch`` reads a step
-    inc = is_incomplete[mix.pair_state]
+    # read from [fallback, x] at its slot + 1
+    inc = ~batch.ended[tilde[mix.pair_state]]
     inc_w = lam * (1.0 - mu_w) * mix.weights[inc]
-    inc_row = np.cumsum(is_incomplete) - 1  # a state's row in slot_table
-    inc_slot = slot_table[inc_row[mix.pair_state[inc]], mix.pair_action[inc]]
-    inc_step = np.where(inc_slot > 0, _C + inc_slot, _FALLBACK)
-    inc_head = np.array([-0.0, model.fallback_advantage if np.any(inc_slot == 0) else 0.0])
+    inc_node, inc_action = tilde[mix.pair_state[inc]], action[mix.pair_action[inc]]
+    inc_step = 1 + model.edge_slots(inc_node, batch.rank[inc_node], batch.depth[inc_node], inc_action)
+    inc_fallback = model.fallback_advantage if np.any(inc_step == 0) else 0.0
 
     def evaluate(x: np.ndarray):
-        v = batch.values(x)
+        v = batch.values(x)[nodes]
         pos = np.maximum(hinge_t - v, 0.0)
-        inc_pos = np.maximum(np.concatenate((inc_head, x))[inc_step], 0.0)
+        inc_pos = np.maximum(np.concatenate(([inc_fallback], x))[inc_step], 0.0)
         loss = _dot(p0_w, v[:n0]) + _dot(hinge_w, pos * pos) + _dot(inc_w, inc_pos * inc_pos)
-        grad = batch.value_grad(linear_w - 2.0 * hinge_w * pos, x.size)
-        grad += np.bincount(inc_step, weights=2.0 * inc_w * inc_pos, minlength=_C + x.size)[_C:]
+        grad = _value_grad(pairs, linear_w - 2.0 * hinge_w * pos, x.size)
+        grad += np.bincount(inc_step, weights=2.0 * inc_w * inc_pos, minlength=1 + x.size)[1:]
         # the incomplete-state term is (a)_+^2 of one drawdown or of the
         # fallback: zero, with zero curvature, wherever a <= 0
-        return float(loss), grad, lambda: batch.hessian(2.0 * hinge_w * (pos > 0.0))
+        return float(loss), grad, lambda: batch.hessian(nodes, pairs, 2.0 * hinge_w * (pos > 0.0))
 
-    def add_pieces(pieces: _NodePieces) -> None:
-        nodes, offset = batch.trie_nodes()
-        pieces.add_linear(nodes[:n0], p0_w)
-        pieces.add_hinge(nodes, offset, hinge_w, hinge_t)
+    def add_pieces(pieces: _NodePieces, deep: np.ndarray, offset: np.ndarray) -> None:
+        pieces.add_linear(deep[:n0], p0_w)
+        pieces.add_hinge(deep, offset, hinge_w, hinge_t)
 
-    return _compiled(evaluate, model, add_pieces)
+    return _compiled(evaluate, model, batch, nodes, pairs, add_pieces)
 
 
 def vlp_loss(
@@ -729,13 +735,13 @@ def surrogate_gap(
 
     Returns lhs (regression loss in exact mode), rhs (variance floor plus
     feasibility loss plus overshoot term), the two rhs components, and the
-    absolute gap. Each is computed from scratch: lhs by ``tar_loss``, the
-    feasibility loss by ``vlp_loss`` (its tilde half evaluated numerically,
-    pair by pair, though the default mix makes it 0), and the overshoot from
-    oracle values (the instance's ``ov`` when the caller already has it,
-    else a fresh ``compute_optimal``) and the model's value on each support
-    path, which ``_ValueBatch`` sums bit for bit as ``predict_value`` does.
-    A kappa that is not finite and >= 0 is rejected.
+    absolute gap. One batch holds every state the terms read, and each is
+    computed from it on its own: lhs as ``tar_loss`` does, the feasibility
+    loss as ``vlp_loss`` does (its tilde half pair by pair, though the
+    default mix makes it 0), and the overshoot from oracle values (the
+    caller's ``ov``, else a fresh ``compute_optimal``) and the model's value
+    on each support path, summed bit for bit as ``predict_value`` does. A
+    kappa that is not finite and >= 0 is rejected.
     """
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise InvalidInputError(f"kappa must be finite and nonnegative, got {kappa!r}")
@@ -746,16 +752,18 @@ def surrogate_gap(
     elif mix.lam != lam:
         raise InvalidInputError("mix.lam must match the lam argument")
 
-    lhs, _ = tar_loss(model, p0, instance, lam, kappa)
-    vlp, _ = vlp_loss(model, p0, mix, instance, kappa)
+    paths, d_weights, targets, var_floor = _data_arrays(model, instance)
+    batch = _checked_batch(model, p0, paths, mix.states)
+    x = model.drawdown_vector()
+    lhs, _ = _tar_compiled(model, batch, p0, d_weights, targets, var_floor, lam, kappa)(x)
+    vlp, _ = _vlp_compiled(model, batch, p0, mix, instance, kappa)(x)
     sigma2_term = 0.5 * lam * instance.noise_variance()
     if ov is None:
         ov = compute_optimal(instance)
-    dist = instance.path_dist
-    values = _ValueBatch(model, dist.paths).values(model.drawdown_vector()).tolist()
-    optimal = ov.v[[ov.trie.index[p] for p in dist.paths]].tolist()
+    values = batch.values(x)[batch.node[len(p0.paths) :][: len(paths)]].tolist()
+    optimal = ov.v[[ov.trie.index[p] for p in paths]].tolist()
     excess = 0.5 * lam * math.fsum(
-        w * max(v - v_opt, 0.0) ** 2 for w, v, v_opt in zip(dist.weights, values, optimal)
+        w * max(v - v_opt, 0.0) ** 2 for w, v, v_opt in zip(d_weights.tolist(), values, optimal)
     )
     rhs = sigma2_term + vlp + excess
     return {

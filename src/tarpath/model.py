@@ -131,17 +131,12 @@ class AdvantageModel:
         """Raw score at (s, a), or None when the query falls back to -B."""
         raise NotImplementedError
 
-    def step_slot(self, s: PathSeq, a: str) -> int | None:
-        """Slot of the step's drawdown in ``drawdown_vector``, or None when
-        the step falls back to -B."""
+    def edge_slots(self, node: np.ndarray, last: np.ndarray, depth: np.ndarray, token: np.ndarray):
+        """The ``drawdown_vector`` slot of the step by the token of rank
+        ``token`` out of each node of a tree that starts as the model's trie
+        (a linear model's, at the root), -1 where it falls back to -B;
+        ``last`` is the rank of the node's last token (-1 at the root)."""
         raise NotImplementedError
-
-    def step_table(self, states: tuple[PathSeq, ...], actions: tuple[str, ...]) -> np.ndarray:
-        """``step_slot`` of every step (s, a), one row per state and one
-        column per action; 0 (c's slot, never a step's) where the step falls
-        back to -B."""
-        slots = [[self.step_slot(s, a) or 0 for a in actions] for s in states]
-        return np.array(slots, dtype=np.intp).reshape(len(states), len(actions))
 
     def drawdown_vector(self) -> np.ndarray:
         """[c, a_0, a_1, ...]: c, then the drawdown -log(1 + exp(z)) of each
@@ -244,15 +239,10 @@ class TabularAdvantage(AdvantageModel):
         slot = self.trie.index.get(s + (a,))
         return None if slot is None else float(self.raw[slot - 1])
 
-    def step_slot(self, s: PathSeq, a: str) -> int | None:
-        return self.trie.index.get(s + (a,))
-
-    def step_table(self, states: tuple[PathSeq, ...], actions: tuple[str, ...]) -> np.ndarray:
-        # every step from a state off the trie falls back: look up the others only
-        on = [i for i, s in enumerate(states) if s in self.trie]
-        table = np.zeros((len(states), len(actions)), dtype=np.intp)
-        table[on] = super().step_table(tuple(states[i] for i in on), actions)
-        return table
+    def edge_slots(self, node, last, depth, token):
+        child = self.trie.child
+        on = node < len(child)
+        return np.where(on, child[np.where(on, node, 0), token], -1)
 
     @property
     def fallback_advantage(self) -> float:
@@ -301,8 +291,13 @@ class LinearAdvantage(AdvantageModel):
         i, j = self.feature_map.indices(s, a)
         return float(self.weights[i] + self.weights[j])
 
-    def step_slot(self, s: PathSeq, a: str) -> int | None:
-        return 1 + self.feature_map.indices(s, a)[0]
+    def edge_slots(self, node, last, depth, token):
+        # 1 + the pair coordinate of ``FeatureMap.indices``
+        fm, n = self.feature_map, len(self.alphabet.tokens)
+        pair = np.where(last < 0, n, last) * n + token
+        if fm.kind == DEPTH_EDGE_PAIR:
+            pair = pair + np.minimum(depth, DEPTH_BUCKETS - 1) * fm.n_pairs
+        return 1 + pair
 
     @property
     def fallback_advantage(self) -> float:

@@ -134,12 +134,12 @@ def enumeration_advantage(instance: PLInstance, seq: Iterable[str], token: str) 
 
 
 def oracle_to_json(ov: OptimalValues) -> dict:
+    """Each trie node's state, ``v`` and ``adv``, in node order; ``q`` is
+    the node's own yield plus the child's ``v``, and ``adv`` is ``q - v``."""
     tokens = ov.trie.alphabet.tokens
     nodes = []
-    for node, v, q, a in zip(ov.trie.nodes, ov.v.tolist(), ov.q.tolist(), ov.a.tolist()):
-        nodes.append(
-            {"state": list(node), "v": v, "q": dict(zip(tokens, q)), "adv": dict(zip(tokens, a))}
-        )
+    for node, v, a in zip(ov.trie.nodes, ov.v.tolist(), ov.a.tolist()):
+        nodes.append({"state": list(node), "v": v, "adv": dict(zip(tokens, a))})
     return {"j_star": ov.j_star, "nodes": nodes}
 
 
@@ -148,17 +148,16 @@ def save_oracle(ov: OptimalValues, path: str) -> None:
     would (indent 2), from one text template per node instead of building
     and walking a dict per node: the file holds every trie node."""
     num, tokens = serialize.format_float, ov.trie.alphabet.tokens
-    # state entries and q/adv keys sit at depth 4 (8 spaces)
+    # state entries and adv keys sit at depth 4 (8 spaces)
     token_text = {a: "\n        " + serialize.dumps(a) for a in tokens}
     keys = [token_text[a] + ": " for a in tokens]
     nodes = []
-    for node, v, q_row, a_row in zip(ov.trie.nodes, ov.v.tolist(), ov.q.tolist(), ov.a.tolist()):
+    for node, v, a_row in zip(ov.trie.nodes, ov.v.tolist(), ov.a.tolist()):
         state = "[" + ",".join([token_text[t] for t in node]) + "\n      ]" if node else "[]"
-        q = ",".join([key + num(x) for key, x in zip(keys, q_row)])
         adv = ",".join([key + num(x) for key, x in zip(keys, a_row)])
         nodes.append(
             f'{{\n      "state": {state},\n      "v": {num(v)},'
-            f'\n      "q": {{{q}\n      }},\n      "adv": {{{adv}\n      }}\n    }}'
+            f'\n      "adv": {{{adv}\n      }}\n    }}'
         )
     serialize.atomic_write_text(
         path,

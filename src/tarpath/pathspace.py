@@ -210,10 +210,6 @@ class PrefixTrie:
         return tuple(t for t, c in zip(self.alphabet.tokens, self.child[i].tolist()) if c >= 0)
 
     @property
-    def root(self) -> PathSeq:
-        return EMPTY
-
-    @property
     def depth(self) -> int:
         # canonical order is by length, and the root is always a node
         return len(self.nodes[-1])

@@ -304,7 +304,9 @@ class TestArtifactGolden:
     """oracle.json, plan.json and attribution.json, pinned to the bytes that
     the tuple-keyed oracle and trie wrote (x86-64, numpy 2.4) for the
     instance of ``TestVerifyGolden``'s tabular case, and oracle.json for a
-    larger instance: the node-order arrays must not move a bit of them."""
+    larger instance: the node-order arrays must not move a bit of them. The
+    oracle pins are those bytes with every node's ``q`` removed and the file
+    re-dumped."""
 
     def test_pipeline_artifacts_are_pinned(self, tmp_path):
         inst, data, model = tmp_path / "inst.json", tmp_path / "data.jsonl", tmp_path / "model.json"
@@ -320,7 +322,7 @@ class TestArtifactGolden:
         assert run("attribute", "--model", model, "--path", *path, "--out", attr) == 0
         digests = [hashlib.sha256(f.read_bytes()).hexdigest() for f in (oracle, plan, attr)]
         assert digests == [
-            "f869762efeb576e0bf72d00f280b8286c70e8a940cb63d2e1405f8a4750baa43",
+            "776752fd5ba25584412fbbe66b253e39ef715e2fded3082ae4b3fbb72bed9a37",
             "b64ab416c845473965ba5d7ad707adb86a2a07684f36ac3c7259c7dc1d092377",
             "763225e5cfdaca3f25b8fb553dab1b10503264bc290a1c8fffda29b0ad6026bb",
         ]
@@ -330,7 +332,7 @@ class TestArtifactGolden:
         assert run("gen", "--actions", 5, "--depth", 6, "--paths", 300, "--seed", 1, "--out", inst) == 0
         assert run("oracle", "--instance", inst, "--out", oracle) == 0
         digest = hashlib.sha256(oracle.read_bytes()).hexdigest()
-        assert digest == "6b9622a1e72eaf1f1dffe17244f9166624453d34f5ccfb3bbf7d1d242cb2f22c"
+        assert digest == "b8788cfc2a29a08ad0550e09711f02860d8807bc555dfcf140a83b90a9c3cad0"
 
 
 class TestLoadTimeErrors:
@@ -380,6 +382,13 @@ class TestLoadTimeErrors:
         assert f"{data}: row 2: " in err and message in err
         assert not model.exists()
 
+    def test_empty_dataset_file(self, tmp_path, capsys, e1_file):
+        # sample --n 0 writes a dataset of no rows, which train cannot fit
+        data, model = tmp_path / "data.jsonl", tmp_path / "m.json"
+        assert run("sample", "--instance", e1_file, "--n", 0, "--seed", 1, "--out", data) == 0
+        assert run("train", "--instance", e1_file, "--data", data, "--out", model) == 1
+        assert capsys.readouterr().err == f"error: {data}: dataset has no rows\n"
+        assert not model.exists()
 
     @pytest.mark.parametrize(
         "rows, message",

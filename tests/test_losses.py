@@ -33,6 +33,7 @@ from tarpath.losses import (
     _block_min,
     _cholesky_solve,
     _solve_drawdown,
+    _value_grad,
     tar_objective,
     train,
     vlp_loss,
@@ -50,6 +51,15 @@ from tarpath.oracle import compute_optimal
 from tarpath.pathspace import EMPTY, ActionAlphabet, PrefixTrie, SeqClass
 
 from .strategies import instances, tabular_models
+
+
+def step_slot(model, s, a):
+    """The slot of the step (s, a) in ``drawdown_vector``, or None where it
+    falls back: the edge's trie node for a tabular model, 1 + its feature
+    pair for a linear one."""
+    if isinstance(model, TabularAdvantage):
+        return model.trie.index.get(s + (a,))
+    return 1 + model.feature_map.indices(s, a)[0]
 
 
 def flat_model(trie, c):
@@ -210,11 +220,14 @@ class TestTarLoss:
         with pytest.raises(InvalidInputError):
             tar_loss(model, p0, e2, lam=1.0)
 
-    def test_improper_p0_state_rejected(self, e1):
+    @pytest.mark.parametrize("what", ["p0", "data"])
+    def test_improper_state_rejected(self, e1, what):
         model = TabularAdvantage.default(e1.trie)
-        p0 = PathDistribution(paths=(("END", "a"),), weights=(1.0,))
-        with pytest.raises(InvalidInputError):
-            tar_loss(model, p0, e1, lam=1.0)
+        improper = ("END", "a")
+        p0 = PathDistribution.uniform(e1.trie.nodes + (improper,) if what == "p0" else e1.trie.nodes)
+        data = PathYieldDataset(pairs=((("a", "END"), 1.0), (improper if what == "data" else ("b", "END"), 0.0)))
+        with pytest.raises(InvalidInputError, match=rf"^{what} state \('END', 'a'\) is improper$"):
+            tar_loss(model, p0, data, lam=1.0)
 
     @pytest.mark.parametrize("kind", ["tar", "vlp"])
     def test_empty_p0_rejected(self, e1, kind):
@@ -314,7 +327,8 @@ class TestSurrogateGap:
         assert report["hinge_excess_term"] == want
         assert report["gap"] <= 1e-9
         # the value batch of the compiled losses sums in the same order
-        values = _ValueBatch(model, dist.paths).values(model.drawdown_vector())
+        batch = _ValueBatch(model, dist.paths)
+        values = batch.values(model.drawdown_vector())[batch.node]
         batched = 0.5 * lam * math.fsum(
             w * max(v - ov.value_at(p), 0.0) ** 2 for (p, w), v in zip(dist.items(), values.tolist())
         )
@@ -396,15 +410,18 @@ class TestGradients:
 
 
 class TestValueBatch:
-    """A batch sums each state's value as ``predict_value`` does, bit for bit,
-    and differentiates it exactly."""
+    """A batch's prefix tree sums each state's value as ``predict_value``
+    does, bit for bit, classifies each state, and differentiates its values
+    exactly."""
 
     @staticmethod
     def model_and_states(inst, family, seed):
         """A model with random parameters, and states on and off its trie:
         the instance's trie nodes and proper fringe states, paths that extend
-        support paths, and repeats. A tabular model holds every other support
-        path and falls back by 0.1, which is inexact in binary."""
+        support paths, incomplete states deeper than any support path (as a
+        ``--p0`` file may hold), and repeats. A tabular model holds every
+        other support path and falls back by 0.1, which is inexact in
+        binary."""
         rng = np.random.default_rng(seed)
         if family == "tabular":
             trie = PrefixTrie.build(inst.alphabet, inst.psi[::2])
@@ -415,7 +432,8 @@ class TestValueBatch:
         alphabet = inst.alphabet
         fringe = [s for s in inst.trie.fringe_states() if alphabet.is_proper(s)]
         longer = [p[:-1] + p for p in inst.psi]
-        states = list(inst.trie.nodes) + fringe + longer
+        incomplete = [p[:-1] * 2 for p in inst.psi]
+        states = list(inst.trie.nodes) + fringe + longer + incomplete
         repeats = [states[int(i)] for i in rng.integers(len(states), size=5)]
         return model, tuple(states + repeats)
 
@@ -427,27 +445,59 @@ class TestValueBatch:
     @settings(max_examples=60)
     def test_values_equal_predict_value_bit_for_bit(self, inst, family, seed):
         model, states = self.model_and_states(inst, family, seed)
-        values = _ValueBatch(model, states).values(model.drawdown_vector())
+        batch = _ValueBatch(model, states)
+        values = batch.values(model.drawdown_vector())[batch.node]
         want = np.array([predict_value(model, s) for s in states])
         assert values.tobytes() == want.tobytes()
+        # one node per distinct state; a tabular model's trie nodes keep
+        # their ids, which are their slots
+        nodes = dict(zip(states, batch.node.tolist()))
+        assert len(set(nodes.values())) == len(nodes)
+        if family == "tabular":
+            for s, i in model.trie.index.items():
+                assert nodes.get(s, i) == i
+
+    def test_classes(self, e2):
+        model = LinearAdvantage.default(e2.alphabet)
+        states = (EMPTY, ("a",), ("a", "END"), ("END", "a"), ("b", "END", "END"), ("END",), ("a", "a", "b"))
+        batch = _ValueBatch(model, states)
+        nodes = batch.node
+        classes = [e2.alphabet.classify(s) for s in states]
+        assert batch.improper[nodes].tolist() == [c is SeqClass.IMPROPER for c in classes]
+        complete = batch.ended[nodes] & ~batch.improper[nodes]
+        assert complete.tolist() == [c is SeqClass.COMPLETE for c in classes]
 
     @pytest.mark.parametrize("family", ["tabular", EDGE_PAIR, DEPTH_EDGE_PAIR])
     def test_gradient_and_direction_count_every_step(self, e2_bernoulli, family):
         model, states = self.model_and_states(e2_bernoulli, family, 5)
         batch = _ValueBatch(model, states)
+        pairs = batch.pairs(batch.node)
         # d(value_j)/dx: 1 in c's slot, plus 1 per step that reads a slot
         jac = np.zeros((len(states), model.drawdown_vector().size))
         for j, s in enumerate(states):
             jac[j, 0] = 1.0
             for k in range(len(s)):
-                slot = model.step_slot(s[:k], s[k])
+                slot = step_slot(model, s[:k], s[k])
                 if slot is not None:
                     jac[j, slot] += 1.0
         rng = np.random.default_rng(6)
         coef, d = rng.normal(size=len(states)), rng.normal(size=jac.shape[1])
-        assert np.allclose(batch.value_grad(coef, jac.shape[1]), coef @ jac, rtol=1e-12, atol=1e-12)
+        assert np.allclose(_value_grad(pairs, coef, jac.shape[1]), coef @ jac, rtol=1e-12, atol=1e-12)
         want = jac.T @ (coef * (jac @ d))
-        assert np.allclose(batch.hessian(coef)(d), want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(batch.hessian(batch.node, pairs, coef)(d), want, rtol=1e-12, atol=1e-12)
+
+    def test_trie_prefixes(self, e2_bernoulli):
+        # a tabular state reads its deepest trie prefix plus its fallback steps
+        model, states = self.model_and_states(e2_bernoulli, "tabular", 7)
+        batch = _ValueBatch(model, states)
+        deep, offset = batch.trie_prefixes(batch.node, batch.pairs(batch.node))
+        trie = model.trie
+        values = batch.values(model.drawdown_vector())
+        for s, node, i, off in zip(states, batch.node.tolist(), deep.tolist(), offset.tolist()):
+            k = max(k for k in range(len(s) + 1) if s[:k] in trie)
+            assert trie.nodes[i] == s[:k]
+            assert off == pytest.approx(-0.1 * (len(s) - k), abs=1e-15)
+            assert values[node] == pytest.approx(values[i] + off, abs=1e-12)
 
     @pytest.mark.parametrize("family", ["tabular", EDGE_PAIR, DEPTH_EDGE_PAIR])
     def test_empirical_loss_equals_row_by_row_sum(self, e2_bernoulli, family):
@@ -468,7 +518,7 @@ class TestValueBatch:
             g = np.zeros(grad.size)
             g[0] = 1.0
             for k in range(len(s)):
-                g[model.step_slot(s[:k], s[k])] += 1.0
+                g[step_slot(model, s[:k], s[k])] += 1.0
             return predict_value(model, s), g
 
         terms, grad_terms = [], []
@@ -524,7 +574,7 @@ class TestVlpHandMix:
             return 0.0
         total = x[0]
         for k in range(len(s)):
-            slot = model.step_slot(s[:k], s[k])
+            slot = step_slot(model, s[:k], s[k])
             total += model.fallback_advantage if slot is None else x[slot]
         return total
 
@@ -536,7 +586,7 @@ class TestVlpHandMix:
         if model.alphabet.is_proper(s):
             grad[0] = 1.0
             for k in range(len(s)):
-                slot = model.step_slot(s[:k], s[k])
+                slot = step_slot(model, s[:k], s[k])
                 if slot is not None:
                     grad[slot] += 1.0
         return grad
@@ -593,6 +643,7 @@ class TestVlpHandMix:
             (("a", "a", "END"), "a"),  # on the support
             (("a",), "z"),  # unknown action, after the state was seen
             (("z",), "a"),  # unknown token in the state
+            (("a", "z", "b"), "a"),  # unknown token past a trie prefix
         ],
     )
     def test_bad_pairs_still_rejected(self, e2, bad):

@@ -11,9 +11,12 @@ from hypothesis import given, strategies as st
 
 from tarpath import serialize
 from tarpath.errors import InvalidInputError
+from tarpath.losses import _ValueBatch
 from tarpath.model import (
     DEFAULT_RAW,
     DEPTH_BUCKETS,
+    DEPTH_EDGE_PAIR,
+    EDGE_PAIR,
     Z_CLAMP,
     FeatureMap,
     LinearAdvantage,
@@ -28,7 +31,7 @@ from tarpath.model import (
     save_model,
 )
 from tarpath.oracle import compute_optimal
-from tarpath.pathspace import EMPTY, ActionAlphabet
+from tarpath.pathspace import EMPTY, ActionAlphabet, PrefixTrie
 
 from .strategies import alphabets, instances, linear_models, tabular_models
 
@@ -163,15 +166,6 @@ class TestTabular:
         again = model.with_params(model.params_vector() * 2.0)
         assert again.trie is model.trie is e2.trie
 
-    @given(tabular_models())
-    def test_step_slot_is_the_node_position(self, model):
-        trie = model.trie
-        for s in trie.nodes:
-            for a in model.alphabet.tokens:
-                assert model.step_slot(s, a) == trie.index.get(s + (a,))
-        for s in trie.fringe_states():
-            assert model.step_slot(s, model.alphabet.terminal) is None
-
     def test_with_random_params_deterministic(self, e2):
         model = TabularAdvantage.default(e2.trie)
         a = model.with_random_params(np.random.default_rng(5))
@@ -227,23 +221,38 @@ class TestPredictValue:
 class TestDrawdownVector:
     """[c, a_0, a_1, ...]: each step's slot holds the step's advantage."""
 
-    @given(tabular_models())
-    def test_tabular_slots_hold_edge_advantages(self, model):
+    @given(
+        inst=instances(),
+        family=st.sampled_from(["tabular", EDGE_PAIR, DEPTH_EDGE_PAIR]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_edge_slots_hold_step_advantages(self, inst, family, seed):
+        # the edge-slot map at every (node, token) of a tree over states on
+        # and off a tabular model's trie, and deeper than the last depth
+        # bucket of a linear model's features
+        rng = np.random.default_rng(seed)
+        if family == "tabular":
+            model = TabularAdvantage.default(PrefixTrie.build(inst.alphabet, inst.psi[::2]), fallback_B=0.3)
+        else:
+            model = LinearAdvantage.default(inst.alphabet, kind=family)
+        model = model.with_random_params(rng, z_scale=2.0)
         x = model.drawdown_vector()
-        assert x.size == model.n_params and x[0] == model.c
-        for s, a, _ in model.trie.iter_edges():
-            assert x[model.step_slot(s, a)] == predict_advantage(model, s, a)
-
-    @given(linear_models())
-    def test_linear_slots_fold_in_the_bias(self, model):
-        x = model.drawdown_vector()
-        assert x.size == model.n_params - 1 and x[0] == model.c
-        assert model.weights[-1] != 0.0
-        tokens = model.alphabet.nonterminal
-        for depth in range(DEPTH_BUCKETS + 1):
-            for s in [(t,) * depth for t in tokens]:
-                for a in model.alphabet.tokens:
-                    assert x[model.step_slot(s, a)] == predict_advantage(model, s, a)
+        if family == "tabular":
+            assert x.size == model.n_params
+        else:
+            # one drawdown per feature pair: the bias joins every pair's score
+            assert x.size == model.n_params - 1 and model.weights[-1] != 0.0
+        assert x[0] == model.c
+        runs = [(t,) * depth for t in inst.alphabet.nonterminal for depth in range(DEPTH_BUCKETS + 2)]
+        states = list(inst.trie.nodes) + runs
+        batch = _ValueBatch(model, states)
+        tokens = np.arange(len(inst.alphabet.tokens))
+        for s, node in zip(states, batch.node.tolist()):
+            nodes = np.full(tokens.size, node)
+            slots = model.edge_slots(nodes, batch.rank[nodes], batch.depth[nodes], tokens)
+            for a, slot in zip(inst.alphabet.tokens, slots.tolist()):
+                got = model.fallback_advantage if slot < 0 else x[slot]
+                assert got == predict_advantage(model, s, a)
 
 
 class TestSerialization:
