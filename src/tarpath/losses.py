@@ -28,10 +28,9 @@ depth at a time in ``predict_value``'s order, and every loss term is a
 fixed-order numpy sum, never a BLAS dot (``_dot``), so no result depends on
 the BLAS thread count. A compiled objective takes
 drawdown coordinates x = [c, a_0, a_1, ...] (``AdvantageModel.drawdown_vector``),
-one drawdown per trie edge or, for the linear family, per feature pair (the
-bias is redundant there: it adds to every pair's raw score). Every value is
-linear in x, so both losses are convex and piecewise quadratic under the
-bound a <= 0.
+one drawdown per trie edge or, for the linear family, per feature pair. Every
+value is linear in x, so both losses are convex and piecewise quadratic under
+the bound a <= 0.
 
 For a tabular model the trainer solves that problem exactly: in the node
 values V(n) = c + (drawdowns on the path to n) the bound is the tree order
@@ -39,8 +38,9 @@ V(child) <= V(parent) and every term reads one node, so training is
 isotonic regression on the trie, solved by pooling adjacent violators bottom
 up (``_NodePieces``). The linear family's drawdowns are tied across edges,
 which is not a tree order; it is solved by projected Newton iterations on
-the dense Hessian of its few parameters (``_solve_drawdown``). Either way
-the result is certified by the projected gradient of the compiled
+the dense Hessian of its few parameters (``_solve_drawdown``), which one
+``np.bincount`` forms from the slots each state reads (``_hessian_terms``).
+Either way the result is certified by the projected gradient of the compiled
 objective.
 """
 
@@ -293,9 +293,9 @@ class _ValueBatch:
             steps[lv] += steps[up]
         return steps
 
-    def values(self, x: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
+    def values(self, x: np.ndarray) -> np.ndarray:
         """The value of every node at x = [c, a_0, a_1, ...]."""
-        return self._pass(np.concatenate((self.fallback if fallback is None else fallback, x))[self.step])
+        return self._pass(np.concatenate((self.fallback, x))[self.step])
 
     def pairs(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(j, slot) for every step of state j, at node nodes[j], that reads
@@ -310,13 +310,6 @@ class _ValueBatch:
         state, k = np.nonzero(slot >= 0)
         return state, slot[state, k]
 
-    def hessian(self, nodes: np.ndarray, pairs, curvature: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Hessian-vector product J^T diag(curvature) J of a loss whose second
-        derivative in state j's value is curvature[j]: every value is linear
-        in x, and J d, its change along d, moves no fallback step."""
-        still = np.zeros(1)
-        return lambda d: _value_grad(pairs, curvature * self.values(d, still)[nodes], d.size)
-
     def trie_prefixes(self, nodes: np.ndarray, pairs) -> tuple[np.ndarray, np.ndarray]:
         """For a tabular model: each state's deepest trie node, the last slot
         it reads, and the sum of its fallback steps, which all follow it."""
@@ -328,6 +321,29 @@ def _value_grad(pairs: tuple[np.ndarray, np.ndarray], state_coef: np.ndarray, si
     """sum_j state_coef[j] * d(value_j)/dx over the (state, slot) pairs of ``_ValueBatch.pairs``."""
     state, slot = pairs
     return np.bincount(slot, weights=state_coef[state], minlength=size)
+
+
+def _hessian_terms(pairs: tuple[np.ndarray, np.ndarray], size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The dense Hessian J^T diag(curvature) J, as a function of the
+    curvature, of a loss whose second derivative in state j's value is
+    curvature[j]; J[j, k] counts the steps of state j that read slot k.
+    Entry (l, k) sums curvature[j] * J[j, k] over the (j, l) of
+    ``_ValueBatch.pairs`` in order: one ``np.bincount`` over a table of one
+    term per pair and distinct slot of its state."""
+    state, slot = pairs
+    code, count = np.unique(state * size + slot, return_counts=True)  # by state, then slot
+    # pair p meets its state's distinct slots, codes lo[p] .. lo[p] + n[p] - 1
+    lo = np.searchsorted(code, state * size)
+    n = np.searchsorted(code, state * size + size) - lo
+    k = np.arange(n.sum()) + np.repeat(lo + n - np.cumsum(n), n)
+    p = np.repeat(np.arange(state.size), n)
+    term_state, term_index, term_count = state[p], slot[p] * size + code[k] % size, count[k] * 1.0
+
+    def hessian(curvature: np.ndarray) -> np.ndarray:
+        weights = curvature[term_state] * term_count
+        return np.bincount(term_index, weights=weights, minlength=size * size).reshape(size, size)
+
+    return hessian
 
 
 def _checked_batch(model: AdvantageModel, p0: PathDistribution, paths, more=()) -> _ValueBatch:
@@ -349,10 +365,10 @@ class Evaluation(tuple):
     by ``tar_objective`` or ``vlp_objective``; the loss is convex and
     piecewise quadratic on the feasible set a <= 0.
 
-    ``hessian()`` gives the exact Hessian-vector product at x, valid while no
-    hinge changes side; an evaluation built without ``hessian`` has none (a
-    zero product). ``node_pieces()`` gives, for an objective compiled for
-    a tabular model, the same loss as a sum of one-node terms
+    ``hessian()`` gives the dense Hessian at x (``_hessian_terms``), exact
+    while no hinge changes side; an evaluation built without ``hessian`` has
+    a zero one. ``node_pieces()`` gives, for an objective compiled for a
+    tabular model, the same loss as a sum of one-node terms
     (``_NodePieces``), and None otherwise.
     """
 
@@ -362,17 +378,20 @@ class Evaluation(tuple):
         self._pieces = pieces
         return self
 
-    def hessian(self) -> Callable[[np.ndarray], np.ndarray]:
-        return np.zeros_like if self._hessian is None else self._hessian()
+    def hessian(self) -> np.ndarray:
+        return np.zeros((self[1].size,) * 2) if self._hessian is None else self._hessian()
 
     def node_pieces(self) -> "_NodePieces | None":
         return None if self._pieces is None else self._pieces()
 
 
 def _compiled(evaluate, model: AdvantageModel, batch: _ValueBatch, nodes, pairs, add_pieces) -> Objective:
-    """The objective returning ``Evaluation``s. For a tabular model,
+    """The objective returning ``Evaluation``s. ``evaluate`` gives the loss,
+    the gradient and each state's curvature. The Hessian's term table is
+    built once, on the first ``hessian()`` call. For a tabular model,
     ``add_pieces`` fills in its ``_NodePieces``, once, on first use, from
     the ``_ValueBatch.trie_prefixes`` of the states it reads."""
+    hessian = functools.cache(functools.partial(_hessian_terms, pairs))
     pieces = None
     if isinstance(model, TabularAdvantage):
 
@@ -383,7 +402,8 @@ def _compiled(evaluate, model: AdvantageModel, batch: _ValueBatch, nodes, pairs,
             return built
 
     def objective(x: np.ndarray) -> Evaluation:
-        return Evaluation(*evaluate(x), pieces)
+        loss, grad, curvature = evaluate(x)
+        return Evaluation(loss, grad, lambda: hessian(x.size)(curvature), pieces)
 
     return objective
 
@@ -608,8 +628,7 @@ def _tar_compiled(model, batch: _ValueBatch, p0, d_weights, targets, var_floor, 
             + kappa * _dot(p0_w, neg * neg)
         )
         grad = _value_grad(pairs, np.concatenate((p0_w - hinge_w * neg, misfit_w * resid)), x.size)
-        curvature = np.concatenate((hinge_w * (neg > 0.0), misfit_w))
-        return float(loss), grad, lambda: batch.hessian(nodes, pairs, curvature)
+        return float(loss), grad, np.concatenate((hinge_w * (neg > 0.0), misfit_w))
 
     def add_pieces(pieces: _NodePieces, deep: np.ndarray, offset: np.ndarray) -> None:
         pieces.add_linear(deep[:n0], p0_w)
@@ -703,7 +722,7 @@ def _vlp_compiled(model, batch: _ValueBatch, p0, mix: PenaltyMix, instance: PLIn
         grad += np.bincount(inc_step, weights=2.0 * inc_w * inc_pos, minlength=1 + x.size)[1:]
         # the incomplete-state term is (a)_+^2 of one drawdown or of the
         # fallback: zero, with zero curvature, wherever a <= 0
-        return float(loss), grad, lambda: batch.hessian(nodes, pairs, 2.0 * hinge_w * (pos > 0.0))
+        return float(loss), grad, 2.0 * hinge_w * (pos > 0.0)
 
     def add_pieces(pieces: _NodePieces, deep: np.ndarray, offset: np.ndarray) -> None:
         pieces.add_linear(deep[:n0], p0_w)
@@ -784,9 +803,10 @@ def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> T
     and finite (``_solve_tree``): it pools the trie's node values, whatever
     the model's current parameters, and ``config.max_iters`` does not apply.
     For the linear family it is iterative, projected Newton steps from the
-    model's ``drawdown_vector`` (``_solve_drawdown``). The solved drawdowns
-    are stored back as raw scores, and a linear model's bias as 0. An
-    objective whose calls do not return an ``Evaluation`` is rejected.
+    model's ``drawdown_vector`` (``_solve_drawdown``). Both families hold one
+    raw score per drawdown slot, so the solved drawdowns are stored back as
+    raw scores one for one. An objective whose calls do not return an
+    ``Evaluation`` is rejected.
 
     ``final_loss`` is the objective at the returned model. ``grad_norm`` is
     the max-norm of the gradient in drawdown coordinates, projected onto the
@@ -811,11 +831,7 @@ def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> T
         solver = TREE_POOLING
         blocks = x_out.size - iterations  # one node per block, less one per merge
         zero_drawdowns = int(np.count_nonzero(x_out[1:] == 0.0))
-    # a linear model's bias, the last parameter, is written as 0
-    params = np.zeros(model.n_params)
-    params[0] = x_out[0]
-    params[1 : x_out.size] = raw_from_advantage(x_out[1:])
-    fitted = model.with_params(params)
+    fitted = model.with_params(np.concatenate(([x_out[0]], raw_from_advantage(x_out[1:]))))
     final_loss, _ = objective(fitted.drawdown_vector())
     return TrainResult(
         model=fitted,
@@ -931,33 +947,28 @@ def _solve_drawdown(objective, at: Evaluation, x: np.ndarray, config: TrainConfi
     return x, np.array(trace), pg, iterations, reason
 
 
-def _newton_direction(hess, x: np.ndarray, g: np.ndarray, pg: float) -> tuple[np.ndarray, bool]:
+def _newton_direction(hess: np.ndarray, x: np.ndarray, g: np.ndarray, pg: float) -> tuple[np.ndarray, bool]:
     """The projected Newton direction d at x, whose projected-gradient
     max-norm is pg, and whether d carries no curvature (d.H d <= 0).
 
     The drawdowns within min(BOUND_EPS, pg) of 0 whose gradient is negative
     (descent would push them above 0) go onto the bound: d = -x there. The
     other coordinates F solve (H_FF + mu I) d_F = -g_F, mu = DAMPING * pg,
-    on the dense Hessian H of the current piece, formed from one Hessian
-    product per free coordinate. Unused feature pairs leave H singular, and
-    the covering law's linear term leaves directions with gradient but no
-    curvature until a hinge turns on: the damping makes those gradient
-    steps.
+    on ``hess``, the dense Hessian H of the current piece. Unused feature
+    pairs leave H singular, and the covering law's linear term leaves
+    directions with gradient but no curvature until a hinge turns on: the
+    damping makes those gradient steps. d.H d is summed in a fixed order,
+    never by BLAS.
     """
     bound = np.zeros(x.size, dtype=bool)
     bound[1:] = (x[1:] >= -min(BOUND_EPS, pg)) & (g[1:] < 0.0)
     d = np.where(bound, -x, 0.0)
     free = np.flatnonzero(~bound)
-    unit = np.zeros(x.size)
-    h = np.empty((free.size, free.size))
-    for k, j in enumerate(free.tolist()):
-        unit[j] = 1.0
-        h[:, k] = hess(unit)[free]
-        unit[j] = 0.0
+    h = hess[np.ix_(free, free)]
     mu = DAMPING * pg
     h[np.diag_indices(free.size)] += mu
     d[free] = _cholesky_solve(h, -g[free], mu)
-    return d, _dot(d, hess(d)) <= 0.0
+    return d, _dot(d, np.add.reduce(hess * d, axis=1)) <= 0.0
 
 
 def _cholesky_solve(a: np.ndarray, b: np.ndarray, floor: float) -> np.ndarray:

@@ -12,12 +12,11 @@ Two families produce the raw score:
   scores the edge into node i); queries at pairs that are not trie edges
   return the constant fallback advantage -B (a drawdown large enough that
   planners never prefer unobserved continuations);
-* linear — z is a weight vector dotted with sparse indicator features of the
-  (previous token, action) pair, optionally crossed with a bucketed prefix
-  depth, plus a bias.
+* linear — one weight z per (previous token, action) pair, optionally
+  crossed with a bucketed prefix depth.
 
 Parameters pack into one flat vector [c, z_0, z_1, ...], the stored form.
-``drawdown_vector`` gives the model in the coordinates that compiled
+``drawdown_vector`` gives the same slots in the coordinates that compiled
 objectives read and the trainer solves in, [c, a_0, a_1, ...] with one
 drawdown per step slot (an edge, or a feature pair); the trainer stores its
 solution back as raw scores through ``raw_from_advantage``.
@@ -60,7 +59,7 @@ def advantage_transform(z: float) -> float:
     return float(-np.logaddexp(0.0, z))
 
 
-def raw_from_advantage(a, clamp: float = Z_CLAMP):
+def raw_from_advantage(a):
     """Invert the transform: the z whose advantage is a (clamped near 0).
 
     Takes a float, returning a float, or an array, inverted elementwise.
@@ -72,7 +71,7 @@ def raw_from_advantage(a, clamp: float = Z_CLAMP):
     y = -arr
     # log(expm1(y)) without overflow for large y; -inf at y = 0, then clamped
     with np.errstate(divide="ignore"):
-        z = np.maximum(y + np.log(-np.expm1(-y)), clamp)
+        z = np.maximum(y + np.log(-np.expm1(-y)), Z_CLAMP)
     return float(z) if z.ndim == 0 else z
 
 
@@ -82,12 +81,11 @@ DEFAULT_RAW = raw_from_advantage(-0.1)
 
 @dataclass(frozen=True, eq=False)
 class FeatureMap:
-    """Sparse indicator features on (previous token, action) pairs.
+    """Indicator features on (previous token, action) pairs.
 
-    Every (state, action) query activates exactly two coordinates: the pair
-    indicator (with the no-previous-token case getting its own row, and the
-    depth-crossed kind selecting the row block by bucketed prefix length)
-    and the trailing bias coordinate.
+    Every (state, action) query activates exactly one coordinate, its pair
+    (with the no-previous-token case getting its own row, and the
+    depth-crossed kind selecting the row block by bucketed prefix length).
     """
 
     kind: str
@@ -105,15 +103,15 @@ class FeatureMap:
     @property
     def dim(self) -> int:
         blocks = DEPTH_BUCKETS if self.kind == DEPTH_EDGE_PAIR else 1
-        return blocks * self.n_pairs + 1
+        return blocks * self.n_pairs
 
-    def indices(self, s: PathSeq, a: str) -> tuple[int, int]:
+    def indices(self, s: PathSeq, a: str) -> int:
         n = len(self.alphabet.tokens)
         prev = self.alphabet.index(s[-1]) if s else n
         pair = prev * n + self.alphabet.index(a)
         if self.kind == DEPTH_EDGE_PAIR:
             pair += min(len(s), DEPTH_BUCKETS - 1) * self.n_pairs
-        return pair, self.dim - 1
+        return pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,10 +143,6 @@ class AdvantageModel:
 
     @property
     def fallback_advantage(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def n_params(self) -> int:
         raise NotImplementedError
 
     def params_vector(self) -> np.ndarray:
@@ -248,10 +242,6 @@ class TabularAdvantage(AdvantageModel):
     def fallback_advantage(self) -> float:
         return -self.fallback_B
 
-    @property
-    def n_params(self) -> int:
-        return 1 + self.raw.size
-
     def params_vector(self) -> np.ndarray:
         return np.concatenate(([self.c], self.raw))
 
@@ -265,7 +255,8 @@ class TabularAdvantage(AdvantageModel):
 
 @dataclass(frozen=True, eq=False)
 class LinearAdvantage(AdvantageModel):
-    """Raw score is weights dot sparse features; defined for every query."""
+    """One raw score per feature pair, ``weights[k]`` for pair k, whose slot
+    in ``drawdown_vector`` is 1 + k; defined for every query."""
 
     feature_map: FeatureMap = None
     weights: np.ndarray = None
@@ -288,11 +279,10 @@ class LinearAdvantage(AdvantageModel):
         return cls(alphabet=alphabet, c=c, feature_map=fm, weights=np.zeros(fm.dim))
 
     def raw_z(self, s: PathSeq, a: str) -> float | None:
-        i, j = self.feature_map.indices(s, a)
-        return float(self.weights[i] + self.weights[j])
+        return float(self.weights[self.feature_map.indices(s, a)])
 
     def edge_slots(self, node, last, depth, token):
-        # 1 + the pair coordinate of ``FeatureMap.indices``
+        # 1 + the pair of ``FeatureMap.indices``
         fm, n = self.feature_map, len(self.alphabet.tokens)
         pair = np.where(last < 0, n, last) * n + token
         if fm.kind == DEPTH_EDGE_PAIR:
@@ -303,16 +293,11 @@ class LinearAdvantage(AdvantageModel):
     def fallback_advantage(self) -> float:
         raise InvalidInputError("linear models never fall back")
 
-    @property
-    def n_params(self) -> int:
-        return 1 + self.weights.size
-
     def params_vector(self) -> np.ndarray:
         return np.concatenate(([self.c], self.weights))
 
     def drawdown_vector(self) -> np.ndarray:
-        """One drawdown per feature pair: the bias joins every pair's score."""
-        return np.concatenate(([self.c], -np.logaddexp(0.0, self.weights[:-1] + self.weights[-1])))
+        return np.concatenate(([self.c], -np.logaddexp(0.0, self.weights)))
 
     def with_params(self, vec: np.ndarray) -> "LinearAdvantage":
         vec = np.asarray(vec, dtype=float)

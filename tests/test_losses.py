@@ -32,6 +32,7 @@ from tarpath.losses import (
     _ValueBatch,
     _block_min,
     _cholesky_solve,
+    _hessian_terms,
     _solve_drawdown,
     _value_grad,
     tar_objective,
@@ -59,7 +60,7 @@ def step_slot(model, s, a):
     pair for a linear one."""
     if isinstance(model, TabularAdvantage):
         return model.trie.index.get(s + (a,))
-    return 1 + model.feature_map.indices(s, a)[0]
+    return 1 + model.feature_map.indices(s, a)
 
 
 def flat_model(trie, c):
@@ -484,7 +485,7 @@ class TestValueBatch:
         coef, d = rng.normal(size=len(states)), rng.normal(size=jac.shape[1])
         assert np.allclose(_value_grad(pairs, coef, jac.shape[1]), coef @ jac, rtol=1e-12, atol=1e-12)
         want = jac.T @ (coef * (jac @ d))
-        assert np.allclose(batch.hessian(batch.node, pairs, coef)(d), want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(_hessian_terms(pairs, jac.shape[1])(coef) @ d, want, rtol=1e-12, atol=1e-12)
 
     def test_trie_prefixes(self, e2_bernoulli):
         # a tabular state reads its deepest trie prefix plus its fallback steps
@@ -712,14 +713,10 @@ class TestVlpHandMix:
 
 
 def linear_model(inst, features, seed, c=None):
-    """A random linear model whose bias (the last weight) is nonzero, so that
-    every pair's raw score is its own weight plus 1.25."""
+    """A random linear model, with c drawn from [0, 1] or given."""
     rng = np.random.default_rng(seed)
     c_range = (0.0, 1.0) if c is None else (c, c)
-    model = LinearAdvantage.default(inst.alphabet, kind=features).with_random_params(rng, c_range)
-    x = model.params_vector()
-    x[-1] = 1.25
-    return model.with_params(x)
+    return LinearAdvantage.default(inst.alphabet, kind=features).with_random_params(rng, c_range)
 
 
 def criterion_6_instance(seed):
@@ -737,7 +734,7 @@ def criterion_6_instance(seed):
 class TestDrawdownView:
     """Compiled objectives evaluate in drawdown coordinates (c, a): one
     drawdown per edge of a tabular model, one per feature pair of a linear
-    one, whose bias each pair's drawdown absorbs."""
+    one."""
 
     @staticmethod
     def inputs(kind, inst):
@@ -813,7 +810,7 @@ class TestDrawdownView:
         for _ in range(3):
             d = rng.normal(size=x.size)
             _, g_end = objective(x + h * d)
-            assert np.allclose(start.hessian()(d), (g_end - start[1]) / h, rtol=1e-7, atol=1e-9)
+            assert np.allclose(start.hessian() @ d, (g_end - start[1]) / h, rtol=1e-7, atol=1e-9)
 
     FEATURES = (EDGE_PAIR, DEPTH_EDGE_PAIR)
 
@@ -823,7 +820,7 @@ class TestDrawdownView:
     def test_linear_equals_direct_sum(self, e2_bernoulli, kind, features, seed):
         model = linear_model(e2_bernoulli, features, seed)
         x = model.drawdown_vector()
-        assert x.size == model.n_params - 1  # the bias has no slot
+        assert x.size == model.params_vector().size  # one drawdown per stored score
         loss, _ = self.compile(kind, e2_bernoulli, model)(x)
         assert loss == pytest.approx(self.direct_loss(kind, e2_bernoulli, model), rel=1e-12)
 
@@ -863,7 +860,7 @@ class TestDrawdownView:
         for _ in range(3):
             d = rng.normal(size=x.size)
             _, g_end = objective(x + h * d)
-            assert np.allclose(start.hessian()(d), (g_end - start[1]) / h, rtol=1e-7, atol=1e-9)
+            assert np.allclose(start.hessian() @ d, (g_end - start[1]) / h, rtol=1e-7, atol=1e-9)
 
     @pytest.mark.parametrize("features", FEATURES)
     def test_linear_optimum_sandwiched_by_tabular(self, features):
@@ -877,11 +874,55 @@ class TestDrawdownView:
             linear = LinearAdvantage.default(inst.alphabet, kind=features)
             tied = train(linear, tar_objective(linear, p0, data, lam, kappa), config)
             assert tied.stop_reason == CONVERGED, (seed, tied.grad_norm)
-            assert tied.model.weights[-1] == 0.0  # the bias is written as 0
             tabular = TabularAdvantage.default(inst.trie)
             free = train(tabular, tar_objective(tabular, p0, data, lam, kappa), config)
             assert free.converged
             assert free.final_loss <= tied.final_loss + 1e-9, seed
+
+
+def column_hessian(model, states, curvature, size):
+    """J^T diag(curvature) J built one column per slot: column k is the
+    gradient term ``_value_grad`` of curvature times J e_k, each state's
+    change along the k-th unit vector, where a fallback step moves nothing."""
+    batch = _ValueBatch(model, states)
+    pairs = batch.pairs(batch.node)
+    h = np.empty((size, size))
+    for k in range(size):
+        unit = np.zeros(size + 1)  # each step reads [fallback, c, a_0, ...]
+        unit[k + 1] = 1.0
+        count = batch._pass(unit[batch.step])[batch.node]
+        h[:, k] = _value_grad(pairs, curvature * count, size)
+    return h
+
+
+class TestHessian:
+    """``Evaluation.hessian()`` forms the dense Hessian in one pass, bit for
+    bit as the matrix built one column per slot."""
+
+    @pytest.mark.parametrize("family", ["tabular", EDGE_PAIR])
+    def test_equals_the_column_by_column_matrix(self, e2, family):
+        rng = np.random.default_rng(11)
+        if family == "tabular":
+            model = TabularAdvantage.default(e2.trie)
+        else:
+            model = LinearAdvantage.default(e2.alphabet, kind=family)
+        # c = -2: every value is below 0, so every p0 hinge is on and each
+        # state's curvature is its hinge's or its misfit's weight
+        model = model.with_random_params(rng, c_range=(-2.0, -2.0))
+        # a linear state reads the pair (a, a) up to three times; a tabular
+        # one off the trie falls back
+        states = list(e2.trie.nodes) + [("a", "a", "a"), ("a", "a", "a", "END"), ("b", "a")]
+        w = rng.uniform(0.5, 1.5, size=len(states))
+        p0 = PathDistribution(paths=tuple(states), weights=tuple(w / w.sum()))
+        lam, kappa = 10.0, 100.0
+        x = model.drawdown_vector()
+        start = tar_objective(model, p0, e2, lam, kappa)(x)
+        curvature = np.concatenate((2.0 * kappa * np.array(p0.weights), lam * e2.psi_weights))
+        want = column_hessian(model, p0.paths + e2.psi, curvature, x.size)
+        assert start.hessian().tobytes() == want.tobytes()
+        # a slot read twice by one state rounds (l, k) and (k, l) apart, so
+        # the bits also pin the order of the terms
+        assert family == "tabular" or np.any(want != want.T)
 
 
 class TestTrain:
@@ -967,16 +1008,16 @@ class TestTrain:
             train(model, plain, TrainConfig())
 
     @pytest.mark.parametrize("features", [EDGE_PAIR, DEPTH_EDGE_PAIR])
-    def test_linear_start_folds_in_the_bias(self, e2, features):
-        # no iterations: the written model is the start, its bias moved
-        # into every pair's weight
+    def test_linear_start_is_written_back(self, e2, features):
+        # no iterations: the written model is the start, each pair's weight
+        # through its drawdown and back
         model = linear_model(e2, features, 3)
         p0 = PathDistribution.uniform(e2.trie.nodes)
         objective = tar_objective(model, p0, e2, lam=10.0, kappa=100.0)
         result = train(model, objective, TrainConfig(max_iters=0))
         w, fitted = model.params_vector(), result.model.params_vector()
-        assert fitted[-1] == 0.0 and fitted[0] == w[0]
-        assert np.allclose(fitted[1:-1], w[1:-1] + w[-1], rtol=1e-12, atol=1e-12)
+        assert fitted.size == w.size and fitted[0] == w[0]
+        assert np.allclose(fitted[1:], w[1:], rtol=1e-12, atol=1e-12)
         assert result.final_loss == pytest.approx(objective(model.drawdown_vector())[0], rel=1e-12)
 
     def test_no_decrease_is_reported(self, e1):

@@ -92,12 +92,12 @@ class TestTransform:
 class TestFeatureMap:
     def test_dim_edge_pair(self):
         fm = FeatureMap(kind="edge_pair", alphabet=AB)
-        # (3 prev tokens + start) * 3 actions + bias
-        assert fm.dim == 13
+        # (3 prev tokens + start) * 3 actions
+        assert fm.dim == 12
 
     def test_dim_depth_edge_pair(self):
         fm = FeatureMap(kind="depth_edge_pair", alphabet=AB)
-        assert fm.dim == DEPTH_BUCKETS * 12 + 1
+        assert fm.dim == DEPTH_BUCKETS * 12
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidInputError):
@@ -105,24 +105,24 @@ class TestFeatureMap:
 
     def test_start_state_has_own_row(self):
         fm = FeatureMap(kind="edge_pair", alphabet=AB)
-        i_start, _ = fm.indices(EMPTY, "a")
-        i_after_a, _ = fm.indices(("a",), "a")
+        i_start = fm.indices(EMPTY, "a")
+        i_after_a = fm.indices(("a",), "a")
         assert i_start != i_after_a
 
     def test_depth_buckets_distinguish_prefix_lengths(self):
         fm = FeatureMap(kind="depth_edge_pair", alphabet=AB)
-        rows = {fm.indices(("a",) * k, "b")[0] for k in range(1, DEPTH_BUCKETS)}
+        rows = {fm.indices(("a",) * k, "b") for k in range(1, DEPTH_BUCKETS)}
         assert len(rows) == DEPTH_BUCKETS - 1
         # lengths at or past the last bucket share a row
-        deep1 = fm.indices(("a",) * DEPTH_BUCKETS, "b")[0]
-        deep2 = fm.indices(("a",) * (DEPTH_BUCKETS + 3), "b")[0]
+        deep1 = fm.indices(("a",) * DEPTH_BUCKETS, "b")
+        deep2 = fm.indices(("a",) * (DEPTH_BUCKETS + 3), "b")
         assert deep1 == deep2
 
 
 class TestTabular:
     def test_default_scores_every_edge(self, e2):
         model = TabularAdvantage.default(e2.trie)
-        assert model.n_params == 1 + 7
+        assert model.params_vector().size == 1 + 7
         for s, a, _ in e2.trie.iter_edges():
             assert model.raw_z(s, a) == DEFAULT_RAW
 
@@ -180,13 +180,13 @@ class TestLinear:
             for a in AB.tokens:
                 assert predict_advantage(model, s, a) == pytest.approx(-math.log(2.0))
 
-    def test_raw_is_pair_plus_bias(self):
+    def test_raw_is_the_pair_weight(self):
         model = LinearAdvantage.default(AB)
-        i, j = model.feature_map.indices(("a",), "b")
         w = model.weights.copy()
-        w[i], w[j] = 0.3, -0.2
+        w[model.feature_map.indices(("a",), "b")] = 0.3
         model = model.with_params(np.concatenate(([model.c], w)))
-        assert model.raw_z(("a",), "b") == pytest.approx(0.1)
+        assert model.raw_z(("a",), "b") == 0.3
+        assert model.raw_z(("b",), "b") == 0.0
 
     def test_never_falls_back(self):
         model = LinearAdvantage.default(AB)
@@ -237,11 +237,8 @@ class TestDrawdownVector:
             model = LinearAdvantage.default(inst.alphabet, kind=family)
         model = model.with_random_params(rng, z_scale=2.0)
         x = model.drawdown_vector()
-        if family == "tabular":
-            assert x.size == model.n_params
-        else:
-            # one drawdown per feature pair: the bias joins every pair's score
-            assert x.size == model.n_params - 1 and model.weights[-1] != 0.0
+        # one drawdown per stored raw score
+        assert x.size == model.params_vector().size
         assert x[0] == model.c
         runs = [(t,) * depth for t in inst.alphabet.nonterminal for depth in range(DEPTH_BUCKETS + 2)]
         states = list(inst.trie.nodes) + runs
@@ -344,3 +341,13 @@ class TestSerialization:
         with pytest.raises(InvalidInputError, match=re.escape(str(path))) as exc:
             load_model(str(path))
         assert message in str(exc.value)
+
+    def test_linear_file_with_a_bias_entry_is_rejected(self, tmp_path, e2):
+        # linear model files held one weight more, a bias, before
+        doc = model_to_json(LinearAdvantage.default(e2.alphabet))
+        doc["raw"]["weights"].append(0.0)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match=re.escape(str(path))) as exc:
+            load_model(str(path))
+        assert "weights must match feature dim 12, got shape (13,)" in str(exc.value)

@@ -90,7 +90,7 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         v = rng.uniform(0.0, 1.0, size=len(trie))
         q = rng.uniform(-1.0, 1.0, size=(len(trie), len(inst.alphabet.tokens)))
-        ov = OptimalValues(trie=trie, v=v, q=q, a=q - v[:, None], j_star=float(v[0]))
+        ov = OptimalValues(trie=trie, v=v, a=q - v[:, None], j_star=float(v[0]))
         want = np.array([check_decomposition(ov, node) for node in trie.nodes])
         assert node_decomposition(ov).tobytes() == want.tobytes()
 
