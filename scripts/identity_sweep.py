@@ -1,7 +1,8 @@
 """Measure the regression/feasibility loss identity across a parameter sweep.
 
 For each (instance size, lambda, noise kind) cell this draws fresh random
-instances and random tabular models, evaluates both losses exactly, and
+instances and random tabular models (``with_random_params``: drawdowns
+jittered around -0.1 on a log scale), evaluates both losses exactly, and
 records the absolute gap between the regression loss and the shifted
 feasibility loss. The gap should sit at float-rounding level everywhere;
 the variance floor and the overshoot hinge are reported alongside so the

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergedError
 from .instance import PathDistribution, PathYieldDataset, PLInstance, check_weights
-from .model import AdvantageModel, TabularAdvantage, raw_from_advantage
+from .model import AdvantageModel, TabularAdvantage
 from .oracle import OptimalValues, compute_optimal
 from .pathspace import PathSeq, PrefixTrie
 
@@ -803,14 +803,14 @@ def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> T
     and finite (``_solve_tree``): it pools the trie's node values, whatever
     the model's current parameters, and ``config.max_iters`` does not apply.
     For the linear family it is iterative, projected Newton steps from the
-    model's ``drawdown_vector`` (``_solve_drawdown``). Both families hold one
-    raw score per drawdown slot, so the solved drawdowns are stored back as
-    raw scores one for one. An objective whose calls do not return an
-    ``Evaluation`` is rejected.
+    model's ``drawdown_vector`` (``_solve_drawdown``). The returned model
+    holds the solution as it is, one drawdown per slot (``with_drawdowns``).
+    An objective whose calls do not return an ``Evaluation`` is rejected.
 
-    ``final_loss`` is the objective at the returned model. ``grad_norm`` is
-    the max-norm of the gradient in drawdown coordinates, projected onto the
-    bound a <= 0, at the solution; the run has converged when it is at most
+    ``final_loss`` is the objective at the returned model, the trace's last
+    entry. ``grad_norm`` is the max-norm of the gradient in drawdown
+    coordinates, projected onto the bound a <= 0, at the solution; the run
+    has converged when it is at most
     ``config.tol``. ``stop_reason`` says why the run ended: converged, the
     iteration cap, no representable decrease, or, for the tree solve, a
     solution whose certificate exceeds the tolerance (uncertified).
@@ -831,12 +831,10 @@ def train(model: AdvantageModel, objective: Objective, config: TrainConfig) -> T
         solver = TREE_POOLING
         blocks = x_out.size - iterations  # one node per block, less one per merge
         zero_drawdowns = int(np.count_nonzero(x_out[1:] == 0.0))
-    fitted = model.with_params(np.concatenate(([x_out[0]], raw_from_advantage(x_out[1:]))))
-    final_loss, _ = objective(fitted.drawdown_vector())
     return TrainResult(
-        model=fitted,
+        model=model.with_drawdowns(x_out),
         trace=trace,
-        final_loss=float(final_loss),
+        final_loss=float(trace[-1]),
         grad_norm=grad_norm,
         iterations=iterations,
         converged=reason == CONVERGED,
@@ -895,9 +893,10 @@ def _solve_drawdown(objective, at: Evaluation, x: np.ndarray, config: TrainConfi
     direction without curvature is doubled while the loss keeps falling, so
     a loss unbounded below runs off in a few iterations.
 
-    Returns (x, trace, projected-gradient max-norm, iterations, stop reason).
-    Raises ``TrainingDivergedError`` at a non-finite accepted point, and
-    when that max-norm meets the tolerance only through rounding
+    Returns (x, trace, projected-gradient max-norm, iterations, stop reason);
+    the trace is the loss at each iterate, x's last. Raises
+    ``TrainingDivergedError`` at a non-finite accepted point, and when that
+    max-norm meets the tolerance only through rounding
     (``_exact_projected_grad_norm``), as on a loss unbounded below once the
     parameters have run off far enough.
     """

@@ -1,25 +1,22 @@
 """Value models built from a free constant plus nonpositive per-step drawdowns.
 
 A model predicts, for a proper sequence, c plus the sum of per-step advantage
-terms A(prefix, action); improper sequences get exactly 0. Nonpositivity is
-structural: every advantage is -log(1 + exp(z)) of an unconstrained raw score
-z, so the value difference between a proper sequence and its extension is
-always <= 0.
+terms A(prefix, action); improper sequences get exactly 0. A model holds c
+and one drawdown a <= 0 per step slot, so the value difference between a
+proper sequence and its extension is always <= 0.
 
-Two families produce the raw score:
+Two families map a step to its slot:
 
-* tabular — one z per edge of a fixed prefix trie, in node order (z[i - 1]
-  scores the edge into node i); queries at pairs that are not trie edges
-  return the constant fallback advantage -B (a drawdown large enough that
-  planners never prefer unobserved continuations);
-* linear — one weight z per (previous token, action) pair, optionally
-  crossed with a bucketed prefix depth.
+* tabular — one slot per edge of a fixed prefix trie, in node order (a[i - 1]
+  is the drawdown of the edge into node i); queries at pairs that are not
+  trie edges return the constant fallback advantage -B (a drawdown large
+  enough that planners never prefer unobserved continuations);
+* linear — one slot per (previous token, action) pair, optionally crossed
+  with a bucketed prefix depth.
 
-Parameters pack into one flat vector [c, z_0, z_1, ...], the stored form.
-``drawdown_vector`` gives the same slots in the coordinates that compiled
-objectives read and the trainer solves in, [c, a_0, a_1, ...] with one
-drawdown per step slot (an edge, or a feature pair); the trainer stores its
-solution back as raw scores through ``raw_from_advantage``.
+``drawdown_vector`` gives [c, a_0, a_1, ...], the coordinates that compiled
+objectives read and the trainer solves in, and ``with_drawdowns`` builds the
+model at such a point; the model file stores exactly these numbers.
 """
 
 from __future__ import annotations
@@ -47,11 +44,20 @@ DEPTH_EDGE_PAIR = "depth_edge_pair"
 # shares the last one.
 DEPTH_BUCKETS = 4
 
+# The default tabular drawdown (the tree solve ignores its starting point).
+DEFAULT_DRAWDOWN = -0.1
+
+DEFAULT_FALLBACK_B = 10.0
+
+# The softplus raw-score view of a drawdown, a = -log(1 + exp(z)), which
+# model files stored before they held drawdowns. Nothing in this package
+# reads it: perfbench/reference.py is its only reader, through
+# ``TabularAdvantage.raw_z``, ``TabularAdvantage.edges`` and
+# ``advantage_transform``.
+
 # Raw score encoding an advantage of exactly 0 (a limit point of the
 # transform): -log(1 + exp(-40)) ~ -4.2e-18.
 Z_CLAMP = -40.0
-
-DEFAULT_FALLBACK_B = 10.0
 
 
 def advantage_transform(z: float) -> float:
@@ -73,10 +79,6 @@ def raw_from_advantage(a):
     with np.errstate(divide="ignore"):
         z = np.maximum(y + np.log(-np.expm1(-y)), Z_CLAMP)
     return float(z) if z.ndim == 0 else z
-
-
-# Raw score whose advantage is -0.1: the default tabular initialization.
-DEFAULT_RAW = raw_from_advantage(-0.1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,17 +118,41 @@ class FeatureMap:
 
 @dataclass(frozen=True, eq=False)
 class AdvantageModel:
-    """Shared surface of both families; see module docstring for semantics."""
+    """Shared surface of both families; see module docstring for semantics.
+
+    ``a`` holds one drawdown per step slot; every one must be finite and
+    <= 0, and c finite.
+    """
 
     alphabet: ActionAlphabet
     c: float
+    a: np.ndarray
 
     family = ""
+    # what one slot of ``a`` is, for error messages
+    slot_name = ""
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.c):
+            raise InvalidInputError(f"model constant c must be finite, got {self.c!r}")
+        a = np.array(self.a, dtype=float)
+        if a.shape != (self.n_slots,):
+            raise InvalidInputError(
+                f"a must hold one drawdown per {self.slot_name} ({self.n_slots}), got shape {a.shape}"
+            )
+        bad = np.flatnonzero(~(np.isfinite(a) & (a <= 0.0)))
+        if bad.size:
+            raise InvalidInputError(f"drawdown a[{bad[0]}] must be finite and <= 0, got {float(a[bad[0]])!r}")
+        object.__setattr__(self, "a", a)
 
     # -- family hooks ------------------------------------------------------
 
-    def raw_z(self, s: PathSeq, a: str) -> float | None:
-        """Raw score at (s, a), or None when the query falls back to -B."""
+    @property
+    def n_slots(self) -> int:
+        raise NotImplementedError
+
+    def step_drawdown(self, s: PathSeq, action: str) -> float:
+        """The advantage of the step (s, action): its slot's drawdown, or -B."""
         raise NotImplementedError
 
     def edge_slots(self, node: np.ndarray, last: np.ndarray, depth: np.ndarray, token: np.ndarray):
@@ -136,34 +162,30 @@ class AdvantageModel:
         ``last`` is the rank of the node's last token (-1 at the root)."""
         raise NotImplementedError
 
-    def drawdown_vector(self) -> np.ndarray:
-        """[c, a_0, a_1, ...]: c, then the drawdown -log(1 + exp(z)) of each
-        step slot's raw score."""
-        raise NotImplementedError
-
     @property
     def fallback_advantage(self) -> float:
         raise NotImplementedError
 
-    def params_vector(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def with_params(self, vec: np.ndarray) -> "AdvantageModel":
-        raise NotImplementedError
-
     # -- shared ------------------------------------------------------------
+
+    def drawdown_vector(self) -> np.ndarray:
+        """[c, a_0, a_1, ...]: c, then the drawdown of each step slot."""
+        return np.concatenate(([self.c], self.a))
+
+    def with_drawdowns(self, x: np.ndarray) -> "AdvantageModel":
+        """This model at the point x = [c, a_0, a_1, ...]."""
+        return replace(self, c=float(x[0]), a=x[1:])
 
     def with_random_params(
         self,
         rng: np.random.Generator,
         c_range: tuple[float, float] = (0.0, 1.0),
-        z_scale: float = 0.5,
+        log_scale: float = 0.5,
     ) -> "AdvantageModel":
-        """Random start near the default: c uniform, raw scores jittered."""
-        vec = self.params_vector()
-        vec[0] = rng.uniform(*c_range)
-        vec[1:] = rng.normal(DEFAULT_RAW, z_scale, size=vec.size - 1)
-        return self.with_params(vec)
+        """Random start near the default: c uniform, and each drawdown
+        -0.1 times exp of a normal draw with standard deviation log_scale."""
+        c = float(rng.uniform(*c_range))
+        return replace(self, c=c, a=DEFAULT_DRAWDOWN * np.exp(rng.normal(0.0, log_scale, self.n_slots)))
 
     def require_alphabet(self, alphabet: ActionAlphabet) -> None:
         """Reject an instance over another alphabet, before reading its states."""
@@ -173,28 +195,22 @@ class AdvantageModel:
 
 @dataclass(frozen=True, eq=False)
 class TabularAdvantage(AdvantageModel):
-    """One raw score per trie edge; -B off the trie (B finite, >= 0).
+    """One drawdown per trie edge; -B off the trie (B finite, >= 0).
 
-    ``raw[i - 1]`` scores the edge into trie node i, so the step's slot in
-    ``drawdown_vector`` is the node's position, i.
+    ``a[i - 1]`` is the drawdown of the edge into trie node i, so the step's
+    slot in ``drawdown_vector`` is the node's position, i.
     """
 
     trie: PrefixTrie = None
-    raw: np.ndarray = None
     fallback_B: float = DEFAULT_FALLBACK_B
 
     family = TABULAR
+    slot_name = "trie edge"
 
     def __post_init__(self) -> None:
-        n_edges = len(self.trie) - 1
-        raw = np.asarray(self.raw, dtype=float)
-        if raw.shape != (n_edges,):
-            raise InvalidInputError(
-                f"raw must have one score per trie edge ({n_edges}), got shape {raw.shape}"
-            )
         if not (math.isfinite(self.fallback_B) and self.fallback_B >= 0.0):
             raise InvalidInputError(f"fallback_B must be finite and >= 0, got {self.fallback_B!r}")
-        object.__setattr__(self, "raw", raw)
+        super().__post_init__()
 
     @classmethod
     def default(
@@ -206,8 +222,8 @@ class TabularAdvantage(AdvantageModel):
         return cls(
             alphabet=trie.alphabet,
             c=c,
+            a=np.full(len(trie) - 1, DEFAULT_DRAWDOWN),
             trie=trie,
-            raw=np.full(len(trie) - 1, DEFAULT_RAW),
             fallback_B=fallback_B,
         )
 
@@ -215,23 +231,19 @@ class TabularAdvantage(AdvantageModel):
     def from_oracle(
         cls, ov: "OptimalValues", fallback_B: float = DEFAULT_FALLBACK_B
     ) -> "TabularAdvantage":
-        """Clamped encoding of exact optimal values: c is the optimal yield
-        and each edge's raw score inverts the exact drawdown (zeros clamp)."""
+        """Exact optimal values: c is the optimal yield and each edge holds
+        its exact drawdown."""
         return cls(
-            alphabet=ov.trie.alphabet,
-            c=ov.j_star,
-            trie=ov.trie,
-            raw=raw_from_advantage(ov.edge_drawdowns),
-            fallback_B=fallback_B,
+            alphabet=ov.trie.alphabet, c=ov.j_star, a=ov.edge_drawdowns, trie=ov.trie, fallback_B=fallback_B
         )
 
     @property
-    def edges(self) -> tuple[tuple[PathSeq, str], ...]:
-        return tuple((s, a) for s, a, _ in self.trie.iter_edges())
+    def n_slots(self) -> int:
+        return len(self.trie) - 1
 
-    def raw_z(self, s: PathSeq, a: str) -> float | None:
-        slot = self.trie.index.get(s + (a,))
-        return None if slot is None else float(self.raw[slot - 1])
+    def step_drawdown(self, s: PathSeq, action: str) -> float:
+        slot = self.trie.index.get(s + (action,))
+        return self.fallback_advantage if slot is None else float(self.a[slot - 1])
 
     def edge_slots(self, node, last, depth, token):
         child = self.trie.child
@@ -242,44 +254,42 @@ class TabularAdvantage(AdvantageModel):
     def fallback_advantage(self) -> float:
         return -self.fallback_B
 
-    def params_vector(self) -> np.ndarray:
-        return np.concatenate(([self.c], self.raw))
+    # read by perfbench/reference.py only (see ``advantage_transform``)
 
-    def drawdown_vector(self) -> np.ndarray:
-        return np.concatenate(([self.c], -np.logaddexp(0.0, self.raw)))
+    @property
+    def edges(self) -> tuple[tuple[PathSeq, str], ...]:
+        return tuple((s, a) for s, a, _ in self.trie.iter_edges())
 
-    def with_params(self, vec: np.ndarray) -> "TabularAdvantage":
-        vec = np.asarray(vec, dtype=float)
-        return replace(self, c=float(vec[0]), raw=vec[1:].copy())
+    def raw_z(self, s: PathSeq, action: str) -> float | None:
+        """The raw score of the edge (s, action), or None off the trie."""
+        slot = self.trie.index.get(s + (action,))
+        return None if slot is None else raw_from_advantage(float(self.a[slot - 1]))
 
 
 @dataclass(frozen=True, eq=False)
 class LinearAdvantage(AdvantageModel):
-    """One raw score per feature pair, ``weights[k]`` for pair k, whose slot
-    in ``drawdown_vector`` is 1 + k; defined for every query."""
+    """One drawdown per feature pair, ``a[k]`` for pair k, whose slot in
+    ``drawdown_vector`` is 1 + k; defined for every query."""
 
     feature_map: FeatureMap = None
-    weights: np.ndarray = None
 
     family = LINEAR
-
-    def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.shape != (self.feature_map.dim,):
-            raise InvalidInputError(
-                f"weights must match feature dim {self.feature_map.dim}, got shape {weights.shape}"
-            )
-        object.__setattr__(self, "weights", weights)
+    slot_name = "feature pair"
 
     @classmethod
     def default(
         cls, alphabet: ActionAlphabet, kind: str = EDGE_PAIR, c: float = 0.0
     ) -> "LinearAdvantage":
+        # -log 2, the drawdown of the raw score 0 that linear solves started from
         fm = FeatureMap(kind=kind, alphabet=alphabet)
-        return cls(alphabet=alphabet, c=c, feature_map=fm, weights=np.zeros(fm.dim))
+        return cls(alphabet=alphabet, c=c, a=np.full(fm.dim, -math.log(2.0)), feature_map=fm)
 
-    def raw_z(self, s: PathSeq, a: str) -> float | None:
-        return float(self.weights[self.feature_map.indices(s, a)])
+    @property
+    def n_slots(self) -> int:
+        return self.feature_map.dim
+
+    def step_drawdown(self, s: PathSeq, action: str) -> float:
+        return float(self.a[self.feature_map.indices(s, action)])
 
     def edge_slots(self, node, last, depth, token):
         # 1 + the pair of ``FeatureMap.indices``
@@ -293,27 +303,10 @@ class LinearAdvantage(AdvantageModel):
     def fallback_advantage(self) -> float:
         raise InvalidInputError("linear models never fall back")
 
-    def params_vector(self) -> np.ndarray:
-        return np.concatenate(([self.c], self.weights))
-
-    def drawdown_vector(self) -> np.ndarray:
-        return np.concatenate(([self.c], -np.logaddexp(0.0, self.weights)))
-
-    def with_params(self, vec: np.ndarray) -> "LinearAdvantage":
-        vec = np.asarray(vec, dtype=float)
-        return replace(self, c=float(vec[0]), weights=vec[1:].copy())
-
 
 def predict_advantage(model: AdvantageModel, s: PathSeq, a: str) -> float:
     model.alphabet.require_token(a)
-    return _advantage(model, model.alphabet.require_seq(s), a)
-
-
-def _advantage(model: AdvantageModel, s: PathSeq, a: str) -> float:
-    z = model.raw_z(s, a)
-    if z is None:
-        return model.fallback_advantage
-    return advantage_transform(z)
+    return model.step_drawdown(model.alphabet.require_seq(s), a)
 
 
 def value_steps(model: AdvantageModel, seq: PathSeq) -> tuple[float, tuple[float, ...]] | None:
@@ -323,7 +316,7 @@ def value_steps(model: AdvantageModel, seq: PathSeq) -> tuple[float, tuple[float
     seq = model.alphabet.require_seq(seq)
     if not model.alphabet.is_proper(seq):
         return None
-    steps = tuple(_advantage(model, seq[:k], seq[k]) for k in range(len(seq)))
+    steps = tuple(model.step_drawdown(seq[:k], seq[k]) for k in range(len(seq)))
     total = model.c
     for a in steps:
         total += a
@@ -339,31 +332,21 @@ def predict_value(model: AdvantageModel, seq: PathSeq) -> float:
 def model_to_json(model: AdvantageModel) -> dict:
     if isinstance(model, TabularAdvantage):
         trie = model.trie
-        raw = {
-            "paths": [list(node) for node in trie.nodes if node in trie.members],
-            "z": model.raw.tolist(),
-        }
-        fallback = model.fallback_B
+        paths = [list(node) for node in trie.nodes if node in trie.members]
+        raw = {"paths": paths, "a": model.a.tolist()}
+        extra = {"fallback_B": model.fallback_B}
     elif isinstance(model, LinearAdvantage):
-        raw = {
-            "feature_kind": model.feature_map.kind,
-            "weights": [float(w) for w in model.weights],
-        }
-        fallback = DEFAULT_FALLBACK_B
+        raw = {"feature_kind": model.feature_map.kind, "a": model.a.tolist()}
+        extra = {}
     else:
         raise InvalidInputError(f"unknown model type {type(model).__name__}")
-    return {
-        "c": float(model.c),
-        "family": model.family,
-        "raw": raw,
-        "alphabet": model.alphabet.to_json(),
-        "fallback_B": fallback,
-    }
+    alphabet = model.alphabet.to_json()
+    return {"c": float(model.c), "family": model.family, "raw": raw, "alphabet": alphabet, **extra}
 
 
 def model_from_json(obj: dict) -> AdvantageModel:
     """Parse a model object; a malformed one, or one with a non-finite
-    number, raises ``InvalidInputError``."""
+    number or a positive drawdown, raises ``InvalidInputError``."""
     try:
         alphabet = ActionAlphabet.from_json(obj["alphabet"])
         family = obj["family"]
@@ -371,31 +354,25 @@ def model_from_json(obj: dict) -> AdvantageModel:
         raw = obj["raw"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed model object: {exc}") from exc
-    if not math.isfinite(c):
-        raise InvalidInputError(f"model constant c must be finite, got {c!r}")
     if family == TABULAR:
         try:
             # build rejects an incomplete path and an unknown token
             trie = PrefixTrie.build(alphabet, [tuple(p) for p in raw["paths"]])
-            z = np.array([float(v) for v in raw["z"]])
-            fallback_B = float(obj.get("fallback_B", DEFAULT_FALLBACK_B))
+            a = [float(v) for v in raw["a"]]
+            fallback_B = float(obj["fallback_B"])
         except InvalidInputError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError(f"malformed tabular raw block (paths and z): {exc!r}") from exc
-        if not np.all(np.isfinite(z)):
-            raise InvalidInputError("tabular raw scores must be finite")
-        return TabularAdvantage(alphabet=alphabet, c=c, trie=trie, raw=z, fallback_B=fallback_B)
+            raise InvalidInputError(f"malformed tabular model (paths, a, fallback_B): {exc!r}") from exc
+        return TabularAdvantage(alphabet=alphabet, c=c, a=a, trie=trie, fallback_B=fallback_B)
     if family == LINEAR:
         try:
             kind = raw["feature_kind"]
-            weights = np.array([float(w) for w in raw["weights"]])
+            a = [float(v) for v in raw["a"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInputError(f"malformed linear raw block: {exc}") from exc
-        if not np.all(np.isfinite(weights)):
-            raise InvalidInputError("linear weights must be finite")
+            raise InvalidInputError(f"malformed linear raw block (feature_kind and a): {exc!r}") from exc
         fm = FeatureMap(kind=kind, alphabet=alphabet)
-        return LinearAdvantage(alphabet=alphabet, c=c, feature_map=fm, weights=weights)
+        return LinearAdvantage(alphabet=alphabet, c=c, a=a, feature_map=fm)
     raise InvalidInputError(f"unknown model family {family!r}")
 
 

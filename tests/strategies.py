@@ -44,7 +44,11 @@ def tabular_models(draw, instance: PLInstance | None = None) -> TabularAdvantage
         instance = draw(instances())
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
-    return TabularAdvantage.default(instance.trie).with_random_params(rng)
+    model = TabularAdvantage.default(instance.trie).with_random_params(rng)
+    # exact zeros, as the tree solve's pooled nodes hold them
+    x = model.drawdown_vector()
+    x[1:][rng.random(x.size - 1) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
+    return model.with_drawdowns(x)
 
 
 @st.composite

@@ -58,12 +58,12 @@ class TestAdditivity:
 
 class TestOracleDecomposition:
     def test_e2_clamped_oracle_breakdown(self, e2):
+        # the oracle's drawdowns, exact zeros included
         model = TabularAdvantage.from_oracle(compute_optimal(e2))
         report = attribute(model, ("a", "b", "END"))
-        assert report.base == pytest.approx(0.9, abs=1e-6)
-        drawdowns = [s.drawdown for s in report.steps]
-        assert drawdowns == pytest.approx([0.0, -0.7, 0.0], abs=1e-6)
-        assert report.total == pytest.approx(0.2, abs=1e-6)
+        assert report.base == 0.9
+        assert [s.drawdown for s in report.steps] == [0.0, -0.7, 0.0]
+        assert report.total == pytest.approx(0.2, abs=1e-15)
 
     def test_step_prefixes_walk_the_path(self, e2):
         model = TabularAdvantage.from_oracle(compute_optimal(e2))

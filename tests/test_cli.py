@@ -2,6 +2,7 @@
 
 import filecmp
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -9,13 +10,24 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tarpath
 from tarpath import serialize
 from tarpath.cli import main
-from tarpath.instance import NoiseModel, fixture_e1, fixture_e2, load_instance, save_instance
+from tarpath.instance import (
+    NoiseModel,
+    PathDistribution,
+    fixture_e1,
+    fixture_e2,
+    load_dataset,
+    load_instance,
+    save_instance,
+)
+from tarpath.losses import _projected_grad_norm, tar_objective
 from tarpath.model import load_model
+from tarpath.pathspace import PrefixTrie
 from tarpath.reduction import load_rl_dataset
 
 
@@ -279,8 +291,9 @@ class TestVerifyGolden:
     def test_iterative_tabular_model_scores_as_before(self, tmp_path):
         # fixtures/tabular_iterative_model.json is the tabular model that the
         # projected Barzilai-Borwein solve wrote for this instance (final
-        # loss 8.3293485349983598, as the tree solve's); its verify.json
-        # keeps the bytes pinned for it then
+        # loss 8.3293485349983598, as the tree solve's), its raw scores z
+        # converted to the drawdowns -log(1 + exp(z)) that every reader took
+        # from them; its verify.json keeps the bytes pinned for it then
         inst, verify = tmp_path / "inst.json", tmp_path / "verify.json"
         assert run("gen", "--actions", 3, "--depth", 4, "--paths", 6, "--seed", 21, "--out", inst) == 0
         assert run("verify", "--instance", inst, "--model", FIXTURES / "tabular_iterative_model.json",
@@ -291,8 +304,9 @@ class TestVerifyGolden:
     def test_biased_linear_model_scores_as_before(self, tmp_path):
         # fixtures/linear_biased_model.json is the linear model that the
         # softplus-coordinate trainer wrote for this instance, with its bias,
-        # -15.09, added into each pair's weight as every prediction added it;
-        # its verify.json keeps the bytes pinned for it then
+        # -15.09, added into each pair's weight as every prediction added it,
+        # and each weight z converted to the drawdown -log(1 + exp(z)); its
+        # verify.json keeps the bytes pinned for it then
         inst, verify = tmp_path / "inst.json", tmp_path / "verify.json"
         assert run("gen", "--actions", 3, "--depth", 4, "--paths", 6, "--seed", 21, "--out", inst) == 0
         assert run("verify", "--instance", inst, "--model", FIXTURES / "linear_biased_model.json",
@@ -307,7 +321,10 @@ class TestArtifactGolden:
     instance of ``TestVerifyGolden``'s tabular case, and oracle.json for a
     larger instance: the node-order arrays must not move a bit of them. The
     oracle pins are those bytes with every node's ``q`` removed and the file
-    re-dumped."""
+    re-dumped. The plan and attribution pins are those of a model file that
+    holds the solved drawdowns as they are (plan.json b64ab416... -> 6fbd4479...,
+    attribution.json 763225e5... -> 52a680fc...): exact zeros where the
+    raw-score file held -4.2e-18, and last-bit moves of the margins."""
 
     def test_pipeline_artifacts_are_pinned(self, tmp_path):
         inst, data, model = tmp_path / "inst.json", tmp_path / "data.jsonl", tmp_path / "model.json"
@@ -324,8 +341,8 @@ class TestArtifactGolden:
         digests = [hashlib.sha256(f.read_bytes()).hexdigest() for f in (oracle, plan, attr)]
         assert digests == [
             "776752fd5ba25584412fbbe66b253e39ef715e2fded3082ae4b3fbb72bed9a37",
-            "b64ab416c845473965ba5d7ad707adb86a2a07684f36ac3c7259c7dc1d092377",
-            "763225e5cfdaca3f25b8fb553dab1b10503264bc290a1c8fffda29b0ad6026bb",
+            "6fbd4479a748b0934e295c373976ff6070327a63e415925554d88f94736c1ec4",
+            "52a680fcfcc01399e8d77ce5c2276bf7fd83039baba556cf67a16e622c5de44a",
         ]
 
     def test_larger_oracle_is_pinned(self, tmp_path):
@@ -334,6 +351,62 @@ class TestArtifactGolden:
         assert run("oracle", "--instance", inst, "--out", oracle) == 0
         digest = hashlib.sha256(oracle.read_bytes()).hexdigest()
         assert digest == "b8788cfc2a29a08ad0550e09711f02860d8807bc555dfcf140a83b90a9c3cad0"
+
+
+class TestReportMatchesModelFile:
+    """The train report describes the model file it wrote: the file holds the
+    solver's answer as it is, so its exact zeros are the report's
+    ``zero_drawdowns`` and the certificate computed at the loaded model is the
+    report's ``grad_norm``, bit for bit."""
+
+    @pytest.mark.parametrize("family", ["tabular", "linear"])
+    def test_report_certifies_the_saved_model(self, tmp_path, family):
+        inst, data = tmp_path / "inst.json", tmp_path / "data.jsonl"
+        model, report = tmp_path / "model.json", tmp_path / "report.json"
+        assert run("gen", "--actions", 5, "--depth", 6, "--paths", 300, "--seed", 1, "--out", inst) == 0
+        assert run("sample", "--instance", inst, "--n", 2000, "--seed", 2, "--out", data) == 0
+        fit = [] if family == "tabular" else ["--family", "linear", "--features", "depth_edge_pair"]
+        assert run("train", "--instance", inst, "--data", data, "--lambda", 100.0, "--kappa", 1000.0,
+                   "--tol", 1e-7, "--out", model, "--report", report, *fit) == 0
+        got = serialize.load_json(str(report))
+        assert got["converged"] is True
+
+        loaded = load_model(str(model))
+        instance = load_instance(str(inst))
+        dataset = load_dataset(str(data), instance)
+        trie = PrefixTrie.build(instance.alphabet, dict.fromkeys(p for p, _ in dataset.pairs))
+        objective = tar_objective(loaded, PathDistribution.uniform(trie.nodes), dataset, 100.0, 1000.0)
+        x = loaded.drawdown_vector()
+        loss, grad = objective(x)
+        assert _projected_grad_norm(x, grad) == got["grad_norm"]
+        assert loss == got["final_loss"]
+        if family == "tabular":
+            assert np.count_nonzero(loaded.a == 0.0) == got["zero_drawdowns"] > 0
+        else:
+            assert "zero_drawdowns" not in got
+
+
+class TestBenchmarkReads:
+    """perfbench/reference.py checks each reported tabular loss against its
+    own evaluation of the objective at the saved model, through
+    ``TabularAdvantage.edges``, ``TabularAdvantage.raw_z`` and
+    ``model.advantage_transform``, which nothing else in the package calls."""
+
+    # perfbench/run.py's LOSS_CHECK_RTOL
+    LOSS_CHECK_RTOL = 1e-9
+
+    def test_reference_objective_reads_a_trained_model(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(FIXTURES.parent / "perfbench"))
+        reference = importlib.import_module("reference")
+        e2 = FIXTURES / "e2.json"
+        data, model, report = tmp_path / "data.jsonl", tmp_path / "model.json", tmp_path / "report.json"
+        assert run("sample", "--instance", e2, "--n", 400, "--seed", 9, "--out", data) == 0
+        assert run("train", "--instance", e2, "--data", data, "--lambda", 100.0, "--kappa", 1000.0,
+                   "--tol", 1e-7, "--out", model, "--report", report) == 0
+        reported = serialize.load_json(str(report))["final_loss"]
+        objective = reference.TabularObjective(tarpath, str(e2), str(data), 100.0, 1000.0)
+        at_model = objective.at_model(tarpath, str(model))
+        assert abs(at_model - reported) <= self.LOSS_CHECK_RTOL * max(1.0, abs(reported))
 
 
 class TestLoadTimeErrors:
@@ -542,11 +615,13 @@ class TestLinearGolden:
     """The linear family trains in pair-drawdown coordinates by projected
     Newton iterations. These bytes and report values pin its iterates on a
     seeded instance (x86-64, numpy 2.4); a change to the solver or to the
-    objective code must leave them intact."""
+    objective code must leave them intact. The model files hold the solved
+    pair drawdowns as they are (before, raw scores: edge_pair 9fabea9e...,
+    depth_edge_pair 359bdfe7...); the reports did not move."""
 
     MODELS = {
-        "edge_pair": "9fabea9e10e70d4ee9332099c4825052121bdfbc843af8430993edf4eaeba2e3",
-        "depth_edge_pair": "359bdfe7f951349bdc9842cfb177a0cfdd3d81869daaa1273a80893d162b5a83",
+        "edge_pair": "4467e6b2e8f21b02719bb6b0283ad796814019686365741a8e060bc5104cae2b",
+        "depth_edge_pair": "fef8d9e3e54a2e1700e8a40b309b7f64b2231eb493c0575a7bdf01aeeb54c719",
     }
     REPORTS = {
         "edge_pair": (5.274744705177478, 9, 1.1607842465011231e-10),

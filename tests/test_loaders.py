@@ -23,7 +23,7 @@ E1 = fixture_e1()
 _KEYS = st.sampled_from(
     ["alphabet", "tokens", "terminal", "paths", "path", "yield", "weight", "noise",
      "kind", "stddev", "y", "s", "a", "r", "s_next", "state", "c", "family", "raw",
-     "z", "feature_kind", "weights", "fallback_B"]
+     "feature_kind", "fallback_B"]
 )
 _SCALARS = (
     st.none()
@@ -106,7 +106,8 @@ def test_load_model(tmp_path_factory, doc):
         assert str(path) in str(exc)
         return
     # what loads is finite, and never predicts a positive drawdown
-    assert np.all(np.isfinite(model.params_vector()))
+    x = model.drawdown_vector()
+    assert np.all(np.isfinite(x)) and np.all(x[1:] <= 0.0)
     assert model.family == "linear" or (math.isfinite(model.fallback_B) and model.fallback_B >= 0.0)
 
 

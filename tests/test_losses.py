@@ -33,6 +33,7 @@ from tarpath.losses import (
     _block_min,
     _cholesky_solve,
     _hessian_terms,
+    _projected_grad_norm,
     _solve_drawdown,
     _value_grad,
     tar_objective,
@@ -43,7 +44,6 @@ from tarpath.losses import (
 from tarpath.model import (
     DEPTH_EDGE_PAIR,
     EDGE_PAIR,
-    Z_CLAMP,
     LinearAdvantage,
     TabularAdvantage,
     predict_value,
@@ -64,11 +64,8 @@ def step_slot(model, s, a):
 
 
 def flat_model(trie, c):
-    """Tabular model whose every edge advantage is the clamped zero."""
-    base = TabularAdvantage.default(trie, c=c)
-    vec = base.params_vector()
-    vec[1:] = Z_CLAMP
-    return base.with_params(vec)
+    """Tabular model whose every edge advantage is 0."""
+    return TabularAdvantage(alphabet=trie.alphabet, c=c, a=np.zeros(len(trie) - 1), trie=trie)
 
 
 def central_diff(objective, x, h=1e-6):
@@ -190,14 +187,14 @@ class TestTarLoss:
         model = TabularAdvantage.from_oracle(compute_optimal(e2))
         p0 = PathDistribution.uniform(e2.trie.nodes)
         loss, _ = tar_loss(model, p0, e2, lam=7.0, kappa=5.0)
-        assert loss == pytest.approx(0.625, abs=1e-6)
+        assert loss == pytest.approx(0.625, abs=1e-12)
 
     @pytest.mark.parametrize("lam", [2.0, 100.0])
     def test_clamped_oracle_exact_bernoulli(self, e2_bernoulli, lam):
         model = TabularAdvantage.from_oracle(compute_optimal(e2_bernoulli))
         p0 = PathDistribution.uniform(e2_bernoulli.trie.nodes)
         loss, _ = tar_loss(model, p0, e2_bernoulli, lam=lam)
-        assert loss == pytest.approx(0.625 + lam / 12.0, abs=1e-6)
+        assert loss == pytest.approx(0.625 + lam / 12.0, abs=1e-12)
 
     def test_empirical_approaches_exact(self, e2_bernoulli):
         model = TabularAdvantage.default(e2_bernoulli.trie, c=0.4)
@@ -258,7 +255,7 @@ class TestVlpLoss:
         p0 = PathDistribution.uniform(e2.trie.nodes)
         mix = PenaltyMix.default(e2, lam=3.0)
         loss, _ = vlp_loss(model, p0, mix, e2)
-        assert loss == pytest.approx(0.625, abs=1e-6)
+        assert loss == pytest.approx(0.625, abs=1e-12)
 
     def test_hand_value_flat_model(self, e1):
         model = flat_model(e1.trie, c=0.5)
@@ -301,9 +298,9 @@ class TestSurrogateGap:
     def test_inflated_constant_shows_as_hinge_excess(self, e2):
         lam = 4.0
         oracle_model = TabularAdvantage.from_oracle(compute_optimal(e2))
-        vec = oracle_model.params_vector()
+        vec = oracle_model.drawdown_vector()
         vec[0] += 0.1
-        inflated = oracle_model.with_params(vec)
+        inflated = oracle_model.with_drawdowns(vec)
         report = surrogate_gap(inflated, e2, lam=lam)
         assert report["hinge_excess_term"] == pytest.approx(lam * 0.005, abs=1e-9)
         assert report["gap"] <= 1e-9
@@ -316,7 +313,7 @@ class TestSurrogateGap:
         )
         trie = PrefixTrie.build(inst.alphabet, inst.psi[::2])
         model = TabularAdvantage.default(trie, fallback_B=0.037).with_random_params(
-            np.random.default_rng(4), c_range=(1.5, 1.5), z_scale=2.0
+            np.random.default_rng(4), c_range=(1.5, 1.5), log_scale=2.0
         )
         lam = 100.0
         ov = compute_optimal(inst)
@@ -429,7 +426,7 @@ class TestValueBatch:
             model = TabularAdvantage.default(trie, fallback_B=0.1)
         else:
             model = LinearAdvantage.default(inst.alphabet, kind=family)
-        model = model.with_random_params(rng, c_range=(-1.0, 2.0), z_scale=3.0)
+        model = model.with_random_params(rng, c_range=(-1.0, 2.0), log_scale=3.0)
         alphabet = inst.alphabet
         fringe = [s for s in inst.trie.fringe_states() if alphabet.is_proper(s)]
         longer = [p[:-1] + p for p in inst.psi]
@@ -510,7 +507,7 @@ class TestValueBatch:
             model = TabularAdvantage.default(inst.trie)
         else:
             model = LinearAdvantage.default(inst.alphabet, kind=family)
-        model = model.with_random_params(np.random.default_rng(9), c_range=(-0.5, 1.0), z_scale=2.0)
+        model = model.with_random_params(np.random.default_rng(9), c_range=(-0.5, 1.0), log_scale=2.0)
         p0 = PathDistribution.uniform(inst.trie.nodes)
         lam, kappa = 10.0, 100.0
         loss, grad = tar_objective(model, p0, data, lam, kappa)(model.drawdown_vector())
@@ -820,7 +817,6 @@ class TestDrawdownView:
     def test_linear_equals_direct_sum(self, e2_bernoulli, kind, features, seed):
         model = linear_model(e2_bernoulli, features, seed)
         x = model.drawdown_vector()
-        assert x.size == model.params_vector().size  # one drawdown per stored score
         loss, _ = self.compile(kind, e2_bernoulli, model)(x)
         assert loss == pytest.approx(self.direct_loss(kind, e2_bernoulli, model), rel=1e-12)
 
@@ -973,7 +969,7 @@ class TestTrain:
         config = TrainConfig(max_iters=500, tol=1e-10)
         first = train(model, objective, config)
         second = train(model, objective, config)
-        assert np.array_equal(first.model.params_vector(), second.model.params_vector())
+        assert np.array_equal(first.model.drawdown_vector(), second.model.drawdown_vector())
         assert np.array_equal(first.trace, second.trace)
         assert first.final_loss == second.final_loss
 
@@ -985,15 +981,16 @@ class TestTrain:
         assert not result.converged
         assert result.stop_reason == ITERATION_CAP
 
-    def test_solution_is_feasible_and_stored_as_raw_scores(self, e2):
+    def test_solution_is_feasible_and_stored_as_solved(self, e2):
         model, objective = self.make_objective(e2)
         result = train(model, objective, TrainConfig(max_iters=5000, tol=1e-9))
         assert result.converged
-        raw = result.model.params_vector()[1:]
-        assert np.all(raw >= Z_CLAMP)
-        # the reported loss is the loss of the stored model
-        assert objective(result.model.drawdown_vector())[0] == result.final_loss
-        assert result.final_loss <= result.trace[-1] * (1 + 1e-15)
+        assert np.all(result.model.a <= 0.0)
+        # the reported loss, zeros and certificate are those of the stored model
+        loss, grad = objective(result.model.drawdown_vector())
+        assert loss == result.final_loss == result.trace[-1]
+        assert np.count_nonzero(result.model.a == 0.0) == result.zero_drawdowns > 0
+        assert _projected_grad_norm(result.model.drawdown_vector(), grad) == result.grad_norm
 
     def test_plain_callable_rejected(self, e1):
         model, compiled = self.make_objective(e1)
@@ -1009,16 +1006,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("features", [EDGE_PAIR, DEPTH_EDGE_PAIR])
     def test_linear_start_is_written_back(self, e2, features):
-        # no iterations: the written model is the start, each pair's weight
-        # through its drawdown and back
+        # no iterations: the written model is the start, bit for bit
         model = linear_model(e2, features, 3)
         p0 = PathDistribution.uniform(e2.trie.nodes)
         objective = tar_objective(model, p0, e2, lam=10.0, kappa=100.0)
         result = train(model, objective, TrainConfig(max_iters=0))
-        w, fitted = model.params_vector(), result.model.params_vector()
-        assert fitted.size == w.size and fitted[0] == w[0]
-        assert np.allclose(fitted[1:], w[1:], rtol=1e-12, atol=1e-12)
-        assert result.final_loss == pytest.approx(objective(model.drawdown_vector())[0], rel=1e-12)
+        assert result.model.drawdown_vector().tobytes() == model.drawdown_vector().tobytes()
+        assert result.final_loss == objective(model.drawdown_vector())[0]
 
     def test_no_decrease_is_reported(self, e1):
         model, _ = self.make_objective(e1)
@@ -1240,7 +1234,7 @@ class TestTreeSolve:
         capped = train(model, objective, TrainConfig(max_iters=0))
         assert capped.stop_reason == CONVERGED
         free = train(model, objective, TrainConfig(max_iters=50_000))
-        assert np.array_equal(capped.model.params_vector(), free.model.params_vector())
+        assert np.array_equal(capped.model.drawdown_vector(), free.model.drawdown_vector())
 
     def test_solution_ignores_the_start(self, e2_bernoulli):
         p0 = PathDistribution.uniform(e2_bernoulli.trie.nodes)
@@ -1248,7 +1242,7 @@ class TestTreeSolve:
         for seed in range(3):
             model = TabularAdvantage.default(e2_bernoulli.trie).with_random_params(np.random.default_rng(seed))
             fitted.append(train(model, tar_objective(model, p0, e2_bernoulli, 10.0, 100.0), TrainConfig()))
-        assert all(np.array_equal(f.model.params_vector(), fitted[0].model.params_vector()) for f in fitted)
+        assert all(np.array_equal(f.model.drawdown_vector(), fitted[0].model.drawdown_vector()) for f in fitted)
 
     def test_uncertified_solution_says_so(self, e1):
         model, objective = TestTrain().make_objective(e1)

@@ -1,4 +1,5 @@
-"""Advantage parametrizations: transform, families, values, drawdown vectors."""
+"""Advantage models: the raw-score transform, families, values, drawdown
+vectors, the model file."""
 
 import json
 import math
@@ -13,7 +14,7 @@ from tarpath import serialize
 from tarpath.errors import InvalidInputError
 from tarpath.losses import _ValueBatch
 from tarpath.model import (
-    DEFAULT_RAW,
+    DEFAULT_DRAWDOWN,
     DEPTH_BUCKETS,
     DEPTH_EDGE_PAIR,
     EDGE_PAIR,
@@ -85,9 +86,6 @@ class TestTransform:
         assert z[-1] == pytest.approx(800.0, rel=1e-15)
         assert advantage_transform(z[2]) == pytest.approx(-0.1, rel=1e-12)
 
-    def test_default_raw_encodes_point_one(self):
-        assert advantage_transform(DEFAULT_RAW) == pytest.approx(-0.1, rel=1e-12)
-
 
 class TestFeatureMap:
     def test_dim_edge_pair(self):
@@ -122,13 +120,12 @@ class TestFeatureMap:
 class TestTabular:
     def test_default_scores_every_edge(self, e2):
         model = TabularAdvantage.default(e2.trie)
-        assert model.params_vector().size == 1 + 7
+        assert model.drawdown_vector().size == 1 + 7
         for s, a, _ in e2.trie.iter_edges():
-            assert model.raw_z(s, a) == DEFAULT_RAW
+            assert predict_advantage(model, s, a) == DEFAULT_DRAWDOWN == -0.1
 
     def test_off_trie_falls_back(self, e2):
         model = TabularAdvantage.default(e2.trie)
-        assert model.raw_z(("b",), "a") is None
         assert predict_advantage(model, ("b",), "a") == -model.fallback_B
 
     def test_from_oracle_reproduces_drawdowns(self, e2):
@@ -136,25 +133,35 @@ class TestTabular:
         model = TabularAdvantage.from_oracle(ov)
         assert model.c == 0.9
         assert predict_advantage(model, ("a",), "b") == pytest.approx(-0.7, abs=1e-12)
-        # zero drawdowns clamp, reproducing 0 up to the transform floor
-        assert abs(predict_advantage(model, EMPTY, "a")) < 1e-17
+        # the exact drawdowns, zeros included
+        assert np.array_equal(model.a, ov.edge_drawdowns)
+        assert predict_advantage(model, EMPTY, "a") == 0.0
 
-    def test_params_round_trip(self, e2):
+    def test_drawdowns_round_trip(self, e2):
         model = TabularAdvantage.default(e2.trie, c=0.4)
-        vec = model.params_vector()
+        vec = model.drawdown_vector()
         assert vec[0] == 0.4
-        again = model.with_params(vec * 2.0)
+        again = model.with_drawdowns(vec * 2.0)
         assert again.c == 0.8
-        assert np.array_equal(again.params_vector(), vec * 2.0)
+        assert np.array_equal(again.drawdown_vector(), vec * 2.0)
 
-    def test_raw_length_validated(self, e2):
-        with pytest.raises(InvalidInputError):
-            TabularAdvantage(
-                alphabet=e2.alphabet,
-                c=0.0,
-                trie=e2.trie,
-                raw=np.zeros(3),
-            )
+    def test_drawdown_length_validated(self, e2):
+        with pytest.raises(InvalidInputError, match=re.escape("one drawdown per trie edge (7), got shape (3,)")):
+            TabularAdvantage(alphabet=e2.alphabet, c=0.0, a=np.zeros(3), trie=e2.trie)
+
+    @pytest.mark.parametrize("family", ["tabular", "linear"])
+    @pytest.mark.parametrize("value", [0.25, float("nan"), float("inf"), -float("inf")])
+    def test_drawdowns_must_be_finite_and_nonpositive(self, e2, family, value):
+        model = TabularAdvantage.default(e2.trie) if family == "tabular" else LinearAdvantage.default(e2.alphabet)
+        x = model.drawdown_vector()
+        x[3] = value
+        with pytest.raises(InvalidInputError, match=re.escape(f"drawdown a[2] must be finite and <= 0, got {value!r}")):
+            model.with_drawdowns(x)
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf")])
+    def test_c_must_be_finite(self, e2, c):
+        with pytest.raises(InvalidInputError, match="model constant c must be finite"):
+            TabularAdvantage.default(e2.trie, c=c)
 
     @pytest.mark.parametrize("fallback_B", [-3.0, float("nan"), float("inf")])
     def test_fallback_B_validated(self, e2, fallback_B):
@@ -163,14 +170,14 @@ class TestTabular:
 
     def test_copies_share_the_trie(self, e2):
         model = TabularAdvantage.default(e2.trie)
-        again = model.with_params(model.params_vector() * 2.0)
+        again = model.with_drawdowns(model.drawdown_vector() * 2.0)
         assert again.trie is model.trie is e2.trie
 
     def test_with_random_params_deterministic(self, e2):
         model = TabularAdvantage.default(e2.trie)
         a = model.with_random_params(np.random.default_rng(5))
         b = model.with_random_params(np.random.default_rng(5))
-        assert np.array_equal(a.params_vector(), b.params_vector())
+        assert np.array_equal(a.drawdown_vector(), b.drawdown_vector())
 
 
 class TestLinear:
@@ -178,19 +185,20 @@ class TestLinear:
         model = LinearAdvantage.default(AB)
         for s in (EMPTY, ("a",), ("b", "a")):
             for a in AB.tokens:
-                assert predict_advantage(model, s, a) == pytest.approx(-math.log(2.0))
+                # the bits of the raw score 0, where linear solves started
+                assert predict_advantage(model, s, a) == -math.log(2.0)
 
-    def test_raw_is_the_pair_weight(self):
+    def test_step_reads_its_pair_drawdown(self):
         model = LinearAdvantage.default(AB)
-        w = model.weights.copy()
-        w[model.feature_map.indices(("a",), "b")] = 0.3
-        model = model.with_params(np.concatenate(([model.c], w)))
-        assert model.raw_z(("a",), "b") == 0.3
-        assert model.raw_z(("b",), "b") == 0.0
+        x = model.drawdown_vector()
+        x[1 + model.feature_map.indices(("a",), "b")] = -0.3
+        model = model.with_drawdowns(x)
+        assert predict_advantage(model, ("a",), "b") == -0.3
+        assert predict_advantage(model, ("b",), "b") == -math.log(2.0)
 
     def test_never_falls_back(self):
         model = LinearAdvantage.default(AB)
-        assert model.raw_z(("b", "b", "b"), "a") is not None
+        assert predict_advantage(model, ("b", "b", "b"), "a") == -math.log(2.0)
 
 
 class TestPredictValue:
@@ -235,11 +243,10 @@ class TestDrawdownVector:
             model = TabularAdvantage.default(PrefixTrie.build(inst.alphabet, inst.psi[::2]), fallback_B=0.3)
         else:
             model = LinearAdvantage.default(inst.alphabet, kind=family)
-        model = model.with_random_params(rng, z_scale=2.0)
+        model = model.with_random_params(rng, log_scale=2.0)
         x = model.drawdown_vector()
-        # one drawdown per stored raw score
-        assert x.size == model.params_vector().size
         assert x[0] == model.c
+        assert np.array_equal(x[1:], model.a)
         runs = [(t,) * depth for t in inst.alphabet.nonterminal for depth in range(DEPTH_BUCKETS + 2)]
         states = list(inst.trie.nodes) + runs
         batch = _ValueBatch(model, states)
@@ -260,22 +267,24 @@ class TestSerialization:
         assert isinstance(loaded, TabularAdvantage)
         assert loaded.c == model.c
         assert loaded.fallback_B == model.fallback_B
-        assert np.array_equal(loaded.params_vector(), model.params_vector())
-        assert loaded.edges == model.edges
+        assert loaded.drawdown_vector().tobytes() == model.drawdown_vector().tobytes()
+        assert loaded.trie.nodes == model.trie.nodes
 
     @given(linear_models())
     def test_linear_round_trip(self, model):
         loaded = model_from_json(model_to_json(model))
         assert isinstance(loaded, LinearAdvantage)
         assert loaded.feature_map.kind == model.feature_map.kind
-        assert np.array_equal(loaded.params_vector(), model.params_vector())
+        assert loaded.drawdown_vector().tobytes() == model.drawdown_vector().tobytes()
 
     def test_file_round_trip(self, tmp_path, e2):
         model = TabularAdvantage.from_oracle(compute_optimal(e2))
         out = tmp_path / "model.json"
         save_model(model, str(out))
         loaded = load_model(str(out))
-        assert np.array_equal(loaded.params_vector(), model.params_vector())
+        # the exact drawdowns, zeros included, come back bit for bit
+        assert loaded.drawdown_vector().tobytes() == model.drawdown_vector().tobytes()
+        assert np.count_nonzero(loaded.a == 0.0) == np.count_nonzero(model.a == 0.0) > 0
 
     @given(tabular_models(), st.floats(min_value=0.0, max_value=50.0))
     def test_tabular_file_keeps_the_trie(self, tmp_path_factory, model, fallback_B):
@@ -284,13 +293,13 @@ class TestSerialization:
         save_model(model, str(out))
         loaded = load_model(str(out))
         assert loaded.c == model.c
-        assert loaded.raw.tobytes() == model.raw.tobytes()
+        assert loaded.a.tobytes() == model.a.tobytes()
         assert loaded.fallback_B == model.fallback_B
         assert loaded.trie.nodes == model.trie.nodes
-        # the file lists the member paths in canonical order, then one score per edge
+        # the file lists the member paths in canonical order, then one drawdown per edge
         raw = serialize.load_json(str(out))["raw"]
         assert [tuple(p) for p in raw["paths"]] == sorted(model.trie.members, key=model.alphabet.sort_key)
-        assert len(raw["z"]) == len(model.trie) - 1
+        assert len(raw["a"]) == len(model.trie) - 1
 
     def test_rejects_unknown_family(self, e2):
         obj = model_to_json(TabularAdvantage.default(e2.trie))
@@ -303,14 +312,17 @@ class TestSerialization:
         [
             ("tabular", lambda doc: doc.update(c="x")),
             ("tabular", lambda doc: doc.update(c=float("nan"))),
-            ("tabular", lambda doc: doc["raw"]["z"].__setitem__(0, "x")),
-            ("tabular", lambda doc: doc["raw"]["z"].__setitem__(0, 10**400)),
+            ("tabular", lambda doc: doc["raw"]["a"].__setitem__(0, "x")),
+            ("tabular", lambda doc: doc["raw"]["a"].__setitem__(0, 10**400)),
+            ("tabular", lambda doc: doc["raw"]["a"].__setitem__(0, 0.25)),
             ("tabular", lambda doc: doc["raw"]["paths"].__setitem__(0, [["a"]])),
-            ("tabular", lambda doc: doc["raw"].pop("z")),
+            ("tabular", lambda doc: doc["raw"].pop("a")),
             ("tabular", lambda doc: doc.update(fallback_B=-3.0)),
             ("tabular", lambda doc: doc.update(fallback_B="x")),
-            ("linear", lambda doc: doc["raw"]["weights"].__setitem__(0, float("nan"))),
-            ("linear", lambda doc: doc["raw"]["weights"].__setitem__(0, 10**400)),
+            ("linear", lambda doc: doc["raw"]["a"].__setitem__(0, float("nan"))),
+            ("linear", lambda doc: doc["raw"]["a"].__setitem__(0, 10**400)),
+            ("linear", lambda doc: doc["raw"]["a"].__setitem__(0, 1e-300)),
+            ("linear", lambda doc: doc["raw"].update(feature_kind="mystery")),
         ],
     )
     def test_load_rejects_bad_documents(self, tmp_path, e2, family, edit):
@@ -325,10 +337,11 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: doc["raw"]["z"].pop(), "one score per trie edge (7), got shape (6,)"),
+            (lambda doc: doc["raw"]["a"].pop(), "a must hold one drawdown per trie edge (7), got shape (6,)"),
             (lambda doc: doc["raw"]["paths"][0].pop(), "trie paths must be complete sequences"),
             (lambda doc: doc["raw"]["paths"][0].insert(0, "z"), "unknown token 'z'"),
-            (lambda doc: doc["raw"]["z"].__setitem__(3, float("nan")), "tabular raw scores must be finite"),
+            (lambda doc: doc["raw"]["a"].__setitem__(3, float("nan")), "drawdown a[3] must be finite and <= 0, got nan"),
+            (lambda doc: doc["raw"]["a"].__setitem__(3, 0.5), "drawdown a[3] must be finite and <= 0, got 0.5"),
             # the per-edge rows that tabular model files held before
             (lambda doc: doc.update(raw={"entries": [{"state": [], "action": "a", "z": -2.25}]}), "'paths'"),
         ],
@@ -343,11 +356,40 @@ class TestSerialization:
         assert message in str(exc.value)
 
     def test_linear_file_with_a_bias_entry_is_rejected(self, tmp_path, e2):
-        # linear model files held one weight more, a bias, before
+        # linear model files held one slot more, a bias, before
         doc = model_to_json(LinearAdvantage.default(e2.alphabet))
-        doc["raw"]["weights"].append(0.0)
+        doc["raw"]["a"].append(0.0)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidInputError, match=re.escape(str(path))) as exc:
             load_model(str(path))
-        assert "weights must match feature dim 12, got shape (13,)" in str(exc.value)
+        assert "a must hold one drawdown per feature pair (12), got shape (13,)" in str(exc.value)
+
+    @pytest.mark.parametrize("family, old_key", [("tabular", "z"), ("linear", "weights")])
+    def test_raw_score_files_are_rejected(self, tmp_path, e2, family, old_key):
+        # model files held softplus raw scores, z or weights, before
+        model = TabularAdvantage.default(e2.trie) if family == "tabular" else LinearAdvantage.default(e2.alphabet)
+        doc = model_to_json(model)
+        doc["raw"][old_key] = [0.0] * len(doc["raw"].pop("a"))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError) as exc:
+            load_model(str(path))
+        assert str(exc.value).startswith(f"{path}: ") and "KeyError('a')" in str(exc.value)
+        assert "\n" not in str(exc.value)
+
+    def test_tabular_file_needs_fallback_B(self, tmp_path, e2):
+        doc = model_to_json(TabularAdvantage.default(e2.trie))
+        del doc["fallback_B"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match=re.escape(str(path))) as exc:
+            load_model(str(path))
+        assert "KeyError('fallback_B')" in str(exc.value)
+
+    def test_linear_file_holds_no_fallback_B(self, tmp_path, e2):
+        model = LinearAdvantage.default(e2.alphabet, kind=DEPTH_EDGE_PAIR)
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        assert sorted(serialize.load_json(str(path))) == ["alphabet", "c", "family", "raw"]
+        assert load_model(str(path)).drawdown_vector().tobytes() == model.drawdown_vector().tobytes()

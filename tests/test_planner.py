@@ -55,7 +55,7 @@ class TestGreedyPath:
     @given(inst=instances(max_tokens=3, max_depth=4, max_paths=8))
     @settings(max_examples=30)
     def test_ties_count_the_zero_margins(self, inst):
-        # a flat model ties on-trie siblings at the clamped zero drawdown
+        # a flat model ties on-trie siblings at the zero drawdown
         model = flat_model(inst.trie, c=0.5)
         result = greedy_path(model, max_len=default_max_len(model))
         assert result.ties == sum(m == 0.0 for m in result.margins)
