@@ -184,8 +184,10 @@ class AdvantageModel:
     ) -> "AdvantageModel":
         """Random start near the default: c uniform, and each drawdown
         -0.1 times exp of a normal draw with standard deviation log_scale."""
-        c = float(rng.uniform(*c_range))
-        return replace(self, c=c, a=DEFAULT_DRAWDOWN * np.exp(rng.normal(0.0, log_scale, self.n_slots)))
+        x = self.drawdown_vector()
+        x[0] = rng.uniform(*c_range)
+        x[1:] = DEFAULT_DRAWDOWN * np.exp(rng.normal(0.0, log_scale, size=x.size - 1))
+        return self.with_drawdowns(x)
 
     def require_alphabet(self, alphabet: ActionAlphabet) -> None:
         """Reject an instance over another alphabet, before reading its states."""
@@ -234,7 +236,11 @@ class TabularAdvantage(AdvantageModel):
         """Exact optimal values: c is the optimal yield and each edge holds
         its exact drawdown."""
         return cls(
-            alphabet=ov.trie.alphabet, c=ov.j_star, a=ov.edge_drawdowns, trie=ov.trie, fallback_B=fallback_B
+            alphabet=ov.trie.alphabet,
+            c=ov.j_star,
+            a=ov.edge_drawdowns,
+            trie=ov.trie,
+            fallback_B=fallback_B,
         )
 
     @property
@@ -332,16 +338,26 @@ def predict_value(model: AdvantageModel, seq: PathSeq) -> float:
 def model_to_json(model: AdvantageModel) -> dict:
     if isinstance(model, TabularAdvantage):
         trie = model.trie
-        paths = [list(node) for node in trie.nodes if node in trie.members]
-        raw = {"paths": paths, "a": model.a.tolist()}
+        raw = {
+            "paths": [list(node) for node in trie.nodes if node in trie.members],
+            "a": model.a.tolist(),
+        }
         extra = {"fallback_B": model.fallback_B}
     elif isinstance(model, LinearAdvantage):
-        raw = {"feature_kind": model.feature_map.kind, "a": model.a.tolist()}
+        raw = {
+            "feature_kind": model.feature_map.kind,
+            "a": model.a.tolist(),
+        }
         extra = {}
     else:
         raise InvalidInputError(f"unknown model type {type(model).__name__}")
-    alphabet = model.alphabet.to_json()
-    return {"c": float(model.c), "family": model.family, "raw": raw, "alphabet": alphabet, **extra}
+    return {
+        "c": float(model.c),
+        "family": model.family,
+        "raw": raw,
+        "alphabet": model.alphabet.to_json(),
+        **extra,
+    }
 
 
 def model_from_json(obj: dict) -> AdvantageModel:

@@ -23,7 +23,7 @@ E1 = fixture_e1()
 _KEYS = st.sampled_from(
     ["alphabet", "tokens", "terminal", "paths", "path", "yield", "weight", "noise",
      "kind", "stddev", "y", "s", "a", "r", "s_next", "state", "c", "family", "raw",
-     "feature_kind", "fallback_B"]
+     "z", "feature_kind", "weights", "fallback_B"]
 )
 _SCALARS = (
     st.none()

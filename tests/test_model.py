@@ -126,6 +126,7 @@ class TestTabular:
 
     def test_off_trie_falls_back(self, e2):
         model = TabularAdvantage.default(e2.trie)
+        assert model.raw_z(("b",), "a") is None
         assert predict_advantage(model, ("b",), "a") == -model.fallback_B
 
     def test_from_oracle_reproduces_drawdowns(self, e2):
