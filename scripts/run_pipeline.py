@@ -72,10 +72,9 @@ def main():
     trie = PrefixTrie.build(instance.alphabet, dict.fromkeys(p for p, _ in data.pairs))
     model = TabularAdvantage.default(trie)
     p0 = PathDistribution.uniform(trie.nodes)
-    config = TrainConfig(lam=args.lam, kappa=args.kappa, tol=args.tol)
-    result = train(model, tar_objective(model, p0, data, config.lam, config.kappa), config)
+    result = train(model, tar_objective(model, p0, data, args.lam, args.kappa), TrainConfig(tol=args.tol))
     save_model(result.model, out("model.json"))
-    dump_json(result.report_json(config), out("train_report.json"))
+    dump_json({**result.report_json(), "lambda": args.lam, "kappa": args.kappa}, out("train_report.json"))
     print(
         f"trained tabular model by {result.solver}: loss {result.final_loss:.8f}, "
         f"{result.blocks} blocks after {result.iterations} merges, "

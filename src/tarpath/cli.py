@@ -132,17 +132,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
         else _load_p0(args.p0, instance.alphabet)
     )
     kappa = 10.0 * args.lam if args.kappa is None else args.kappa
-    config = TrainConfig(
-        lam=args.lam,
-        kappa=kappa,
-        max_iters=args.max_iters,
-        tol=args.tol,
-    )
-    objective = tar_objective(model, p0, data, config.lam, config.kappa)
-    result = train(model, objective, config)
+    config = TrainConfig(max_iters=args.max_iters, tol=args.tol)
+    result = train(model, tar_objective(model, p0, data, args.lam, kappa), config)
     save_model(result.model, args.out)
     if args.report:
-        serialize.dump_json(result.report_json(config), args.report)
+        serialize.dump_json({**result.report_json(), "lambda": args.lam, "kappa": kappa}, args.report)
     return 0
 
 

@@ -35,39 +35,6 @@ WEIGHT_SUM_TOL = 1e-12
 ENUMERATION_LIMIT = 200_000
 
 
-@dataclass(frozen=True, eq=False)
-class YieldTable:
-    """Finite map from complete paths to expected yields in [0, 1]."""
-
-    entries: Mapping[PathSeq, float]
-
-    def __post_init__(self) -> None:
-        entries = {tuple(k): float(v) for k, v in dict(self.entries).items()}
-        for path, value in entries.items():
-            if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-                raise InvalidInputError(f"yield for {path!r} must be in [0,1], got {value!r}")
-        object.__setattr__(self, "entries", entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, path: PathSeq) -> bool:
-        return tuple(path) in self.entries
-
-    def __getitem__(self, path: PathSeq) -> float:
-        return self.entries[tuple(path)]
-
-    def get(self, path: PathSeq, default: float = 0.0) -> float:
-        return self.entries.get(tuple(path), default)
-
-    @property
-    def paths(self) -> tuple[PathSeq, ...]:
-        return tuple(self.entries)
-
-    def items(self):
-        return self.entries.items()
-
-
 def check_weights(weights: tuple[float, ...] | np.ndarray, what: str) -> None:
     """Reject weights outside [0, 1], naming the first such weight, and
     nonempty weights whose sum is not 1 within WEIGHT_SUM_TOL."""
@@ -190,21 +157,27 @@ class NoiseModel:
 
 @dataclass(frozen=True, eq=False)
 class PLInstance:
-    """A complete problem statement: alphabet, yields, path law, noise."""
+    """A complete problem statement: alphabet, yields, path law, noise.
+
+    ``yields`` maps each support path, complete, to its expected yield, a
+    finite number in [0, 1].
+    """
 
     alphabet: ActionAlphabet
-    yields: YieldTable
+    yields: dict[PathSeq, float]
     path_dist: PathDistribution
     noise: NoiseModel
-    # set by ``from_json`` alone, which classifies every path as it reads its
-    # row, to name the row of a path that is not complete
-    _paths_classified: InitVar[bool] = False
+    # set by ``from_json`` alone, which checks every path and yield as it
+    # reads its row, to name the row of a bad one
+    _rows_checked: InitVar[bool] = False
 
-    def __post_init__(self, _paths_classified: bool) -> None:
-        if not _paths_classified:
-            for path in self.yields.paths:
+    def __post_init__(self, _rows_checked: bool) -> None:
+        if not _rows_checked:
+            for path, value in self.yields.items():
                 if self.alphabet.classify(path) is not SeqClass.COMPLETE:
                     raise InvalidInstanceError(f"yield path {path!r} is not complete")
+                if not 0.0 <= value <= 1.0:  # NaN fails too
+                    raise InvalidInputError(f"yield for {path!r} must be finite and in [0, 1], got {value!r}")
         for path in self.path_dist.paths:
             if path not in self.yields:
                 raise InvalidInstanceError(
@@ -214,7 +187,7 @@ class PLInstance:
     @cached_property
     def psi(self) -> tuple[PathSeq, ...]:
         """Support paths in canonical order."""
-        return tuple(sorted(self.yields.paths, key=self.alphabet.sort_key))
+        return tuple(sorted(self.yields, key=self.alphabet.sort_key))
 
     @cached_property
     def psi_weights(self) -> np.ndarray:
@@ -298,10 +271,10 @@ class PLInstance:
             dist = PathDistribution.uniform(entries)
         return cls(
             alphabet=alphabet,
-            yields=YieldTable(entries),
+            yields=entries,
             path_dist=dist,
             noise=noise,
-            _paths_classified=True,
+            _rows_checked=True,
         )
 
 
@@ -334,7 +307,7 @@ def sample_dataset(instance: PLInstance, n: int, seed: int) -> PathYieldDataset:
     """Draw n i.i.d. pairs: paths from the path law, yields from the noise."""
     if n < 0:
         raise InvalidInputError(f"sample count must be nonnegative, got {n}")
-    if not len(instance.yields):
+    if not instance.yields:
         raise InvalidInstanceError("cannot sample from an instance with empty support")
     rng = seeded_rng(seed)
     paths = instance.psi
@@ -419,7 +392,7 @@ def random_instance(spec: InstanceSpec, seed: int) -> PLInstance:
     entries = {p: float(v) for p, v in zip(chosen, values)}
     return PLInstance(
         alphabet=alphabet,
-        yields=YieldTable(entries),
+        yields=entries,
         path_dist=PathDistribution.uniform(chosen),
         noise=spec.noise,
     )
@@ -431,7 +404,7 @@ def fixture_e1(noise: NoiseModel | None = None) -> PLInstance:
     entries = {("a", "END"): 0.8, ("b", "END"): 0.3}
     return PLInstance(
         alphabet=alphabet,
-        yields=YieldTable(entries),
+        yields=entries,
         path_dist=PathDistribution.uniform(entries),
         noise=noise or NoiseModel.noiseless(),
     )
@@ -447,7 +420,7 @@ def fixture_e2(noise: NoiseModel | None = None) -> PLInstance:
     }
     return PLInstance(
         alphabet=alphabet,
-        yields=YieldTable(entries),
+        yields=entries,
         path_dist=PathDistribution.uniform(entries),
         noise=noise or NoiseModel.noiseless(),
     )
@@ -479,7 +452,7 @@ def load_dataset(path: str, instance: PLInstance | None = None) -> PathYieldData
     and in [0, 1], and, when ``instance`` is given, every path one of its
     support paths; errors name the file and the row (1-based, counting
     nonblank lines)."""
-    support = None if instance is None else instance.yields.entries
+    support = None if instance is None else instance.yields
     # a log repeats its rows (binary yields on a finite support), so each
     # distinct line is parsed and checked once, at its first row
     seen: dict[str, tuple[PathSeq, float]] = {}

@@ -98,6 +98,9 @@ class PenaltyMix:
     support and their tokens in the alphabet is checked where the mix meets
     an instance (``vlp_objective``).
 
+    The mix says only where the penalty falls; its weight lam is an
+    argument of ``vlp_objective``.
+
     The default places uniform weight on (fringe state, action) pairs whose
     state is *not* complete, every action at each of those states: at a
     complete state the residual is the negated value (the successor is
@@ -111,7 +114,6 @@ class PenaltyMix:
         self,
         tilde_pairs: Iterable[tuple[PathSeq, str]],
         tilde_weights: tuple[float, ...],
-        lam: float,
         mu_weight: float = 0.5,
     ):
         states: dict[PathSeq, int] = {}
@@ -120,16 +122,15 @@ class PenaltyMix:
         for s, a in tilde_pairs:
             pair_state.append(states.setdefault(tuple(s), len(states)))
             pair_action.append(actions.setdefault(a, len(actions)))
-        self._hold(tuple(states), tuple(actions), pair_state, pair_action, tilde_weights, lam, mu_weight)
+        self._hold(tuple(states), tuple(actions), pair_state, pair_action, tilde_weights, mu_weight)
 
-    def _hold(self, states, actions, pair_state, pair_action, weights, lam, mu_weight) -> None:
+    def _hold(self, states, actions, pair_state, pair_action, weights, mu_weight) -> None:
         """Set and check the fields; ``states`` and ``actions`` are distinct."""
         self.states = states
         self.actions = actions
         self.pair_state = np.asarray(pair_state, dtype=np.intp)
         self.pair_action = np.asarray(pair_action, dtype=np.intp)
         self.weights = np.asarray(weights, dtype=float)
-        self.lam = lam
         self.mu_weight = mu_weight
         if self.weights.shape != self.pair_state.shape:
             raise InvalidInputError("tilde pairs and weights must have equal length")
@@ -137,8 +138,6 @@ class PenaltyMix:
         if np.any(codes[1:] == codes[:-1]):
             raise InvalidInputError("tilde pairs must be distinct")
         check_weights(self.weights, "tilde")
-        if not (math.isfinite(lam) and lam > 0.0):
-            raise InvalidInputError(f"lam must be positive, got {lam!r}")
         if not 0.0 <= mu_weight <= 1.0:
             raise InvalidInputError("mu_weight must lie in [0, 1]")
 
@@ -153,18 +152,17 @@ class PenaltyMix:
         return tuple(self.weights.tolist())
 
     @classmethod
-    def default(cls, instance: PLInstance, lam: float) -> "PenaltyMix":
-        alphabet = instance.alphabet
-        trie, tokens, terminal = instance.trie, alphabet.tokens, alphabet.terminal
-        ranked = tuple(enumerate(tokens))
-        nonterminal = tuple((r, t) for r, t in ranked if t != terminal)
+    def default(cls, instance: PLInstance) -> "PenaltyMix":
+        alphabet, trie = instance.alphabet, instance.trie
+        tokens, terminal = alphabet.tokens, alphabet.index(alphabet.terminal)
         # the fringe states of ``PrefixTrie.fringe_states`` that are not
-        # complete, in its order: node + (t,) is complete exactly when the
-        # node holds no terminal and t is the terminal
-        states = []
-        for node, row in zip(trie.nodes, trie.child.tolist()):
-            ends = ranked if terminal in node else nonterminal
-            states.extend([node + (t,) for r, t in ends if row[r] < 0])
+        # complete, in its order (row-major over the child table): node +
+        # (t,) is complete exactly when the node's last token is not the
+        # terminal and t is
+        node, t = np.nonzero(trie.child < 0)
+        keep = (trie.rank[node] == terminal) | (t != terminal)
+        nodes = trie.nodes
+        states = [nodes[i] + (tokens[r],) for i, r in zip(node[keep].tolist(), t[keep].tolist())]
         n_states, n_actions = len(states), len(tokens)
         n = n_states * n_actions
         mix = cls.__new__(cls)
@@ -174,7 +172,6 @@ class PenaltyMix:
             np.repeat(np.arange(n_states), n_actions),
             np.tile(np.arange(n_actions), n_states),
             np.full(n, 1.0 / n) if n else (),
-            lam,
             0.5,
         )
         return mix
@@ -182,16 +179,13 @@ class PenaltyMix:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lam: float = 100.0
-    kappa: float = 1000.0
+    """How ``train`` solves; what it solves (lam, kappa) is the compiled
+    objective's."""
+
     max_iters: int = 50_000
     tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise InvalidInputError("lam must be positive")
-        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
-            raise InvalidInputError("kappa must be nonnegative")
         if self.max_iters < 0:
             raise InvalidInputError("max_iters must be nonnegative")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -215,7 +209,7 @@ class TrainResult:
     blocks: int | None = None
     zero_drawdowns: int | None = None
 
-    def report_json(self, config: TrainConfig) -> dict:
+    def report_json(self) -> dict:
         report = {
             "final_loss": self.final_loss,
             "iterations": self.iterations,
@@ -227,8 +221,6 @@ class TrainResult:
         if self.blocks is not None:
             report["blocks"] = self.blocks
             report["zero_drawdowns"] = self.zero_drawdowns
-        report["lambda"] = config.lam
-        report["kappa"] = config.kappa
         return report
 
 
@@ -255,8 +247,8 @@ class _ValueBatch:
         alphabet = model.alphabet
         if isinstance(model, TabularAdvantage):
             trie = model.trie
-            index, parent, depth = dict(trie.index), trie.parent.tolist(), list(map(len, trie.nodes))
-            rank = [-1] + np.nonzero(trie.child >= 0)[1].tolist()  # row-major is node order
+            index, parent, rank = dict(trie.index), trie.parent.tolist(), trie.rank.tolist()
+            depth = list(map(len, trie.nodes))
         else:
             index, parent, rank, depth = {(): 0}, [-1], [-1], [0]
         ids = []
@@ -595,6 +587,15 @@ def _data_arrays(
     )
 
 
+def _check_penalties(lam: float, kappa: float) -> None:
+    """Reject a misfit weight lam that is not finite and > 0, and a hinge
+    weight kappa that is not finite and >= 0."""
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise InvalidInputError(f"lambda must be finite and positive, got {lam!r}")
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise InvalidInputError(f"kappa must be finite and nonnegative, got {kappa!r}")
+
+
 def tar_objective(
     model: AdvantageModel,
     p0: PathDistribution,
@@ -603,6 +604,7 @@ def tar_objective(
     kappa: float,
 ) -> Objective:
     """Compile the regression loss at fixed evaluation points."""
+    _check_penalties(lam, kappa)
     paths, d_weights, targets, var_floor = _data_arrays(model, data)
     batch = _checked_batch(model, p0, paths)
     return _tar_compiled(model, batch, p0, d_weights, targets, var_floor, lam, kappa)
@@ -653,7 +655,8 @@ def vlp_objective(
     p0: PathDistribution,
     mix: PenaltyMix,
     instance: PLInstance,
-    kappa: float = 0.0,
+    lam: float,
+    kappa: float,
 ) -> Objective:
     """Compile the penalized feasibility loss.
 
@@ -671,14 +674,15 @@ def vlp_objective(
       advantage, nonpositive by construction;
     * improper state: value and successor value are both 0.
     """
+    _check_penalties(lam, kappa)
     model.require_alphabet(instance.alphabet)
     batch = _checked_batch(model, p0, instance.psi, mix.states)
-    return _vlp_compiled(model, batch, p0, mix, instance, kappa)
+    return _vlp_compiled(model, batch, p0, mix, instance, lam, kappa)
 
 
-def _vlp_compiled(model, batch: _ValueBatch, p0, mix: PenaltyMix, instance: PLInstance, kappa) -> Objective:
+def _vlp_compiled(model, batch: _ValueBatch, p0, mix: PenaltyMix, instance: PLInstance, lam, kappa) -> Objective:
     """``vlp_objective`` on a batch of the p0 states, the support paths and the mix's states."""
-    lam, mu_w = mix.lam, mix.mu_weight
+    mu_w = mix.mu_weight
     n0, psi = len(p0.paths), instance.psi
     action = np.array([model.alphabet.index(a) for a in mix.actions], dtype=np.intp)
     tilde = batch.node[n0 + len(psi) :]
@@ -736,9 +740,10 @@ def vlp_loss(
     p0: PathDistribution,
     mix: PenaltyMix,
     instance: PLInstance,
+    lam: float,
     kappa: float = 0.0,
 ) -> tuple[float, np.ndarray]:
-    return vlp_objective(model, p0, mix, instance, kappa)(model.drawdown_vector())
+    return vlp_objective(model, p0, mix, instance, lam, kappa)(model.drawdown_vector())
 
 
 def surrogate_gap(
@@ -759,23 +764,20 @@ def surrogate_gap(
     loss as ``vlp_loss`` does (its tilde half pair by pair, though the
     default mix makes it 0), and the overshoot from oracle values (the
     caller's ``ov``, else a fresh ``compute_optimal``) and the model's value
-    on each support path, summed bit for bit as ``predict_value`` does. A
-    kappa that is not finite and >= 0 is rejected.
+    on each support path, summed bit for bit as ``predict_value`` does. lam
+    and kappa are checked as the objectives check them.
     """
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise InvalidInputError(f"kappa must be finite and nonnegative, got {kappa!r}")
+    _check_penalties(lam, kappa)
     if p0 is None:
         p0 = PathDistribution.uniform(instance.trie.nodes)
     if mix is None:
-        mix = PenaltyMix.default(instance, lam)
-    elif mix.lam != lam:
-        raise InvalidInputError("mix.lam must match the lam argument")
+        mix = PenaltyMix.default(instance)
 
     paths, d_weights, targets, var_floor = _data_arrays(model, instance)
     batch = _checked_batch(model, p0, paths, mix.states)
     x = model.drawdown_vector()
     lhs, _ = _tar_compiled(model, batch, p0, d_weights, targets, var_floor, lam, kappa)(x)
-    vlp, _ = _vlp_compiled(model, batch, p0, mix, instance, kappa)(x)
+    vlp, _ = _vlp_compiled(model, batch, p0, mix, instance, lam, kappa)(x)
     sigma2_term = 0.5 * lam * instance.noise_variance()
     if ov is None:
         ov = compute_optimal(instance)

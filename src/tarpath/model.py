@@ -12,7 +12,8 @@ Two families map a step to its slot:
   trie edges return the constant fallback advantage -B (a drawdown large
   enough that planners never prefer unobserved continuations);
 * linear — one slot per (previous token, action) pair, optionally crossed
-  with a bucketed prefix depth.
+  with a bucketed prefix depth (the model's feature ``kind``); its alphabet
+  alone sets the number of pairs.
 
 ``drawdown_vector`` gives [c, a_0, a_1, ...], the coordinates that compiled
 objectives read and the trainer solves in, and ``with_drawdowns`` builds the
@@ -79,41 +80,6 @@ def raw_from_advantage(a):
     with np.errstate(divide="ignore"):
         z = np.maximum(y + np.log(-np.expm1(-y)), Z_CLAMP)
     return float(z) if z.ndim == 0 else z
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureMap:
-    """Indicator features on (previous token, action) pairs.
-
-    Every (state, action) query activates exactly one coordinate, its pair
-    (with the no-previous-token case getting its own row, and the
-    depth-crossed kind selecting the row block by bucketed prefix length).
-    """
-
-    kind: str
-    alphabet: ActionAlphabet
-
-    def __post_init__(self) -> None:
-        if self.kind not in (EDGE_PAIR, DEPTH_EDGE_PAIR):
-            raise InvalidInputError(f"unknown feature kind {self.kind!r}")
-
-    @property
-    def n_pairs(self) -> int:
-        n = len(self.alphabet.tokens)
-        return (n + 1) * n
-
-    @property
-    def dim(self) -> int:
-        blocks = DEPTH_BUCKETS if self.kind == DEPTH_EDGE_PAIR else 1
-        return blocks * self.n_pairs
-
-    def indices(self, s: PathSeq, a: str) -> int:
-        n = len(self.alphabet.tokens)
-        prev = self.alphabet.index(s[-1]) if s else n
-        pair = prev * n + self.alphabet.index(a)
-        if self.kind == DEPTH_EDGE_PAIR:
-            pair += min(len(s), DEPTH_BUCKETS - 1) * self.n_pairs
-        return pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,34 +241,61 @@ class TabularAdvantage(AdvantageModel):
 @dataclass(frozen=True, eq=False)
 class LinearAdvantage(AdvantageModel):
     """One drawdown per feature pair, ``a[k]`` for pair k, whose slot in
-    ``drawdown_vector`` is 1 + k; defined for every query."""
+    ``drawdown_vector`` is 1 + k; defined for every query.
 
-    feature_map: FeatureMap = None
+    Every step (s, action) reads exactly one pair: (previous token, action),
+    with the no-previous-token case getting its own row, and the
+    ``depth_edge_pair`` kind selecting the row block by bucketed prefix
+    length. The numbers of pairs and slots come from the model's own
+    alphabet and ``kind``.
+    """
+
+    kind: str
 
     family = LINEAR
     slot_name = "feature pair"
+
+    def __post_init__(self) -> None:
+        if self.kind not in (EDGE_PAIR, DEPTH_EDGE_PAIR):
+            raise InvalidInputError(f"unknown feature kind {self.kind!r}")
+        super().__post_init__()
 
     @classmethod
     def default(
         cls, alphabet: ActionAlphabet, kind: str = EDGE_PAIR, c: float = 0.0
     ) -> "LinearAdvantage":
         # -log 2, the drawdown of the raw score 0 that linear solves started from
-        fm = FeatureMap(kind=kind, alphabet=alphabet)
-        return cls(alphabet=alphabet, c=c, a=np.full(fm.dim, -math.log(2.0)), feature_map=fm)
+        n = len(alphabet.tokens)
+        blocks = DEPTH_BUCKETS if kind == DEPTH_EDGE_PAIR else 1
+        return cls(alphabet=alphabet, c=c, a=np.full(blocks * (n + 1) * n, -math.log(2.0)), kind=kind)
+
+    @property
+    def n_pairs(self) -> int:
+        n = len(self.alphabet.tokens)
+        return (n + 1) * n
 
     @property
     def n_slots(self) -> int:
-        return self.feature_map.dim
+        return (DEPTH_BUCKETS if self.kind == DEPTH_EDGE_PAIR else 1) * self.n_pairs
 
     def step_drawdown(self, s: PathSeq, action: str) -> float:
-        return float(self.a[self.feature_map.indices(s, action)])
+        return float(self.a[self.pair(s, action)])
+
+    def pair(self, s: PathSeq, action: str) -> int:
+        """The feature pair of the step (s, action)."""
+        n = len(self.alphabet.tokens)
+        prev = self.alphabet.index(s[-1]) if s else n
+        pair = prev * n + self.alphabet.index(action)
+        if self.kind == DEPTH_EDGE_PAIR:
+            pair += min(len(s), DEPTH_BUCKETS - 1) * self.n_pairs
+        return pair
 
     def edge_slots(self, node, last, depth, token):
-        # 1 + the pair of ``FeatureMap.indices``
-        fm, n = self.feature_map, len(self.alphabet.tokens)
+        # 1 + ``pair``, vectorized
+        n = len(self.alphabet.tokens)
         pair = np.where(last < 0, n, last) * n + token
-        if fm.kind == DEPTH_EDGE_PAIR:
-            pair = pair + np.minimum(depth, DEPTH_BUCKETS - 1) * fm.n_pairs
+        if self.kind == DEPTH_EDGE_PAIR:
+            pair = pair + np.minimum(depth, DEPTH_BUCKETS - 1) * self.n_pairs
         return 1 + pair
 
     @property
@@ -337,15 +330,15 @@ def predict_value(model: AdvantageModel, seq: PathSeq) -> float:
 
 def model_to_json(model: AdvantageModel) -> dict:
     if isinstance(model, TabularAdvantage):
-        trie = model.trie
+        trie, terminal = model.trie, model.alphabet.index(model.alphabet.terminal)
         raw = {
-            "paths": [list(node) for node in trie.nodes if node in trie.members],
+            "paths": [list(trie.nodes[i]) for i in np.flatnonzero(trie.rank == terminal).tolist()],
             "a": model.a.tolist(),
         }
         extra = {"fallback_B": model.fallback_B}
     elif isinstance(model, LinearAdvantage):
         raw = {
-            "feature_kind": model.feature_map.kind,
+            "feature_kind": model.kind,
             "a": model.a.tolist(),
         }
         extra = {}
@@ -387,8 +380,7 @@ def model_from_json(obj: dict) -> AdvantageModel:
             a = [float(v) for v in raw["a"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed linear raw block (feature_kind and a): {exc!r}") from exc
-        fm = FeatureMap(kind=kind, alphabet=alphabet)
-        return LinearAdvantage(alphabet=alphabet, c=c, a=a, feature_map=fm)
+        return LinearAdvantage(alphabet=alphabet, c=c, a=a, kind=kind)
     raise InvalidInputError(f"unknown model family {family!r}")
 
 

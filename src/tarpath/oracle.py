@@ -51,16 +51,15 @@ class OptimalValues:
 
     @property
     def edge_drawdowns(self) -> np.ndarray:
-        """The drawdown of every trie edge, the edge into node i at i - 1:
-        row-major order over the child table is node order."""
-        return self.a[self.trie.child >= 0]
+        """The drawdown of every trie edge, the edge into node i at i - 1."""
+        return self.a[self.trie.parent[1:], self.trie.rank[1:]]
 
 
 def compute_optimal(instance: PLInstance) -> OptimalValues:
-    if not len(instance.yields):
+    if not instance.yields:
         raise InvalidInstanceError("optimal values need a nonempty path support")
     trie = instance.trie
-    get = instance.yields.entries.get
+    get = instance.yields.get
     reward = [get(node, 0.0) for node in trie.nodes]
 
     # deepest first, each node's value folds into its parent's

@@ -114,10 +114,6 @@ class ActionAlphabet:
     def is_proper(self, seq: Iterable[str]) -> bool:
         return self.classify(seq).is_proper
 
-    def append(self, seq: Iterable[str], token: str) -> PathSeq:
-        self.require_token(token)
-        return self.require_seq(seq) + (token,)
-
     def to_json(self) -> dict:
         return {"tokens": list(self.tokens), "terminal": self.terminal}
 
@@ -140,21 +136,24 @@ class PrefixTrie:
     every layer reads: ``index`` maps a node to it, ``parent[i]`` is the
     position of node i's parent (-1 at the root), and ``child[i, t]`` the
     position of node i's child by the token of rank t (-1 where there is
-    none). The order is breadth first, so the edge into node i is edge
-    i - 1 of ``iter_edges``. Tuples appear only at the API boundary:
-    ``nodes``, ``children`` and ``iter_edges``.
+    none). ``rank[i]`` is the rank of node i's last token (-1 at the
+    root), so the member paths are the nodes whose rank is the terminal's.
+    The order is breadth first, so the edge into node i is edge i - 1 of
+    ``iter_edges``. Tuples appear only at the API boundary: ``nodes`` and
+    ``iter_edges``.
     """
 
     alphabet: ActionAlphabet
     nodes: tuple[PathSeq, ...]
-    members: frozenset[PathSeq]
     index: Mapping[PathSeq, int] = field(repr=False)
     parent: np.ndarray = field(repr=False)
+    rank: np.ndarray = field(repr=False)
     child: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, alphabet: ActionAlphabet, paths: Iterable[PathSeq]) -> "PrefixTrie":
-        members = []
+        # the tokens that extend each prefix
+        extensions: dict[PathSeq, set[str]] = {}
         for path in paths:
             path = tuple(path)
             # classify rejects unknown tokens
@@ -162,11 +161,6 @@ class PrefixTrie:
                 raise InvalidInputError(
                     f"trie paths must be complete sequences, got {path!r}"
                 )
-            members.append(path)
-
-        # the tokens that extend each prefix
-        extensions: dict[PathSeq, set[str]] = {}
-        for path in members:
             for k in range(len(path)):
                 extensions.setdefault(path[:k], set()).add(path[k])
 
@@ -184,16 +178,16 @@ class PrefixTrie:
                         parent.append(i)
                         rank.append(t)
         n = len(nodes)
-        parent = np.array(parent, dtype=np.intp)
+        parent, rank = np.array(parent, dtype=np.intp), np.array(rank, dtype=np.intp)
         child = np.full((n, len(ranked)), -1, dtype=np.intp)
         child[parent[1:], rank[1:]] = np.arange(1, n)
-        parent.flags.writeable = child.flags.writeable = False
+        parent.flags.writeable = rank.flags.writeable = child.flags.writeable = False
         return cls(
             alphabet=alphabet,
             nodes=tuple(nodes),
-            members=frozenset(members),
             index={node: i for i, node in enumerate(nodes)},
             parent=parent,
+            rank=rank,
             child=child,
         )
 
@@ -202,12 +196,6 @@ class PrefixTrie:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def children(self, seq: PathSeq) -> tuple[str, ...]:
-        i = self.index.get(seq)
-        if i is None:
-            return ()
-        return tuple(t for t, c in zip(self.alphabet.tokens, self.child[i].tolist()) if c >= 0)
 
     @property
     def depth(self) -> int:

@@ -26,9 +26,8 @@ def build_offline_dataset(
 ) -> list[RLRow]:
     """Relabel logged pairs as rows (path, a, y), a uniform; every path must
     be a support path of the instance."""
-    support = instance.yields.entries
     for path in dict.fromkeys(p for p, _ in data.pairs):
-        if path not in support:
+        if path not in instance.yields:
             raise InvalidInputError(f"dataset path {path!r} is not in the instance support")
     tokens = instance.alphabet.tokens
     actions = seeded_rng(seed).integers(0, len(tokens), size=len(data))

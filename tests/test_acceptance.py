@@ -167,14 +167,14 @@ def test_criterion_4_loss_identity():
 
 def test_criterion_5_shared_minimizers():
     lam, kappa = 10.0, 100.0
-    config = TrainConfig(lam=lam, kappa=kappa, tol=3e-8, max_iters=30_000)
+    config = TrainConfig(tol=3e-8, max_iters=30_000)
     summary = []
     for name, inst, best_path in (
         ("E1", fixture_e1(), ("a", "END")),
         ("E2", fixture_e2(), ("a", "a", "END")),
     ):
         p0 = PathDistribution.uniform(inst.trie.nodes)
-        mix = PenaltyMix.default(inst, lam)
+        mix = PenaltyMix.default(inst)
         shift = 0.5 * lam * inst.noise_variance()  # zero: the fixtures are noiseless
         rng = np.random.default_rng(0)
         finals = []
@@ -183,7 +183,7 @@ def test_criterion_5_shared_minimizers():
             init = TabularAdvantage.default(inst.trie).with_random_params(rng)
             for make in (
                 lambda m: tar_objective(m, p0, inst, lam, kappa),
-                lambda m: vlp_objective(m, p0, mix, inst, kappa),
+                lambda m: vlp_objective(m, p0, mix, inst, lam, kappa),
             ):
                 result = train(init, make(init), config)
                 assert result.converged
@@ -202,7 +202,7 @@ def test_criterion_5_shared_minimizers():
 
 def test_criterion_6_end_to_end_learning():
     lam, kappa = 100.0, 1000.0
-    config = TrainConfig(lam=lam, kappa=kappa, tol=1e-7, max_iters=4000)
+    config = TrainConfig(tol=1e-7, max_iters=4000)
     regrets = []
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -232,7 +232,7 @@ def test_criterion_6_every_run_converges():
     """Stricter than criterion 6: on each of its 100 instances the tabular
     train meets the optimality tolerance before the iteration cap."""
     lam, kappa = 100.0, 1000.0
-    config = TrainConfig(lam=lam, kappa=kappa, tol=1e-7, max_iters=4000)
+    config = TrainConfig(tol=1e-7, max_iters=4000)
     iterations = []
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -261,8 +261,8 @@ def test_criterion_6_linear_every_run_converges():
     and the feasibility loss at kappa 0 and 100, each with both feature
     maps, 600 runs, every one meeting the optimality tolerance before the
     iteration cap."""
-    lam = 100.0
-    config = TrainConfig(lam=lam, kappa=1000.0, tol=1e-7, max_iters=4000)
+    lam, kappa = 100.0, 1000.0
+    config = TrainConfig(tol=1e-7, max_iters=4000)
     iterations = []
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -275,13 +275,13 @@ def test_criterion_6_linear_every_run_converges():
         inst = random_instance(spec, seed)
         data = PathYieldDataset(pairs=tuple((p, inst.yields[p]) for p in inst.psi))
         p0 = PathDistribution.uniform(inst.trie.nodes)
-        mix = PenaltyMix.default(inst, lam)
+        mix = PenaltyMix.default(inst)
         for features in ("edge_pair", "depth_edge_pair"):
             model = LinearAdvantage.default(inst.alphabet, kind=features)
             objectives = {
-                "tar": tar_objective(model, p0, data, lam, config.kappa),
-                "vlp kappa 0": vlp_objective(model, p0, mix, inst, 0.0),
-                "vlp kappa 100": vlp_objective(model, p0, mix, inst, 100.0),
+                "tar": tar_objective(model, p0, data, lam, kappa),
+                "vlp kappa 0": vlp_objective(model, p0, mix, inst, lam, 0.0),
+                "vlp kappa 100": vlp_objective(model, p0, mix, inst, lam, 100.0),
             }
             for name, objective in objectives.items():
                 result = train(model, objective, config)
@@ -317,8 +317,8 @@ def test_criterion_7_gradient_check():
         if i % 2:
             objective = tar_objective(model, p0, inst, lam, kappa)
         else:
-            mix = PenaltyMix.default(inst, lam)
-            objective = vlp_objective(model, p0, mix, inst, kappa)
+            mix = PenaltyMix.default(inst)
+            objective = vlp_objective(model, p0, mix, inst, lam, kappa)
         x = model.drawdown_vector()
         _, grad = objective(x)
         fd = np.zeros_like(x)

@@ -140,7 +140,7 @@ class TestTrainPlanAttribute:
         assert model.alphabet.tokens == ("a", "b", "END")
         report = serialize.load_json(str(report_path))
         assert set(report) >= {"final_loss", "iterations", "grad_norm"}
-        assert report["lambda"] == 10.0
+        assert report["lambda"] == 10.0 and report["kappa"] == 100.0
         assert report["converged"] is True
         assert report["stop_reason"] == "converged"
         assert report["grad_norm"] <= 1e-7
@@ -516,6 +516,23 @@ class TestRejectedArguments:
         seed = argv[argv.index("--seed") + 1]
         assert capsys.readouterr().err == f"error: seed must be nonnegative, got {seed}\n"
         assert not out.exists() and not rl.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--lambda", "0", "lambda must be finite and positive, got 0.0"),
+            ("--lambda", "nan", "lambda must be finite and positive, got nan"),
+            ("--kappa", "-1", "kappa must be finite and nonnegative, got -1.0"),
+        ],
+    )
+    def test_bad_penalty_weight_in_train(self, tmp_path, capsys, e1_file, flag, value, message):
+        data, model, report = tmp_path / "data.jsonl", tmp_path / "model.json", tmp_path / "report.json"
+        assert run("sample", "--instance", e1_file, "--n", 20, "--seed", 2, "--out", data) == 0
+        capsys.readouterr()
+        argv = ("train", "--instance", e1_file, "--data", data, "--out", model, "--report", report)
+        assert run(*argv, flag, value) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model.exists() and not report.exists()
 
     @pytest.mark.parametrize("command", ["plan", "verify"])
     def test_model_over_another_alphabet(self, tmp_path, capsys, command):

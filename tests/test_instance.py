@@ -20,7 +20,6 @@ from tarpath.instance import (
     PathDistribution,
     PathYieldDataset,
     PLInstance,
-    YieldTable,
     load_dataset,
     load_instance,
     random_instance,
@@ -33,21 +32,6 @@ from tarpath.pathspace import EMPTY, ActionAlphabet
 from .strategies import instances
 
 AB = ActionAlphabet(tokens=("a", "b", "END"), terminal="END")
-
-
-class TestYieldTable:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            YieldTable({("a", "END"): 1.5})
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            YieldTable({("a", "END"): float("nan")})
-
-    def test_get_defaults_to_zero_off_support(self):
-        table = YieldTable({("a", "END"): 0.8})
-        assert table.get(("b", "END")) == 0.0
-        assert table[("a", "END")] == 0.8
 
 
 class TestPathDistribution:
@@ -146,7 +130,7 @@ class TestPLInstance:
         with pytest.raises(InvalidInstanceError):
             PLInstance(
                 alphabet=AB,
-                yields=YieldTable({("a",): 0.5}),
+                yields={("a",): 0.5},
                 path_dist=PathDistribution.uniform([("a",)]),
                 noise=NoiseModel.noiseless(),
             )
@@ -155,10 +139,30 @@ class TestPLInstance:
         with pytest.raises(InvalidInstanceError):
             PLInstance(
                 alphabet=AB,
-                yields=YieldTable({("a", "END"): 0.5}),
+                yields={("a", "END"): 0.5},
                 path_dist=PathDistribution.uniform([("b", "END")]),
                 noise=NoiseModel.noiseless(),
             )
+
+    @pytest.mark.parametrize("value", [1.5, -0.25, float("nan"), float("inf")])
+    def test_rejects_yield_outside_unit_interval(self, value):
+        with pytest.raises(InvalidInputError, match=r"^yield for \('a', 'END'\) must be finite and in \[0, 1\]"):
+            PLInstance(
+                alphabet=AB,
+                yields={("a", "END"): value},
+                path_dist=PathDistribution.uniform([("a", "END")]),
+                noise=NoiseModel.noiseless(),
+            )
+
+    def test_yield_of_defaults_to_zero_off_support(self):
+        inst = PLInstance(
+            alphabet=AB,
+            yields={("a", "END"): 0.8},
+            path_dist=PathDistribution.uniform([("a", "END")]),
+            noise=NoiseModel.noiseless(),
+        )
+        assert inst.yield_of(("b", "END")) == 0.0
+        assert inst.yields[("a", "END")] == 0.8
 
     def test_e1_hand_values(self, e1):
         assert e1.psi == (("a", "END"), ("b", "END"))

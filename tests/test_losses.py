@@ -1,6 +1,8 @@
 """Loss construction, the regression/feasibility identity, and the trainer."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,7 +62,7 @@ def step_slot(model, s, a):
     pair for a linear one."""
     if isinstance(model, TabularAdvantage):
         return model.trie.index.get(s + (a,))
-    return 1 + model.feature_map.indices(s, a)
+    return 1 + model.pair(s, a)
 
 
 def flat_model(trie, c):
@@ -81,7 +83,7 @@ def central_diff(objective, x, h=1e-6):
 
 class TestPenaltyMix:
     def test_default_avoids_support_and_complete_states(self, e2):
-        mix = PenaltyMix.default(e2, lam=2.0)
+        mix = PenaltyMix.default(e2)
         fringe = set(e2.trie.fringe_states())
         for (s, a), w in zip(mix.tilde_pairs, mix.tilde_weights):
             assert s in fringe
@@ -100,7 +102,7 @@ class TestPenaltyMix:
             if alphabet.classify(s) is not SeqClass.COMPLETE
             for a in alphabet.tokens
         )
-        mix = PenaltyMix.default(inst, lam=2.0)
+        mix = PenaltyMix.default(inst)
         assert mix.tilde_pairs == want
         assert mix.tilde_weights == (1.0 / len(want),) * len(want)
         assert mix.states == tuple(dict.fromkeys(s for s, _ in want))
@@ -110,7 +112,7 @@ class TestPenaltyMix:
         pairs = TestVlpHandMix.PAIRS
         n = len(pairs)
         weights = tuple((i + 1.0) / (n * (n + 1) / 2) for i in range(n))
-        mix = PenaltyMix(tilde_pairs=[(list(s), a) for s, a in pairs], tilde_weights=weights, lam=1.0)
+        mix = PenaltyMix(tilde_pairs=[(list(s), a) for s, a in pairs], tilde_weights=weights)
         assert mix.tilde_pairs == pairs
         assert mix.tilde_weights == weights
         # each distinct state and action once, in order of first appearance
@@ -119,20 +121,14 @@ class TestPenaltyMix:
 
     def test_weight_count_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            PenaltyMix(tilde_pairs=((EMPTY, "a"), (EMPTY, "b")), tilde_weights=(1.0,), lam=1.0)
+            PenaltyMix(tilde_pairs=((EMPTY, "a"), (EMPTY, "b")), tilde_weights=(1.0,))
 
     def test_duplicate_pairs_rejected(self):
         with pytest.raises(InvalidInputError):
             PenaltyMix(
                 tilde_pairs=((EMPTY, "a"), (EMPTY, "a")),
                 tilde_weights=(0.5, 0.5),
-                lam=1.0,
             )
-
-    @pytest.mark.parametrize("lam", [0.0, -1.0, float("inf"), float("nan")])
-    def test_bad_lam_rejected(self, lam):
-        with pytest.raises(InvalidInputError):
-            PenaltyMix(tilde_pairs=((EMPTY, "a"),), tilde_weights=(1.0,), lam=lam)
 
     @pytest.mark.parametrize("mu_weight", [-0.1, 1.1])
     def test_mu_weight_range(self, mu_weight):
@@ -140,7 +136,6 @@ class TestPenaltyMix:
             PenaltyMix(
                 tilde_pairs=((EMPTY, "a"),),
                 tilde_weights=(1.0,),
-                lam=1.0,
                 mu_weight=mu_weight,
             )
 
@@ -148,23 +143,20 @@ class TestPenaltyMix:
         model = TabularAdvantage.default(e1.trie)
         p0 = PathDistribution.uniform(e1.trie.nodes)
         mix = PenaltyMix(
-            tilde_pairs=((("a", "END"), "a"),), tilde_weights=(1.0,), lam=2.0
+            tilde_pairs=((("a", "END"), "a"),), tilde_weights=(1.0,)
         )
         with pytest.raises(InvalidInputError):
-            vlp_objective(model, p0, mix, e1)
+            vlp_objective(model, p0, mix, e1, 2.0, 0.0)
 
 
 class TestTrainConfig:
-    def test_defaults_valid(self):
-        config = TrainConfig()
-        assert config.lam > 0 and config.kappa >= 0
+    def test_holds_how_to_solve_only(self):
+        # lam and kappa are the compiled objective's
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == ["max_iters", "tol"]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"lam": 0.0},
-            {"lam": -2.0},
-            {"kappa": -1.0},
             {"max_iters": -1},
             {"tol": 0.0},
             {"tol": float("nan")},
@@ -236,7 +228,7 @@ class TestTarLoss:
             if kind == "tar":
                 tar_objective(model, p0, e1, lam=1.0, kappa=0.0)
             else:
-                vlp_objective(model, p0, PenaltyMix.default(e1, lam=1.0), e1)
+                vlp_objective(model, p0, PenaltyMix.default(e1), e1, 1.0, 0.0)
 
     def test_hinge_penalty_counts_negative_values(self, e1):
         model = flat_model(e1.trie, c=-0.25)
@@ -253,23 +245,23 @@ class TestVlpLoss:
     def test_clamped_oracle_zero_penalty(self, e2):
         model = TabularAdvantage.from_oracle(compute_optimal(e2))
         p0 = PathDistribution.uniform(e2.trie.nodes)
-        mix = PenaltyMix.default(e2, lam=3.0)
-        loss, _ = vlp_loss(model, p0, mix, e2)
+        mix = PenaltyMix.default(e2)
+        loss, _ = vlp_loss(model, p0, mix, e2, lam=3.0)
         assert loss == pytest.approx(0.625, abs=1e-12)
 
     def test_hand_value_flat_model(self, e1):
         model = flat_model(e1.trie, c=0.5)
         p0 = PathDistribution(paths=(EMPTY,), weights=(1.0,))
-        mix = PenaltyMix.default(e1, lam=2.0)
-        loss, _ = vlp_loss(model, p0, mix, e1)
+        mix = PenaltyMix.default(e1)
+        loss, _ = vlp_loss(model, p0, mix, e1, lam=2.0)
         assert loss == pytest.approx(0.545, abs=1e-9)
 
     def test_kappa_term_matches_direct_sum(self, e1):
         model = flat_model(e1.trie, c=-1.0)
         p0 = PathDistribution.uniform(e1.trie.nodes)
-        mix = PenaltyMix.default(e1, lam=2.0)
-        base, _ = vlp_loss(model, p0, mix, e1, kappa=0.0)
-        penalized, _ = vlp_loss(model, p0, mix, e1, kappa=4.0)
+        mix = PenaltyMix.default(e1)
+        base, _ = vlp_loss(model, p0, mix, e1, lam=2.0, kappa=0.0)
+        penalized, _ = vlp_loss(model, p0, mix, e1, lam=2.0, kappa=4.0)
         expected = 4.0 * math.fsum(
             w * max(-predict_value(model, s), 0.0) ** 2 for s, w in p0.items()
         )
@@ -338,11 +330,34 @@ class TestSurrogateGap:
         vlp_part = report["rhs"] - report["sigma2_term"] - report["hinge_excess_term"]
         assert report["lhs"] + 1e-12 >= report["sigma2_term"] + vlp_part
 
-    def test_mismatched_mix_lam_rejected(self, e2):
+
+
+class TestPenaltyWeights:
+    """One check of lam and kappa, shared by every function that takes them."""
+
+    @pytest.mark.parametrize(
+        "lam, kappa, message",
+        [
+            (0.0, 1.0, "lambda must be finite and positive, got 0.0"),
+            (-2.0, 1.0, "lambda must be finite and positive, got -2.0"),
+            (float("nan"), 1.0, "lambda must be finite and positive, got nan"),
+            (float("inf"), 1.0, "lambda must be finite and positive, got inf"),
+            (1.0, -1.0, "kappa must be finite and nonnegative, got -1.0"),
+            (1.0, float("nan"), "kappa must be finite and nonnegative, got nan"),
+            (1.0, float("inf"), "kappa must be finite and nonnegative, got inf"),
+        ],
+    )
+    @pytest.mark.parametrize("function", ["tar_objective", "vlp_objective", "surrogate_gap"])
+    def test_bad_values_rejected_alike(self, e2, function, lam, kappa, message):
         model = TabularAdvantage.default(e2.trie)
-        mix = PenaltyMix.default(e2, lam=3.0)
-        with pytest.raises(InvalidInputError):
-            surrogate_gap(model, e2, mix=mix, lam=5.0)
+        p0 = PathDistribution.uniform(e2.trie.nodes)
+        calls = {
+            "tar_objective": lambda: tar_objective(model, p0, e2, lam, kappa),
+            "vlp_objective": lambda: vlp_objective(model, p0, PenaltyMix.default(e2), e2, lam, kappa),
+            "surrogate_gap": lambda: surrogate_gap(model, e2, lam=lam, kappa=kappa),
+        }
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            calls[function]()
 
 
 def fixture_like_with_noise(inst, noise):
@@ -375,8 +390,8 @@ class TestGradients:
             np.random.default_rng(seed)
         )
         p0 = PathDistribution.uniform(e2.trie.nodes)
-        mix = PenaltyMix.default(e2, lam=10.0)
-        objective = vlp_objective(model, p0, mix, e2, kappa=100.0)
+        mix = PenaltyMix.default(e2)
+        objective = vlp_objective(model, p0, mix, e2, lam=10.0, kappa=100.0)
         x = model.drawdown_vector()
         _, grad = objective(x)
         fd = central_diff(objective, x)
@@ -589,13 +604,13 @@ class TestVlpHandMix:
                     grad[slot] += 1.0
         return grad
 
-    def direct(self, model, p0, mix, inst, kappa, x=None):
+    def direct(self, model, p0, mix, inst, lam, kappa, x=None):
         """(loss, gradient) at x, by default the model's own point, summed
         state by state and pair by pair."""
         x = model.drawdown_vector() if x is None else x
         v = lambda s: self.value_at(model, x, s)  # noqa: E731
         g = lambda s: self.value_gradient(model, s)  # noqa: E731
-        lam, mu = mix.lam, mix.mu_weight
+        mu = mix.mu_weight
         loss, grad = 0.0, np.zeros(model.drawdown_vector().size)
         for s, w in p0.items():
             neg = max(-v(s), 0.0)
@@ -623,17 +638,16 @@ class TestVlpHandMix:
         model = model.with_random_params(rng, c_range=(-0.4, -0.1))
         raw = rng.uniform(0.5, 1.5, size=len(self.PAIRS))
         mix = PenaltyMix(
-            tilde_pairs=self.PAIRS, tilde_weights=tuple(raw / raw.sum()), lam=3.0, mu_weight=0.3
+            tilde_pairs=self.PAIRS, tilde_weights=tuple(raw / raw.sum()), mu_weight=0.3
         )
         p0 = PathDistribution.uniform(e2.trie.nodes)
-        loss, grad = vlp_objective(model, p0, mix, e2, kappa=2.0)(model.drawdown_vector())
-        want_loss, want_grad = self.direct(model, p0, mix, e2, kappa=2.0)
+        loss, grad = vlp_objective(model, p0, mix, e2, lam=3.0, kappa=2.0)(model.drawdown_vector())
+        want_loss, want_grad = self.direct(model, p0, mix, e2, lam=3.0, kappa=2.0)
         assert loss == pytest.approx(want_loss, rel=1e-12)
         assert np.allclose(grad, want_grad, rtol=1e-10, atol=1e-12)
         # the penalty is live: complete off-support states contribute
-        no_tilde = PenaltyMix(tilde_pairs=((("b", "END", "a"), "a"),), tilde_weights=(1.0,), lam=3.0,
-                              mu_weight=0.3)
-        assert loss > vlp_loss(model, p0, no_tilde, e2, kappa=2.0)[0]
+        no_tilde = PenaltyMix(tilde_pairs=((("b", "END", "a"), "a"),), tilde_weights=(1.0,), mu_weight=0.3)
+        assert loss > vlp_loss(model, p0, no_tilde, e2, lam=3.0, kappa=2.0)[0]
 
     @pytest.mark.parametrize(
         "bad",
@@ -648,12 +662,12 @@ class TestVlpHandMix:
         model = TabularAdvantage.default(e2.trie)
         pairs = self.PAIRS + (bad,)
         n = len(pairs)
-        mix = PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / n,) * n, lam=3.0)
+        mix = PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / n,) * n)
         with pytest.raises(InvalidInputError):
-            vlp_objective(model, PathDistribution.uniform(e2.trie.nodes), mix, e2)
+            vlp_objective(model, PathDistribution.uniform(e2.trie.nodes), mix, e2, 3.0, 0.0)
 
     @staticmethod
-    def random_mix(inst, rng, lam, mu_weight):
+    def random_mix(inst, rng, mu_weight):
         """A hand mix over up to three states of each kind (incomplete on the
         trie, incomplete off it, complete off the support, improper), each
         with a random nonempty subset of the actions, at random weights."""
@@ -680,7 +694,7 @@ class TestVlpHandMix:
                 actions = [a for a in tokens if rng.random() < 0.6] or [tokens[int(rng.integers(len(tokens)))]]
                 pairs += [(states[i], a) for a in actions]
         raw = rng.uniform(0.1, 1.0, size=len(pairs))
-        return PenaltyMix(tilde_pairs=pairs, tilde_weights=tuple(raw / raw.sum()), lam=lam, mu_weight=mu_weight)
+        return PenaltyMix(tilde_pairs=pairs, tilde_weights=tuple(raw / raw.sum()), mu_weight=mu_weight)
 
     @given(
         inst=instances(max_tokens=3, max_depth=4, max_paths=6, noise=NoiseModel.bernoulli()),
@@ -696,15 +710,15 @@ class TestVlpHandMix:
             model = TabularAdvantage.default(inst.trie, fallback_B=0.7)
         else:
             model = LinearAdvantage.default(inst.alphabet, kind=family)
-        mix = self.random_mix(inst, rng, lam=3.0, mu_weight=mu_weight)
+        mix = self.random_mix(inst, rng, mu_weight=mu_weight)
         p0 = PathDistribution.uniform(inst.trie.nodes)
         # drawdowns of both signs, and c of either sign: incomplete pairs
         # with a step above 0 and complete states below 0 have positive
         # residuals, and fallback steps (at -0.7) have negative ones
         x = rng.normal(0.0, 1.0, size=model.drawdown_vector().size)
-        objective = vlp_objective(model, p0, mix, inst, kappa)
+        objective = vlp_objective(model, p0, mix, inst, 3.0, kappa)
         loss, grad = objective(x)
-        want_loss, want_grad = self.direct(model, p0, mix, inst, kappa, x)
+        want_loss, want_grad = self.direct(model, p0, mix, inst, 3.0, kappa, x)
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
         assert np.allclose(grad, want_grad, rtol=1e-10, atol=1e-12)
 
@@ -744,13 +758,13 @@ class TestDrawdownView:
         # every fringe state, complete ones included, so that each penalty
         # term of the feasibility loss is present
         pairs = tuple((s, a) for s in inst.trie.fringe_states() for a in inst.alphabet.tokens)
-        return p0, PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / len(pairs),) * len(pairs), lam=10.0)
+        return p0, PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / len(pairs),) * len(pairs))
 
     @classmethod
     def compile(cls, kind, inst, model, kappa=100.0):
         p0, over = cls.inputs(kind, inst)
         if kind == "vlp":
-            return vlp_objective(model, p0, over, inst, kappa=kappa)
+            return vlp_objective(model, p0, over, inst, lam=10.0, kappa=kappa)
         return tar_objective(model, p0, over, lam=10.0, kappa=kappa)
 
     @classmethod
@@ -758,7 +772,7 @@ class TestDrawdownView:
         """The loss summed state by state from ``predict_value``."""
         p0, over = cls.inputs(kind, inst)
         if kind == "vlp":
-            return TestVlpHandMix().direct(model, p0, over, inst, kappa)[0]
+            return TestVlpHandMix().direct(model, p0, over, inst, 10.0, kappa)[0]
         if kind == "tar_exact":
             rows = [(p, w, inst.yields[p]) for p, w in inst.path_dist.items()]
             floor = inst.noise_variance()
@@ -863,7 +877,7 @@ class TestDrawdownView:
         # on a trie, a linear model is the tabular model whose edges share
         # their pair's drawdown: the tabular optimum is a lower bound
         lam, kappa = 100.0, 1000.0
-        config = TrainConfig(lam=lam, kappa=kappa, tol=1e-7, max_iters=4000)
+        config = TrainConfig(tol=1e-7, max_iters=4000)
         for seed in range(20):
             inst, data = criterion_6_instance(seed)
             p0 = PathDistribution.uniform(inst.trie.nodes)
@@ -1047,7 +1061,7 @@ class TestTrain:
         observed = sorted({p for p, _ in data.pairs}, key=inst.alphabet.sort_key)
         p0 = PathDistribution.uniform(PrefixTrie.build(inst.alphabet, observed).nodes)
         model = LinearAdvantage.default(inst.alphabet)
-        config = TrainConfig(lam=100.0, kappa=1000.0, tol=1e-7, max_iters=4000)
+        config = TrainConfig(tol=1e-7, max_iters=4000)
         result = train(model, tar_objective(model, p0, data, 100.0, 1000.0), config)
         assert result.stop_reason == CONVERGED, (result.stop_reason, result.grad_norm)
         assert result.final_loss == 3.5387500000000003
@@ -1086,16 +1100,15 @@ class TestTrain:
         e1 = fixture_e1()
         model = LinearAdvantage.default(e1.alphabet)
         p0 = PathDistribution.uniform(e1.trie.nodes)
-        base = PenaltyMix.default(e1, 100.0)
-        mix = PenaltyMix(tilde_pairs=base.tilde_pairs, tilde_weights=base.tilde_weights, lam=100.0, mu_weight=0.0)
+        base = PenaltyMix.default(e1)
+        mix = PenaltyMix(tilde_pairs=base.tilde_pairs, tilde_weights=base.tilde_weights, mu_weight=0.0)
         with pytest.raises(TrainingDivergedError, match="^the loss is unbounded below at iteration "):
-            train(model, vlp_objective(model, p0, mix, e1, kappa=0.0), TrainConfig(kappa=0.0))
+            train(model, vlp_objective(model, p0, mix, e1, lam=100.0, kappa=0.0), TrainConfig())
 
     def test_report_json_fields(self, e1):
         model, objective = self.make_objective(e1)
-        config = TrainConfig(max_iters=50)
-        result = train(model, objective, config)
-        report = result.report_json(config)
+        result = train(model, objective, TrainConfig(max_iters=50))
+        report = result.report_json()
         assert set(report) == {
             "final_loss",
             "iterations",
@@ -1105,10 +1118,7 @@ class TestTrain:
             "solver",
             "blocks",
             "zero_drawdowns",
-            "lambda",
-            "kappa",
         }
-        assert report["lambda"] == config.lam
         assert report["solver"] == TREE_POOLING
         # e1's trie has 5 nodes: each pooling merge joins two blocks
         assert report["blocks"] == 5 - report["iterations"]
@@ -1117,8 +1127,7 @@ class TestTrain:
 
     def test_linear_report_json_fields(self, e2_bernoulli):
         model, objective = self.make_linear_objective(e2_bernoulli)
-        config = TrainConfig(max_iters=50)
-        report = train(model, objective, config).report_json(config)
+        report = train(model, objective, TrainConfig(max_iters=50)).report_json()
         assert set(report) == {
             "final_loss",
             "iterations",
@@ -1126,8 +1135,6 @@ class TestTrain:
             "converged",
             "stop_reason",
             "solver",
-            "lambda",
-            "kappa",
         }
         assert report["solver"] == PROJECTED_NEWTON
 
@@ -1174,8 +1181,8 @@ def tree_case(inst, kind, lam, kappa, trie_paths, seed):
         pairs = tuple(
             (s, a) for s in trie.fringe_states() if s not in inst.yields for a in alphabet.tokens
         )
-        mix = PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / len(pairs),) * len(pairs), lam=lam)
-        return model, vlp_objective(model, p0, mix, inst, kappa)
+        mix = PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / len(pairs),) * len(pairs))
+        return model, vlp_objective(model, p0, mix, inst, lam, kappa)
     return model, tar_objective(model, p0, data if kind == "tar_empirical" else inst, lam, kappa)
 
 
@@ -1197,7 +1204,7 @@ class TestTreeSolve:
         # a nonempty subset of the support spans the model's trie
         chosen = [p for i, p in enumerate(inst.psi) if keep >> i & 1] or [inst.psi[0]]
         model, objective = tree_case(inst, kind, lam, kappa, chosen, keep)
-        config = TrainConfig(lam=lam, kappa=kappa)
+        config = TrainConfig()
         result = train(model, objective, config)
         assert result.solver == TREE_POOLING
         assert result.converged, result.grad_norm
@@ -1213,20 +1220,20 @@ class TestTreeSolve:
         model = TabularAdvantage.default(trie)
         objective = tar_objective(model, PathDistribution.uniform(trie.nodes), e1, lam=10.0, kappa=0.0)
         with pytest.raises(TrainingDivergedError, match="^the loss is unbounded below at iteration "):
-            train(model, objective, TrainConfig(kappa=0.0))
+            train(model, objective, TrainConfig())
         # a hinge bounds it
         bounded = tar_objective(model, PathDistribution.uniform(trie.nodes), e1, lam=10.0, kappa=1.0)
-        assert train(model, bounded, TrainConfig(kappa=1.0)).converged
+        assert train(model, bounded, TrainConfig()).converged
 
     def test_root_block_without_hinges_is_unbounded(self, e1):
         # no mu half and no complete tilde states: the feasibility loss has
         # only its linear p0 term left, and every block pools into the root
         model = TabularAdvantage.default(e1.trie)
         p0 = PathDistribution.uniform(e1.trie.nodes)
-        base = PenaltyMix.default(e1, 10.0)
-        mix = PenaltyMix(tilde_pairs=base.tilde_pairs, tilde_weights=base.tilde_weights, lam=10.0, mu_weight=0.0)
+        base = PenaltyMix.default(e1)
+        mix = PenaltyMix(tilde_pairs=base.tilde_pairs, tilde_weights=base.tilde_weights, mu_weight=0.0)
         with pytest.raises(TrainingDivergedError, match="^the loss is unbounded below at iteration "):
-            train(model, vlp_objective(model, p0, mix, e1, kappa=0.0), TrainConfig(kappa=0.0))
+            train(model, vlp_objective(model, p0, mix, e1, lam=10.0, kappa=0.0), TrainConfig())
 
     def test_iteration_cap_does_not_apply(self, e2_bernoulli):
         model = TabularAdvantage.default(e2_bernoulli.trie)

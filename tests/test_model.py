@@ -19,7 +19,6 @@ from tarpath.model import (
     DEPTH_EDGE_PAIR,
     EDGE_PAIR,
     Z_CLAMP,
-    FeatureMap,
     LinearAdvantage,
     TabularAdvantage,
     advantage_transform,
@@ -85,36 +84,6 @@ class TestTransform:
         # large drawdowns invert without overflow: softplus(z) ~ z there
         assert z[-1] == pytest.approx(800.0, rel=1e-15)
         assert advantage_transform(z[2]) == pytest.approx(-0.1, rel=1e-12)
-
-
-class TestFeatureMap:
-    def test_dim_edge_pair(self):
-        fm = FeatureMap(kind="edge_pair", alphabet=AB)
-        # (3 prev tokens + start) * 3 actions
-        assert fm.dim == 12
-
-    def test_dim_depth_edge_pair(self):
-        fm = FeatureMap(kind="depth_edge_pair", alphabet=AB)
-        assert fm.dim == DEPTH_BUCKETS * 12
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidInputError):
-            FeatureMap(kind="mystery", alphabet=AB)
-
-    def test_start_state_has_own_row(self):
-        fm = FeatureMap(kind="edge_pair", alphabet=AB)
-        i_start = fm.indices(EMPTY, "a")
-        i_after_a = fm.indices(("a",), "a")
-        assert i_start != i_after_a
-
-    def test_depth_buckets_distinguish_prefix_lengths(self):
-        fm = FeatureMap(kind="depth_edge_pair", alphabet=AB)
-        rows = {fm.indices(("a",) * k, "b") for k in range(1, DEPTH_BUCKETS)}
-        assert len(rows) == DEPTH_BUCKETS - 1
-        # lengths at or past the last bucket share a row
-        deep1 = fm.indices(("a",) * DEPTH_BUCKETS, "b")
-        deep2 = fm.indices(("a",) * (DEPTH_BUCKETS + 3), "b")
-        assert deep1 == deep2
 
 
 class TestTabular:
@@ -192,7 +161,7 @@ class TestLinear:
     def test_step_reads_its_pair_drawdown(self):
         model = LinearAdvantage.default(AB)
         x = model.drawdown_vector()
-        x[1 + model.feature_map.indices(("a",), "b")] = -0.3
+        x[1 + model.pair(("a",), "b")] = -0.3
         model = model.with_drawdowns(x)
         assert predict_advantage(model, ("a",), "b") == -0.3
         assert predict_advantage(model, ("b",), "b") == -math.log(2.0)
@@ -200,6 +169,37 @@ class TestLinear:
     def test_never_falls_back(self):
         model = LinearAdvantage.default(AB)
         assert predict_advantage(model, ("b", "b", "b"), "a") == -math.log(2.0)
+
+    def test_slots_edge_pair(self):
+        # (3 prev tokens + start) * 3 actions
+        assert LinearAdvantage.default(AB, kind=EDGE_PAIR).n_slots == 12
+
+    def test_slots_depth_edge_pair(self):
+        assert LinearAdvantage.default(AB, kind=DEPTH_EDGE_PAIR).n_slots == DEPTH_BUCKETS * 12
+
+    def test_unknown_kind(self):
+        with pytest.raises(InvalidInputError, match="unknown feature kind 'mystery'"):
+            LinearAdvantage(alphabet=AB, c=0.0, a=np.zeros(12), kind="mystery")
+        with pytest.raises(InvalidInputError, match="unknown feature kind"):
+            LinearAdvantage.default(AB, kind="mystery")
+
+    def test_slots_come_from_its_own_alphabet(self):
+        # the 20 pairs of a 4-token alphabet do not fit a 3-token model
+        wider = LinearAdvantage.default(ActionAlphabet(tokens=("a", "b", "c", "END")))
+        assert wider.n_slots == 20
+        with pytest.raises(InvalidInputError, match=re.escape("one drawdown per feature pair (12)")):
+            LinearAdvantage(alphabet=AB, c=0.0, a=wider.a, kind=EDGE_PAIR)
+
+    def test_start_state_has_own_row(self):
+        model = LinearAdvantage.default(AB, kind=EDGE_PAIR)
+        assert model.pair(EMPTY, "a") != model.pair(("a",), "a")
+
+    def test_depth_buckets_distinguish_prefix_lengths(self):
+        model = LinearAdvantage.default(AB, kind=DEPTH_EDGE_PAIR)
+        rows = {model.pair(("a",) * k, "b") for k in range(1, DEPTH_BUCKETS)}
+        assert len(rows) == DEPTH_BUCKETS - 1
+        # lengths at or past the last bucket share a row
+        assert model.pair(("a",) * DEPTH_BUCKETS, "b") == model.pair(("a",) * (DEPTH_BUCKETS + 3), "b")
 
 
 class TestPredictValue:
@@ -275,7 +275,7 @@ class TestSerialization:
     def test_linear_round_trip(self, model):
         loaded = model_from_json(model_to_json(model))
         assert isinstance(loaded, LinearAdvantage)
-        assert loaded.feature_map.kind == model.feature_map.kind
+        assert loaded.kind == model.kind
         assert loaded.drawdown_vector().tobytes() == model.drawdown_vector().tobytes()
 
     def test_file_round_trip(self, tmp_path, e2):
@@ -299,7 +299,7 @@ class TestSerialization:
         assert loaded.trie.nodes == model.trie.nodes
         # the file lists the member paths in canonical order, then one drawdown per edge
         raw = serialize.load_json(str(out))["raw"]
-        assert [tuple(p) for p in raw["paths"]] == sorted(model.trie.members, key=model.alphabet.sort_key)
+        assert [tuple(p) for p in raw["paths"]] == [node for node in model.trie.nodes if node[-1:] == ("END",)]
         assert len(raw["a"]) == len(model.trie) - 1
 
     def test_rejects_unknown_family(self, e2):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tarpath.errors import InvalidInstanceError
-from tarpath.instance import NoiseModel, PathDistribution, PLInstance, YieldTable
+from tarpath.instance import NoiseModel, PathDistribution, PLInstance
 from tarpath.oracle import (
     OptimalValues,
     check_decomposition,
@@ -51,7 +51,7 @@ class TestHandValues:
         alphabet = ActionAlphabet(tokens=("a", "END"))
         inst = PLInstance(
             alphabet=alphabet,
-            yields=YieldTable({}),
+            yields={},
             path_dist=PathDistribution(paths=(), weights=()),
             noise=NoiseModel.noiseless(),
         )
@@ -144,7 +144,7 @@ class TestGreedyPolicy:
         alphabet = ActionAlphabet(tokens=("a", "b", "END"))
         inst = PLInstance(
             alphabet=alphabet,
-            yields=YieldTable({("a", "END"): 0.5, ("b", "END"): 0.5}),
+            yields={("a", "END"): 0.5, ("b", "END"): 0.5},
             path_dist=PathDistribution.uniform([("a", "END"), ("b", "END")]),
             noise=NoiseModel.noiseless(),
         )

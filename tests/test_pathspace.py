@@ -70,16 +70,6 @@ class TestClassify:
         assert not AB.is_proper(("END", "a"))
 
     @given(alphabets(), st.data())
-    def test_append_validates_and_extends(self, alphabet, data):
-        seq = tuple(
-            data.draw(
-                st.lists(st.sampled_from(alphabet.tokens), max_size=6)
-            )
-        )
-        tok = data.draw(st.sampled_from(alphabet.tokens))
-        assert alphabet.append(seq, tok) == seq + (tok,)
-
-    @given(alphabets(), st.data())
     def test_proper_prefix_closure(self, alphabet, data):
         """Every prefix of a proper sequence is itself proper."""
         seq = tuple(
@@ -102,7 +92,7 @@ class TestPrefixTrie:
     def test_build_on_empty_family_is_root_only(self):
         trie = PrefixTrie.build(AB, [])
         assert trie.nodes == (EMPTY,)
-        assert not trie.members
+        assert trie.rank.tolist() == [-1]
 
     def test_nodes_are_all_prefixes(self):
         trie = PrefixTrie.build(AB, [("a", "a", "END"), ("b", "END")])
@@ -136,7 +126,8 @@ class TestPrefixTrie:
         prefixes = {p[:k] for p in paths for k in range(len(p) + 1)} | {EMPTY}
         assert trie.nodes == tuple(sorted(prefixes, key=AB.sort_key))
         for node in trie.nodes:
-            assert trie.children(node) == tuple(t for t in AB.tokens if node + (t,) in prefixes)
+            row = trie.child[trie.index[node]].tolist()
+            assert [t for t, c in zip(AB.tokens, row) if c >= 0] == [t for t in AB.tokens if node + (t,) in prefixes]
 
     def test_build_rejects_unknown_tokens(self):
         with pytest.raises(InvalidInputError, match="unknown token"):
@@ -144,8 +135,9 @@ class TestPrefixTrie:
 
     def test_children_in_declaration_order(self):
         trie = PrefixTrie.build(AB, [("b", "END"), ("a", "END"), ("a", "a", "END")])
-        assert trie.children(EMPTY) == ("a", "b")
-        assert trie.children(("a",)) == ("a", "END")
+        a = trie.index[("a",)]
+        assert trie.child[trie.index[EMPTY]].tolist() == [a, trie.index[("b",)], -1]
+        assert trie.child[a].tolist() == [trie.index[("a", "a")], -1, trie.index[("a", "END")]]
 
     def test_membership_and_depth(self):
         trie = PrefixTrie.build(AB, [("a", "a", "END")])
@@ -175,20 +167,32 @@ class TestPrefixTrie:
     @given(instances())
     def test_node_positions_index_every_array(self, inst):
         trie, tokens = inst.trie, inst.alphabet.tokens
-        assert trie.parent[0] == -1
+        assert trie.parent[0] == -1 and trie.rank[0] == -1
         assert trie.child.shape == (len(trie), len(tokens))
         for i, node in enumerate(trie.nodes):
             assert trie.index[node] == i
             if i:
                 assert trie.nodes[trie.parent[i]] == node[:-1]
+                assert tokens[trie.rank[i]] == node[-1]
             row = trie.child[i].tolist()
-            assert tuple(t for t, c in zip(tokens, row) if c >= 0) == trie.children(node)
             for t, c in zip(tokens, row):
                 assert (c >= 0) == (node + (t,) in trie)
                 if c >= 0:
                     assert trie.nodes[c] == node + (t,)
         # the edge into node i is edge i - 1
         assert [child for _, _, child in trie.iter_edges()] == list(trie.nodes[1:])
+
+    @given(instances())
+    def test_members_are_the_nodes_at_the_terminal_rank(self, inst):
+        trie = inst.trie
+        terminal = inst.alphabet.index(inst.alphabet.terminal)
+        assert [trie.nodes[i] for i in np.flatnonzero(trie.rank == terminal)] == list(inst.psi)
+
+    def test_arrays_are_read_only(self):
+        trie = PrefixTrie.build(AB, [("a", "END")])
+        for array in (trie.parent, trie.rank, trie.child):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestRandomImproper:
