@@ -198,6 +198,13 @@ class PLInstance:
         return weights
 
     @cached_property
+    def psi_yields(self) -> np.ndarray:
+        """The yield of each support path, in ``psi`` order (read-only)."""
+        yields = np.array([self.yields[p] for p in self.psi], dtype=float)
+        yields.flags.writeable = False
+        return yields
+
+    @cached_property
     def trie(self) -> PrefixTrie:
         return PrefixTrie.build(self.alphabet, self.psi)
 
@@ -290,9 +297,6 @@ class PathYieldDataset:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
 
 
 def seeded_rng(seed) -> np.random.Generator:
@@ -395,34 +399,6 @@ def random_instance(spec: InstanceSpec, seed: int) -> PLInstance:
         yields=entries,
         path_dist=PathDistribution.uniform(chosen),
         noise=spec.noise,
-    )
-
-
-def fixture_e1(noise: NoiseModel | None = None) -> PLInstance:
-    """Two single-step paths: yields 0.8 (a) and 0.3 (b), uniform path law."""
-    alphabet = ActionAlphabet(tokens=("a", "b", "END"))
-    entries = {("a", "END"): 0.8, ("b", "END"): 0.3}
-    return PLInstance(
-        alphabet=alphabet,
-        yields=entries,
-        path_dist=PathDistribution.uniform(entries),
-        noise=noise or NoiseModel.noiseless(),
-    )
-
-
-def fixture_e2(noise: NoiseModel | None = None) -> PLInstance:
-    """Three paths of mixed depth: 0.9 (a,a), 0.2 (a,b), 0.5 (b)."""
-    alphabet = ActionAlphabet(tokens=("a", "b", "END"))
-    entries = {
-        ("a", "a", "END"): 0.9,
-        ("a", "b", "END"): 0.2,
-        ("b", "END"): 0.5,
-    }
-    return PLInstance(
-        alphabet=alphabet,
-        yields=entries,
-        path_dist=PathDistribution.uniform(entries),
-        noise=noise or NoiseModel.noiseless(),
     )
 
 

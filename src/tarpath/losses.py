@@ -21,16 +21,17 @@ optimal value on support paths; ``surrogate_gap`` evaluates every term of
 that identity independently and reports the discrepancy.
 
 Objectives are compiled once per call into flat index arrays so each
-evaluation is a handful of vectorized operations. A compile builds one prefix
-tree of the states it evaluates (``_ValueBatch``), starting from a tabular
-model's own trie: every value is its parent node's plus one step, summed one
-depth at a time in ``predict_value``'s order, and every loss term is a
-fixed-order numpy sum, never a BLAS dot (``_dot``), so no result depends on
-the BLAS thread count. A compiled objective takes
-drawdown coordinates x = [c, a_0, a_1, ...] (``AdvantageModel.drawdown_vector``),
-one drawdown per trie edge or, for the linear family, per feature pair. Every
-value is linear in x, so both losses are convex and piecewise quadratic under
-the bound a <= 0.
+evaluation is a handful of vectorized operations. A compile grows one prefix
+tree of the states it evaluates from their token ranks (``_ValueBatch``,
+``pathspace.grow``), starting from a tabular model's own trie; the default
+penalty mix joins it as arrays, without a tuple per state. Every value is its
+parent node's plus one step, summed one depth at a time in ``predict_value``'s
+order, and every loss term is a fixed-order numpy sum, never a BLAS dot
+(``_dot``), so no result depends on the BLAS thread count. A compiled
+objective takes drawdown coordinates x = [c, a_0, a_1, ...]
+(``AdvantageModel.drawdown_vector``), one drawdown per trie edge or, for the
+linear family, per feature pair. Every value is linear in x, so both losses
+are convex and piecewise quadratic under the bound a <= 0.
 
 For a tabular model the trainer solves that problem exactly: in the node
 values V(n) = c + (drawdowns on the path to n) the bound is the tree order
@@ -50,7 +51,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .errors import InvalidInputError, TrainingDivergedError
 from .instance import PathDistribution, PathYieldDataset, PLInstance, check_weights
 from .model import AdvantageModel, TabularAdvantage
 from .oracle import OptimalValues, compute_optimal
-from .pathspace import PathSeq, PrefixTrie
+from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, grow
 
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 60
@@ -96,7 +97,8 @@ class PenaltyMix:
     ``weights[k]``. ``tilde_pairs`` and ``tilde_weights`` list the pairs
     as given. The pairs must be distinct; that their states lie off the
     support and their tokens in the alphabet is checked where the mix meets
-    an instance (``vlp_objective``).
+    an instance (``vlp_objective``), which reads the states as token ranks
+    (``ranks``).
 
     The mix says only where the penalty falls; its weight lam is an
     argument of ``vlp_objective``.
@@ -107,8 +109,14 @@ class PenaltyMix:
     improper and predicts 0), which is not structurally nonpositive, so
     including such states would make the penalty — and the surrogate
     identity — depend on the free component. Incomplete and improper fringe
-    states keep it exactly zero for every model in the family.
+    states keep it exactly zero for every model in the family. The default
+    holds its states over the instance's ``trie``, state k as trie node
+    ``state_node[k]`` plus the token of rank ``state_rank[k]``; its
+    ``states`` are derived from them, for error messages.
     """
+
+    # the default's trie; None for a mix given as pairs
+    trie: PrefixTrie | None = None
 
     def __init__(
         self,
@@ -122,15 +130,10 @@ class PenaltyMix:
         for s, a in tilde_pairs:
             pair_state.append(states.setdefault(tuple(s), len(states)))
             pair_action.append(actions.setdefault(a, len(actions)))
-        self._hold(tuple(states), tuple(actions), pair_state, pair_action, tilde_weights, mu_weight)
-
-    def _hold(self, states, actions, pair_state, pair_action, weights, mu_weight) -> None:
-        """Set and check the fields; ``states`` and ``actions`` are distinct."""
-        self.states = states
-        self.actions = actions
+        self.states, self.actions = tuple(states), tuple(actions)
         self.pair_state = np.asarray(pair_state, dtype=np.intp)
         self.pair_action = np.asarray(pair_action, dtype=np.intp)
-        self.weights = np.asarray(weights, dtype=float)
+        self.weights = np.asarray(tilde_weights, dtype=float)
         self.mu_weight = mu_weight
         if self.weights.shape != self.pair_state.shape:
             raise InvalidInputError("tilde pairs and weights must have equal length")
@@ -140,6 +143,18 @@ class PenaltyMix:
         check_weights(self.weights, "tilde")
         if not 0.0 <= mu_weight <= 1.0:
             raise InvalidInputError("mu_weight must lie in [0, 1]")
+
+    @functools.cached_property
+    def states(self) -> tuple[PathSeq, ...]:
+        # the default's; a mix given as pairs sets its own
+        nodes, tokens = self.trie.nodes, self.trie.alphabet.tokens
+        return tuple(nodes[i] + (tokens[t],) for i, t in zip(self.state_node.tolist(), self.state_rank.tolist()))
+
+    def ranks(self, alphabet: ActionAlphabet) -> np.ndarray:
+        """The states, as ``alphabet.encode`` writes them."""
+        if self.trie is not None and self.trie.alphabet == alphabet:
+            return self.trie.encode_steps(self.state_node, self.state_rank)
+        return alphabet.encode(self.states)
 
     @functools.cached_property
     def tilde_pairs(self) -> tuple[tuple[PathSeq, str], ...]:
@@ -155,25 +170,19 @@ class PenaltyMix:
     def default(cls, instance: PLInstance) -> "PenaltyMix":
         alphabet, trie = instance.alphabet, instance.trie
         tokens, terminal = alphabet.tokens, alphabet.index(alphabet.terminal)
-        # the fringe states of ``PrefixTrie.fringe_states`` that are not
-        # complete, in its order (row-major over the child table): node +
-        # (t,) is complete exactly when the node's last token is not the
-        # terminal and t is
+        # the fringe states, one append beyond the trie, that are not
+        # complete, row-major over the child table: node + (t,) is complete
+        # exactly when the node's last token is not the terminal and t is
         node, t = np.nonzero(trie.child < 0)
         keep = (trie.rank[node] == terminal) | (t != terminal)
-        nodes = trie.nodes
-        states = [nodes[i] + (tokens[r],) for i, r in zip(node[keep].tolist(), t[keep].tolist())]
-        n_states, n_actions = len(states), len(tokens)
-        n = n_states * n_actions
         mix = cls.__new__(cls)
-        mix._hold(
-            tuple(states),
-            tokens,
-            np.repeat(np.arange(n_states), n_actions),
-            np.tile(np.arange(n_actions), n_states),
-            np.full(n, 1.0 / n) if n else (),
-            0.5,
-        )
+        mix.trie, mix.state_node, mix.state_rank = trie, node[keep], t[keep]
+        # every action at each state, uniformly: distinct pairs by construction
+        n_states, n_actions = mix.state_node.size, len(tokens)
+        mix.actions, mix.mu_weight = tokens, 0.5
+        mix.pair_state = np.repeat(np.arange(n_states), n_actions)
+        mix.pair_action = np.tile(np.arange(n_actions), n_states)
+        mix.weights = np.full(n_states * n_actions, 1.0 / (n_states * n_actions))
         return mix
 
 
@@ -187,9 +196,9 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.max_iters < 0:
-            raise InvalidInputError("max_iters must be nonnegative")
+            raise InvalidInputError(f"max_iters must be nonnegative, got {self.max_iters!r}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise InvalidInputError("tol must be positive")
+            raise InvalidInputError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,36 +245,21 @@ class _ValueBatch:
     their values, bit for bit as ``predict_value`` sums them: V[n] =
     V[parent[n]] + step[n], one depth at a time, from V[root] = c.
 
-    A tabular model's tree starts as its trie, so an on-trie node's id is its
-    slot; a linear model's at the root, node 0. Each state is walked from its
-    longest prefix in the tree, adding a node per step. ``node[j]`` is state
-    j's node and ``slot[n]`` the slot of the step into node n
+    The states, then those of a ``mix``, are grown (``pathspace.grow``) from
+    a tabular model's trie, so an on-trie node's id is its slot, or from a
+    linear model's root, node 0. ``node[j]`` is state j's node and
+    ``slot[n]`` the slot of the step into node n
     (``AdvantageModel.edge_slots``: c's 0 at the root, -1 for a fallback).
     """
 
-    def __init__(self, model: AdvantageModel, states: Iterable[PathSeq]):
+    def __init__(self, model: AdvantageModel, states: Sequence[PathSeq], mix: PenaltyMix | None = None):
         alphabet = model.alphabet
-        if isinstance(model, TabularAdvantage):
-            trie = model.trie
-            index, parent, rank = dict(trie.index), trie.parent.tolist(), trie.rank.tolist()
-            depth = list(map(len, trie.nodes))
-        else:
-            index, parent, rank, depth = {(): 0}, [-1], [-1], [0]
-        ids = []
-        for s in states:
-            i = index.get(s)
-            if i is None:
-                k = len(s) - 1
-                while (i := index.get(s[:k])) is None:
-                    k -= 1
-                for k in range(k, len(s)):
-                    rank.append(alphabet.index(s[k]))  # rejects an unknown token
-                    parent.append(i)
-                    depth.append(k + 1)
-                    i = index[s[: k + 1]] = len(parent) - 1
-            ids.append(i)
-        arrays = (np.array(a, dtype=np.intp) for a in (ids, parent, rank, depth))
-        self.node, self.parent, self.rank, self.depth = arrays
+        tree = model.trie if isinstance(model, TabularAdvantage) else PrefixTrie.root(alphabet)
+        blocks = [alphabet.encode(states)] + ([] if mix is None else [mix.ranks(alphabet)])
+        ranks = np.full((sum(map(len, blocks)), max(b.shape[1] for b in blocks)), -1, dtype=alphabet.rank_dtype)
+        for lo, b in zip((0, len(states)), blocks):
+            ranks[lo : lo + len(b), : b.shape[1]] = b
+        self.node, self.parent, self.rank, self.depth = grow(tree, ranks)
         order = np.argsort(self.depth, kind="stable")
         levels = np.split(order, np.flatnonzero(np.diff(self.depth[order])) + 1)[1:]
         self.levels = [(lv, self.parent[lv]) for lv in levels]
@@ -338,13 +332,13 @@ def _hessian_terms(pairs: tuple[np.ndarray, np.ndarray], size: int) -> Callable[
     return hessian
 
 
-def _checked_batch(model: AdvantageModel, p0: PathDistribution, paths, more=()) -> _ValueBatch:
-    """The batch of the p0 states, the data paths and ``more``, in that
-    order; a p0 or data state that is improper is rejected."""
+def _checked_batch(model: AdvantageModel, p0: PathDistribution, paths, mix=None) -> _ValueBatch:
+    """The batch of the p0 states, the data paths and the mix's states, in
+    that order; a p0 or data state that is improper is rejected."""
     if not p0.paths:
         raise InvalidInputError("p0 must weight at least one state")
     states = p0.paths + paths
-    batch = _ValueBatch(model, states + more)
+    batch = _ValueBatch(model, states, mix)
     bad = np.flatnonzero(batch.improper[batch.node[: len(states)]])
     if bad.size:
         j = int(bad[0])
@@ -563,9 +557,7 @@ def _data_arrays(
     """
     if isinstance(data, PLInstance):
         model.require_alphabet(data.alphabet)
-        paths = data.psi
-        targets = np.array([data.yields[p] for p in paths])
-        return paths, data.psi_weights, targets, data.noise_variance()
+        return data.psi, data.psi_weights, data.psi_yields, data.noise_variance()
     if isinstance(data, PathYieldDataset):
         if not len(data):
             raise InvalidInputError("empirical mode needs a nonempty dataset")
@@ -676,7 +668,7 @@ def vlp_objective(
     """
     _check_penalties(lam, kappa)
     model.require_alphabet(instance.alphabet)
-    batch = _checked_batch(model, p0, instance.psi, mix.states)
+    batch = _checked_batch(model, p0, instance.psi, mix)
     return _vlp_compiled(model, batch, p0, mix, instance, lam, kappa)
 
 
@@ -703,11 +695,11 @@ def _vlp_compiled(model, batch: _ValueBatch, p0, mix: PenaltyMix, instance: PLIn
     pairs = batch.pairs(nodes)
     p0_w = np.array(p0.weights)
     comp = is_complete[mix.pair_state]
-    comp_weight = np.bincount(mix.pair_state[comp], weights=mix.weights[comp], minlength=len(mix.states))
+    comp_weight = np.bincount(mix.pair_state[comp], weights=mix.weights[comp], minlength=tilde.size)
     hinge_w = np.concatenate(
         (kappa * p0_w, lam * mu_w * instance.psi_weights, lam * (1.0 - mu_w) * comp_weight[comp_ids])
     )
-    hinge_t = np.concatenate((np.zeros(n0), [instance.yields[p] for p in psi], np.zeros(comp_ids.size)))
+    hinge_t = np.concatenate((np.zeros(n0), instance.psi_yields, np.zeros(comp_ids.size)))
     linear_w = np.concatenate((p0_w, np.zeros(hinge_w.size - n0)))
     # an incomplete pair's residual is its step's drawdown, or the fallback,
     # read from [fallback, x] at its slot + 1
@@ -774,7 +766,7 @@ def surrogate_gap(
         mix = PenaltyMix.default(instance)
 
     paths, d_weights, targets, var_floor = _data_arrays(model, instance)
-    batch = _checked_batch(model, p0, paths, mix.states)
+    batch = _checked_batch(model, p0, paths, mix)
     x = model.drawdown_vector()
     lhs, _ = _tar_compiled(model, batch, p0, d_weights, targets, var_floor, lam, kappa)(x)
     vlp, _ = _vlp_compiled(model, batch, p0, mix, instance, lam, kappa)(x)
@@ -782,7 +774,8 @@ def surrogate_gap(
     if ov is None:
         ov = compute_optimal(instance)
     values = batch.values(x)[batch.node[len(p0.paths) :][: len(paths)]].tolist()
-    optimal = ov.v[[ov.trie.index[p] for p in paths]].tolist()
+    # the support paths are the trie's members, in the same canonical order
+    optimal = ov.v[ov.trie.members].tolist()
     excess = 0.5 * lam * math.fsum(
         w * max(v - v_opt, 0.0) ** 2 for w, v, v_opt in zip(d_weights.tolist(), values, optimal)
     )

@@ -330,9 +330,9 @@ def predict_value(model: AdvantageModel, seq: PathSeq) -> float:
 
 def model_to_json(model: AdvantageModel) -> dict:
     if isinstance(model, TabularAdvantage):
-        trie, terminal = model.trie, model.alphabet.index(model.alphabet.terminal)
+        nodes = model.trie.nodes
         raw = {
-            "paths": [list(trie.nodes[i]) for i in np.flatnonzero(trie.rank == terminal).tolist()],
+            "paths": [list(nodes[i]) for i in model.trie.members.tolist()],
             "a": model.a.tolist(),
         }
         extra = {"fallback_B": model.fallback_B}

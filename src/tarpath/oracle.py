@@ -10,11 +10,7 @@ action, by the token's rank:
   plus the optimal value of the successor: the drawdown of committing to an
   action, nonpositive everywhere.
 
-``value_at`` and ``advantage_at`` look them up by sequence. A second,
-deliberately independent implementation recomputes the same quantities by
-enumerating support-path extensions directly (no trie, no recursion); both
-take maxima over the same finite set of stored yields, so agreement is exact
-in floating point, not merely approximate.
+``value_at`` and ``advantage_at`` look them up by sequence.
 """
 
 from __future__ import annotations
@@ -59,11 +55,12 @@ def compute_optimal(instance: PLInstance) -> OptimalValues:
     if not instance.yields:
         raise InvalidInstanceError("optimal values need a nonempty path support")
     trie = instance.trie
-    get = instance.yields.get
-    reward = [get(node, 0.0) for node in trie.nodes]
+    # psi is in canonical order, the members' order
+    reward = np.zeros(len(trie))
+    reward[trie.members] = instance.psi_yields
 
     # deepest first, each node's value folds into its parent's
-    value = list(reward)
+    value = reward.tolist()
     parent = trie.parent.tolist()
     for i in range(len(value) - 1, 0, -1):
         if value[i] > value[parent[i]]:
@@ -72,7 +69,7 @@ def compute_optimal(instance: PLInstance) -> OptimalValues:
 
     # off the trie, node + (a,) has value 0.0
     child = trie.child
-    q = np.array(reward)[:, None] + np.where(child >= 0, v[child], 0.0)
+    q = reward[:, None] + np.where(child >= 0, v[child], 0.0)
     return OptimalValues(trie=trie, v=v, a=q - v[:, None], j_star=value[0])
 
 
@@ -114,37 +111,11 @@ def max_bellman_violation(ov: OptimalValues) -> float:
     return max(0.0, float(np.max(ov.a)))
 
 
-def enumeration_value(instance: PLInstance, seq: Iterable[str]) -> float:
-    """Trie-free cross-check: scan every support path for a prefix match."""
-    seq = instance.alphabet.require_seq(seq)
-    best = 0.0
-    for path, value in instance.yields.items():
-        if path[: len(seq)] == seq and value > best:
-            best = value
-    return best
-
-
-def enumeration_advantage(instance: PLInstance, seq: Iterable[str], token: str) -> float:
-    """Drawdown via direct enumeration: value after committing minus before."""
-    instance.alphabet.require_token(token)
-    seq = instance.alphabet.require_seq(seq)
-    return enumeration_value(instance, seq + (token,)) - enumeration_value(instance, seq)
-
-
-def oracle_to_json(ov: OptimalValues) -> dict:
-    """Each trie node's state, ``v`` and ``adv``, in node order; ``q`` is
-    the node's own yield plus the child's ``v``, and ``adv`` is ``q - v``."""
-    tokens = ov.trie.alphabet.tokens
-    nodes = []
-    for node, v, a in zip(ov.trie.nodes, ov.v.tolist(), ov.a.tolist()):
-        nodes.append({"state": list(node), "v": v, "adv": dict(zip(tokens, a))})
-    return {"j_star": ov.j_star, "nodes": nodes}
-
-
 def save_oracle(ov: OptimalValues, path: str) -> None:
-    """Write ``oracle_to_json(ov)`` byte for byte as ``serialize.dump_json``
-    would (indent 2), from one text template per node instead of building
-    and walking a dict per node: the file holds every trie node."""
+    """Write ``{"j_star", "nodes"}``, each trie node's ``state``, ``v`` and
+    ``adv`` (a dict by token) in node order, byte for byte as
+    ``serialize.dump_json`` would (indent 2), from one text template per
+    node instead of building and walking a dict per node."""
     num, tokens = serialize.format_float, ov.trie.alphabet.tokens
     # state entries and adv keys sit at depth 4 (8 spaces)
     token_text = {a: "\n        " + serialize.dumps(a) for a in tokens}

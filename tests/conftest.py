@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tarpath.instance import NoiseModel, PLInstance, fixture_e1, fixture_e2
+from tarpath.instance import NoiseModel, PLInstance
+
+from .reference import fixture_e1, fixture_e2
 
 settings.register_profile(
     "suite",

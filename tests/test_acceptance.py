@@ -17,8 +17,6 @@ from tarpath.instance import (
     PathDistribution,
     PathYieldDataset,
     PLInstance,
-    fixture_e1,
-    fixture_e2,
     load_dataset,
     load_instance,
     random_instance,
@@ -44,13 +42,13 @@ from tarpath.model import (
 from tarpath.oracle import (
     check_decomposition,
     compute_optimal,
-    enumeration_advantage,
-    enumeration_value,
 )
 from tarpath.attribution import attribute
 from tarpath.pathspace import random_improper
 from tarpath.planner import default_max_len, evaluate_plan, greedy_path, greedy_rollout
 from tarpath.reduction import load_rl_dataset, save_rl_dataset
+
+from .reference import enumeration_advantage, enumeration_value, fixture_e1, fixture_e2
 
 POOL_SIZE = 200
 IMPROPER_PER_INSTANCE = 1000

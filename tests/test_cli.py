@@ -19,16 +19,16 @@ from tarpath.cli import main
 from tarpath.instance import (
     NoiseModel,
     PathDistribution,
-    fixture_e1,
-    fixture_e2,
     load_dataset,
     load_instance,
     save_instance,
 )
-from tarpath.losses import _projected_grad_norm, tar_objective
+from tarpath.losses import PenaltyMix, _projected_grad_norm, tar_objective
 from tarpath.model import load_model
 from tarpath.pathspace import PrefixTrie
 from tarpath.reduction import load_rl_dataset
+
+from .reference import fixture_e1, fixture_e2
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -288,6 +288,35 @@ class TestVerifyGolden:
         assert run("verify", "--instance", inst, "--model", model, "--report", verify) == 0
         assert hashlib.sha256(verify.read_bytes()).hexdigest() == self.REPORTS[family]
 
+    # verify.json at lambda 100, kappa 1000 on a 300-path instance that 300
+    # rows leave 106 support paths short of: the tabular model's trie has 720
+    # of the instance's 1050 nodes, so the compile tree of the 3751 default
+    # mix states grows up to 6 levels off it
+    FAR_REPORTS = {
+        "oracle": "3e8d2849a0f6d99d161e0bf5395ce5f4da6fcfc97a2df97f5975f4fb905c842f",
+        "tabular": "c80a8768339e1fc6faa4909217e4cbb22abd4228f91b2b1bbf832f6c6f692283",
+        "linear": "1d0e1b698551e49f6f2ad479d05d0b812d08b90954da562299ef47ec0c686c5a",
+    }
+
+    def test_verify_far_off_the_model_trie_is_pinned(self, tmp_path):
+        inst, data = tmp_path / "inst.json", tmp_path / "data.jsonl"
+        assert run("gen", "--actions", 5, "--depth", 6, "--paths", 300, "--seed", 1, "--out", inst) == 0
+        assert run("sample", "--instance", inst, "--n", 300, "--seed", 2, "--out", data) == 0
+        fits = {"tabular": [], "linear": ["--max-iters", 400, "--family", "linear", "--features", "depth_edge_pair"]}
+        for family, fit in fits.items():
+            assert run("train", "--instance", inst, "--data", data, "--lambda", 100.0, "--kappa", 1000.0,
+                       "--tol", 1e-7, "--out", tmp_path / f"{family}.json", *fit) == 0
+        trie, instance = load_model(tmp_path / "tabular.json").trie, load_instance(inst)
+        mix = PenaltyMix.default(instance)
+        assert (len(trie), len(instance.trie), len(mix.states)) == (720, 1050, 3751)
+        assert max(len(s) - max(k for k in range(len(s) + 1) if s[:k] in trie) for s in mix.states) == 6
+        for family, digest in self.FAR_REPORTS.items():
+            verify = tmp_path / f"verify_{family}.json"
+            model = [] if family == "oracle" else ["--model", tmp_path / f"{family}.json"]
+            assert run("verify", "--instance", inst, *model, "--lambda", 100.0, "--kappa", 1000.0,
+                       "--report", verify) == 0
+            assert hashlib.sha256(verify.read_bytes()).hexdigest() == digest, family
+
     def test_iterative_tabular_model_scores_as_before(self, tmp_path):
         # fixtures/tabular_iterative_model.json is the tabular model that the
         # projected Barzilai-Borwein solve wrote for this instance (final
@@ -523,6 +552,10 @@ class TestRejectedArguments:
             ("--lambda", "0", "lambda must be finite and positive, got 0.0"),
             ("--lambda", "nan", "lambda must be finite and positive, got nan"),
             ("--kappa", "-1", "kappa must be finite and nonnegative, got -1.0"),
+            ("--tol", "nan", "tol must be finite and positive, got nan"),
+            ("--tol", "inf", "tol must be finite and positive, got inf"),
+            ("--tol", "0", "tol must be finite and positive, got 0.0"),
+            ("--max-iters", "-1", "max_iters must be nonnegative, got -1"),
         ],
     )
     def test_bad_penalty_weight_in_train(self, tmp_path, capsys, e1_file, flag, value, message):

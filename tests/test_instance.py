@@ -172,7 +172,7 @@ class TestPLInstance:
         assert e1.noise_variance() == 0.0
 
     def test_e1_bernoulli_variance(self):
-        from tarpath.instance import fixture_e1
+        from .reference import fixture_e1
 
         inst = fixture_e1(noise=NoiseModel.bernoulli())
         # 0.5 * 0.8 * 0.2 + 0.5 * 0.3 * 0.7

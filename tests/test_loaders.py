@@ -12,9 +12,11 @@ from hypothesis import given, strategies as st
 
 from tarpath.cli import main
 from tarpath.errors import TarPathError
-from tarpath.instance import fixture_e1, load_dataset, load_instance, save_instance
+from tarpath.instance import load_dataset, load_instance, save_instance
 from tarpath.model import LinearAdvantage, TabularAdvantage, load_model, model_to_json
 from tarpath.reduction import load_rl_dataset
+
+from .reference import fixture_e1
 
 E1 = fixture_e1()
 

@@ -15,7 +15,6 @@ from tarpath.instance import (
     PathDistribution,
     PathYieldDataset,
     PLInstance,
-    fixture_e1,
     random_instance,
     sample_dataset,
 )
@@ -53,6 +52,7 @@ from tarpath.model import (
 from tarpath.oracle import compute_optimal
 from tarpath.pathspace import EMPTY, ActionAlphabet, PrefixTrie, SeqClass
 
+from .reference import fixture_e1, fringe_states
 from .strategies import instances, tabular_models
 
 
@@ -84,7 +84,7 @@ def central_diff(objective, x, h=1e-6):
 class TestPenaltyMix:
     def test_default_avoids_support_and_complete_states(self, e2):
         mix = PenaltyMix.default(e2)
-        fringe = set(e2.trie.fringe_states())
+        fringe = set(fringe_states(e2.trie))
         for (s, a), w in zip(mix.tilde_pairs, mix.tilde_weights):
             assert s in fringe
             assert s not in e2.yields
@@ -98,7 +98,7 @@ class TestPenaltyMix:
         alphabet = inst.alphabet
         want = tuple(
             (s, a)
-            for s in inst.trie.fringe_states()
+            for s in fringe_states(inst.trie)
             if alphabet.classify(s) is not SeqClass.COMPLETE
             for a in alphabet.tokens
         )
@@ -107,6 +107,9 @@ class TestPenaltyMix:
         assert mix.tilde_weights == (1.0 / len(want),) * len(want)
         assert mix.states == tuple(dict.fromkeys(s for s, _ in want))
         assert mix.actions == alphabet.tokens
+        # its rows, read off the trie, rank the states as any alphabet it meets does
+        for other in (alphabet, ActionAlphabet(tokens=alphabet.tokens[::-1], terminal=alphabet.terminal)):
+            assert np.array_equal(mix.ranks(other), other.encode(mix.states))
 
     def test_hand_pairs_listed_as_given(self):
         pairs = TestVlpHandMix.PAIRS
@@ -443,7 +446,7 @@ class TestValueBatch:
             model = LinearAdvantage.default(inst.alphabet, kind=family)
         model = model.with_random_params(rng, c_range=(-1.0, 2.0), log_scale=3.0)
         alphabet = inst.alphabet
-        fringe = [s for s in inst.trie.fringe_states() if alphabet.is_proper(s)]
+        fringe = [s for s in fringe_states(inst.trie) if alphabet.is_proper(s)]
         longer = [p[:-1] + p for p in inst.psi]
         incomplete = [p[:-1] * 2 for p in inst.psi]
         states = list(inst.trie.nodes) + fringe + longer + incomplete
@@ -469,6 +472,10 @@ class TestValueBatch:
         if family == "tabular":
             for s, i in model.trie.index.items():
                 assert nodes.get(s, i) == i
+        # the same bits whatever order the states come in
+        order = np.random.default_rng(seed).permutation(len(states))
+        shuffled = _ValueBatch(model, [states[j] for j in order])
+        assert shuffled.values(model.drawdown_vector())[shuffled.node].tobytes() == want[order].tobytes()
 
     def test_classes(self, e2):
         model = LinearAdvantage.default(e2.alphabet)
@@ -663,7 +670,8 @@ class TestVlpHandMix:
         pairs = self.PAIRS + (bad,)
         n = len(pairs)
         mix = PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / n,) * n)
-        with pytest.raises(InvalidInputError):
+        message = "lies on the support" if bad[0] == ("a", "a", "END") else "unknown token 'z'"
+        with pytest.raises(InvalidInputError, match=message):
             vlp_objective(model, PathDistribution.uniform(e2.trie.nodes), mix, e2, 3.0, 0.0)
 
     @staticmethod
@@ -682,9 +690,9 @@ class TestVlpHandMix:
         deep = [body(trie.depth + int(rng.integers(0, 3))) for _ in range(3)]
         kinds = [
             [s for s in trie.nodes if terminal not in s],
-            deep + [s for s in trie.fringe_states() if terminal not in s],
+            deep + [s for s in fringe_states(trie) if terminal not in s],
             [s + (terminal,) for s in deep]
-            + [s for s in trie.fringe_states() if alphabet.classify(s) is SeqClass.COMPLETE],
+            + [s for s in fringe_states(trie) if alphabet.classify(s) is SeqClass.COMPLETE],
             [s + (terminal,) + s for s in deep] + [s + (terminal, terminal) for s in deep],
         ]
         pairs = []
@@ -757,7 +765,7 @@ class TestDrawdownView:
             return p0, sample_dataset(inst, n=200, seed=3)
         # every fringe state, complete ones included, so that each penalty
         # term of the feasibility loss is present
-        pairs = tuple((s, a) for s in inst.trie.fringe_states() for a in inst.alphabet.tokens)
+        pairs = tuple((s, a) for s in fringe_states(inst.trie) for a in inst.alphabet.tokens)
         return p0, PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / len(pairs),) * len(pairs))
 
     @classmethod
@@ -1175,11 +1183,11 @@ def tree_case(inst, kind, lam, kappa, trie_paths, seed):
     if kind == "p0_off_trie":
         # every proper fringe state too: off the trie, read through the
         # deepest trie prefix and the fallback drawdown
-        states += [s for s in trie.fringe_states() if alphabet.is_proper(s)]
+        states += [s for s in fringe_states(trie) if alphabet.is_proper(s)]
     p0 = PathDistribution(paths=tuple(states), weights=(1.0 / len(states),) * len(states))
     if kind == "vlp":
         pairs = tuple(
-            (s, a) for s in trie.fringe_states() if s not in inst.yields for a in alphabet.tokens
+            (s, a) for s in fringe_states(trie) if s not in inst.yields for a in alphabet.tokens
         )
         mix = PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / len(pairs),) * len(pairs))
         return model, vlp_objective(model, p0, mix, inst, lam, kappa)

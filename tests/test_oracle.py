@@ -10,17 +10,15 @@ from tarpath.oracle import (
     OptimalValues,
     check_decomposition,
     compute_optimal,
-    enumeration_advantage,
-    enumeration_value,
     max_bellman_violation,
     node_decomposition,
-    oracle_to_json,
     save_oracle,
 )
 from tarpath.pathspace import EMPTY, ActionAlphabet, random_improper
 from tarpath.planner import PlanResult, evaluate_plan, greedy_rollout
 from tarpath.serialize import dump_json, load_json
 
+from .reference import enumeration_advantage, enumeration_value, oracle_to_json
 from .strategies import instances
 
 

@@ -13,6 +13,7 @@ from tarpath.pathspace import (
     random_improper,
 )
 
+from .reference import fringe_states
 from .strategies import alphabets, instances
 
 AB = ActionAlphabet(tokens=("a", "b", "END"), terminal="END")
@@ -119,8 +120,11 @@ class TestPrefixTrie:
             ("a", "a", "END"),
         )
 
-    @given(st.lists(st.lists(st.sampled_from(["a", "b"]), max_size=5), max_size=12))
-    def test_nodes_are_every_prefix_sorted_by_sort_key(self, bodies):
+    @given(
+        st.lists(st.lists(st.sampled_from(["a", "b"]), max_size=5), max_size=12),
+        st.randoms(use_true_random=False),
+    )
+    def test_nodes_are_every_prefix_sorted_by_sort_key(self, bodies, rnd):
         paths = [tuple(b) + ("END",) for b in bodies]
         trie = PrefixTrie.build(AB, paths)
         prefixes = {p[:k] for p in paths for k in range(len(p) + 1)} | {EMPTY}
@@ -128,10 +132,32 @@ class TestPrefixTrie:
         for node in trie.nodes:
             row = trie.child[trie.index[node]].tolist()
             assert [t for t, c in zip(AB.tokens, row) if c >= 0] == [t for t in AB.tokens if node + (t,) in prefixes]
+            assert trie.depths[trie.index[node]] == len(node)
+        # any order or repetition of the paths builds the same trie
+        again = paths + [rnd.choice(paths) for _ in range(rnd.randrange(4))] if paths else []
+        rnd.shuffle(again)
+        other = PrefixTrie.build(AB, again)
+        assert other.nodes == trie.nodes
+        for name in ("parent", "rank", "depths", "child"):
+            assert np.array_equal(getattr(other, name), getattr(trie, name)), name
 
     def test_build_rejects_unknown_tokens(self):
         with pytest.raises(InvalidInputError, match="unknown token"):
             PrefixTrie.build(AB, [("a", "END"), ("z", "END")])
+
+    @pytest.mark.parametrize(
+        "paths, message",
+        [
+            ([("a", "END"), ("a",), ("z", "END")], "trie paths must be complete sequences, got ('a',)"),
+            ([("a", "END"), ("z", "END"), ("a",)], "unknown token 'z' for alphabet ('a', 'b', 'END')"),
+            ([("END", "a", "END")], "trie paths must be complete sequences, got ('END', 'a', 'END')"),
+            ([()], "trie paths must be complete sequences, got ()"),
+        ],
+    )
+    def test_build_names_the_first_bad_path(self, paths, message):
+        with pytest.raises(InvalidInputError) as err:
+            PrefixTrie.build(AB, paths)
+        assert str(err.value) == message
 
     def test_children_in_declaration_order(self):
         trie = PrefixTrie.build(AB, [("b", "END"), ("a", "END"), ("a", "a", "END")])
@@ -152,7 +178,7 @@ class TestPrefixTrie:
 
     def test_fringe_states_one_step_off(self):
         trie = PrefixTrie.build(AB, [("a", "END")])
-        fringe = trie.fringe_states()
+        fringe = fringe_states(trie)
         assert ("b",) in fringe
         assert ("a", "a") in fringe
         for s in fringe:
