@@ -230,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--rl-out", default=None, help="also emit one-step transitions")
     sample.set_defaults(func=_cmd_sample)
 
-    oracle = sub.add_parser("oracle", help="dump exact optimal values")
+    oracle = sub.add_parser("oracle", help="write the exact tabular model; off the trie it reads -B, not -v")
     oracle.add_argument("--instance", required=True)
     oracle.add_argument("--out", required=True)
     oracle.set_defaults(func=_cmd_oracle)
@@ -271,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--instance", required=True)
     verify.add_argument("--lambda", dest="lam", type=float, default=100.0)
     verify.add_argument("--kappa", type=float, default=0.0)
-    verify.add_argument("--model", default=None, help="default: exact-encoded oracle model")
+    verify.add_argument("--model", default=None, help="a model file, oracle's too; default: the oracle's model")
     verify.add_argument("--report", required=True)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--improper-samples", type=int, default=200)

@@ -11,6 +11,12 @@ action, by the token's rank:
   action, nonpositive everywhere.
 
 ``value_at`` and ``advantage_at`` look them up by sequence.
+
+``save_oracle`` writes the exact tabular model (c = J*, each trie edge's
+drawdown), which ``plan``, ``attribute`` and ``verify`` read as ``--model``.
+Its values over the nodes are ``v`` up to ``node_decomposition``'s rounding
+residual, so ``v`` needs no field. Off the trie it reads ``-fallback_B``, not
+the exact drawdown (``-v`` of the node left, 0 past an ``END``).
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ from typing import Iterable
 
 import numpy as np
 
-from . import serialize
 from .errors import InvalidInstanceError
 from .instance import PLInstance
+from .model import TabularAdvantage, save_model
 from .pathspace import PathSeq, PrefixTrie, SeqClass
 
 
@@ -112,23 +118,6 @@ def max_bellman_violation(ov: OptimalValues) -> float:
 
 
 def save_oracle(ov: OptimalValues, path: str) -> None:
-    """Write ``{"j_star", "nodes"}``, each trie node's ``state``, ``v`` and
-    ``adv`` (a dict by token) in node order, byte for byte as
-    ``serialize.dump_json`` would (indent 2), from one text template per
-    node instead of building and walking a dict per node."""
-    num, tokens = serialize.format_float, ov.trie.alphabet.tokens
-    # state entries and adv keys sit at depth 4 (8 spaces)
-    token_text = {a: "\n        " + serialize.dumps(a) for a in tokens}
-    keys = [token_text[a] + ": " for a in tokens]
-    nodes = []
-    for node, v, a_row in zip(ov.trie.nodes, ov.v.tolist(), ov.a.tolist()):
-        state = "[" + ",".join([token_text[t] for t in node]) + "\n      ]" if node else "[]"
-        adv = ",".join([key + num(x) for key, x in zip(keys, a_row)])
-        nodes.append(
-            f'{{\n      "state": {state},\n      "v": {num(v)},'
-            f'\n      "adv": {{{adv}\n      }}\n    }}'
-        )
-    serialize.atomic_write_text(
-        path,
-        f'{{\n  "j_star": {num(ov.j_star)},\n  "nodes": [\n    ' + ",\n    ".join(nodes) + "\n  ]\n}\n",
-    )
+    """Write the exact values as a tabular model file (``save_model`` of
+    ``TabularAdvantage.from_oracle(ov)``)."""
+    save_model(TabularAdvantage.from_oracle(ov), path)

@@ -6,7 +6,8 @@ order), stopping when the terminal token is emitted or a step budget runs
 out. Tabular models steer it back onto observed continuations because
 off-trie queries cost the constant fallback drawdown. The argmax loop,
 ``greedy_rollout``, takes any per-step score; scored with the oracle's exact
-drawdowns it rolls out an optimal path.
+drawdowns it rolls out an optimal path, and so does ``greedy_path`` on the
+oracle's model file: the reference plan (off the trie it reads -B, not -v).
 """
 
 from __future__ import annotations

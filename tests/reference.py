@@ -1,11 +1,15 @@
 """Test-only references: the two hand-made instances, the fringe of a trie,
-the oracle file as a dict, and a trie-free enumeration of optimal values to
-check the oracle against."""
+the oracle file read back as the exact model, and a trie-free enumeration of
+optimal values to check the oracle against."""
 
 from typing import Iterable
 
+import numpy as np
+
 from tarpath.instance import NoiseModel, PathDistribution, PLInstance
-from tarpath.oracle import OptimalValues
+from tarpath.losses import _ValueBatch
+from tarpath.model import TabularAdvantage, load_model
+from tarpath.oracle import OptimalValues, node_decomposition, save_oracle
 from tarpath.pathspace import ActionAlphabet, PathSeq, PrefixTrie
 
 
@@ -18,14 +22,21 @@ def _fixture(yields: dict, noise: NoiseModel | None) -> PLInstance:
     )
 
 
-def oracle_to_json(ov: OptimalValues) -> dict:
-    """The oracle file as a dict: each trie node's state, ``v`` and ``adv``,
-    in node order."""
-    tokens = ov.trie.alphabet.tokens
-    nodes = []
-    for node, v, a in zip(ov.trie.nodes, ov.v.tolist(), ov.a.tolist()):
-        nodes.append({"state": list(node), "v": v, "adv": dict(zip(tokens, a))})
-    return {"j_star": ov.j_star, "nodes": nodes}
+def load_oracle_file(ov: OptimalValues, path: str) -> tuple[TabularAdvantage, np.ndarray]:
+    """Write ``ov`` with ``save_oracle``, read it back with ``load_model`` and
+    check that it is the exact model: c = J*, the trie's nodes and each
+    edge's drawdown bit for bit. Returns the model and its values over the
+    nodes, which are the sums that ``node_decomposition`` compares with
+    ``v``, bit for bit (so they equal ``v`` wherever its residual is 0)."""
+    save_oracle(ov, path)
+    model = load_model(path)
+    assert isinstance(model, TabularAdvantage)
+    assert model.c == ov.j_star
+    assert model.a.tobytes() == ov.edge_drawdowns.tobytes()
+    assert model.trie.nodes == ov.trie.nodes
+    values = _ValueBatch(model, model.trie.nodes).values(model.drawdown_vector())
+    assert (ov.v - values).tobytes() == node_decomposition(ov).tobytes()
+    return model, values
 
 
 def fixture_e1(noise: NoiseModel | None = None) -> PLInstance:

@@ -48,7 +48,13 @@ from tarpath.pathspace import random_improper
 from tarpath.planner import default_max_len, evaluate_plan, greedy_path, greedy_rollout
 from tarpath.reduction import load_rl_dataset, save_rl_dataset
 
-from .reference import enumeration_advantage, enumeration_value, fixture_e1, fixture_e2
+from .reference import (
+    enumeration_advantage,
+    enumeration_value,
+    fixture_e1,
+    fixture_e2,
+    load_oracle_file,
+)
 
 POOL_SIZE = 200
 IMPROPER_PER_INSTANCE = 1000
@@ -111,14 +117,21 @@ def test_criterion_2_oracle_cross_validation(pool):
     )
 
 
-def test_criterion_3_greedy_rollout_optimal(pool):
-    for inst, ov in pool:
+def test_criterion_3_greedy_rollout_optimal(pool, tmp_path):
+    for i, (inst, ov) in enumerate(pool):
         path, truncated, _ = greedy_rollout(inst.alphabet, ov.advantage_at, inst.trie.depth + 2)
         assert not truncated
         assert inst.yield_of(path) == ov.j_star
+        # the oracle file is the exact model: its values are v and its plan
+        # is optimal
+        model, values = load_oracle_file(ov, str(tmp_path / f"oracle{i}.json"))
+        assert values.tobytes() == ov.v.tobytes()
+        plan = evaluate_plan(greedy_path(model, default_max_len(model, inst)), inst)
+        assert plan.regret == 0.0 and not plan.truncated
     print(
         f"ACCEPTANCE 3 greedy rollout optimality: PASS "
-        f"(true yield equals the optimum exactly on all {POOL_SIZE} instances)"
+        f"(true yield equals the optimum exactly on all {POOL_SIZE} instances, "
+        f"by the oracle's drawdowns and by greedy_path on its model file)"
     )
 
 

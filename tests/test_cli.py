@@ -109,8 +109,25 @@ class TestSampleAndOracle:
         out = tmp_path / "oracle.json"
         assert run("oracle", "--instance", e2_file, "--out", out) == 0
         blob = serialize.load_json(str(out))
-        assert blob["j_star"] == pytest.approx(0.9)
-        assert len(blob["nodes"]) == 8
+        assert (blob["family"], blob["c"]) == ("tabular", 0.9)
+        # one drawdown per edge of e2's 8-node trie
+        assert len(blob["raw"]["a"]) == 7
+
+    def test_oracle_file_is_a_model(self, tmp_path, e2_file):
+        oracle, plan, attr = tmp_path / "oracle.json", tmp_path / "plan.json", tmp_path / "attr.json"
+        assert run("oracle", "--instance", e2_file, "--out", oracle) == 0
+        assert run("plan", "--model", oracle, "--instance", e2_file, "--out", plan) == 0
+        got = serialize.load_json(str(plan))
+        assert (got["path"], got["regret"], got["truncated"]) == (["a", "a", "END"], 0.0, False)
+        assert run("attribute", "--model", oracle, "--path", "a", "b", "END", "--out", attr) == 0
+        got = serialize.load_json(str(attr))
+        assert (got["base"], got["total"]) == (0.9, pytest.approx(0.2))
+        # verify's default model is the oracle's, so reading it from the file
+        # changes no byte of the report
+        reports = tmp_path / "verify.json", tmp_path / "verify_oracle.json"
+        assert run("verify", "--instance", e2_file, "--report", reports[0]) == 0
+        assert run("verify", "--instance", e2_file, "--model", oracle, "--report", reports[1]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
     def test_missing_instance_file(self, tmp_path):
         code = run(
@@ -349,8 +366,11 @@ class TestArtifactGolden:
     the tuple-keyed oracle and trie wrote (x86-64, numpy 2.4) for the
     instance of ``TestVerifyGolden``'s tabular case, and oracle.json for a
     larger instance: the node-order arrays must not move a bit of them. The
-    oracle pins are those bytes with every node's ``q`` removed and the file
-    re-dumped. The plan and attribution pins are those of a model file that
+    oracle pins are those of the exact tabular model file,
+    ``dump_json(model_to_json(TabularAdvantage.from_oracle(ov)))`` computed
+    while ``oracle`` still wrote a per-node ``state``/``v``/``adv`` dump
+    (776752fd... -> c2de33eb..., larger instance b8788cfc... -> a941df72...).
+    The plan and attribution pins are those of a model file that
     holds the solved drawdowns as they are (plan.json b64ab416... -> 6fbd4479...,
     attribution.json 763225e5... -> 52a680fc...): exact zeros where the
     raw-score file held -4.2e-18, and last-bit moves of the margins."""
@@ -369,7 +389,7 @@ class TestArtifactGolden:
         assert run("attribute", "--model", model, "--path", *path, "--out", attr) == 0
         digests = [hashlib.sha256(f.read_bytes()).hexdigest() for f in (oracle, plan, attr)]
         assert digests == [
-            "776752fd5ba25584412fbbe66b253e39ef715e2fded3082ae4b3fbb72bed9a37",
+            "c2de33eb7a8904156521918b803e23bd8dab65f97992dbaec41c00a4973269cb",
             "6fbd4479a748b0934e295c373976ff6070327a63e415925554d88f94736c1ec4",
             "52a680fcfcc01399e8d77ce5c2276bf7fd83039baba556cf67a16e622c5de44a",
         ]
@@ -379,7 +399,7 @@ class TestArtifactGolden:
         assert run("gen", "--actions", 5, "--depth", 6, "--paths", 300, "--seed", 1, "--out", inst) == 0
         assert run("oracle", "--instance", inst, "--out", oracle) == 0
         digest = hashlib.sha256(oracle.read_bytes()).hexdigest()
-        assert digest == "b8788cfc2a29a08ad0550e09711f02860d8807bc555dfcf140a83b90a9c3cad0"
+        assert digest == "a941df720e958bec12c3946d49def0593f682616d23c17c1f1f9fa698e8992e4"
 
 
 class TestReportMatchesModelFile:
