@@ -69,7 +69,7 @@ def main():
     save_dataset(data, out("data.jsonl"))
     print(f"sampled {len(data)} noisy observations")
 
-    trie = PrefixTrie.build(instance.alphabet, dict.fromkeys(p for p, _ in data.pairs))
+    trie = PrefixTrie.build(instance.alphabet, data.paths)
     model = TabularAdvantage.default(trie)
     p0 = PathDistribution.uniform(trie.nodes)
     result = train(model, tar_objective(model, p0, data, args.lam, args.kappa), TrainConfig(tol=args.tol))

@@ -121,7 +121,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     data = load_dataset(args.data, instance)
     # build orders the trie's nodes itself
-    trie = PrefixTrie.build(instance.alphabet, dict.fromkeys(p for p, _ in data.pairs))
+    trie = PrefixTrie.build(instance.alphabet, data.paths)
     if args.family == "tabular":
         model = TabularAdvantage.default(trie)
     else:

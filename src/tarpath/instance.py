@@ -3,9 +3,14 @@
 An instance bundles an action alphabet, a finite table of complete paths with
 their expected yields in [0, 1], a sampling distribution over those paths, and
 a noise model for observed yields. Datasets are i.i.d. (path, noisy-yield)
-pairs; the noise models all preserve the conditional mean except the
-truncated-Gaussian variant, which is kept for robustness experiments only and
-excluded from any identity checking that needs an analytic variance.
+rows, held as columns: the distinct paths in order of first appearance, one
+index into them per row and one yield per row, with the (path, yield) pairs
+a view. Sampling draws the paths in one ``rng.choice`` and the noise in one
+call over the rows' means, and the writer and loader format or parse each
+distinct path, yield and line once. The noise models all preserve the
+conditional mean except the truncated-Gaussian variant, which is kept for
+robustness experiments only and excluded from any identity checking that
+needs an analytic variance.
 """
 
 from __future__ import annotations
@@ -122,15 +127,24 @@ class NoiseModel:
     def truncated_gaussian(cls, stddev: float) -> "NoiseModel":
         return cls(kind=cls.TRUNCATED_GAUSSIAN, stddev=stddev)
 
-    def sample(self, rng: np.random.Generator, mean: float) -> float:
+    def sample(self, rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
+        """One observed yield per mean of a 1-D array, as a new float array,
+        drawn from ``rng`` as one scalar draw per mean in order would be:
+        noiseless draws nothing, ``rng.random(n)`` is n calls of
+        ``rng.random()``, and the truncated Gaussian rejects row by row."""
+        means = np.asarray(means, dtype=float)
         if self.kind == self.NOISELESS:
-            return float(mean)
+            return means.copy()
         if self.kind == self.BERNOULLI:
-            return 1.0 if rng.random() < mean else 0.0
-        while True:
-            y = mean + self.stddev * rng.standard_normal()
-            if 0.0 <= y <= 1.0:
-                return float(y)
+            return (rng.random(means.size) < means).astype(float)
+        ys = []
+        for mean in means.tolist():
+            while True:
+                y = mean + self.stddev * rng.standard_normal()
+                if 0.0 <= y <= 1.0:
+                    break
+            ys.append(y)
+        return np.array(ys, dtype=float)
 
     def conditional_variance(self, mean: float) -> float:
         if self.kind == self.NOISELESS:
@@ -287,16 +301,52 @@ class PLInstance:
 
 @dataclass(frozen=True, eq=False)
 class PathYieldDataset:
-    """Logged (complete path, observed yield) pairs."""
+    """Logged (complete path, observed yield) rows, held as columns:
+    ``paths``, the distinct logged paths in order of first appearance;
+    ``rows``, each row's index into ``paths``; ``ys``, each row's yield.
+    Both arrays are read-only, and ``pairs`` is a view of the rows."""
 
-    pairs: tuple[tuple[PathSeq, float], ...]
+    paths: tuple[PathSeq, ...]
+    rows: np.ndarray
+    ys: np.ndarray
 
     def __post_init__(self) -> None:
-        pairs = tuple((tuple(p), float(y)) for p, y in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
+        paths = tuple(tuple(p) for p in self.paths)
+        rows = np.asarray(self.rows, dtype=np.intp).view()
+        ys = np.asarray(self.ys, dtype=float).view()
+        rows.flags.writeable = ys.flags.writeable = False
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ys", ys)
+        if rows.ndim != 1 or rows.shape != ys.shape:
+            raise InvalidInputError("a dataset needs one path index and one yield per row")
+        if len(set(paths)) != len(paths):
+            raise InvalidInputError("dataset paths must be distinct")
+        # a row's index is at most one above the largest before it, so the
+        # paths are numbered at first appearance, and the largest is the last
+        top = np.maximum.accumulate(np.concatenate(([-1], rows)))
+        if np.any(rows < 0) or np.any(rows > top[:-1] + 1) or top[-1] != len(paths) - 1:
+            raise InvalidInputError(
+                "dataset rows must index its paths in order of first appearance, each at least once"
+            )
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[Iterable[str], float]]) -> "PathYieldDataset":
+        """The dataset of these (path, yield) rows."""
+        index: dict[PathSeq, int] = {}
+        rows, ys = [], []
+        for path, y in pairs:
+            rows.append(index.setdefault(tuple(path), len(index)))
+            ys.append(float(y))
+        return cls(paths=tuple(index), rows=np.array(rows, dtype=np.intp), ys=np.array(ys, dtype=float))
+
+    @property
+    def pairs(self) -> tuple[tuple[PathSeq, float], ...]:
+        """The rows as (path, yield) pairs, built on each read."""
+        return tuple(zip(map(self.paths.__getitem__, self.rows.tolist()), self.ys.tolist()))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.ys.size
 
 
 def seeded_rng(seed) -> np.random.Generator:
@@ -314,13 +364,15 @@ def sample_dataset(instance: PLInstance, n: int, seed: int) -> PathYieldDataset:
     if not instance.yields:
         raise InvalidInstanceError("cannot sample from an instance with empty support")
     rng = seeded_rng(seed)
-    paths = instance.psi
-    idx = rng.choice(len(paths), size=n, p=instance.psi_weights)
-    pairs = []
-    for i in idx:
-        path = paths[int(i)]
-        pairs.append((path, instance.noise.sample(rng, instance.yields[path])))
-    return PathYieldDataset(pairs=tuple(pairs))
+    idx = rng.choice(len(instance.psi), size=n, p=instance.psi_weights)
+    ys = instance.noise.sample(rng, instance.psi_yields[idx])
+    # number the drawn paths in order of first appearance
+    drawn, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    paths = tuple(instance.psi[i] for i in drawn[order].tolist())
+    return PathYieldDataset(paths=paths, rows=rank[inverse], ys=ys)
 
 
 @dataclass(frozen=True)
@@ -416,41 +468,53 @@ def load_instance(path: str) -> PLInstance:
 
 def save_dataset(dataset: PathYieldDataset, path: str) -> None:
     """One row ``{"path": [...], "y": ...}`` per pair, as ``serialize.dump_jsonl``
-    writes it."""
-    texts, num = serialize.TokenTexts(), serialize.format_float
-    serialize.atomic_write_text(
-        path, "".join([f'{{"path":{texts[p]},"y":{num(y)}}}\n' for p, y in dataset.pairs])
-    )
+    writes it; each distinct path and yield is formatted once."""
+    heads = [f'{{"path":{serialize.dumps(p)},"y":' for p in dataset.paths]
+    y_texts, y_index = serialize.float_texts(dataset.ys)
+    serialize.atomic_write_text(path, serialize.join_rows(
+        (heads, dataset.rows), ([y + "}\n" for y in y_texts], y_index)
+    ))
 
 
 def load_dataset(path: str, instance: PLInstance | None = None) -> PathYieldDataset:
-    """Read a JSONL dataset of at least one row. Every yield must be finite
-    and in [0, 1], and, when ``instance`` is given, every path one of its
-    support paths; errors name the file and the row (1-based, counting
-    nonblank lines)."""
+    """Read a JSONL dataset of at least one row. Every token of a path must
+    be a string, every yield finite and in [0, 1], and, when ``instance`` is
+    given, every path one of its support paths; errors name the file and the
+    row (1-based, counting nonblank lines)."""
     support = None if instance is None else instance.yields
-    # a log repeats its rows (binary yields on a finite support), so each
-    # distinct line is parsed and checked once, at its first row
-    seen: dict[str, tuple[PathSeq, float]] = {}
-    pairs = []
-    for i, line in enumerate(serialize.iter_jsonl_lines(path), 1):
-        pair = seen.get(line)
-        if pair is None:
-            pair = seen[line] = _dataset_row(path, i, serialize.loads(line), support)
-        pairs.append(pair)
-    if not pairs:
+    # a log repeats its rows (binary yields on a finite support), so the
+    # rows are read as numbers of distinct lines, and each distinct line is
+    # parsed and checked once, naming its first row
+    numbers: dict[str, int] = {}
+    row_lines = np.array(
+        [numbers.setdefault(line, len(numbers)) for line in serialize.jsonl_lines(path)], dtype=np.intp
+    )
+    if not row_lines.size:
         raise InvalidInputError(f"{path}: dataset has no rows")
-    return PathYieldDataset(pairs=tuple(pairs))
+    # a line's first row is where the largest number so far goes up
+    first_rows = np.flatnonzero(np.diff(np.maximum.accumulate(row_lines), prepend=-1))
+    index: dict[PathSeq, int] = {}
+    line_rows, line_ys = [], []
+    for line, i in zip(numbers, first_rows.tolist()):
+        p, y = _dataset_row(path, i + 1, serialize.loads(line), support)
+        line_rows.append(index.setdefault(p, len(index)))
+        line_ys.append(y)
+    return PathYieldDataset(
+        paths=tuple(index),
+        rows=np.array(line_rows, dtype=np.intp)[row_lines],
+        ys=np.array(line_ys, dtype=float)[row_lines],
+    )
 
 
 def _dataset_row(path: str, i: int, row, support) -> tuple[PathSeq, float]:
     try:
         p, y = tuple(row["path"]), float(row["y"])
-        on_support = support is None or p in support
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{path}: malformed dataset row {i}: {row!r}") from exc
+    if not all(isinstance(t, str) for t in p):
+        raise InvalidInputError(f"{path}: malformed dataset row {i}: {row!r}")
     if not 0.0 <= y <= 1.0:
         raise InvalidInputError(f"{path}: row {i}: yield must be finite and in [0, 1], got {y!r}")
-    if not on_support:
+    if support is not None and p not in support:
         raise InvalidInputError(f"{path}: row {i}: path {p!r} is not a support path of the instance")
     return p, y

@@ -561,9 +561,7 @@ def _data_arrays(
     if isinstance(data, PathYieldDataset):
         if not len(data):
             raise InvalidInputError("empirical mode needs a nonempty dataset")
-        index: dict[PathSeq, int] = {}
-        rows = np.array([index.setdefault(p, len(index)) for p, _ in data.pairs], dtype=np.intp)
-        ys = np.array([y for _, y in data.pairs])
+        rows, ys = data.rows, data.ys
         bad = np.flatnonzero(~((ys >= 0.0) & (ys <= 1.0)))  # NaN fails both
         if bad.size:
             i = int(bad[0])
@@ -573,7 +571,7 @@ def _data_arrays(
         counts = np.bincount(rows)
         means = np.bincount(rows, weights=ys) / counts
         dev = ys - means[rows]
-        return tuple(index), counts / ys.size, means, float(np.add.reduce(dev * dev)) / ys.size
+        return data.paths, counts / ys.size, means, float(np.add.reduce(dev * dev)) / ys.size
     raise InvalidInputError(
         f"data must be a dataset or an instance, got {type(data).__name__}"
     )

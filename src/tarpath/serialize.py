@@ -15,6 +15,8 @@ import tempfile
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator
 
+import numpy as np
+
 
 def format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
@@ -120,25 +122,29 @@ def dump_jsonl(records: Iterable[Any], path: str) -> None:
     atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
-class TokenTexts(dict):
-    """Compact JSON text of token sequences (tuples of strings) and tokens,
-    each encoded on first lookup. The rows of a log repeat a few thousand
-    distinct paths, so a row writer looks their text up here."""
-
-    def __missing__(self, seq: tuple[str, ...] | str) -> str:
-        text = self[seq] = dumps(seq)
-        return text
+def float_texts(xs: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Each distinct value of ``xs`` formatted once, and the index of each
+    x's text. Values are told apart by their bits, not by ``==``: 0.0 and
+    -0.0 are equal but print as 0 and -0."""
+    bits, index = np.unique(np.asarray(xs, dtype=np.float64).view(np.uint64), return_inverse=True)
+    return [format_float(x) for x in bits.view(np.float64).tolist()], index
 
 
-def iter_jsonl_lines(path: str) -> Iterator[str]:
+def join_rows(*columns: tuple[list[str], np.ndarray]) -> str:
+    """The text of a table whose row i concatenates ``texts[index[i]]`` over
+    the (texts, index) ``columns``. The rows of a log repeat a few distinct
+    paths, tokens and yields, so a row writer formats each distinct value
+    once and the rows only index its text."""
+    pieces = [np.array(texts, dtype=object)[index] for texts, index in columns]
+    return "".join(np.stack(pieces, axis=1).ravel().tolist())
+
+
+def jsonl_lines(path: str) -> list[str]:
     """The nonblank lines of a JSONL file, stripped."""
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield line
+        return [line for line in map(str.strip, handle.read().split("\n")) if line]
 
 
 def load_jsonl(path: str) -> Iterator[Any]:
-    for line in iter_jsonl_lines(path):
+    for line in jsonl_lines(path):
         yield json.loads(line)

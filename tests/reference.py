@@ -1,6 +1,7 @@
 """Test-only references: the two hand-made instances, the fringe of a trie,
-the oracle file read back as the exact model, and a trie-free enumeration of
-optimal values to check the oracle against."""
+the oracle file read back as the exact model, a trie-free enumeration of
+optimal values to check the oracle against, and the per-row noise sampler to
+check the vectorized draw against."""
 
 from typing import Iterable
 
@@ -37,6 +38,24 @@ def load_oracle_file(ov: OptimalValues, path: str) -> tuple[TabularAdvantage, np
     values = _ValueBatch(model, model.trie.nodes).values(model.drawdown_vector())
     assert (ov.v - values).tobytes() == node_decomposition(ov).tobytes()
     return model, values
+
+
+def per_row_noise(noise: NoiseModel, rng: np.random.Generator, means: Iterable[float]) -> list[float]:
+    """One scalar draw per mean, in order: the sampler that
+    ``NoiseModel.sample``'s one call over the means replaced."""
+    ys = []
+    for mean in means:
+        if noise.kind == NoiseModel.NOISELESS:
+            ys.append(float(mean))
+        elif noise.kind == NoiseModel.BERNOULLI:
+            ys.append(1.0 if rng.random() < mean else 0.0)
+        else:
+            while True:
+                y = mean + noise.stddev * rng.standard_normal()
+                if 0.0 <= y <= 1.0:
+                    ys.append(float(y))
+                    break
+    return ys
 
 
 def fixture_e1(noise: NoiseModel | None = None) -> PLInstance:

@@ -224,7 +224,7 @@ def test_criterion_6_end_to_end_learning():
             noise=NoiseModel.noiseless(),
         )
         inst = random_instance(spec, seed)
-        data = PathYieldDataset(pairs=tuple((p, inst.yields[p]) for p in inst.psi))
+        data = PathYieldDataset.from_pairs(tuple((p, inst.yields[p]) for p in inst.psi))
         model = TabularAdvantage.default(inst.trie)
         p0 = PathDistribution.uniform(inst.trie.nodes)
         result = train(model, tar_objective(model, p0, data, lam, kappa), config)
@@ -254,7 +254,7 @@ def test_criterion_6_every_run_converges():
             noise=NoiseModel.noiseless(),
         )
         inst = random_instance(spec, seed)
-        data = PathYieldDataset(pairs=tuple((p, inst.yields[p]) for p in inst.psi))
+        data = PathYieldDataset.from_pairs(tuple((p, inst.yields[p]) for p in inst.psi))
         model = TabularAdvantage.default(inst.trie)
         p0 = PathDistribution.uniform(inst.trie.nodes)
         result = train(model, tar_objective(model, p0, data, lam, kappa), config)
@@ -284,7 +284,7 @@ def test_criterion_6_linear_every_run_converges():
             noise=NoiseModel.noiseless(),
         )
         inst = random_instance(spec, seed)
-        data = PathYieldDataset(pairs=tuple((p, inst.yields[p]) for p in inst.psi))
+        data = PathYieldDataset.from_pairs(tuple((p, inst.yields[p]) for p in inst.psi))
         p0 = PathDistribution.uniform(inst.trie.nodes)
         mix = PenaltyMix.default(inst)
         for features in ("edge_pair", "depth_edge_pair"):

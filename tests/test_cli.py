@@ -105,6 +105,11 @@ class TestSampleAndOracle:
         transitions = load_rl_dataset(str(rl_out))
         assert len(transitions) > 0
 
+    def test_sample_of_no_rows_writes_empty_files(self, tmp_path, e1_file):
+        data_out, rl_out = tmp_path / "data.jsonl", tmp_path / "rl.jsonl"
+        assert run("sample", "--instance", e1_file, "--n", 0, "--seed", 5, "--out", data_out, "--rl-out", rl_out) == 0
+        assert data_out.read_bytes() == rl_out.read_bytes() == b""
+
     def test_oracle_dump(self, tmp_path, e2_file):
         out = tmp_path / "oracle.json"
         assert run("oracle", "--instance", e2_file, "--out", out) == 0
@@ -402,6 +407,30 @@ class TestArtifactGolden:
         assert digest == "a941df720e958bec12c3946d49def0593f682616d23c17c1f1f9fa698e8992e4"
 
 
+class TestLogGolden:
+    """data.jsonl and rl.jsonl of ``sample --rl-out``, pinned to the bytes
+    that the per-row sampler and writers wrote (one ``NoiseModel.sample``
+    call and one formatted line per row, x86-64, numpy 2.4) for the instance
+    of ``TestArtifactGolden`` under each noise kind: the columnar log must
+    draw the same stream and write the same lines."""
+
+    @pytest.mark.parametrize("noise, digests", [
+        ([], ("47fb36479d72d075177c9f5d742c1b57ffa09447c58b6760317f3a439c6db84f",
+              "a2430bee7d1484bb568edfa71c962664c94c48f4dc77be91195309e4162e4f65")),
+        (["--noise", "noiseless"],
+         ("785e5fa7c10b81e450ff2fa22d2c0196c69e78d1678f8b54a573d4ee07708bb3",
+          "431ae0be2a296562c81c258ced2871b31b80b0ade7b801738500683a5029f381")),
+        (["--noise", "truncated_gaussian", "--stddev", 0.2],
+         ("234f45d4f4ed16e0c67c2bccd4d840eb906c28052e89a635c2616fb2591a9d70",
+          "54f11d2a150ddc11a68984ce4ef2feec4cf6e69b6e6a87b4d0801755b7564f8e")),
+    ], ids=["bernoulli", "noiseless", "truncated_gaussian"])
+    def test_sampled_logs_are_pinned(self, tmp_path, noise, digests):
+        inst, data, rl = tmp_path / "inst.json", tmp_path / "data.jsonl", tmp_path / "rl.jsonl"
+        assert run("gen", "--actions", 3, "--depth", 4, "--paths", 6, "--seed", 21, *noise, "--out", inst) == 0
+        assert run("sample", "--instance", inst, "--n", 300, "--seed", 22, "--out", data, "--rl-out", rl) == 0
+        assert tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (data, rl)) == digests
+
+
 class TestReportMatchesModelFile:
     """The train report describes the model file it wrote: the file holds the
     solver's answer as it is, so its exact zeros are the report's
@@ -423,7 +452,7 @@ class TestReportMatchesModelFile:
         loaded = load_model(str(model))
         instance = load_instance(str(inst))
         dataset = load_dataset(str(data), instance)
-        trie = PrefixTrie.build(instance.alphabet, dict.fromkeys(p for p, _ in dataset.pairs))
+        trie = PrefixTrie.build(instance.alphabet, dataset.paths)
         objective = tar_objective(loaded, PathDistribution.uniform(trie.nodes), dataset, 100.0, 1000.0)
         x = loaded.drawdown_vector()
         loss, grad = objective(x)

@@ -29,6 +29,7 @@ from tarpath.instance import (
 )
 from tarpath.pathspace import EMPTY, ActionAlphabet
 
+from .reference import per_row_noise
 from .strategies import instances
 
 AB = ActionAlphabet(tokens=("a", "b", "END"), terminal="END")
@@ -86,22 +87,35 @@ class TestPathDistribution:
 class TestNoiseModel:
     def test_noiseless_passes_mean_through(self):
         rng = np.random.default_rng(0)
-        assert NoiseModel.noiseless().sample(rng, 0.37) == 0.37
+        assert NoiseModel.noiseless().sample(rng, np.array([0.37])).tolist() == [0.37]
         assert NoiseModel.noiseless().conditional_variance(0.37) == 0.0
 
     def test_bernoulli_support_and_variance(self):
         noise = NoiseModel.bernoulli()
         rng = np.random.default_rng(1)
-        draws = [noise.sample(rng, 0.7) for _ in range(2000)]
-        assert set(draws) <= {0.0, 1.0}
+        draws = noise.sample(rng, np.full(2000, 0.7))
+        assert set(draws.tolist()) <= {0.0, 1.0}
         assert abs(np.mean(draws) - 0.7) < 0.05
         assert noise.conditional_variance(0.7) == pytest.approx(0.21)
 
     def test_truncated_gaussian_stays_in_unit_interval(self):
         noise = NoiseModel.truncated_gaussian(stddev=0.4)
         rng = np.random.default_rng(2)
-        draws = [noise.sample(rng, 0.9) for _ in range(500)]
-        assert all(0.0 <= y <= 1.0 for y in draws)
+        draws = noise.sample(rng, np.full(500, 0.9))
+        assert np.all((draws >= 0.0) & (draws <= 1.0))
+
+    @pytest.mark.parametrize(
+        "noise", [NoiseModel.noiseless(), NoiseModel.bernoulli(), NoiseModel.truncated_gaussian(stddev=0.3)],
+        ids=["noiseless", "bernoulli", "truncated_gaussian"],
+    )
+    def test_draw_is_the_per_row_draw(self, noise):
+        """The one call over the means draws the bits of one scalar draw per
+        mean, in order, and leaves the generator where that loop does."""
+        means = np.array([0.0, 1.0, 0.5, 0.3, 1.0, 0.0, 0.9, 0.01, 0.99, 0.5] * 30)
+        vectorized, per_row = np.random.default_rng(7), np.random.default_rng(7)
+        draws = noise.sample(vectorized, means)
+        assert draws.tobytes() == np.array(per_row_noise(noise, per_row, means.tolist())).tobytes()
+        assert vectorized.random() == per_row.random()
 
     def test_truncated_gaussian_needs_positive_stddev(self):
         with pytest.raises(InvalidInputError):
@@ -251,6 +265,17 @@ class TestPLInstance:
 
 
 class TestSampleDataset:
+    def test_columns_are_the_pairs(self, e2_bernoulli):
+        data = sample_dataset(e2_bernoulli, 200, seed=4)
+        firsts = list(dict.fromkeys(p for p, _ in data.pairs))
+        assert list(data.paths) == firsts
+        assert tuple(zip([data.paths[r] for r in data.rows], data.ys.tolist())) == data.pairs
+        assert data.rows.dtype == np.intp and data.ys.dtype == np.float64
+
+    def test_empty_sample(self, e2_bernoulli):
+        data = sample_dataset(e2_bernoulli, 0, seed=4)
+        assert (len(data), data.paths, data.pairs) == (0, (), ())
+
     def test_deterministic(self, e2_bernoulli):
         a = sample_dataset(e2_bernoulli, 50, seed=3)
         b = sample_dataset(e2_bernoulli, 50, seed=3)
@@ -316,6 +341,44 @@ class TestRandomInstance:
         assert max(len(p) for p in inst.psi) <= 5
 
 
+class TestDatasetColumns:
+    """A dataset holds its distinct paths, a row index and a yield column."""
+
+    def test_from_pairs_numbers_paths_at_first_appearance(self):
+        a, b = ("a", "END"), ("b", "END")
+        data = PathYieldDataset.from_pairs([(b, 1), (a, 0.5), (b, 0.0)])
+        assert data.paths == (b, a)
+        assert data.rows.tolist() == [0, 1, 0]
+        assert data.pairs == ((b, 1.0), (a, 0.5), (b, 0.0))
+
+    def test_columns_are_read_only(self):
+        data = PathYieldDataset.from_pairs([(("a", "END"), 1.0)])
+        with pytest.raises(ValueError):
+            data.ys[0] = 0.5
+
+    @pytest.mark.parametrize(
+        "paths, rows, ys",
+        [
+            ((("a", "END"), ("a", "END")), [0, 1], [0.5, 0.5]),  # repeated path
+            ((("a", "END"), ("b", "END")), [1, 0], [0.5, 0.5]),  # not first-appearance order
+            ((("a", "END"), ("b", "END")), [0, 0], [0.5, 0.5]),  # an unused path
+            ((("a", "END"),), [0, -1], [0.5, 0.5]),  # a negative index
+            ((("a", "END"),), [0], [0.5, 0.5]),  # one index per yield
+        ],
+    )
+    def test_rejects_inconsistent_columns(self, paths, rows, ys):
+        with pytest.raises(InvalidInputError):
+            PathYieldDataset(paths=paths, rows=np.array(rows), ys=np.array(ys))
+
+    def test_negative_zero_after_zero_keeps_its_sign(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        b = ("b", "END")
+        save_dataset(PathYieldDataset.from_pairs([(b, 0.0), (b, -0.0), (b, 0.0)]), str(path))
+        assert path.read_text().splitlines() == [
+            '{"path":["b","END"],"y":0}', '{"path":["b","END"],"y":-0}', '{"path":["b","END"],"y":0}'
+        ]
+
+
 class TestPersistence:
     def test_instance_file_round_trip(self, tmp_path, e2_bernoulli):
         path = tmp_path / "instance.json"
@@ -332,7 +395,7 @@ class TestPersistence:
 
     def test_dataset_file_is_the_generic_jsonl(self, tmp_path, e2_bernoulli):
         data = sample_dataset(e2_bernoulli, 60, seed=9)
-        data = PathYieldDataset(pairs=data.pairs + ((("b", "END"), 0.1), (("b", "END"), -0.0)))
+        data = PathYieldDataset.from_pairs(data.pairs + ((("b", "END"), 0.1), (("b", "END"), -0.0)))
         fast, generic = tmp_path / "fast.jsonl", tmp_path / "generic.jsonl"
         save_dataset(data, str(fast))
         serialize.dump_jsonl(({"path": list(p), "y": y} for p, y in data.pairs), str(generic))

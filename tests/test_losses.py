@@ -174,7 +174,7 @@ class TestTarLoss:
     def test_hand_value_single_pair(self, e1):
         model = flat_model(e1.trie, c=0.5)
         p0 = PathDistribution(paths=(EMPTY,), weights=(1.0,))
-        data = PathYieldDataset(pairs=((("b", "END"), 0.5),))
+        data = PathYieldDataset.from_pairs(((("b", "END"), 0.5),))
         loss, _ = tar_loss(model, p0, data, lam=2.0, kappa=0.0)
         assert loss == pytest.approx(0.5, abs=1e-12)
 
@@ -203,7 +203,7 @@ class TestTarLoss:
         model = TabularAdvantage.default(e1.trie)
         p0 = PathDistribution.uniform(e1.trie.nodes)
         with pytest.raises(InvalidInputError):
-            tar_loss(model, p0, PathYieldDataset(pairs=()), lam=1.0)
+            tar_loss(model, p0, PathYieldDataset.from_pairs(()), lam=1.0)
 
     def test_alphabet_mismatch_rejected(self, e2):
         other = ActionAlphabet(tokens=("x", "END"))
@@ -218,7 +218,7 @@ class TestTarLoss:
         model = TabularAdvantage.default(e1.trie)
         improper = ("END", "a")
         p0 = PathDistribution.uniform(e1.trie.nodes + (improper,) if what == "p0" else e1.trie.nodes)
-        data = PathYieldDataset(pairs=((("a", "END"), 1.0), (improper if what == "data" else ("b", "END"), 0.0)))
+        data = PathYieldDataset.from_pairs(((("a", "END"), 1.0), (improper if what == "data" else ("b", "END"), 0.0)))
         with pytest.raises(InvalidInputError, match=rf"^{what} state \('END', 'a'\) is improper$"):
             tar_loss(model, p0, data, lam=1.0)
 
@@ -561,7 +561,7 @@ class TestValueBatch:
     @pytest.mark.parametrize("family", ["tabular", "linear"])
     def test_bad_dataset_yield_rejected(self, e2, family, y, shown):
         paths = e2.psi
-        data = PathYieldDataset(pairs=((paths[0], 1.0), (paths[1], 0.0), (paths[0], y), (paths[2], 0.5)))
+        data = PathYieldDataset.from_pairs(((paths[0], 1.0), (paths[1], 0.0), (paths[0], y), (paths[2], 0.5)))
         model = TabularAdvantage.default(e2.trie) if family == "tabular" else LinearAdvantage.default(e2.alphabet)
         p0 = PathDistribution.uniform(e2.trie.nodes)
         message = rf"^dataset row 3: yield must be finite and in \[0, 1\], got {shown}$"
@@ -747,7 +747,7 @@ def criterion_6_instance(seed):
         noise=NoiseModel.noiseless(),
     )
     inst = random_instance(spec, seed)
-    return inst, PathYieldDataset(pairs=tuple((p, inst.yields[p]) for p in inst.psi))
+    return inst, PathYieldDataset.from_pairs(tuple((p, inst.yields[p]) for p in inst.psi))
 
 
 class TestDrawdownView:

@@ -19,7 +19,7 @@ def _write_rows(tmp_path, *rows):
 class TestRLTransition:
     def test_accepts_consistent_target(self, tmp_path):
         path = _write_rows(tmp_path, {"s": ["a"], "a": "END", "r": 0.5, "s_next": ["a", "END"]})
-        assert load_rl_dataset(path) == [(("a",), "END", 0.5)]
+        assert load_rl_dataset(path).triples == ((("a",), "END", 0.5),)
 
     def test_rejects_inconsistent_target(self, tmp_path):
         path = _write_rows(
@@ -51,19 +51,20 @@ class TestBuildOfflineDataset:
         data = sample_dataset(e2_bernoulli, 30, seed=1)
         a = build_offline_dataset(e2_bernoulli, data, seed=2)
         b = build_offline_dataset(e2_bernoulli, data, seed=2)
-        assert a == b
+        assert a.triples == b.triples
 
     def test_states_and_rewards_match_data(self, e2_bernoulli):
         data = sample_dataset(e2_bernoulli, 30, seed=1)
-        rows = build_offline_dataset(e2_bernoulli, data, seed=2)
-        assert len(rows) == len(data)
-        for (path, y), (s, a, r) in zip(data.pairs, rows):
+        transitions = build_offline_dataset(e2_bernoulli, data, seed=2)
+        assert transitions.log is data
+        assert len(transitions) == len(data)
+        for (path, y), (s, a, r) in zip(data.pairs, transitions.triples):
             assert s == path
             assert r == y
             assert a in e2_bernoulli.alphabet.tokens
 
     def test_rejects_off_support_path(self, e1):
-        bad = PathYieldDataset(pairs=((("a", "a", "END"), 0.1),))
+        bad = PathYieldDataset.from_pairs(((("a", "a", "END"), 0.1),))
         with pytest.raises(InvalidInputError):
             build_offline_dataset(e1, bad, seed=0)
 
@@ -100,17 +101,33 @@ class TestRolloutGreedy:
 class TestPersistence:
     def test_round_trip(self, tmp_path, e2_bernoulli):
         data = sample_dataset(e2_bernoulli, 20, seed=3)
-        rows = build_offline_dataset(e2_bernoulli, data, seed=4)
+        transitions = build_offline_dataset(e2_bernoulli, data, seed=4)
         path = tmp_path / "rl.jsonl"
-        save_rl_dataset(rows, str(path))
-        assert load_rl_dataset(str(path)) == rows
+        save_rl_dataset(transitions, str(path))
+        assert load_rl_dataset(str(path)).triples == transitions.triples
 
     def test_file_is_the_generic_jsonl(self, tmp_path, e2_bernoulli):
-        rows = build_offline_dataset(e2_bernoulli, sample_dataset(e2_bernoulli, 60, seed=3), seed=5)
+        data = sample_dataset(e2_bernoulli, 60, seed=3)
+        data = PathYieldDataset.from_pairs(data.pairs + ((("b", "END"), 0.1), (("b", "END"), -0.0)))
+        self.check_generic(tmp_path, build_offline_dataset(e2_bernoulli, data, seed=5))
+
+    def test_loaded_states_may_be_empty(self, tmp_path):
+        path = _write_rows(
+            tmp_path,
+            {"s": [], "a": "a", "r": 0.0, "s_next": ["a"]},
+            {"s": ["a"], "a": "END", "r": -2.5, "s_next": ["a", "END"]},
+            {"s": [], "a": "END", "r": 1.0, "s_next": ["END"]},
+        )
+        transitions = load_rl_dataset(path)
+        assert transitions.log.paths == ((), ("a",))
+        assert transitions.tokens == ("a", "END")
+        self.check_generic(tmp_path, transitions)
+
+    def check_generic(self, tmp_path, transitions):
         fast, generic = tmp_path / "fast.jsonl", tmp_path / "generic.jsonl"
-        save_rl_dataset(rows, str(fast))
+        save_rl_dataset(transitions, str(fast))
         serialize.dump_jsonl(
-            ({"s": list(s), "a": a, "r": r, "s_next": list(s) + [a]} for s, a, r in rows),
+            ({"s": list(s), "a": a, "r": r, "s_next": list(s) + [a]} for s, a, r in transitions.triples),
             str(generic),
         )
         assert fast.read_bytes() == generic.read_bytes()

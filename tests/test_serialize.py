@@ -66,11 +66,16 @@ class TestDumps:
         with pytest.raises(ValueError):
             serialize.dumps([math.inf])
 
-    def test_token_texts_are_compact_arrays(self):
-        texts = serialize.TokenTexts()
-        assert texts[("a", "END")] == '["a","END"]' == serialize.dumps(("a", "END"))
-        assert texts["b"] == '"b"'
-        assert texts[()] == "[]"
+    def test_float_texts_tell_values_apart_by_their_bits(self):
+        texts, index = serialize.float_texts(np.array([0.5, 0.0, -0.0, 0.5, 0.0]))
+        assert [texts[i] for i in index] == ["0.5", "0", "-0", "0.5", "0"]
+        assert len(texts) == 3
+
+    def test_join_rows_concatenates_each_rows_texts(self):
+        heads, tails = ["[a,", "[b,"], ["1]\n", "2]\n"]
+        text = serialize.join_rows((heads, np.array([1, 0, 1])), (tails, np.array([0, 0, 1])))
+        assert text == "[b,1]\n[a,1]\n[b,2]\n"
+        assert serialize.join_rows((heads, np.array([], dtype=np.intp))) == ""
 
 
 class TestFiles:
