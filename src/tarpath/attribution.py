@@ -52,11 +52,7 @@ def attribute(model: AdvantageModel, path: PathSeq) -> AttributionReport:
     path = tuple(path)
     found = value_steps(model, path)
     if found is None:
-        return AttributionReport(
-            path=path, base=model.c, steps=(), total=0.0, improper=True
-        )
+        return AttributionReport(path=path, base=model.c, steps=(), total=0.0, improper=True)
     total, drawdowns = found
-    steps = tuple(
-        AttributionStep(path[:k], path[k], drawdown) for k, drawdown in enumerate(drawdowns)
-    )
+    steps = tuple(AttributionStep(path[:k], path[k], drawdown) for k, drawdown in enumerate(drawdowns))
     return AttributionReport(path=path, base=model.c, steps=steps, total=total)

@@ -49,7 +49,7 @@ from .oracle import (
     node_decomposition,
     save_oracle,
 )
-from .pathspace import ActionAlphabet, PrefixTrie, random_improper
+from .pathspace import ActionAlphabet, PrefixTrie, json_seq, random_improper
 from .planner import default_max_len, evaluate_plan, greedy_path
 from .reduction import build_offline_dataset, save_rl_dataset
 
@@ -99,7 +99,7 @@ def _load_p0(path: str, alphabet: ActionAlphabet) -> PathDistribution:
     states, weights = [], []
     for i, row in enumerate(rows, 1):
         try:
-            state, weight = tuple(row["state"]), float(row["weight"])
+            state, weight = json_seq(row["state"]), float(row["weight"])
             proper = alphabet.is_proper(state)
         except InvalidInputError as exc:  # an unknown token
             raise InvalidInputError(f"{path}: p0 row {i}: {exc}") from exc

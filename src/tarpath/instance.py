@@ -31,7 +31,7 @@ from .errors import (
     InvalidInstanceError,
     UnsupportedNoiseError,
 )
-from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, SeqClass
+from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, SeqClass, json_seq
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -261,7 +261,7 @@ class PLInstance:
         first_row: dict[PathSeq, int] = {}
         for i, row in enumerate(rows, 1):
             try:
-                path = tuple(row["path"])
+                path = json_seq(row["path"])
                 first = first_row.setdefault(path, i)
                 y = entries[path] = float(row["yield"])
                 w = float(row["weight"]) if "weight" in row else None
@@ -508,11 +508,9 @@ def load_dataset(path: str, instance: PLInstance | None = None) -> PathYieldData
 
 def _dataset_row(path: str, i: int, row, support) -> tuple[PathSeq, float]:
     try:
-        p, y = tuple(row["path"]), float(row["y"])
+        p, y = json_seq(row["path"]), float(row["y"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{path}: malformed dataset row {i}: {row!r}") from exc
-    if not all(isinstance(t, str) for t in p):
-        raise InvalidInputError(f"{path}: malformed dataset row {i}: {row!r}")
     if not 0.0 <= y <= 1.0:
         raise InvalidInputError(f"{path}: row {i}: yield must be finite and in [0, 1], got {y!r}")
     if support is not None and p not in support:

@@ -23,12 +23,12 @@ that identity independently and reports the discrepancy.
 Objectives are compiled once per call into flat index arrays so each
 evaluation is a handful of vectorized operations. A compile grows one prefix
 tree of the states it evaluates from their token ranks (``_ValueBatch``,
-``pathspace.grow``), starting from a tabular model's own trie; the default
-penalty mix joins it as arrays, without a tuple per state. Every value is its
-parent node's plus one step, summed one depth at a time in ``predict_value``'s
-order, and every loss term is a fixed-order numpy sum, never a BLAS dot
-(``_dot``), so no result depends on the BLAS thread count. A compiled
-objective takes drawdown coordinates x = [c, a_0, a_1, ...]
+``pathspace.grow``), starting from the model's ``tree``; the default penalty
+mix joins it as arrays, without a tuple per state. Every value is its parent
+node's plus one step, summed one depth at a time: c plus the steps, left to
+right, as ``value_steps`` sums a path. Every loss term is a fixed-order numpy
+sum, never a BLAS dot (``_dot``), so no result depends on the BLAS thread
+count. A compiled objective takes drawdown coordinates x = [c, a_0, a_1, ...]
 (``AdvantageModel.drawdown_vector``), one drawdown per trie edge or, for the
 linear family, per feature pair. Every value is linear in x, so both losses
 are convex and piecewise quadratic under the bound a <= 0.
@@ -242,24 +242,23 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 class _ValueBatch:
     """The prefix tree of the states a compile evaluates, as arrays, and
-    their values, bit for bit as ``predict_value`` sums them: V[n] =
-    V[parent[n]] + step[n], one depth at a time, from V[root] = c.
+    their values, c plus the steps left to right as ``value_steps`` sums
+    them: V[n] = V[parent[n]] + step[n], one depth at a time, from V[root] = c.
 
     The states, then those of a ``mix``, are grown (``pathspace.grow``) from
-    a tabular model's trie, so an on-trie node's id is its slot, or from a
-    linear model's root, node 0. ``node[j]`` is state j's node and
+    the model's ``tree``: a tabular model's trie, so an on-trie node's id is
+    its slot, or a linear model's root, node 0. ``node[j]`` is state j's node and
     ``slot[n]`` the slot of the step into node n
     (``AdvantageModel.edge_slots``: c's 0 at the root, -1 for a fallback).
     """
 
     def __init__(self, model: AdvantageModel, states: Sequence[PathSeq], mix: PenaltyMix | None = None):
         alphabet = model.alphabet
-        tree = model.trie if isinstance(model, TabularAdvantage) else PrefixTrie.root(alphabet)
         blocks = [alphabet.encode(states)] + ([] if mix is None else [mix.ranks(alphabet)])
         ranks = np.full((sum(map(len, blocks)), max(b.shape[1] for b in blocks)), -1, dtype=alphabet.rank_dtype)
         for lo, b in zip((0, len(states)), blocks):
             ranks[lo : lo + len(b), : b.shape[1]] = b
-        self.node, self.parent, self.rank, self.depth = grow(tree, ranks)
+        self.node, self.parent, self.rank, self.depth = grow(model.tree, ranks)
         order = np.argsort(self.depth, kind="stable")
         levels = np.split(order, np.flatnonzero(np.diff(self.depth[order])) + 1)[1:]
         self.levels = [(lv, self.parent[lv]) for lv in levels]
@@ -754,7 +753,7 @@ def surrogate_gap(
     loss as ``vlp_loss`` does (its tilde half pair by pair, though the
     default mix makes it 0), and the overshoot from oracle values (the
     caller's ``ov``, else a fresh ``compute_optimal``) and the model's value
-    on each support path, summed bit for bit as ``predict_value`` does. lam
+    on each support path, summed bit for bit as ``value_steps`` sums it. lam
     and kappa are checked as the objectives check them.
     """
     _check_penalties(lam, kappa)

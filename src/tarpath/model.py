@@ -5,7 +5,8 @@ terms A(prefix, action); improper sequences get exactly 0. A model holds c
 and one drawdown a <= 0 per step slot, so the value difference between a
 proper sequence and its extension is always <= 0.
 
-Two families map a step to its slot:
+Each family maps a step to its slot once, in ``edge_slots``, which compiles,
+plans (``step_drawdowns``) and attributions (``value_steps``) all read:
 
 * tabular — one slot per edge of a fixed prefix trie, in node order (a[i - 1]
   is the drawdown of the edge into node i); queries at pairs that are not
@@ -24,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import serialize
 from .errors import InvalidInputError
-from .pathspace import ActionAlphabet, PathSeq, PrefixTrie
+from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, json_seq
 
 if TYPE_CHECKING:
     from .oracle import OptimalValues
@@ -117,15 +119,11 @@ class AdvantageModel:
     def n_slots(self) -> int:
         raise NotImplementedError
 
-    def step_drawdown(self, s: PathSeq, action: str) -> float:
-        """The advantage of the step (s, action): its slot's drawdown, or -B."""
-        raise NotImplementedError
-
     def edge_slots(self, node: np.ndarray, last: np.ndarray, depth: np.ndarray, token: np.ndarray):
         """The ``drawdown_vector`` slot of the step by the token of rank
-        ``token`` out of each node of a tree that starts as the model's trie
-        (a linear model's, at the root), -1 where it falls back to -B;
-        ``last`` is the rank of the node's last token (-1 at the root)."""
+        ``token`` out of each node of a tree that starts as ``tree``, -1
+        where it falls back to -B; ``last`` is the rank of the node's last
+        token (-1 at the root). The arrays broadcast together."""
         raise NotImplementedError
 
     @property
@@ -133,6 +131,26 @@ class AdvantageModel:
         raise NotImplementedError
 
     # -- shared ------------------------------------------------------------
+
+    @cached_property
+    def tree(self) -> PrefixTrie:
+        """The tree whose node ids ``edge_slots`` reads: a tabular model's
+        trie, else the root alone."""
+        return PrefixTrie.root(self.alphabet)
+
+    def drawdowns(self, node, last, depth, token) -> np.ndarray:
+        """The drawdown of each step that ``edge_slots`` numbers: its slot's,
+        or -B, read only where some step falls back."""
+        slot = self.edge_slots(node, last, depth, token)
+        fallback = self.fallback_advantage if np.any(slot < 0) else 0.0
+        return np.concatenate(([fallback, self.c], self.a))[slot + 1]
+
+    def step_drawdowns(self, state: PathSeq) -> np.ndarray:
+        """The drawdown of the step by every token out of ``state``, in
+        declaration order."""
+        tree, token = self.tree, np.arange(len(self.alphabet.tokens))
+        last = self.alphabet.index(state[-1]) if state else -1
+        return self.drawdowns(tree.index.get(state, len(tree)), last, len(state), token)
 
     def drawdown_vector(self) -> np.ndarray:
         """[c, a_0, a_1, ...]: c, then the drawdown of each step slot."""
@@ -213,9 +231,9 @@ class TabularAdvantage(AdvantageModel):
     def n_slots(self) -> int:
         return len(self.trie) - 1
 
-    def step_drawdown(self, s: PathSeq, action: str) -> float:
-        slot = self.trie.index.get(s + (action,))
-        return self.fallback_advantage if slot is None else float(self.a[slot - 1])
+    @property
+    def tree(self) -> PrefixTrie:
+        return self.trie
 
     def edge_slots(self, node, last, depth, token):
         child = self.trie.child
@@ -234,8 +252,8 @@ class TabularAdvantage(AdvantageModel):
 
     def raw_z(self, s: PathSeq, action: str) -> float | None:
         """The raw score of the edge (s, action), or None off the trie."""
-        slot = self.trie.index.get(s + (action,))
-        return None if slot is None else raw_from_advantage(float(self.a[slot - 1]))
+        slot = int(self.edge_slots(self.trie.index.get(s, len(self.trie)), -1, len(s), self.alphabet.index(action)))
+        return None if slot < 0 else raw_from_advantage(float(self.a[slot - 1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,20 +296,8 @@ class LinearAdvantage(AdvantageModel):
     def n_slots(self) -> int:
         return (DEPTH_BUCKETS if self.kind == DEPTH_EDGE_PAIR else 1) * self.n_pairs
 
-    def step_drawdown(self, s: PathSeq, action: str) -> float:
-        return float(self.a[self.pair(s, action)])
-
-    def pair(self, s: PathSeq, action: str) -> int:
-        """The feature pair of the step (s, action)."""
-        n = len(self.alphabet.tokens)
-        prev = self.alphabet.index(s[-1]) if s else n
-        pair = prev * n + self.alphabet.index(action)
-        if self.kind == DEPTH_EDGE_PAIR:
-            pair += min(len(s), DEPTH_BUCKETS - 1) * self.n_pairs
-        return pair
-
     def edge_slots(self, node, last, depth, token):
-        # 1 + ``pair``, vectorized
+        # 1 + the pair (previous token or none, token), in its depth block
         n = len(self.alphabet.tokens)
         pair = np.where(last < 0, n, last) * n + token
         if self.kind == DEPTH_EDGE_PAIR:
@@ -303,11 +309,6 @@ class LinearAdvantage(AdvantageModel):
         raise InvalidInputError("linear models never fall back")
 
 
-def predict_advantage(model: AdvantageModel, s: PathSeq, a: str) -> float:
-    model.alphabet.require_token(a)
-    return model.step_drawdown(model.alphabet.require_seq(s), a)
-
-
 def value_steps(model: AdvantageModel, seq: PathSeq) -> tuple[float, tuple[float, ...]] | None:
     """(value, step advantages) of a proper sequence, whose tokens are
     checked once: the value is c plus each step's advantage, added left to
@@ -315,32 +316,23 @@ def value_steps(model: AdvantageModel, seq: PathSeq) -> tuple[float, tuple[float
     seq = model.alphabet.require_seq(seq)
     if not model.alphabet.is_proper(seq):
         return None
-    steps = tuple(model.step_drawdown(seq[:k], seq[k]) for k in range(len(seq)))
+    tree = model.tree
+    node = np.array([tree.index.get(seq[:k], len(tree)) for k in range(len(seq))], dtype=np.intp)
+    rank = np.array([-1] + [model.alphabet.index(t) for t in seq], dtype=np.intp)
+    steps = tuple(model.drawdowns(node, rank[:-1], np.arange(len(seq)), rank[1:]).tolist())
     total = model.c
     for a in steps:
         total += a
     return total, steps
 
 
-def predict_value(model: AdvantageModel, seq: PathSeq) -> float:
-    """c plus the left-to-right sum of step advantages; 0 if improper."""
-    found = value_steps(model, seq)
-    return 0.0 if found is None else found[0]
-
-
 def model_to_json(model: AdvantageModel) -> dict:
     if isinstance(model, TabularAdvantage):
         nodes = model.trie.nodes
-        raw = {
-            "paths": [list(nodes[i]) for i in model.trie.members.tolist()],
-            "a": model.a.tolist(),
-        }
+        raw = {"paths": [list(nodes[i]) for i in model.trie.members.tolist()], "a": model.a.tolist()}
         extra = {"fallback_B": model.fallback_B}
     elif isinstance(model, LinearAdvantage):
-        raw = {
-            "feature_kind": model.kind,
-            "a": model.a.tolist(),
-        }
+        raw = {"feature_kind": model.kind, "a": model.a.tolist()}
         extra = {}
     else:
         raise InvalidInputError(f"unknown model type {type(model).__name__}")
@@ -366,13 +358,18 @@ def model_from_json(obj: dict) -> AdvantageModel:
     if family == TABULAR:
         try:
             # build rejects an incomplete path and an unknown token
-            trie = PrefixTrie.build(alphabet, [tuple(p) for p in raw["paths"]])
+            paths = [json_seq(p) for p in raw["paths"]]
+            trie = PrefixTrie.build(alphabet, paths)
             a = [float(v) for v in raw["a"]]
             fallback_B = float(obj["fallback_B"])
         except InvalidInputError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed tabular model (paths, a, fallback_B): {exc!r}") from exc
+        if trie.members.size != len(paths):  # the trie holds each path once
+            first: dict[PathSeq, int] = {}
+            i, p = next((i, p) for i, p in enumerate(paths, 1) if first.setdefault(p, i) != i)
+            raise InvalidInputError(f"raw.paths row {i} repeats path {p!r} of row {first[p]}")
         return TabularAdvantage(alphabet=alphabet, c=c, a=a, trie=trie, fallback_B=fallback_B)
     if family == LINEAR:
         try:

@@ -47,6 +47,14 @@ class SeqClass(enum.Enum):
         return self is not SeqClass.IMPROPER
 
 
+def json_seq(value) -> PathSeq:
+    """A token sequence read from JSON, which must be a list of strings
+    (``tuple`` would split a string into tokens); else ``TypeError``."""
+    if not (isinstance(value, list) and all(isinstance(t, str) for t in value)):
+        raise TypeError(f"a token sequence must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class ActionAlphabet:
     """Ordered action set with a designated terminal token.
@@ -144,7 +152,7 @@ class ActionAlphabet:
     @classmethod
     def from_json(cls, obj: dict) -> "ActionAlphabet":
         try:
-            tokens = tuple(obj["tokens"])
+            tokens = json_seq(obj["tokens"])
             terminal = obj["terminal"]
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed alphabet object: {obj!r}") from exc

@@ -5,20 +5,22 @@ the largest predicted per-step drawdown (ties broken by alphabet declaration
 order), stopping when the terminal token is emitted or a step budget runs
 out. Tabular models steer it back onto observed continuations because
 off-trie queries cost the constant fallback drawdown. The argmax loop,
-``greedy_rollout``, takes any per-step score; scored with the oracle's exact
-drawdowns it rolls out an optimal path, and so does ``greedy_path`` on the
-oracle's model file: the reference plan (off the trie it reads -B, not -v).
+``greedy_rollout``, takes any row of per-token scores per state, and
+``greedy_path`` reads the model's ``step_drawdowns``: scored with the oracle's
+exact drawdowns it rolls out an optimal path, and so does ``greedy_path`` on
+the oracle's model file, the reference plan (off the trie it reads -B, not -v).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable
+
+import numpy as np
 
 from .errors import InvalidInputError
 from .instance import PLInstance
-from .model import AdvantageModel, predict_advantage, predict_value
+from .model import AdvantageModel, value_steps
 from .pathspace import EMPTY, ActionAlphabet, PathSeq
 
 
@@ -51,12 +53,13 @@ class PlanResult:
 
 
 def greedy_rollout(
-    alphabet: ActionAlphabet, score: Callable[[PathSeq, str], float], max_len: int
+    alphabet: ActionAlphabet, scores: Callable[[PathSeq], np.ndarray], max_len: int
 ) -> tuple[PathSeq, bool, tuple[float, ...]]:
     """From the empty sequence, commit to the first declaration-order
-    maximizer of ``score(state, token)`` until the terminal token is emitted
-    or ``max_len`` steps are taken. Returns the path, whether the budget cut
-    it short, and each choice's margin over the runner-up."""
+    maximizer of ``scores(state)``, one score per token in declaration
+    order, until the terminal token is emitted or ``max_len`` steps are
+    taken. Returns the path, whether the budget cut it short, and each
+    choice's margin over the runner-up."""
     if max_len < 1:
         raise InvalidInputError(f"max_len must be at least 1, got {max_len}")
     state: PathSeq = EMPTY
@@ -64,8 +67,7 @@ def greedy_rollout(
     for _ in range(max_len):
         best_a = None
         best = second = -float("inf")
-        for a in alphabet.tokens:
-            value = score(state, a)
+        for a, value in zip(alphabet.tokens, scores(state).tolist()):
             if value > best:
                 best_a, best, second = a, value, best
             elif value > second:
@@ -79,13 +81,12 @@ def greedy_rollout(
 
 def greedy_path(model: AdvantageModel, max_len: int) -> PlanResult:
     """Argmax-advantage rollout from the empty sequence, with the margin of
-    each choice over the runner-up."""
-    path, truncated, margins = greedy_rollout(
-        model.alphabet, partial(predict_advantage, model), max_len
-    )
+    each choice over the runner-up; its predicted value is ``value_steps``'
+    sum, the attribution's total of the path, bit for bit."""
+    path, truncated, margins = greedy_rollout(model.alphabet, model.step_drawdowns, max_len)
     return PlanResult(
         path=path,
-        predicted_value=predict_value(model, path),
+        predicted_value=value_steps(model, path)[0],
         truncated=truncated,
         margins=margins,
     )

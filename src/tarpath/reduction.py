@@ -20,7 +20,7 @@ import numpy as np
 from . import serialize
 from .errors import InvalidInputError
 from .instance import PathYieldDataset, PLInstance, seeded_rng
-from .pathspace import PathSeq
+from .pathspace import PathSeq, json_seq
 
 RLRow = tuple[PathSeq, str, float]
 
@@ -91,10 +91,10 @@ def load_rl_dataset(path: str) -> Transitions:
     rows, actions, rewards = [], [], []
     for i, row in enumerate(serialize.load_jsonl(path), 1):
         try:
-            s, a, r, s_next = tuple(row["s"]), row["a"], float(row["r"]), tuple(row["s_next"])
+            s, a, r, s_next = json_seq(row["s"]), row["a"], float(row["r"]), json_seq(row["s_next"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"{path}: malformed transition row {i}: {row!r}") from exc
-        if not all(isinstance(t, str) for t in s + (a,)) or not math.isfinite(r):
+        if not isinstance(a, str) or not math.isfinite(r):
             raise InvalidInputError(f"{path}: malformed transition row {i}: {row!r}")
         if s_next != s + (a,):
             raise InvalidInputError(

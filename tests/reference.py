@@ -1,17 +1,26 @@
 """Test-only references: the two hand-made instances, the fringe of a trie,
 the oracle file read back as the exact model, a trie-free enumeration of
-optimal values to check the oracle against, and the per-row noise sampler to
-check the vectorized draw against."""
+optimal values to check the oracle against, the per-row noise sampler to
+check the vectorized draw against, and the scalar step lookup and per-token
+rollout to check ``edge_slots``, ``value_steps`` and ``greedy_path``
+against."""
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from tarpath.instance import NoiseModel, PathDistribution, PLInstance
 from tarpath.losses import _ValueBatch
-from tarpath.model import TabularAdvantage, load_model
+from tarpath.model import (
+    DEPTH_BUCKETS,
+    DEPTH_EDGE_PAIR,
+    AdvantageModel,
+    LinearAdvantage,
+    TabularAdvantage,
+    load_model,
+)
 from tarpath.oracle import OptimalValues, node_decomposition, save_oracle
-from tarpath.pathspace import ActionAlphabet, PathSeq, PrefixTrie
+from tarpath.pathspace import EMPTY, ActionAlphabet, PathSeq, PrefixTrie
 
 
 def _fixture(yields: dict, noise: NoiseModel | None) -> PLInstance:
@@ -97,3 +106,68 @@ def enumeration_advantage(instance: PLInstance, seq: Iterable[str], token: str) 
     instance.alphabet.require_token(token)
     seq = instance.alphabet.require_seq(seq)
     return enumeration_value(instance, seq + (token,)) - enumeration_value(instance, seq)
+
+
+def pair(model: LinearAdvantage, s: PathSeq, action: str) -> int:
+    """The feature pair of the step (s, action): (previous token, or none
+    at the start, action), in the row block of len(s)'s depth bucket."""
+    n = len(model.alphabet.tokens)
+    prev = model.alphabet.index(s[-1]) if s else n
+    k = prev * n + model.alphabet.index(action)
+    if model.kind == DEPTH_EDGE_PAIR:
+        k += min(len(s), DEPTH_BUCKETS - 1) * model.n_pairs
+    return k
+
+
+def step_drawdown(model: AdvantageModel, s: Iterable[str], action: str) -> float:
+    """The drawdown of the step (s, action), looked up one step at a time:
+    a tabular step reads the trie edge into s + (action,) through
+    ``trie.index``, or -B off the trie; a linear step reads its ``pair``."""
+    model.alphabet.require_token(action)
+    s = model.alphabet.require_seq(s)
+    if isinstance(model, TabularAdvantage):
+        node = model.trie.index.get(s + (action,))
+        return model.fallback_advantage if node is None else float(model.a[node - 1])
+    return float(model.a[pair(model, s, action)])
+
+
+def predict_value(model: AdvantageModel, seq: Iterable[str]) -> float:
+    """c plus ``step_drawdown`` at each step, left to right; 0 if improper."""
+    seq = model.alphabet.require_seq(seq)
+    if not model.alphabet.is_proper(seq):
+        return 0.0
+    total = model.c
+    for k in range(len(seq)):
+        total += step_drawdown(model, seq[:k], seq[k])
+    return total
+
+
+def per_token_rollout(
+    alphabet: ActionAlphabet, score: Callable[[PathSeq, str], float], max_len: int
+) -> tuple[PathSeq, bool, tuple[float, ...]]:
+    """The argmax rollout with one ``score(state, token)`` call per token,
+    as ``greedy_rollout`` ran before it took a row of scores per state."""
+    state: PathSeq = EMPTY
+    margins = []
+    for _ in range(max_len):
+        best_a = None
+        best = second = -float("inf")
+        for a in alphabet.tokens:
+            value = score(state, a)
+            if value > best:
+                best_a, best, second = a, value, best
+            elif value > second:
+                second = value
+        margins.append(best - second)
+        state = state + (best_a,)
+        if best_a == alphabet.terminal:
+            return state, False, tuple(margins)
+    return state, True, tuple(margins)
+
+
+def oracle_scores(ov: OptimalValues) -> Callable[[PathSeq], np.ndarray]:
+    """The oracle's exact drawdowns out of a state, as ``greedy_rollout``
+    reads them: the state's row of ``ov.a``, or 0 for every token off the
+    trie, where ``advantage_at`` reads 0."""
+    zeros = np.zeros(len(ov.trie.alphabet.tokens))
+    return lambda s: ov.a[ov.trie.index[s]] if s in ov.trie.index else zeros

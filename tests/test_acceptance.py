@@ -36,7 +36,6 @@ from tarpath.model import (
     LinearAdvantage,
     TabularAdvantage,
     load_model,
-    predict_value,
     save_model,
 )
 from tarpath.oracle import (
@@ -54,6 +53,8 @@ from .reference import (
     fixture_e1,
     fixture_e2,
     load_oracle_file,
+    oracle_scores,
+    predict_value,
 )
 
 POOL_SIZE = 200
@@ -119,7 +120,7 @@ def test_criterion_2_oracle_cross_validation(pool):
 
 def test_criterion_3_greedy_rollout_optimal(pool, tmp_path):
     for i, (inst, ov) in enumerate(pool):
-        path, truncated, _ = greedy_rollout(inst.alphabet, ov.advantage_at, inst.trie.depth + 2)
+        path, truncated, _ = greedy_rollout(inst.alphabet, oracle_scores(ov), inst.trie.depth + 2)
         assert not truncated
         assert inst.yield_of(path) == ov.j_star
         # the oracle file is the exact model: its values are v and its plan

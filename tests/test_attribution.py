@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tarpath.attribution import attribute
-from tarpath.model import TabularAdvantage, predict_advantage, predict_value
+from tarpath.model import TabularAdvantage
 from tarpath.oracle import compute_optimal
 from tarpath.pathspace import EMPTY
 
+from .reference import predict_value, step_drawdown
 from .strategies import instances
 
 
@@ -39,7 +40,7 @@ class TestAdditivity:
         assert report.total == predict_value(model, path)
         assert report.steps[1].drawdown == -model.fallback_B
         assert report.steps[2].drawdown == -model.fallback_B
-        assert report.steps[0].drawdown == predict_advantage(model, EMPTY, "b")
+        assert report.steps[0].drawdown == step_drawdown(model, EMPTY, "b")
 
     def test_empty_path_is_just_the_base(self, e1):
         model = TabularAdvantage.default(e1.trie, c=0.3)

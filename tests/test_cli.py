@@ -16,6 +16,7 @@ import pytest
 import tarpath
 from tarpath import serialize
 from tarpath.cli import main
+from tarpath.errors import InvalidInputError
 from tarpath.instance import (
     NoiseModel,
     PathDistribution,
@@ -406,6 +407,26 @@ class TestArtifactGolden:
         digest = hashlib.sha256(oracle.read_bytes()).hexdigest()
         assert digest == "a941df720e958bec12c3946d49def0593f682616d23c17c1f1f9fa698e8992e4"
 
+    def test_truncated_plan_and_off_trie_attribution_are_pinned(self, tmp_path):
+        # a plan cut short by --max-len, and an attribution whose last three
+        # steps leave the model's trie and read -fallback_B
+        inst, data, model = tmp_path / "inst.json", tmp_path / "data.jsonl", tmp_path / "model.json"
+        plan, attr = tmp_path / "plan.json", tmp_path / "attribution.json"
+        assert run("gen", "--actions", 3, "--depth", 4, "--paths", 6, "--seed", 21, "--out", inst) == 0
+        assert run("sample", "--instance", inst, "--n", 300, "--seed", 22, "--out", data) == 0
+        assert run("train", "--instance", inst, "--data", data, "--lambda", 100.0, "--kappa", 1000.0,
+                   "--tol", 1e-7, "--out", model, "--max-iters", 4000) == 0
+        assert run("plan", "--model", model, "--instance", inst, "--max-len", 2, "--out", plan) == 0
+        assert serialize.load_json(str(plan))["truncated"] is True
+        assert run("attribute", "--model", model, "--path", "b", "b", "b", "a", "END", "--out", attr) == 0
+        steps = serialize.load_json(str(attr))["steps"]
+        assert [s["drawdown"] for s in steps[2:]] == [-10.0] * 3
+        digests = [hashlib.sha256(f.read_bytes()).hexdigest() for f in (plan, attr)]
+        assert digests == [
+            "49a34b838b414ae0148094bca30ba7c0d0379487e0f32e5978175dfe7625a492",
+            "3e5c701866bac21866c067002c01b826e46af30658a9af82cddbb4389c16815b",
+        ]
+
 
 class TestLogGolden:
     """data.jsonl and rl.jsonl of ``sample --rl-out``, pinned to the bytes
@@ -564,6 +585,87 @@ class TestLoadTimeErrors:
         err = capsys.readouterr().err
         assert f"{p0}: " in err and message in err
         assert not model.exists()
+
+    def test_repeated_model_path(self, tmp_path, capsys, e1_file):
+        # the trie would hold the path once, and a rewrite of the model
+        # would drop the copy
+        doc = serialize.load_json(str(FIXTURES / "tabular_iterative_model.json"))
+        doc["raw"]["paths"].insert(2, doc["raw"]["paths"][0])
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(doc))
+        assert run("plan", "--model", model, "--instance", e1_file, "--out", tmp_path / "p.json") == 1
+        first = tuple(doc["raw"]["paths"][0])
+        assert capsys.readouterr().err == f"error: {model}: raw.paths row 3 repeats path {first!r} of row 1\n"
+        assert not (tmp_path / "p.json").exists()
+
+
+class TestTokenListsAreLists:
+    """A token sequence in a file must be a JSON list. ``tuple`` of a string
+    is its characters, so before the loaders checked, "ab" loaded as
+    ('a', 'b') wherever the tokens are single letters; each loader now
+    rejects it, naming the file and, where the file has rows, the row."""
+
+    # single-letter tokens, the terminal among them, so that the string
+    # "ab" spells the complete path ('a', 'b')
+    ALPHABET = {"tokens": ["a", "b"], "terminal": "b"}
+
+    def instance(self, tmp_path, alphabet=None, path=("a", "b")):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "alphabet": alphabet or self.ALPHABET,
+            "paths": [{"path": list(path) if isinstance(path, tuple) else path, "yield": 0.5}],
+            "noise": {"kind": "noiseless"},
+        }))
+        return inst
+
+    def test_alphabet_tokens(self, tmp_path, capsys):
+        inst = self.instance(tmp_path, alphabet={"tokens": "ab", "terminal": "b"})
+        assert run("oracle", "--instance", inst, "--out", tmp_path / "o.json") == 1
+        assert f"error: {inst}: malformed alphabet object: {{'tokens': 'ab'," in capsys.readouterr().err
+
+    def test_instance_path_row(self, tmp_path, capsys):
+        inst = self.instance(tmp_path, path="ab")
+        assert run("oracle", "--instance", inst, "--out", tmp_path / "o.json") == 1
+        assert f"error: {inst}: malformed path row 1: {{'path': 'ab', 'yield': 0.5}}" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_dataset_row(self, tmp_path):
+        data = tmp_path / "data.jsonl"
+        data.write_text('{"path": ["a", "b"], "y": 0.5}\n{"path": "ab", "y": 0.5}\n')
+        assert str(load_error(load_dataset, data)) == f"{data}: malformed dataset row 2: {{'path': 'ab', 'y': 0.5}}"
+
+    def test_p0_state(self, tmp_path, capsys):
+        inst, data, p0 = self.instance(tmp_path), tmp_path / "data.jsonl", tmp_path / "p0.json"
+        data.write_text('{"path": ["a", "b"], "y": 0.5}\n')
+        p0.write_text('[{"state": [], "weight": 0.5}, {"state": "a", "weight": 0.5}]')
+        model = tmp_path / "m.json"
+        assert run("train", "--instance", inst, "--data", data, "--p0", p0, "--out", model) == 1
+        assert f"error: {p0}: malformed p0 row 2: {{'state': 'a', 'weight': 0.5}}" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_model_paths(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        # the trie of ('a', 'b') has two edges
+        model.write_text(json.dumps({
+            "c": 0.5, "family": "tabular", "raw": {"paths": ["ab"], "a": [-0.1, -0.1]},
+            "alphabet": self.ALPHABET, "fallback_B": 10.0,
+        }))
+        assert run("attribute", "--model", model, "--path", "a", "b", "--out", tmp_path / "a.json") == 1
+        err = capsys.readouterr().err
+        assert f"error: {model}: malformed tabular model" in err and "must be a list of strings, got 'ab'" in err
+
+    @pytest.mark.parametrize("field", ["s", "s_next"])
+    def test_transition_row(self, tmp_path, field):
+        rl = tmp_path / "rl.jsonl"
+        row = {"s": ["a"], "a": "b", "r": 0.5, "s_next": ["a", "b"]}
+        rl.write_text(json.dumps(row) + "\n" + json.dumps(dict(row, **{field: "".join(row[field])})) + "\n")
+        assert str(load_error(load_rl_dataset, rl)).startswith(f"{rl}: malformed transition row 2: ")
+
+
+def load_error(load, path) -> InvalidInputError:
+    with pytest.raises(InvalidInputError) as err:
+        load(str(path))
+    return err.value
 
 
 class TestUsageErrors:
@@ -726,6 +828,17 @@ class TestLinearGolden:
         "edge_pair": (5.274744705177478, 9, 1.1607842465011231e-10),
         "depth_edge_pair": (5.2465391823017065, 8, 2.1044277431769842e-12),
     }
+    # plan.json and the attribution of its path, both truncated plans
+    PLANS = {
+        "edge_pair": (
+            "4d9f8e47be207b8fde9dbe64a6524d313047c05121e0f9c2ed3d9b9935ff0225",
+            "6a1c9341fefc7fa3fbcb385ded67df342b6e62bda9e03de09f9a263aa63b68ca",
+        ),
+        "depth_edge_pair": (
+            "1ca2be50809f477c7aa219e8df59ee161aa7e32f2c37d8dad054869b2105eea1",
+            "ca0afaf6d198c79ba1c2e460ad323c85dfbc3bc72afa6448dfdb9b3aeb91ad93",
+        ),
+    }
     # the final loss of the softplus-coordinate descent that trained this
     # family before, capped at 400 iterations; a convex solve must beat it
     DESCENT_LOSS = 12.7550
@@ -745,3 +858,20 @@ class TestLinearGolden:
         assert (got["final_loss"], got["iterations"], got["grad_norm"]) == self.REPORTS[features]
         assert got["stop_reason"] == "converged"
         assert got["final_loss"] < self.DESCENT_LOSS
+
+    @pytest.mark.parametrize("features", sorted(PLANS))
+    def test_seeded_plan_and_attribution_are_pinned(self, tmp_path, features):
+        inst, data, model = tmp_path / "inst.json", tmp_path / "data.jsonl", tmp_path / "model.json"
+        plan, attr = tmp_path / "plan.json", tmp_path / "attribution.json"
+        assert run("gen", "--actions", 3, "--depth", 4, "--paths", 5, "--seed", 11,
+                   "--out", inst) == 0
+        assert run("sample", "--instance", inst, "--n", 200, "--seed", 12, "--out", data) == 0
+        assert run("train", "--instance", inst, "--data", data, "--family", "linear",
+                   "--features", features, "--lambda", 100.0, "--kappa", 1000.0,
+                   "--max-iters", 400, "--tol", 1e-7, "--out", model) == 0
+        assert run("plan", "--model", model, "--instance", inst, "--out", plan) == 0
+        got = serialize.load_json(str(plan))
+        assert run("attribute", "--model", model, "--path", *got["path"], "--out", attr) == 0
+        assert serialize.load_json(str(attr))["total"] == got["predicted"]
+        digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (plan, attr))
+        assert digests == self.PLANS[features]

@@ -47,12 +47,11 @@ from tarpath.model import (
     EDGE_PAIR,
     LinearAdvantage,
     TabularAdvantage,
-    predict_value,
 )
 from tarpath.oracle import compute_optimal
 from tarpath.pathspace import EMPTY, ActionAlphabet, PrefixTrie, SeqClass
 
-from .reference import fixture_e1, fringe_states
+from .reference import fixture_e1, fringe_states, pair, predict_value
 from .strategies import instances, tabular_models
 
 
@@ -62,7 +61,7 @@ def step_slot(model, s, a):
     pair for a linear one."""
     if isinstance(model, TabularAdvantage):
         return model.trie.index.get(s + (a,))
-    return 1 + model.pair(s, a)
+    return 1 + pair(model, s, a)
 
 
 def flat_model(trie, c):

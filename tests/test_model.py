@@ -25,17 +25,28 @@ from tarpath.model import (
     load_model,
     model_from_json,
     model_to_json,
-    predict_advantage,
-    predict_value,
     raw_from_advantage,
     save_model,
+    value_steps,
 )
 from tarpath.oracle import compute_optimal
 from tarpath.pathspace import EMPTY, ActionAlphabet, PrefixTrie
 
+from .reference import pair, predict_value, step_drawdown
 from .strategies import alphabets, instances, linear_models, tabular_models
 
 AB = ActionAlphabet(tokens=("a", "b", "END"), terminal="END")
+
+
+def step(model, s, a):
+    """The model's drawdown of the step (s, a), from ``step_drawdowns``."""
+    return model.step_drawdowns(s)[model.alphabet.index(a)]
+
+
+def slot(model, s, a):
+    """The ``edge_slots`` slot of the step (s, a) out of a state off the tree."""
+    last = model.alphabet.index(s[-1]) if s else -1
+    return int(model.edge_slots(len(model.tree), last, len(s), model.alphabet.index(a)))
 
 
 class TestTransform:
@@ -91,21 +102,21 @@ class TestTabular:
         model = TabularAdvantage.default(e2.trie)
         assert model.drawdown_vector().size == 1 + 7
         for s, a, _ in e2.trie.iter_edges():
-            assert predict_advantage(model, s, a) == DEFAULT_DRAWDOWN == -0.1
+            assert step(model, s, a) == DEFAULT_DRAWDOWN == -0.1
 
     def test_off_trie_falls_back(self, e2):
         model = TabularAdvantage.default(e2.trie)
         assert model.raw_z(("b",), "a") is None
-        assert predict_advantage(model, ("b",), "a") == -model.fallback_B
+        assert step(model, ("b",), "a") == -model.fallback_B
 
     def test_from_oracle_reproduces_drawdowns(self, e2):
         ov = compute_optimal(e2)
         model = TabularAdvantage.from_oracle(ov)
         assert model.c == 0.9
-        assert predict_advantage(model, ("a",), "b") == pytest.approx(-0.7, abs=1e-12)
+        assert step(model, ("a",), "b") == pytest.approx(-0.7, abs=1e-12)
         # the exact drawdowns, zeros included
         assert np.array_equal(model.a, ov.edge_drawdowns)
-        assert predict_advantage(model, EMPTY, "a") == 0.0
+        assert step(model, EMPTY, "a") == 0.0
 
     def test_drawdowns_round_trip(self, e2):
         model = TabularAdvantage.default(e2.trie, c=0.4)
@@ -156,19 +167,19 @@ class TestLinear:
         for s in (EMPTY, ("a",), ("b", "a")):
             for a in AB.tokens:
                 # the bits of the raw score 0, where linear solves started
-                assert predict_advantage(model, s, a) == -math.log(2.0)
+                assert step(model, s, a) == -math.log(2.0)
 
     def test_step_reads_its_pair_drawdown(self):
         model = LinearAdvantage.default(AB)
         x = model.drawdown_vector()
-        x[1 + model.pair(("a",), "b")] = -0.3
+        x[1 + pair(model, ("a",), "b")] = -0.3
         model = model.with_drawdowns(x)
-        assert predict_advantage(model, ("a",), "b") == -0.3
-        assert predict_advantage(model, ("b",), "b") == -math.log(2.0)
+        assert step(model, ("a",), "b") == -0.3
+        assert step(model, ("b",), "b") == -math.log(2.0)
 
     def test_never_falls_back(self):
         model = LinearAdvantage.default(AB)
-        assert predict_advantage(model, ("b", "b", "b"), "a") == -math.log(2.0)
+        assert step(model, ("b", "b", "b"), "a") == -math.log(2.0)
 
     def test_slots_edge_pair(self):
         # (3 prev tokens + start) * 3 actions
@@ -192,29 +203,34 @@ class TestLinear:
 
     def test_start_state_has_own_row(self):
         model = LinearAdvantage.default(AB, kind=EDGE_PAIR)
-        assert model.pair(EMPTY, "a") != model.pair(("a",), "a")
+        assert slot(model, EMPTY, "a") != slot(model, ("a",), "a")
 
     def test_depth_buckets_distinguish_prefix_lengths(self):
         model = LinearAdvantage.default(AB, kind=DEPTH_EDGE_PAIR)
-        rows = {model.pair(("a",) * k, "b") for k in range(1, DEPTH_BUCKETS)}
+        rows = {slot(model, ("a",) * k, "b") for k in range(1, DEPTH_BUCKETS)}
         assert len(rows) == DEPTH_BUCKETS - 1
         # lengths at or past the last bucket share a row
-        assert model.pair(("a",) * DEPTH_BUCKETS, "b") == model.pair(("a",) * (DEPTH_BUCKETS + 3), "b")
+        assert slot(model, ("a",) * DEPTH_BUCKETS, "b") == slot(model, ("a",) * (DEPTH_BUCKETS + 3), "b")
 
 
 class TestPredictValue:
+    """The scalar reference value, which ``value_steps`` must equal bit for
+    bit (``TestDrawdownVector``)."""
+
     def test_improper_is_zero(self, e2):
         model = TabularAdvantage.default(e2.trie, c=0.7)
         assert predict_value(model, ("END", "a")) == 0.0
+        assert value_steps(model, ("END", "a")) is None
 
     def test_empty_is_c(self, e2):
         model = TabularAdvantage.default(e2.trie, c=0.7)
         assert predict_value(model, EMPTY) == 0.7
+        assert value_steps(model, EMPTY) == (0.7, ())
 
     @given(tabular_models())
     def test_value_is_c_plus_step_advantages(self, model):
         for s, a, child in model.trie.iter_edges():
-            expected = predict_value(model, s) + predict_advantage(model, s, a)
+            expected = predict_value(model, s) + step_drawdown(model, s, a)
             assert predict_value(model, child) == pytest.approx(expected, abs=1e-12)
 
     @given(instances())
@@ -228,7 +244,9 @@ class TestPredictValue:
 
 
 class TestDrawdownVector:
-    """[c, a_0, a_1, ...]: each step's slot holds the step's advantage."""
+    """[c, a_0, a_1, ...]: each step's slot holds the step's advantage, as
+    the scalar reference lookup reads it, and so do ``step_drawdowns`` and
+    ``value_steps``."""
 
     @given(
         inst=instances(),
@@ -255,9 +273,14 @@ class TestDrawdownVector:
         for s, node in zip(states, batch.node.tolist()):
             nodes = np.full(tokens.size, node)
             slots = model.edge_slots(nodes, batch.rank[nodes], batch.depth[nodes], tokens)
-            for a, slot in zip(inst.alphabet.tokens, slots.tolist()):
-                got = model.fallback_advantage if slot < 0 else x[slot]
-                assert got == predict_advantage(model, s, a)
+            want = [step_drawdown(model, s, a) for a in inst.alphabet.tokens]
+            got = [model.fallback_advantage if slot < 0 else x[slot] for slot in slots.tolist()]
+            assert got == want
+            assert model.step_drawdowns(s).tobytes() == np.array(want).tobytes()
+            total, steps = value_steps(model, s)
+            assert np.array([total, *steps]).tobytes() == np.array(
+                [predict_value(model, s)] + [step_drawdown(model, s[:k], s[k]) for k in range(len(s))]
+            ).tobytes()
 
 
 class TestSerialization:

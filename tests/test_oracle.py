@@ -16,7 +16,14 @@ from tarpath.oracle import (
 from tarpath.pathspace import EMPTY, ActionAlphabet, random_improper
 from tarpath.planner import PlanResult, evaluate_plan, greedy_rollout
 
-from .reference import enumeration_advantage, enumeration_value, load_oracle_file
+from .reference import (
+    enumeration_advantage,
+    enumeration_value,
+    load_oracle_file,
+    oracle_scores,
+    per_token_rollout,
+    step_drawdown,
+)
 from .strategies import instances
 
 
@@ -132,7 +139,11 @@ class TestGreedyPolicy:
     @given(instances())
     def test_rollout_attains_j_star(self, inst):
         ov = compute_optimal(inst)
-        path, truncated, _ = greedy_rollout(inst.alphabet, ov.advantage_at, inst.trie.depth + 1)
+        rollout = greedy_rollout(inst.alphabet, oracle_scores(ov), inst.trie.depth + 1)
+        # one row of the oracle's drawdowns per state rolls out as one
+        # ``advantage_at`` call per token did
+        assert rollout == per_token_rollout(inst.alphabet, ov.advantage_at, inst.trie.depth + 1)
+        path, truncated, _ = rollout
         assert not truncated
         assert inst.yield_of(path) == ov.j_star
 
@@ -144,7 +155,7 @@ class TestGreedyPolicy:
             path_dist=PathDistribution.uniform([("a", "END"), ("b", "END")]),
             noise=NoiseModel.noiseless(),
         )
-        path, _, margins = greedy_rollout(alphabet, compute_optimal(inst).advantage_at, 3)
+        path, _, margins = greedy_rollout(alphabet, oracle_scores(compute_optimal(inst)), 3)
         assert path == ("a", "END")
         assert margins[0] == 0.0
 
@@ -174,4 +185,4 @@ class TestOracleFile:
         ov = compute_optimal(e2)
         model, _ = load_oracle_file(ov, str(tmp_path / "oracle.json"))
         assert ov.advantage_at(("b",), "a") == -ov.value_at(("b",)) == -0.5
-        assert model.step_drawdown(("b",), "a") == -model.fallback_B == -10.0
+        assert step_drawdown(model, ("b",), "a") == -model.fallback_B == -10.0

@@ -1,15 +1,20 @@
 """Greedy rollout from trained or encoded models, and regret scoring."""
 
+from functools import partial
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from tarpath.errors import InvalidInputError
 from tarpath.instance import PathDistribution
 from tarpath.losses import TrainConfig, tar_objective, train
-from tarpath.model import LinearAdvantage, TabularAdvantage
+from tarpath.model import DEPTH_BUCKETS, DEPTH_EDGE_PAIR, EDGE_PAIR, LinearAdvantage, TabularAdvantage, value_steps
 from tarpath.oracle import compute_optimal
+from tarpath.pathspace import PrefixTrie
 from tarpath.planner import default_max_len, evaluate_plan, greedy_path
 
+from .reference import per_token_rollout, predict_value, step_drawdown
 from .strategies import instances
 from .test_losses import flat_model
 
@@ -89,6 +94,65 @@ class TestGreedyPath:
         scored = evaluate_plan(greedy_path(result.model, default_max_len(result.model)), e1)
         assert scored.path == ("a", "END")
         assert scored.regret == pytest.approx(0.0, abs=1e-9)
+
+
+class TestRolloutReference:
+    """``greedy_path`` reads one row of drawdowns per state; the per-token
+    rollout over the scalar step lookup (``tests/reference.py``) is what it
+    replaced. The path, the truncation flag and the margins must match it
+    bit for bit, signed zeros included, and the predicted value must be
+    ``value_steps``' sum."""
+
+    @given(
+        inst=instances(),
+        family=st.sampled_from(["tabular", EDGE_PAIR, DEPTH_EDGE_PAIR]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        zeros=st.sampled_from([0.0, 0.5, 1.0]),
+        long=st.booleans(),
+        max_len=st.integers(min_value=1, max_value=DEPTH_BUCKETS + 4),
+    )
+    def test_plan_is_the_per_token_rollout(self, inst, family, seed, zeros, long, max_len):
+        rng = np.random.default_rng(seed)
+        if family == "tabular":
+            # a trie of half the support, and a fallback that can beat its
+            # drawdowns or tie them at -0.0, so that plans leave the trie
+            trie = PrefixTrie.build(inst.alphabet, inst.psi[::2])
+            model = TabularAdvantage.default(trie, fallback_B=float(rng.choice([0.0, 0.3, 10.0])))
+        else:
+            model = LinearAdvantage.default(inst.alphabet, kind=family)
+        x = model.with_random_params(rng, log_scale=2.0).drawdown_vector()
+        # sibling ties at 0 and -0.0
+        tied = np.flatnonzero(rng.random(x.size - 1) < zeros) + 1
+        x[tied] = np.where(rng.random(tied.size) < 0.5, 0.0, -0.0)
+        if long and family != "tabular":
+            # a terminal step that never wins, so plans run past the last
+            # depth bucket
+            n = len(inst.alphabet.tokens)
+            x[1:][np.arange(x.size - 1) % n == inst.alphabet.index(inst.alphabet.terminal)] = -1e3
+        model = model.with_drawdowns(x)
+        plan = greedy_path(model, max_len)
+        path, truncated, margins = per_token_rollout(model.alphabet, partial(step_drawdown, model), max_len)
+        assert (plan.path, plan.truncated) == (path, truncated)
+        assert np.array(plan.margins).tobytes() == np.array(margins).tobytes()
+        assert np.array(plan.predicted_value).tobytes() == np.array(value_steps(model, path)[0]).tobytes()
+        assert np.array(plan.predicted_value).tobytes() == np.array(predict_value(model, path)).tobytes()
+
+    def test_linear_plan_runs_past_the_depth_buckets(self, e2):
+        model = LinearAdvantage.default(e2.alphabet, kind=DEPTH_EDGE_PAIR)
+        x = model.drawdown_vector()
+        slot = np.arange(x.size - 1)
+        # a's drawdown is -0.1 per depth bucket, END's -1 and b's -log 2,
+        # so every step takes a, and the margin stops shrinking at the last
+        # bucket
+        x[1:][slot % 3 == 0] = -(slot[slot % 3 == 0] // model.n_pairs) / 10
+        x[1:][slot % 3 == 2] = -1.0
+        model = model.with_drawdowns(x)
+        plan = greedy_path(model, DEPTH_BUCKETS + 2)
+        want = per_token_rollout(model.alphabet, partial(step_drawdown, model), DEPTH_BUCKETS + 2)
+        assert (plan.path, plan.truncated, plan.margins) == want
+        assert plan.path == ("a",) * (DEPTH_BUCKETS + 2)
+        depths = np.minimum(np.arange(DEPTH_BUCKETS + 2), DEPTH_BUCKETS - 1)
+        assert plan.margins == pytest.approx(np.log(2.0) - depths / 10, abs=1e-15)
 
 
 class TestEvaluatePlan:

@@ -1,6 +1,7 @@
 """The offline transition export, and policy rollouts of the sequential
 decision view through the planner's argmax loop."""
 
+import numpy as np
 import pytest
 
 from tarpath import serialize
@@ -75,27 +76,29 @@ class TestBuildOfflineDataset:
 
 
 class TestRolloutGreedy:
-    """A deterministic policy rolls out as the score 1 on its action, 0 elsewhere."""
+    """A deterministic policy rolls out as the score 1 on its action, 0
+    elsewhere, one row of scores per state."""
 
     def test_mapping_policy_reaches_terminal(self, e1):
         policy = {(): "a", ("a",): "END"}
-        path, truncated, _ = greedy_rollout(e1.alphabet, lambda s, a: float(policy[s] == a), 5)
+        scores = lambda s: np.array([float(policy[s] == a) for a in e1.alphabet.tokens])  # noqa: E731
+        path, truncated, _ = greedy_rollout(e1.alphabet, scores, 5)
         assert path == ("a", "END")
         assert not truncated
 
     def test_callable_policy(self, e1):
-        path, _, margins = greedy_rollout(e1.alphabet, lambda s, a: float(a == "END"), 5)
+        path, _, margins = greedy_rollout(e1.alphabet, lambda s: np.array([0.0, 0.0, 1.0]), 5)
         assert path == ("END",)
         assert margins == (1.0,)
 
     def test_truncation_without_terminal(self, e1):
-        path, truncated, _ = greedy_rollout(e1.alphabet, lambda s, a: float(a == "a"), 3)
+        path, truncated, _ = greedy_rollout(e1.alphabet, lambda s: np.array([1.0, 0.0, 0.0]), 3)
         assert truncated
         assert path == ("a", "a", "a")
 
     def test_max_steps_validation(self, e1):
         with pytest.raises(InvalidInputError):
-            greedy_rollout(e1.alphabet, lambda s, a: 0.0, 0)
+            greedy_rollout(e1.alphabet, lambda s: np.zeros(3), 0)
 
 
 class TestPersistence:
