@@ -13,6 +13,7 @@ Usage:
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -20,7 +21,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from tarpath.instance import InstanceSpec, NoiseModel, PLInstance, random_instance
+from tarpath.instance import InstanceSpec, NoiseModel, random_instance
 from tarpath.losses import surrogate_gap
 from tarpath.model import TabularAdvantage
 from tarpath.serialize import dump_jsonl
@@ -40,12 +41,7 @@ def parse_args():
 
 def with_noise(instance, kind):
     noise = NoiseModel.noiseless() if kind == "noiseless" else NoiseModel.bernoulli()
-    return PLInstance(
-        alphabet=instance.alphabet,
-        yields=instance.yields,
-        path_dist=instance.path_dist,
-        noise=noise,
-    )
+    return dataclasses.replace(instance, noise=noise)
 
 
 def main():

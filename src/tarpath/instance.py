@@ -1,16 +1,18 @@
 """Path-learning problem instances and dataset sampling.
 
-An instance bundles an action alphabet, a finite table of complete paths with
-their expected yields in [0, 1], a sampling distribution over those paths, and
-a noise model for observed yields. Datasets are i.i.d. (path, noisy-yield)
-rows, held as columns: the distinct paths in order of first appearance, one
-index into them per row and one yield per row, with the (path, yield) pairs
-a view. Sampling draws the paths in one ``rng.choice`` and the noise in one
-call over the rows' means, and the writer and loader format or parse each
-distinct path, yield and line once. The noise models all preserve the
-conditional mean except the truncated-Gaussian variant, which is kept for
-robustness experiments only and excluded from any identity checking that
-needs an analytic variance.
+An instance bundles an action alphabet, a noise model for observed yields and
+its finite support as three columns in canonical order: the complete paths,
+their expected yields in [0, 1] and their path-law weights. Its constructor
+checks the support over token ranks and sorts it, whatever the order of the
+rows; the file reader only parses rows into columns. Datasets are i.i.d.
+(path, noisy-yield) rows, held as columns: the distinct paths in order of
+first appearance, one index into them per row and one yield per row, with
+the (path, yield) pairs a view. Sampling draws the paths in one
+``rng.choice`` and the noise in one call over the rows' means, and the
+writer and loader format or parse each distinct path, yield and line once.
+The noise models all preserve the conditional mean except the
+truncated-Gaussian variant, which is kept for robustness experiments only
+and excluded from any identity checking that needs an analytic variance.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .errors import (
     InvalidInstanceError,
     UnsupportedNoiseError,
 )
-from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, SeqClass, json_seq
+from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, json_seq
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -55,13 +57,11 @@ def check_weights(weights: tuple[float, ...] | np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PathDistribution:
-    """Probability weights over a finite set of distinct token sequences:
-    the path law over complete paths, or the covering law P_0 over the
-    proper states that the regression loss weights. It may be empty."""
+    """Probability weights over distinct token sequences: the covering law
+    P_0 over the proper states that the regression loss weights, or empty."""
 
     paths: tuple[PathSeq, ...]
     weights: tuple[float, ...]
-    _weight: Mapping[PathSeq, float] = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         paths = tuple(tuple(p) for p in self.paths)
@@ -70,8 +70,7 @@ class PathDistribution:
         object.__setattr__(self, "weights", weights)
         if len(paths) != len(weights):
             raise InvalidInputError("paths and weights must have equal length")
-        object.__setattr__(self, "_weight", dict(zip(paths, weights)))
-        if len(self._weight) != len(paths):
+        if len(set(paths)) != len(paths):
             raise InvalidInputError("distribution paths must be distinct")
         check_weights(weights, "distribution")
 
@@ -80,12 +79,6 @@ class PathDistribution:
         paths = tuple(tuple(p) for p in paths)
         n = len(paths)
         return cls(paths=paths, weights=tuple([1.0 / n] * n) if n else ())
-
-    def weight_of(self, path: PathSeq) -> float:
-        return self._weight.get(tuple(path), 0.0)
-
-    def items(self):
-        return zip(self.paths, self.weights)
 
 
 @dataclass(frozen=True)
@@ -171,72 +164,61 @@ class NoiseModel:
 
 @dataclass(frozen=True, eq=False)
 class PLInstance:
-    """A complete problem statement: alphabet, yields, path law, noise.
+    """A complete problem statement: an alphabet, the support as three
+    columns and a noise model. ``psi`` holds the support paths in canonical
+    order, ``psi_yields`` each one's expected yield and ``psi_weights`` its
+    path-law weight, as read-only float arrays.
 
-    ``yields`` maps each support path, complete, to its expected yield, a
-    finite number in [0, 1].
-    """
+    The constructor is the one check of the support. Given rows in any
+    order, it names the first bad row (1-based): a token outside the
+    alphabet, an incomplete path, a repeat of an earlier row's path, or a
+    yield or weight outside [0, 1] (NaN included). It then rejects weights
+    that do not sum to 1, and sorts the rows on their token ranks
+    (``ActionAlphabet.encode``)."""
 
     alphabet: ActionAlphabet
-    yields: dict[PathSeq, float]
-    path_dist: PathDistribution
+    psi: tuple[PathSeq, ...]
+    psi_yields: np.ndarray
+    psi_weights: np.ndarray
     noise: NoiseModel
-    # set by ``from_json`` alone, which checks every path and yield as it
-    # reads its row, to name the row of a bad one
-    _rows_checked: InitVar[bool] = False
 
-    def __post_init__(self, _rows_checked: bool) -> None:
-        if not _rows_checked:
-            for path, value in self.yields.items():
-                if self.alphabet.classify(path) is not SeqClass.COMPLETE:
-                    raise InvalidInstanceError(f"yield path {path!r} is not complete")
-                if not 0.0 <= value <= 1.0:  # NaN fails too
-                    raise InvalidInputError(f"yield for {path!r} must be finite and in [0, 1], got {value!r}")
-        for path in self.path_dist.paths:
-            if path not in self.yields:
-                raise InvalidInstanceError(
-                    f"distribution path {path!r} has no yield entry"
-                )
+    def __post_init__(self) -> None:
+        psi = tuple(map(tuple, self.psi))
+        yields = np.array(self.psi_yields, dtype=float)
+        weights = np.array(self.psi_weights, dtype=float)
+        if not yields.shape == weights.shape == (len(psi),):
+            raise InvalidInputError("an instance needs one yield and one weight per path")
+        order = _support_order(self.alphabet, psi, yields, weights)
+        yields, weights = yields[order], weights[order]
+        yields.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "psi", tuple(map(psi.__getitem__, order.tolist())))
+        object.__setattr__(self, "psi_yields", yields)
+        object.__setattr__(self, "psi_weights", weights)
 
     @cached_property
-    def psi(self) -> tuple[PathSeq, ...]:
-        """Support paths in canonical order."""
-        return tuple(sorted(self.yields, key=self.alphabet.sort_key))
-
-    @cached_property
-    def psi_weights(self) -> np.ndarray:
-        """The path law's weight of each support path, in ``psi`` order
-        (read-only)."""
-        weights = np.array([self.path_dist.weight_of(p) for p in self.psi], dtype=float)
-        weights.flags.writeable = False
-        return weights
-
-    @cached_property
-    def psi_yields(self) -> np.ndarray:
-        """The yield of each support path, in ``psi`` order (read-only)."""
-        yields = np.array([self.yields[p] for p in self.psi], dtype=float)
-        yields.flags.writeable = False
-        return yields
+    def row_of(self) -> dict[PathSeq, int]:
+        """Each support path's row in the columns."""
+        return dict(zip(self.psi, range(len(self.psi))))
 
     @cached_property
     def trie(self) -> PrefixTrie:
         return PrefixTrie.build(self.alphabet, self.psi)
 
     def yield_of(self, seq: Iterable[str]) -> float:
-        seq = self.alphabet.require_seq(seq)
-        return self.yields.get(seq, 0.0)
+        i = self.row_of.get(self.alphabet.require_seq(seq))
+        return 0.0 if i is None else float(self.psi_yields[i])
 
     def noise_variance(self) -> float:
         """Average conditional yield variance under the path distribution."""
         return math.fsum(
-            w * self.noise.conditional_variance(self.yields[p])
-            for p, w in self.path_dist.items()
+            w * self.noise.conditional_variance(y)
+            for y, w in zip(self.psi_yields.tolist(), self.psi_weights.tolist())
         )
 
     def to_json(self) -> dict:
         paths = [
-            {"path": list(path), "yield": self.yields[path], "weight": weight}
-            for path, weight in zip(self.psi, self.psi_weights.tolist())
+            {"path": list(path), "yield": y, "weight": w}
+            for path, y, w in zip(self.psi, self.psi_yields.tolist(), self.psi_weights.tolist())
         ]
         return {
             "alphabet": self.alphabet.to_json(),
@@ -246,8 +228,9 @@ class PLInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PLInstance":
-        """Parse an instance object; an error about a path row names the row
-        (1-based)."""
+        """Parse an instance object into the constructor's columns, naming a
+        row that does not parse or the first whose weight presence differs
+        from row 1's (1-based); rows without weights get the uniform law."""
         try:
             alphabet = ActionAlphabet.from_json(obj["alphabet"])
             rows = obj["paths"]
@@ -256,47 +239,62 @@ class PLInstance:
             raise InvalidInputError(f"malformed instance object: {exc}") from exc
         if not isinstance(rows, list):
             raise InvalidInputError("\"paths\" must be a list of path rows")
-        entries: dict[PathSeq, float] = {}
-        weights: dict[PathSeq, float] = {}
-        first_row: dict[PathSeq, int] = {}
+        paths, yields, weights = [], [], []
         for i, row in enumerate(rows, 1):
             try:
-                path = json_seq(row["path"])
-                first = first_row.setdefault(path, i)
-                y = entries[path] = float(row["yield"])
-                w = float(row["weight"]) if "weight" in row else None
+                paths.append(json_seq(row["path"]))
+                yields.append(float(row["yield"]))
+                weights.append(float(row["weight"]) if "weight" in row else None)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise InvalidInputError(f"malformed path row {i}: {row!r}") from exc
-            if first != i:
-                raise InvalidInputError(f"path row {i} repeats path {path!r} of row {first}")
-            try:
-                complete = alphabet.classify(path) is SeqClass.COMPLETE
-            except InvalidInputError as exc:  # an unknown token
-                raise InvalidInputError(f"path row {i}: {exc}") from exc
-            if not complete:
-                raise InvalidInputError(f"path row {i}: path {path!r} is not complete")
-            # NaN fails both comparisons
-            if not 0.0 <= y <= 1.0:
-                raise InvalidInputError(f"path row {i}: yield must be finite and in [0, 1], got {y!r}")
-            if w is not None:
-                if not 0.0 <= w <= 1.0:
-                    raise InvalidInputError(f"path row {i}: weight must be in [0, 1], got {w!r}")
-                weights[path] = w
-        if weights and len(weights) != len(entries):
-            raise InvalidInputError("either all path rows carry a weight or none do")
-        if weights:
-            dist = PathDistribution(
-                paths=tuple(weights), weights=tuple(weights.values())
-            )
-        else:
-            dist = PathDistribution.uniform(entries)
-        return cls(
-            alphabet=alphabet,
-            yields=entries,
-            path_dist=dist,
-            noise=noise,
-            _rows_checked=True,
-        )
+        weighted = [w is not None for w in weights]
+        if not all(weighted):
+            if any(weighted):
+                raise InvalidInputError(
+                    f"path row {weighted.index(not weighted[0]) + 1} {'has no' if weighted[0] else 'has a'} "
+                    "weight, unlike row 1: either all path rows carry a weight or none do"
+                )
+            weights = [1.0 / len(weights)] * len(weights)
+        return cls(alphabet=alphabet, psi=tuple(paths), psi_yields=yields, psi_weights=weights, noise=noise)
+
+
+def _support_order(
+    alphabet: ActionAlphabet, psi: tuple[PathSeq, ...], yields: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Check the support rows as ``PLInstance`` says, and give their
+    canonical order."""
+    try:
+        ranks, unknown = alphabet.encode(psi), None
+    except InvalidInputError as exc:  # the first unknown token, as require_seq finds it
+        unknown, tokens = exc, set(alphabet.tokens)
+        # the rows before its row are checked first
+        ranks = alphabet.encode(psi[: next(i for i, path in enumerate(psi) if not tokens.issuperset(path))])
+    known = len(ranks)
+    length = (ranks >= 0).sum(1)
+    terminal = ranks == alphabet.index(alphabet.terminal)
+    # one terminal, in last place
+    complete = (terminal.sum(1) == 1) & ((terminal * np.arange(1, ranks.shape[1] + 1)).sum(1) == length)
+    # canonical order is by length, then tokenwise rank: np.unique gives each
+    # distinct row's first row in that order, every row's when none repeats
+    _, order, inverse = np.unique(np.column_stack((length, ranks)), axis=0, return_index=True, return_inverse=True)
+    first = order[inverse.ravel()]
+    y, w = yields[:known], weights[:known]
+    # NaN fails both comparisons
+    ok_y, ok_w = (y >= 0.0) & (y <= 1.0), (w >= 0.0) & (w <= 1.0)
+    bad = np.flatnonzero((first != np.arange(known)) | ~complete | ~ok_y | ~ok_w)
+    if bad.size:
+        i = int(bad[0])
+        if first[i] != i:
+            raise InvalidInputError(f"path row {i + 1} repeats path {psi[i]!r} of row {first[i] + 1}")
+        if not complete[i]:
+            raise InvalidInputError(f"path row {i + 1}: path {psi[i]!r} is not complete")
+        if not ok_y[i]:
+            raise InvalidInputError(f"path row {i + 1}: yield must be finite and in [0, 1], got {y[i].item()!r}")
+        raise InvalidInputError(f"path row {i + 1}: weight must be in [0, 1], got {w[i].item()!r}")
+    if unknown is not None:
+        raise InvalidInputError(f"path row {known + 1}: {unknown}") from unknown
+    check_weights(weights, "path law")
+    return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,7 +359,7 @@ def sample_dataset(instance: PLInstance, n: int, seed: int) -> PathYieldDataset:
     """Draw n i.i.d. pairs: paths from the path law, yields from the noise."""
     if n < 0:
         raise InvalidInputError(f"sample count must be nonnegative, got {n}")
-    if not instance.yields:
+    if not instance.psi:
         raise InvalidInstanceError("cannot sample from an instance with empty support")
     rng = seeded_rng(seed)
     idx = rng.choice(len(instance.psi), size=n, p=instance.psi_weights)
@@ -444,12 +442,11 @@ def random_instance(spec: InstanceSpec, seed: int) -> PLInstance:
 
     chosen.sort(key=alphabet.sort_key)
     lo, hi = spec.yield_range
-    values = rng.uniform(lo, hi, size=spec.n_paths)
-    entries = {p: float(v) for p, v in zip(chosen, values)}
     return PLInstance(
         alphabet=alphabet,
-        yields=entries,
-        path_dist=PathDistribution.uniform(chosen),
+        psi=tuple(chosen),
+        psi_yields=rng.uniform(lo, hi, size=spec.n_paths),
+        psi_weights=np.full(spec.n_paths, 1.0 / spec.n_paths),
         noise=spec.noise,
     )
 
@@ -481,7 +478,7 @@ def load_dataset(path: str, instance: PLInstance | None = None) -> PathYieldData
     be a string, every yield finite and in [0, 1], and, when ``instance`` is
     given, every path one of its support paths; errors name the file and the
     row (1-based, counting nonblank lines)."""
-    support = None if instance is None else instance.yields
+    support = None if instance is None else instance.row_of
     # a log repeats its rows (binary yields on a finite support), so the
     # rows are read as numbers of distinct lines, and each distinct line is
     # parsed and checked once, naming its first row

@@ -58,7 +58,7 @@ class OptimalValues:
 
 
 def compute_optimal(instance: PLInstance) -> OptimalValues:
-    if not instance.yields:
+    if not instance.psi:
         raise InvalidInstanceError("optimal values need a nonempty path support")
     trie = instance.trie
     # psi is in canonical order, the members' order

@@ -155,7 +155,7 @@ class ActionAlphabet:
             tokens = json_seq(obj["tokens"])
             terminal = obj["terminal"]
         except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"malformed alphabet object: {obj!r}") from exc
+            raise InvalidInputError(f"malformed alphabet object: {obj!r}: {exc}") from exc
         return cls(tokens=tokens, terminal=terminal)
 
 

@@ -96,7 +96,7 @@ def evaluate_plan(result: PlanResult, instance: PLInstance) -> PlanResult:
     """Fill in the achieved yield and its shortfall against the best support
     yield, taken as ``compute_optimal`` takes its ``j_star``: a fold from 0.0
     with strict ``>`` (``max`` keeps the first of equal maxima)."""
-    j_star = max([0.0, *instance.yields.values()])
+    j_star = max([0.0, *instance.psi_yields.tolist()])
     true_yield = instance.yield_of(result.path)
     return replace(result, true_yield=true_yield, regret=j_star - true_yield)
 

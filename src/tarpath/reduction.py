@@ -56,7 +56,7 @@ def build_offline_dataset(
     """Relabel logged rows as transitions (path, a, y), a uniform; every path
     must be a support path of the instance."""
     for path in data.paths:
-        if path not in instance.yields:
+        if path not in instance.row_of:
             raise InvalidInputError(f"dataset path {path!r} is not in the instance support")
     tokens = instance.alphabet.tokens
     actions = seeded_rng(seed).integers(0, len(tokens), size=len(data))

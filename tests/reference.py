@@ -1,4 +1,5 @@
-"""Test-only references: the two hand-made instances, the fringe of a trie,
+"""Test-only references: the two hand-made instances, the dict-and-sort
+instance loader to check ``PLInstance``'s columns against, the fringe of a trie,
 the oracle file read back as the exact model, a trie-free enumeration of
 optimal values to check the oracle against, the per-row noise sampler to
 check the vectorized draw against, and the scalar step lookup and per-token
@@ -9,6 +10,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from tarpath.errors import InvalidInputError
 from tarpath.instance import NoiseModel, PathDistribution, PLInstance
 from tarpath.losses import _ValueBatch
 from tarpath.model import (
@@ -20,16 +22,69 @@ from tarpath.model import (
     load_model,
 )
 from tarpath.oracle import OptimalValues, node_decomposition, save_oracle
-from tarpath.pathspace import EMPTY, ActionAlphabet, PathSeq, PrefixTrie
+from tarpath.pathspace import EMPTY, ActionAlphabet, PathSeq, PrefixTrie, SeqClass, json_seq
 
 
 def _fixture(yields: dict, noise: NoiseModel | None) -> PLInstance:
     return PLInstance(
         alphabet=ActionAlphabet(tokens=("a", "b", "END")),
-        yields=yields,
-        path_dist=PathDistribution.uniform(yields),
+        psi=tuple(yields),
+        psi_yields=list(yields.values()),
+        psi_weights=[1.0 / len(yields)] * len(yields),
         noise=noise or NoiseModel.noiseless(),
     )
+
+
+def instance_columns(obj: dict) -> tuple[tuple[PathSeq, ...], np.ndarray, np.ndarray, dict]:
+    """The dict-and-``sort_key`` loader that ``PLInstance``'s columns
+    replaced: each row parsed and checked in turn into a yield dict and a
+    weight dict, then the support sorted by ``sort_key`` and each path's
+    yield and weight looked up. Returns ``psi``, ``psi_yields``,
+    ``psi_weights`` and the ``to_json`` object, or raises the error of the
+    first bad row."""
+    alphabet = ActionAlphabet.from_json(obj["alphabet"])
+    entries: dict[PathSeq, float] = {}
+    weights: dict[PathSeq, float] = {}
+    first_row: dict[PathSeq, int] = {}
+    for i, row in enumerate(obj["paths"], 1):
+        try:
+            path = json_seq(row["path"])
+            first = first_row.setdefault(path, i)
+            y = entries[path] = float(row["yield"])
+            w = float(row["weight"]) if "weight" in row else None
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"malformed path row {i}: {row!r}") from exc
+        if first != i:
+            raise InvalidInputError(f"path row {i} repeats path {path!r} of row {first}")
+        try:
+            complete = alphabet.classify(path) is SeqClass.COMPLETE
+        except InvalidInputError as exc:  # an unknown token
+            raise InvalidInputError(f"path row {i}: {exc}") from exc
+        if not complete:
+            raise InvalidInputError(f"path row {i}: path {path!r} is not complete")
+        if not 0.0 <= y <= 1.0:
+            raise InvalidInputError(f"path row {i}: yield must be finite and in [0, 1], got {y!r}")
+        if w is not None:
+            if not 0.0 <= w <= 1.0:
+                raise InvalidInputError(f"path row {i}: weight must be in [0, 1], got {w!r}")
+            weights[path] = w
+    if weights and len(weights) != len(entries):
+        raise InvalidInputError("either all path rows carry a weight or none do")
+    dist = (
+        PathDistribution(paths=tuple(weights), weights=tuple(weights.values()))
+        if weights
+        else PathDistribution.uniform(entries)
+    )
+    weight_of = dict(zip(dist.paths, dist.weights))
+    psi = tuple(sorted(entries, key=alphabet.sort_key))
+    psi_yields = np.array([entries[p] for p in psi], dtype=float)
+    psi_weights = np.array([weight_of[p] for p in psi], dtype=float)
+    paths = [
+        {"path": list(p), "yield": entries[p], "weight": weight_of[p]} for p in psi
+    ]
+    return psi, psi_yields, psi_weights, {
+        "alphabet": alphabet.to_json(), "paths": paths, "noise": NoiseModel.from_json(obj["noise"]).to_json()
+    }
 
 
 def load_oracle_file(ov: OptimalValues, path: str) -> tuple[TabularAdvantage, np.ndarray]:
@@ -95,7 +150,7 @@ def enumeration_value(instance: PLInstance, seq: Iterable[str]) -> float:
     """Trie-free cross-check: scan every support path for a prefix match."""
     seq = instance.alphabet.require_seq(seq)
     best = 0.0
-    for path, value in instance.yields.items():
+    for path, value in zip(instance.psi, instance.psi_yields.tolist()):
         if path[: len(seq)] == seq and value > best:
             best = value
     return best

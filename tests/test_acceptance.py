@@ -5,6 +5,7 @@ Each check prints a single PASS line with its headline numbers; run with
 checks share one pool of 200 random instances.
 """
 
+import dataclasses
 import filecmp
 
 import numpy as np
@@ -107,7 +108,7 @@ def test_criterion_2_oracle_cross_validation(pool):
         for node in inst.trie.nodes:
             assert ov.value_at(node) == enumeration_value(inst, node)
             states += 1
-            if node in inst.yields:
+            if node in inst.row_of:
                 continue
             for a in inst.alphabet.tokens:
                 assert ov.advantage_at(node, a) == enumeration_advantage(inst, node, a)
@@ -151,12 +152,7 @@ def test_criterion_4_loss_identity():
             noise=NoiseModel.noiseless(),
         )
         noiseless = random_instance(spec, 1000 + i)
-        bernoulli = PLInstance(
-            alphabet=noiseless.alphabet,
-            yields=noiseless.yields,
-            path_dist=noiseless.path_dist,
-            noise=NoiseModel.bernoulli(),
-        )
+        bernoulli = dataclasses.replace(noiseless, noise=NoiseModel.bernoulli())
         model = TabularAdvantage.default(noiseless.trie).with_random_params(rng)
         lam = lams[i % 3]
         for inst in (noiseless, bernoulli):
@@ -225,7 +221,7 @@ def test_criterion_6_end_to_end_learning():
             noise=NoiseModel.noiseless(),
         )
         inst = random_instance(spec, seed)
-        data = PathYieldDataset.from_pairs(tuple((p, inst.yields[p]) for p in inst.psi))
+        data = PathYieldDataset.from_pairs(tuple((p, inst.yield_of(p)) for p in inst.psi))
         model = TabularAdvantage.default(inst.trie)
         p0 = PathDistribution.uniform(inst.trie.nodes)
         result = train(model, tar_objective(model, p0, data, lam, kappa), config)
@@ -255,7 +251,7 @@ def test_criterion_6_every_run_converges():
             noise=NoiseModel.noiseless(),
         )
         inst = random_instance(spec, seed)
-        data = PathYieldDataset.from_pairs(tuple((p, inst.yields[p]) for p in inst.psi))
+        data = PathYieldDataset.from_pairs(tuple((p, inst.yield_of(p)) for p in inst.psi))
         model = TabularAdvantage.default(inst.trie)
         p0 = PathDistribution.uniform(inst.trie.nodes)
         result = train(model, tar_objective(model, p0, data, lam, kappa), config)
@@ -285,7 +281,7 @@ def test_criterion_6_linear_every_run_converges():
             noise=NoiseModel.noiseless(),
         )
         inst = random_instance(spec, seed)
-        data = PathYieldDataset.from_pairs(tuple((p, inst.yields[p]) for p in inst.psi))
+        data = PathYieldDataset.from_pairs(tuple((p, inst.yield_of(p)) for p in inst.psi))
         p0 = PathDistribution.uniform(inst.trie.nodes)
         mix = PenaltyMix.default(inst)
         for features in ("edge_pair", "depth_edge_pair"):

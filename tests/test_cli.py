@@ -538,6 +538,18 @@ class TestLoadTimeErrors:
         assert f"error: {inst}: " in err and message in err
         assert not (tmp_path / "o.json").exists()
 
+    def test_partly_weighted_instance_file(self, tmp_path, capsys):
+        inst = tmp_path / "bad.json"
+        obj = serialize.load_json(str(FIXTURES / "e2.json"))
+        del obj["paths"][2]["weight"]
+        inst.write_text(json.dumps(obj))
+        assert run("oracle", "--instance", inst, "--out", tmp_path / "o.json") == 1
+        assert capsys.readouterr().err == (
+            f"error: {inst}: path row 3 has no weight, unlike row 1: "
+            "either all path rows carry a weight or none do\n"
+        )
+        assert not (tmp_path / "o.json").exists()
+
     @pytest.mark.parametrize(
         "row, message",
         [
@@ -621,7 +633,9 @@ class TestTokenListsAreLists:
     def test_alphabet_tokens(self, tmp_path, capsys):
         inst = self.instance(tmp_path, alphabet={"tokens": "ab", "terminal": "b"})
         assert run("oracle", "--instance", inst, "--out", tmp_path / "o.json") == 1
-        assert f"error: {inst}: malformed alphabet object: {{'tokens': 'ab'," in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {inst}: malformed alphabet object: {{'tokens': 'ab'," in err
+        assert err.endswith(": a token sequence must be a list of strings, got 'ab'\n")
 
     def test_instance_path_row(self, tmp_path, capsys):
         inst = self.instance(tmp_path, path="ab")

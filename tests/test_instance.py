@@ -1,17 +1,17 @@
 """Yield tables, path laws, noise models, and the instance generator."""
 
+import json
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tarpath import serialize
 from tarpath.errors import (
     GeneratorError,
     InvalidInputError,
-    InvalidInstanceError,
     UnsupportedNoiseError,
 )
 from tarpath.instance import (
@@ -29,14 +29,14 @@ from tarpath.instance import (
 )
 from tarpath.pathspace import EMPTY, ActionAlphabet
 
-from .reference import per_row_noise
+from .reference import instance_columns, per_row_noise
 from .strategies import instances
 
 AB = ActionAlphabet(tokens=("a", "b", "END"), terminal="END")
 
 
 class TestPathDistribution:
-    """One class weights both the path law and the covering law P_0."""
+    """The covering law P_0 over proper states."""
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(InvalidInputError, match="equal length"):
@@ -76,12 +76,6 @@ class TestPathDistribution:
         assert p0.paths == e2.trie.nodes and len(p0.paths) == 8
         assert p0.weights == (1 / 8,) * 8
         assert math.fsum(p0.weights) == 1.0
-
-    def test_weight_of_off_the_support_is_zero(self):
-        dist = PathDistribution.uniform([("a", "END"), ("b", "END")])
-        assert dist.weight_of(("a", "END")) == 0.5
-        assert dist.weight_of(("b", "b", "END")) == 0.0
-        assert dist.weight_of(EMPTY) == 0.0
 
 
 class TestNoiseModel:
@@ -139,44 +133,37 @@ class TestNoiseModel:
             assert NoiseModel.from_json(noise.to_json()) == noise
 
 
-class TestPLInstance:
-    def test_rejects_incomplete_support_path(self):
-        with pytest.raises(InvalidInstanceError):
-            PLInstance(
-                alphabet=AB,
-                yields={("a",): 0.5},
-                path_dist=PathDistribution.uniform([("a",)]),
-                noise=NoiseModel.noiseless(),
-            )
+def one_path(path, y=0.5, w=1.0) -> PLInstance:
+    return PLInstance(alphabet=AB, psi=(path,), psi_yields=(y,), psi_weights=(w,), noise=NoiseModel.noiseless())
 
-    def test_rejects_distribution_outside_support(self):
-        with pytest.raises(InvalidInstanceError):
-            PLInstance(
-                alphabet=AB,
-                yields={("a", "END"): 0.5},
-                path_dist=PathDistribution.uniform([("b", "END")]),
-                noise=NoiseModel.noiseless(),
-            )
+
+class TestPLInstance:
+    @pytest.mark.parametrize(
+        "path", [("a",), (), ("END", "a"), ("END", "END", "a"), ("a", "END", "END"), ("END", "a", "END")]
+    )
+    def test_rejects_incomplete_support_path(self, path):
+        with pytest.raises(InvalidInputError, match=f"^path row 1: path {re.escape(repr(path))} is not complete$"):
+            one_path(path)
 
     @pytest.mark.parametrize("value", [1.5, -0.25, float("nan"), float("inf")])
     def test_rejects_yield_outside_unit_interval(self, value):
-        with pytest.raises(InvalidInputError, match=r"^yield for \('a', 'END'\) must be finite and in \[0, 1\]"):
-            PLInstance(
-                alphabet=AB,
-                yields={("a", "END"): value},
-                path_dist=PathDistribution.uniform([("a", "END")]),
-                noise=NoiseModel.noiseless(),
-            )
+        with pytest.raises(InvalidInputError, match=r"^path row 1: yield must be finite and in \[0, 1\], got "):
+            one_path(("a", "END"), y=value)
+
+    def test_rejects_columns_of_other_lengths(self):
+        with pytest.raises(InvalidInputError, match="one yield and one weight per path"):
+            PLInstance(alphabet=AB, psi=(("a", "END"),), psi_yields=(0.5, 0.5), psi_weights=(1.0,),
+                       noise=NoiseModel.noiseless())
+
+    def test_columns_are_read_only(self, e2):
+        for column in (e2.psi_yields, e2.psi_weights):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
 
     def test_yield_of_defaults_to_zero_off_support(self):
-        inst = PLInstance(
-            alphabet=AB,
-            yields={("a", "END"): 0.8},
-            path_dist=PathDistribution.uniform([("a", "END")]),
-            noise=NoiseModel.noiseless(),
-        )
+        inst = one_path(("a", "END"), y=0.8)
         assert inst.yield_of(("b", "END")) == 0.0
-        assert inst.yields[("a", "END")] == 0.8
+        assert inst.yield_of(("a", "END")) == 0.8
 
     def test_e1_hand_values(self, e1):
         assert e1.psi == (("a", "END"), ("b", "END"))
@@ -194,9 +181,9 @@ class TestPLInstance:
 
     def test_e2_hand_values(self, e2):
         assert len(e2.trie) == 8
-        assert e2.yields[("a", "a", "END")] == 0.9
-        assert e2.yields[("a", "b", "END")] == 0.2
-        assert e2.yields[("b", "END")] == 0.5
+        assert e2.yield_of(("a", "a", "END")) == 0.9
+        assert e2.yield_of(("a", "b", "END")) == 0.2
+        assert e2.yield_of(("b", "END")) == 0.5
 
     def test_e2_bernoulli_sigma2(self, e2_bernoulli):
         # (0.9*0.1 + 0.2*0.8 + 0.5*0.5) / 3 = 0.5/3
@@ -211,12 +198,18 @@ class TestPLInstance:
         for entry in obj["paths"]:
             del entry["weight"]
         loaded = PLInstance.from_json(obj)
-        assert loaded.path_dist.weight_of(("a", "END")) == 0.5
+        assert loaded.psi_weights.tolist() == [0.5, 0.5]
 
-    def test_from_json_rejects_partial_weights(self, e1):
-        obj = e1.to_json()
-        del obj["paths"][0]["weight"]
-        with pytest.raises(InvalidInputError):
+    @pytest.mark.parametrize(
+        "unweighted, message",
+        [((1,), "path row 2 has a weight, unlike row 1"), ((1, 3), "path row 2 has a weight, unlike row 1"),
+         ((2,), "path row 2 has no weight, unlike row 1"), ((3,), "path row 3 has no weight, unlike row 1")],
+    )
+    def test_from_json_rejects_partial_weights(self, e2, unweighted, message):
+        obj = e2.to_json()
+        for row in unweighted:
+            del obj["paths"][row - 1]["weight"]
+        with pytest.raises(InvalidInputError, match=f"^{message}: either all path rows carry a weight or none do$"):
             PLInstance.from_json(obj)
 
     @pytest.mark.parametrize(
@@ -249,19 +242,67 @@ class TestPLInstance:
         with pytest.raises(InvalidInputError, match=re.escape(path)):
             load_instance(path)
 
-    def test_load_classifies_each_path_once(self, tmp_path, monkeypatch, e2_bernoulli):
+    def test_load_checks_and_sorts_no_path_alone(self, tmp_path, monkeypatch, e2_bernoulli):
+        # the support is checked and sorted over token ranks
         path = str(tmp_path / "instance.json")
         save_instance(e2_bernoulli, path)
         calls = []
-        classify = ActionAlphabet.classify
+        for name in ("classify", "sort_key"):
+            monkeypatch.setattr(ActionAlphabet, name, lambda alphabet, seq, name=name: calls.append(name))
+        assert load_instance(path).psi == e2_bernoulli.psi
+        assert calls == []
 
-        def counted(alphabet, seq):
-            calls.append(tuple(seq))
-            return classify(alphabet, seq)
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_columns_are_the_reference_loaders(self, data):
+        # rows in any order, weighted or not, load as the dict-and-sort_key
+        # loader read them, bit for bit, -0.0 yields included
+        inst = data.draw(instances(max_paths=data.draw(st.sampled_from([1, 10]))))
+        n = len(inst.psi)
+        ys = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0), min_size=n, max_size=n))
+        rows = [{"path": list(p), "yield": y} for p, y in zip(inst.psi, ys)]
+        if data.draw(st.booleans()):
+            counts = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+            for row, k in zip(rows, counts):
+                row["weight"] = k / sum(counts)
+        obj = dict(inst.to_json(), paths=data.draw(st.permutations(rows)))
+        psi, psi_yields, psi_weights, doc = instance_columns(obj)
+        loaded = PLInstance.from_json(obj)
+        assert loaded.psi == psi
+        assert loaded.psi_yields.tobytes() == psi_yields.tobytes()
+        assert loaded.psi_weights.tobytes() == psi_weights.tobytes()
+        assert serialize.dumps(loaded.to_json()) == serialize.dumps(doc)
 
-        monkeypatch.setattr(ActionAlphabet, "classify", counted)
-        load_instance(path)
-        assert sorted(calls) == sorted(e2_bernoulli.psi)
+    # each fault, put into row ``row`` of FAULT_ROWS
+    FAULTS = {
+        "repeat": lambda rows, i: rows[i].update(path=rows[0]["path"]),
+        "unknown token": lambda rows, i: rows[i].update(path=["z", "END"]),
+        "incomplete": lambda rows, i: rows[i].update(path=["a", "a"]),
+        "yield": lambda rows, i: rows[i].update({"yield": float("nan")}),
+        "weight": lambda rows, i: rows[i].update(weight=1.5),
+    }
+    FAULT_ROWS = [
+        {"path": ["b", "END"], "yield": 0.5, "weight": 0.25},
+        {"path": ["a", "b", "a", "END"], "yield": 0.25, "weight": 0.25},
+        {"path": ["a", "END"], "yield": 1.0, "weight": 0.125},
+        {"path": ["b", "b", "END"], "yield": 0.0, "weight": 0.125},
+        {"path": ["a", "a", "END"], "yield": 0.75, "weight": 0.25},
+    ]
+
+    @pytest.mark.parametrize("later", sorted(FAULTS))
+    @pytest.mark.parametrize("earlier", sorted(FAULTS))
+    def test_two_bad_rows_name_the_earlier(self, tmp_path, earlier, later):
+        rows = [dict(row) for row in self.FAULT_ROWS]
+        self.FAULTS[later](rows, 3)
+        self.FAULTS[earlier](rows, 1)
+        obj = {"alphabet": AB.to_json(), "paths": rows, "noise": {"kind": "noiseless"}}
+        with pytest.raises(InvalidInputError) as want:
+            instance_columns(obj)
+        assert str(want.value).startswith("path row 2")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'{path}: {want.value}')}$"):
+            load_instance(path)
 
 
 class TestSampleDataset:
@@ -289,7 +330,7 @@ class TestSampleDataset:
     def test_noiseless_yields_are_exact(self, e1):
         data = sample_dataset(e1, 40, seed=5)
         for path, y in data.pairs:
-            assert y == e1.yields[path]
+            assert y == e1.yield_of(path)
 
     def test_rejects_negative_count(self, e1):
         with pytest.raises(InvalidInputError):
@@ -331,9 +372,9 @@ class TestRandomInstance:
         assert len(inst.psi) >= 1
         for path in inst.psi:
             assert inst.alphabet.classify(path).name == "COMPLETE"
-            assert 0.0 <= inst.yields[path] <= 1.0
-        assert inst.path_dist.paths == inst.psi
-        assert all(w > 0.0 for w in inst.path_dist.weights)
+            assert 0.0 <= inst.yield_of(path) <= 1.0
+        assert list(inst.psi) == sorted(inst.psi, key=inst.alphabet.sort_key)
+        assert inst.psi_weights.tolist() == [1.0 / len(inst.psi)] * len(inst.psi)
 
     @given(instances(max_depth=4))
     def test_generated_depth_bound(self, inst):

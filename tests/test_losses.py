@@ -14,7 +14,6 @@ from tarpath.instance import (
     NoiseModel,
     PathDistribution,
     PathYieldDataset,
-    PLInstance,
     random_instance,
     sample_dataset,
 )
@@ -86,7 +85,7 @@ class TestPenaltyMix:
         fringe = set(fringe_states(e2.trie))
         for (s, a), w in zip(mix.tilde_pairs, mix.tilde_weights):
             assert s in fringe
-            assert s not in e2.yields
+            assert s not in e2.row_of
             assert e2.alphabet.classify(s) is not SeqClass.COMPLETE
             assert w > 0
         assert math.fsum(mix.tilde_weights) == pytest.approx(1.0)
@@ -238,7 +237,7 @@ class TestTarLoss:
         base, _ = tar_loss(model, p0, e1, lam=2.0, kappa=0.0)
         penalized, _ = tar_loss(model, p0, e1, lam=2.0, kappa=10.0)
         expected = 10.0 * math.fsum(
-            w * max(-predict_value(model, s), 0.0) ** 2 for s, w in p0.items()
+            w * max(-predict_value(model, s), 0.0) ** 2 for s, w in zip(p0.paths, p0.weights)
         )
         assert penalized - base == pytest.approx(expected, abs=1e-12)
 
@@ -265,7 +264,7 @@ class TestVlpLoss:
         base, _ = vlp_loss(model, p0, mix, e1, lam=2.0, kappa=0.0)
         penalized, _ = vlp_loss(model, p0, mix, e1, lam=2.0, kappa=4.0)
         expected = 4.0 * math.fsum(
-            w * max(-predict_value(model, s), 0.0) ** 2 for s, w in p0.items()
+            w * max(-predict_value(model, s), 0.0) ** 2 for s, w in zip(p0.paths, p0.weights)
         )
         assert penalized - base == pytest.approx(expected, abs=1e-12)
 
@@ -312,17 +311,17 @@ class TestSurrogateGap:
         lam = 100.0
         ov = compute_optimal(inst)
         report = surrogate_gap(model, inst, lam=lam, ov=ov)
-        dist = inst.path_dist
+        weights = inst.psi_weights.tolist()
         want = 0.5 * lam * math.fsum(
-            w * max(predict_value(model, p) - ov.value_at(p), 0.0) ** 2 for p, w in dist.items()
+            w * max(predict_value(model, p) - ov.value_at(p), 0.0) ** 2 for p, w in zip(inst.psi, weights)
         )
         assert report["hinge_excess_term"] == want
         assert report["gap"] <= 1e-9
         # the value batch of the compiled losses sums in the same order
-        batch = _ValueBatch(model, dist.paths)
+        batch = _ValueBatch(model, inst.psi)
         values = batch.values(model.drawdown_vector())[batch.node]
         batched = 0.5 * lam * math.fsum(
-            w * max(v - ov.value_at(p), 0.0) ** 2 for (p, w), v in zip(dist.items(), values.tolist())
+            w * max(v - ov.value_at(p), 0.0) ** 2 for p, w, v in zip(inst.psi, weights, values.tolist())
         )
         assert batched == want
 
@@ -363,12 +362,7 @@ class TestPenaltyWeights:
 
 
 def fixture_like_with_noise(inst, noise):
-    return PLInstance(
-        alphabet=inst.alphabet,
-        yields=inst.yields,
-        path_dist=inst.path_dist,
-        noise=noise,
-    )
+    return dataclasses.replace(inst, noise=noise)
 
 
 class TestGradients:
@@ -541,7 +535,7 @@ class TestValueBatch:
             return predict_value(model, s), g
 
         terms, grad_terms = [], []
-        for s, w in p0.items():
+        for s, w in zip(p0.paths, p0.weights):
             v, g = value_and_grad(s)
             neg = max(-v, 0.0)
             terms.append(w * v + kappa * w * neg * neg)
@@ -618,12 +612,12 @@ class TestVlpHandMix:
         g = lambda s: self.value_gradient(model, s)  # noqa: E731
         mu = mix.mu_weight
         loss, grad = 0.0, np.zeros(model.drawdown_vector().size)
-        for s, w in p0.items():
+        for s, w in zip(p0.paths, p0.weights):
             neg = max(-v(s), 0.0)
             loss += w * v(s) + kappa * w * neg * neg
             grad += (w - 2.0 * kappa * w * neg) * g(s)
-        for p, w in inst.path_dist.items():
-            r = max(inst.yields[p] - v(p), 0.0)
+        for p, w in zip(inst.psi, inst.psi_weights.tolist()):
+            r = max(inst.yield_of(p) - v(p), 0.0)
             loss += lam * mu * w * r * r
             grad -= 2.0 * lam * mu * w * r * g(p)
         for (s, a), w in zip(mix.tilde_pairs, mix.tilde_weights):
@@ -696,7 +690,7 @@ class TestVlpHandMix:
         ]
         pairs = []
         for states in kinds:
-            states = list(dict.fromkeys(s for s in states if s not in inst.yields))
+            states = list(dict.fromkeys(s for s in states if s not in inst.row_of))
             for i in rng.permutation(len(states))[:3]:
                 actions = [a for a in tokens if rng.random() < 0.6] or [tokens[int(rng.integers(len(tokens)))]]
                 pairs += [(states[i], a) for a in actions]
@@ -746,7 +740,7 @@ def criterion_6_instance(seed):
         noise=NoiseModel.noiseless(),
     )
     inst = random_instance(spec, seed)
-    return inst, PathYieldDataset.from_pairs(tuple((p, inst.yields[p]) for p in inst.psi))
+    return inst, PathYieldDataset.from_pairs(tuple((p, inst.yield_of(p)) for p in inst.psi))
 
 
 class TestDrawdownView:
@@ -781,13 +775,13 @@ class TestDrawdownView:
         if kind == "vlp":
             return TestVlpHandMix().direct(model, p0, over, inst, 10.0, kappa)[0]
         if kind == "tar_exact":
-            rows = [(p, w, inst.yields[p]) for p, w in inst.path_dist.items()]
+            rows = [(p, w, inst.yield_of(p)) for p, w in zip(inst.psi, inst.psi_weights.tolist())]
             floor = inst.noise_variance()
         else:
             rows = [(p, 1.0 / len(over), y) for p, y in over.pairs]
             floor = 0.0
         v = lambda s: predict_value(model, s)  # noqa: E731
-        loss = sum(w * v(s) + kappa * w * max(-v(s), 0.0) ** 2 for s, w in p0.items())
+        loss = sum(w * v(s) + kappa * w * max(-v(s), 0.0) ** 2 for s, w in zip(p0.paths, p0.weights))
         return loss + 0.5 * 10.0 * (sum(w * (v(p) - y) ** 2 for p, w, y in rows) + floor)
 
     KINDS = ("tar_exact", "tar_empirical", "vlp")
@@ -1186,7 +1180,7 @@ def tree_case(inst, kind, lam, kappa, trie_paths, seed):
     p0 = PathDistribution(paths=tuple(states), weights=(1.0 / len(states),) * len(states))
     if kind == "vlp":
         pairs = tuple(
-            (s, a) for s in fringe_states(trie) if s not in inst.yields for a in alphabet.tokens
+            (s, a) for s in fringe_states(trie) if s not in inst.row_of for a in alphabet.tokens
         )
         mix = PenaltyMix(tilde_pairs=pairs, tilde_weights=(1.0 / len(pairs),) * len(pairs))
         return model, vlp_objective(model, p0, mix, inst, lam, kappa)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tarpath.errors import InvalidInstanceError
-from tarpath.instance import NoiseModel, PathDistribution, PLInstance
+from tarpath.instance import NoiseModel, PLInstance
 from tarpath.oracle import (
     OptimalValues,
     check_decomposition,
@@ -52,12 +52,7 @@ class TestHandValues:
 
     def test_empty_support_raises(self):
         alphabet = ActionAlphabet(tokens=("a", "END"))
-        inst = PLInstance(
-            alphabet=alphabet,
-            yields={},
-            path_dist=PathDistribution(paths=(), weights=()),
-            noise=NoiseModel.noiseless(),
-        )
+        inst = PLInstance(alphabet=alphabet, psi=(), psi_yields=(), psi_weights=(), noise=NoiseModel.noiseless())
         with pytest.raises(InvalidInstanceError):
             compute_optimal(inst)
 
@@ -108,7 +103,7 @@ class TestInvariants:
     @given(instances())
     def test_j_star_is_max_yield(self, inst):
         ov = compute_optimal(inst)
-        assert ov.j_star == max(inst.yields[p] for p in inst.psi)
+        assert ov.j_star == max(inst.yield_of(p) for p in inst.psi)
         # the empty path yields 0.0, so its regret is evaluate_plan's j_star
         empty = PlanResult(path=EMPTY, predicted_value=0.0, truncated=True)
         assert evaluate_plan(empty, inst).regret == ov.j_star
@@ -125,7 +120,7 @@ class TestEnumerationAgreement:
     def test_advantages_equal_exactly_off_support(self, inst):
         ov = compute_optimal(inst)
         for node in inst.trie.nodes:
-            if node in inst.yields:
+            if node in inst.row_of:
                 continue
             for a in inst.alphabet.tokens:
                 assert ov.advantage_at(node, a) == enumeration_advantage(inst, node, a)
@@ -151,8 +146,9 @@ class TestGreedyPolicy:
         alphabet = ActionAlphabet(tokens=("a", "b", "END"))
         inst = PLInstance(
             alphabet=alphabet,
-            yields={("a", "END"): 0.5, ("b", "END"): 0.5},
-            path_dist=PathDistribution.uniform([("a", "END"), ("b", "END")]),
+            psi=(("a", "END"), ("b", "END")),
+            psi_yields=(0.5, 0.5),
+            psi_weights=(0.5, 0.5),
             noise=NoiseModel.noiseless(),
         )
         path, _, margins = greedy_rollout(alphabet, oracle_scores(compute_optimal(inst)), 3)
