@@ -274,18 +274,20 @@ def _support_order(
     terminal = ranks == alphabet.index(alphabet.terminal)
     # one terminal, in last place
     complete = (terminal.sum(1) == 1) & ((terminal * np.arange(1, ranks.shape[1] + 1)).sum(1) == length)
-    # canonical order is by length, then tokenwise rank: np.unique gives each
-    # distinct row's first row in that order, every row's when none repeats
-    _, order, inverse = np.unique(np.column_stack((length, ranks)), axis=0, return_index=True, return_inverse=True)
-    first = order[inverse.ravel()]
+    # by length, then tokenwise rank; the sort is stable, so a repeat sorts
+    # right after the row before it with the same path
+    order = np.lexsort((*ranks.T[::-1], length))
+    ranked = ranks[order]
+    repeat = np.zeros(known, dtype=bool)
+    repeat[order[1:]] = (ranked[1:] == ranked[:-1]).all(1)
     y, w = yields[:known], weights[:known]
     # NaN fails both comparisons
     ok_y, ok_w = (y >= 0.0) & (y <= 1.0), (w >= 0.0) & (w <= 1.0)
-    bad = np.flatnonzero((first != np.arange(known)) | ~complete | ~ok_y | ~ok_w)
+    bad = np.flatnonzero(repeat | ~complete | ~ok_y | ~ok_w)
     if bad.size:
         i = int(bad[0])
-        if first[i] != i:
-            raise InvalidInputError(f"path row {i + 1} repeats path {psi[i]!r} of row {first[i] + 1}")
+        if repeat[i]:
+            raise InvalidInputError(f"path row {i + 1} repeats path {psi[i]!r} of row {psi.index(psi[i]) + 1}")
         if not complete[i]:
             raise InvalidInputError(f"path row {i + 1}: path {psi[i]!r} is not complete")
         if not ok_y[i]:
