@@ -183,12 +183,46 @@ class PLInstance:
     noise: NoiseModel
 
     def __post_init__(self) -> None:
-        psi = tuple(map(tuple, self.psi))
+        alphabet, psi = self.alphabet, tuple(map(tuple, self.psi))
         yields = np.array(self.psi_yields, dtype=float)
         weights = np.array(self.psi_weights, dtype=float)
         if not yields.shape == weights.shape == (len(psi),):
             raise InvalidInputError("an instance needs one yield and one weight per path")
-        order = _support_order(self.alphabet, psi, yields, weights)
+        try:
+            ranks, unknown = alphabet.encode(psi), None
+        except InvalidInputError as exc:  # the first unknown token, as require_seq finds it
+            unknown, tokens = exc, set(alphabet.tokens)
+            # the rows before its row are checked first
+            known = next(i for i, path in enumerate(psi) if not tokens.issuperset(path))
+            ranks = alphabet.encode(psi[:known])
+        known = len(ranks)
+        length = (ranks >= 0).sum(1)
+        terminal = ranks == alphabet.index(alphabet.terminal)
+        # one terminal, in last place
+        complete = (terminal.sum(1) == 1) & ((terminal * np.arange(1, ranks.shape[1] + 1)).sum(1) == length)
+        # by length, then tokenwise rank; the sort is stable, so a repeat sorts
+        # right after the row before it with the same path
+        order = np.lexsort((*ranks.T[::-1], length))
+        ranked = ranks[order]
+        repeat = np.zeros(known, dtype=bool)
+        repeat[order[1:]] = (ranked[1:] == ranked[:-1]).all(1)
+        y, w = yields[:known], weights[:known]
+        # NaN fails both comparisons
+        ok_y, ok_w = (y >= 0.0) & (y <= 1.0), (w >= 0.0) & (w <= 1.0)
+        bad = np.flatnonzero(repeat | ~complete | ~ok_y | ~ok_w)
+        if bad.size:
+            i = int(bad[0])
+            row = f"path row {i + 1}"
+            if repeat[i]:
+                raise InvalidInputError(f"{row} repeats path {psi[i]!r} of row {psi.index(psi[i]) + 1}")
+            if not complete[i]:
+                raise InvalidInputError(f"{row}: path {psi[i]!r} is not complete")
+            if not ok_y[i]:
+                raise InvalidInputError(f"{row}: yield must be finite and in [0, 1], got {y[i].item()!r}")
+            raise InvalidInputError(f"{row}: weight must be in [0, 1], got {w[i].item()!r}")
+        if unknown is not None:
+            raise InvalidInputError(f"path row {known + 1}: {unknown}") from unknown
+        check_weights(weights, "path law")
         yields, weights = yields[order], weights[order]
         yields.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "psi", tuple(map(psi.__getitem__, order.tolist())))
@@ -255,48 +289,13 @@ class PLInstance:
                     "weight, unlike row 1: either all path rows carry a weight or none do"
                 )
             weights = [1.0 / len(weights)] * len(weights)
-        return cls(alphabet=alphabet, psi=tuple(paths), psi_yields=yields, psi_weights=weights, noise=noise)
-
-
-def _support_order(
-    alphabet: ActionAlphabet, psi: tuple[PathSeq, ...], yields: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Check the support rows as ``PLInstance`` says, and give their
-    canonical order."""
-    try:
-        ranks, unknown = alphabet.encode(psi), None
-    except InvalidInputError as exc:  # the first unknown token, as require_seq finds it
-        unknown, tokens = exc, set(alphabet.tokens)
-        # the rows before its row are checked first
-        ranks = alphabet.encode(psi[: next(i for i, path in enumerate(psi) if not tokens.issuperset(path))])
-    known = len(ranks)
-    length = (ranks >= 0).sum(1)
-    terminal = ranks == alphabet.index(alphabet.terminal)
-    # one terminal, in last place
-    complete = (terminal.sum(1) == 1) & ((terminal * np.arange(1, ranks.shape[1] + 1)).sum(1) == length)
-    # by length, then tokenwise rank; the sort is stable, so a repeat sorts
-    # right after the row before it with the same path
-    order = np.lexsort((*ranks.T[::-1], length))
-    ranked = ranks[order]
-    repeat = np.zeros(known, dtype=bool)
-    repeat[order[1:]] = (ranked[1:] == ranked[:-1]).all(1)
-    y, w = yields[:known], weights[:known]
-    # NaN fails both comparisons
-    ok_y, ok_w = (y >= 0.0) & (y <= 1.0), (w >= 0.0) & (w <= 1.0)
-    bad = np.flatnonzero(repeat | ~complete | ~ok_y | ~ok_w)
-    if bad.size:
-        i = int(bad[0])
-        if repeat[i]:
-            raise InvalidInputError(f"path row {i + 1} repeats path {psi[i]!r} of row {psi.index(psi[i]) + 1}")
-        if not complete[i]:
-            raise InvalidInputError(f"path row {i + 1}: path {psi[i]!r} is not complete")
-        if not ok_y[i]:
-            raise InvalidInputError(f"path row {i + 1}: yield must be finite and in [0, 1], got {y[i].item()!r}")
-        raise InvalidInputError(f"path row {i + 1}: weight must be in [0, 1], got {w[i].item()!r}")
-    if unknown is not None:
-        raise InvalidInputError(f"path row {known + 1}: {unknown}") from unknown
-    check_weights(weights, "path law")
-    return order
+        return cls(
+            alphabet=alphabet,
+            psi=tuple(paths),
+            psi_yields=yields,
+            psi_weights=weights,
+            noise=noise,
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -273,7 +273,7 @@ class TestPLInstance:
         assert loaded.psi_weights.tobytes() == psi_weights.tobytes()
         assert serialize.dumps(loaded.to_json()) == serialize.dumps(doc)
 
-    # each fault, put into row ``row`` of FAULT_ROWS
+    # each kind of fault, written into row i (0-based) of a copy of FAULT_ROWS
     FAULTS = {
         "repeat": lambda rows, i: rows[i].update(path=rows[0]["path"]),
         "unknown token": lambda rows, i: rows[i].update(path=["z", "END"]),
