@@ -28,7 +28,6 @@ from .instance import (
     sample_dataset,
     save_dataset,
     save_instance,
-    seeded_rng,
 )
 from .losses import (
     TrainConfig,
@@ -46,10 +45,9 @@ from .oracle import (
     check_decomposition,
     compute_optimal,
     max_bellman_violation,
-    node_decomposition,
     save_oracle,
 )
-from .pathspace import ActionAlphabet, PrefixTrie, json_seq, random_improper
+from .pathspace import ActionAlphabet, PrefixTrie, json_seq
 from .planner import default_max_len, evaluate_plan, greedy_path
 from .reduction import build_offline_dataset, save_rl_dataset
 
@@ -96,7 +94,7 @@ def _load_p0(path: str, alphabet: ActionAlphabet) -> PathDistribution:
     rows = serialize.load_json(path)
     if not isinstance(rows, list) or not rows:
         raise InvalidInputError(f"{path}: p0 must be a nonempty list of rows")
-    states, weights = [], []
+    states, weights, first_row = [], [], {}
     for i, row in enumerate(rows, 1):
         try:
             state, weight = json_seq(row["state"]), float(row["weight"])
@@ -105,6 +103,9 @@ def _load_p0(path: str, alphabet: ActionAlphabet) -> PathDistribution:
             raise InvalidInputError(f"{path}: p0 row {i}: {exc}") from exc
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"{path}: malformed p0 row {i}: {row!r}") from exc
+        first = first_row.setdefault(state, i)
+        if first != i:
+            raise InvalidInputError(f"{path}: p0 row {i} repeats state {state!r} of row {first}")
         if not proper:
             raise InvalidInputError(f"{path}: p0 row {i}: state {state!r} is improper")
         if not 0.0 <= weight <= 1.0:  # NaN fails too
@@ -159,23 +160,15 @@ def _cmd_attribute(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.improper_samples < 0:
-        raise InvalidInputError(f"--improper-samples must be nonnegative, got {args.improper_samples}")
     if not (math.isfinite(args.gap_tol) and args.gap_tol >= 0.0):
         raise InvalidInputError(f"--gap-tol must be finite and nonnegative, got {args.gap_tol!r}")
-    rng = seeded_rng(args.seed)
     instance = load_instance(args.instance)
     ov = compute_optimal(instance)
     model = load_model(args.model) if args.model else TabularAdvantage.from_oracle(ov)
 
     gap = surrogate_gap(model, instance, lam=args.lam, kappa=args.kappa, ov=ov)
 
-    worst = float(np.max(np.abs(node_decomposition(ov))))
-    max_len = ov.trie.depth + 3
-    for _ in range(args.improper_samples):
-        seq = random_improper(instance.alphabet, rng, max_len=max_len)
-        worst = max(worst, abs(check_decomposition(ov, seq)))
-
+    worst = float(np.max(np.abs(check_decomposition(ov))))
     bellman = max_bellman_violation(ov)
     passed = (
         gap["gap"] <= args.gap_tol
@@ -188,7 +181,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "kappa": args.kappa,
         "gap": gap,
         "decomposition_max_abs_residual": worst,
-        "improper_samples": args.improper_samples,
         "bellman_violation": bellman,
         "passed": passed,
     }
@@ -267,14 +259,12 @@ def _build_parser() -> argparse.ArgumentParser:
     attr.add_argument("--out", required=True)
     attr.set_defaults(func=_cmd_attribute)
 
-    verify = sub.add_parser("verify", help="check the exact identities on an instance")
+    verify = sub.add_parser("verify", help="check the loss identity, and the value decomposition at every trie node")
     verify.add_argument("--instance", required=True)
     verify.add_argument("--lambda", dest="lam", type=float, default=100.0)
     verify.add_argument("--kappa", type=float, default=0.0)
     verify.add_argument("--model", default=None, help="a model file, oracle's too; default: the oracle's model")
     verify.add_argument("--report", required=True)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--improper-samples", type=int, default=200)
     verify.add_argument("--gap-tol", type=float, default=GAP_TOL)
     verify.set_defaults(func=_cmd_verify)
 

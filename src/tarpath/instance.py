@@ -428,7 +428,8 @@ def random_instance(spec: InstanceSpec, seed: int) -> PLInstance:
             for body in itertools.product(inner, repeat=d)
         ]
         chosen_idx = rng.choice(total, size=spec.n_paths, replace=False)
-        chosen = [candidates[int(i)] for i in chosen_idx]
+        # the candidates are in canonical order, so sorted indices are too
+        chosen = [candidates[i] for i in np.sort(chosen_idx).tolist()]
     else:
         depth_p = np.array(per_depth, dtype=float) / total
         seen: set[PathSeq] = set()
@@ -440,8 +441,8 @@ def random_instance(spec: InstanceSpec, seed: int) -> PLInstance:
             if path not in seen:
                 seen.add(path)
                 chosen.append(path)
+        chosen.sort(key=alphabet.sort_key)
 
-    chosen.sort(key=alphabet.sort_key)
     lo, hi = spec.yield_range
     return PLInstance(
         alphabet=alphabet,

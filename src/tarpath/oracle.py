@@ -10,11 +10,9 @@ action, by the token's rank:
   plus the optimal value of the successor: the drawdown of committing to an
   action, nonpositive everywhere.
 
-``value_at`` and ``advantage_at`` look them up by sequence.
-
 ``save_oracle`` writes the exact tabular model (c = J*, each trie edge's
 drawdown), which ``plan``, ``attribute`` and ``verify`` read as ``--model``.
-Its values over the nodes are ``v`` up to ``node_decomposition``'s rounding
+Its values over the nodes are ``v`` up to ``check_decomposition``'s rounding
 residual, so ``v`` needs no field. Off the trie it reads ``-fallback_B``, not
 the exact drawdown (``-v`` of the node left, 0 past an ``END``).
 """
@@ -22,14 +20,13 @@ the exact drawdown (``-v`` of the node left, 0 past an ``END``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .errors import InvalidInstanceError
 from .instance import PLInstance
 from .model import TabularAdvantage, save_model
-from .pathspace import PathSeq, PrefixTrie, SeqClass
+from .pathspace import PrefixTrie
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,14 +39,6 @@ class OptimalValues:
     v: np.ndarray
     a: np.ndarray
     j_star: float
-
-    def value_at(self, seq: PathSeq) -> float:
-        i = self.trie.index.get(tuple(seq))
-        return 0.0 if i is None else float(self.v[i])
-
-    def advantage_at(self, seq: PathSeq, token: str) -> float:
-        i = self.trie.index.get(tuple(seq))
-        return 0.0 if i is None else float(self.a[i, self.trie.alphabet.index(token)])
 
     @property
     def edge_drawdowns(self) -> np.ndarray:
@@ -79,27 +68,12 @@ def compute_optimal(instance: PLInstance) -> OptimalValues:
     return OptimalValues(trie=trie, v=v, a=q - v[:, None], j_star=value[0])
 
 
-def check_decomposition(ov: OptimalValues, seq: Iterable[str]) -> float:
-    """Residual of the additive value identity at one sequence.
-
-    Proper sequences should satisfy v(seq) = j_star + sum of the per-step
-    drawdowns along seq; improper sequences should carry value 0. Returns
-    the signed difference (0 up to float rounding when the identity holds).
-    """
-    seq = tuple(seq)
-    # classify rejects unknown tokens
-    if ov.trie.alphabet.classify(seq) is SeqClass.IMPROPER:
-        return ov.value_at(seq) - 0.0
-    total = ov.j_star
-    for k in range(len(seq)):
-        total += ov.advantage_at(seq[:k], seq[k])
-    return ov.value_at(seq) - total
-
-
-def node_decomposition(ov: OptimalValues) -> np.ndarray:
-    """``check_decomposition`` at every trie node, in node order, in one
+def check_decomposition(ov: OptimalValues) -> np.ndarray:
+    """Residual of the additive value identity at every trie node, in node
+    order: v(s) minus the sum of j_star and the drawdowns along s, added
+    left to right (0 up to float rounding when the identity holds). One
     pass: a node's sum is its parent's plus the drawdown of the edge into
-    it, the same left-to-right additions."""
+    it."""
     edge = ov.edge_drawdowns.tolist()
     total = [ov.j_star]
     for i, p in enumerate(ov.trie.parent[1:].tolist()):

@@ -292,13 +292,3 @@ def grow(tree: PrefixTrie, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     parent = np.concatenate((tree.parent, code // width))
     return end, parent, np.concatenate((tree.rank, code % width)), np.concatenate(depths)
 
-
-def random_improper(
-    alphabet: ActionAlphabet, rng: np.random.Generator, max_len: int = 8
-) -> PathSeq:
-    """Random sequence with the terminal forced onto a non-final index."""
-    length = int(rng.integers(2, max(max_len, 2) + 1))
-    tokens = alphabet.tokens
-    seq = [tokens[int(i)] for i in rng.integers(0, len(tokens), size=length)]
-    seq[int(rng.integers(0, length - 1))] = alphabet.terminal
-    return tuple(seq)

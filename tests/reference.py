@@ -1,10 +1,12 @@
 """Test-only references: the two hand-made instances, the dict-and-sort
 instance loader to check ``PLInstance``'s columns against, the fringe of a trie,
-the oracle file read back as the exact model, a trie-free enumeration of
-optimal values to check the oracle against, the per-row noise sampler to
-check the vectorized draw against, and the scalar step lookup and per-token
-rollout to check ``edge_slots``, ``value_steps`` and ``greedy_path``
-against."""
+random improper sequences, the oracle file read back as the exact model, the
+oracle's values looked up by sequence and its decomposition checked one
+sequence at a time (to check ``check_decomposition`` against), a trie-free
+enumeration of optimal values to check the oracle against, the per-row noise
+sampler to check the vectorized draw against, and the scalar step lookup and
+per-token rollout to check ``edge_slots``, ``value_steps`` and
+``greedy_path`` against."""
 
 from typing import Callable, Iterable
 
@@ -21,7 +23,7 @@ from tarpath.model import (
     TabularAdvantage,
     load_model,
 )
-from tarpath.oracle import OptimalValues, node_decomposition, save_oracle
+from tarpath.oracle import OptimalValues, check_decomposition, save_oracle
 from tarpath.pathspace import EMPTY, ActionAlphabet, PathSeq, PrefixTrie, SeqClass, json_seq
 
 
@@ -87,11 +89,48 @@ def instance_columns(obj: dict) -> tuple[tuple[PathSeq, ...], np.ndarray, np.nda
     }
 
 
+def random_improper(alphabet: ActionAlphabet, rng: np.random.Generator, max_len: int = 8) -> PathSeq:
+    """Random sequence with the terminal forced onto a non-final index."""
+    length = int(rng.integers(2, max(max_len, 2) + 1))
+    tokens = alphabet.tokens
+    seq = [tokens[int(i)] for i in rng.integers(0, len(tokens), size=length)]
+    seq[int(rng.integers(0, length - 1))] = alphabet.terminal
+    return tuple(seq)
+
+
+def value_at(ov: OptimalValues, seq: Iterable[str]) -> float:
+    """``ov.v`` looked up by sequence: the value at its node, 0 off the trie."""
+    i = ov.trie.index.get(tuple(seq))
+    return 0.0 if i is None else float(ov.v[i])
+
+
+def advantage_at(ov: OptimalValues, seq: Iterable[str], token: str) -> float:
+    """``ov.a`` looked up by sequence and token: 0 off the trie."""
+    i = ov.trie.index.get(tuple(seq))
+    return 0.0 if i is None else float(ov.a[i, ov.trie.alphabet.index(token)])
+
+
+def decomposition_at(ov: OptimalValues, seq: Iterable[str]) -> float:
+    """Residual of the additive value identity at one sequence, one lookup
+    per step: v(seq) minus the sum of j_star and the drawdowns along seq,
+    added left to right; for an improper sequence, whose value should be 0,
+    v(seq). ``check_decomposition`` is this at every trie node, bit for
+    bit."""
+    seq = tuple(seq)
+    # classify rejects unknown tokens
+    if ov.trie.alphabet.classify(seq) is SeqClass.IMPROPER:
+        return value_at(ov, seq) - 0.0
+    total = ov.j_star
+    for k in range(len(seq)):
+        total += advantage_at(ov, seq[:k], seq[k])
+    return value_at(ov, seq) - total
+
+
 def load_oracle_file(ov: OptimalValues, path: str) -> tuple[TabularAdvantage, np.ndarray]:
     """Write ``ov`` with ``save_oracle``, read it back with ``load_model`` and
     check that it is the exact model: c = J*, the trie's nodes and each
     edge's drawdown bit for bit. Returns the model and its values over the
-    nodes, which are the sums that ``node_decomposition`` compares with
+    nodes, which are the sums that ``check_decomposition`` compares with
     ``v``, bit for bit (so they equal ``v`` wherever its residual is 0)."""
     save_oracle(ov, path)
     model = load_model(path)
@@ -100,7 +139,7 @@ def load_oracle_file(ov: OptimalValues, path: str) -> tuple[TabularAdvantage, np
     assert model.a.tobytes() == ov.edge_drawdowns.tobytes()
     assert model.trie.nodes == ov.trie.nodes
     values = _ValueBatch(model, model.trie.nodes).values(model.drawdown_vector())
-    assert (ov.v - values).tobytes() == node_decomposition(ov).tobytes()
+    assert (ov.v - values).tobytes() == check_decomposition(ov).tobytes()
     return model, values
 
 

@@ -44,7 +44,7 @@ from tarpath.oracle import (
     compute_optimal,
 )
 from tarpath.attribution import attribute
-from tarpath.pathspace import random_improper
+from tarpath.pathspace import SeqClass, grow
 from tarpath.planner import default_max_len, evaluate_plan, greedy_path, greedy_rollout
 from tarpath.reduction import load_rl_dataset, save_rl_dataset
 
@@ -56,6 +56,7 @@ from .reference import (
     load_oracle_file,
     oracle_scores,
     predict_value,
+    random_improper,
 )
 
 POOL_SIZE = 200
@@ -86,18 +87,21 @@ def pool():
 def test_criterion_1_advantage_decomposition(pool):
     worst = 0.0
     for seed, (inst, ov) in enumerate(pool):
-        for node in inst.trie.nodes:
-            worst = max(worst, abs(check_decomposition(ov, node)))
+        worst = max(worst, float(np.max(np.abs(check_decomposition(ov)))))
+        # improper sequences carry value 0: none is a trie node, and each
+        # random one ends at a node that growing it onto the trie adds
+        trie = inst.trie
+        assert not any(inst.alphabet.classify(node) is SeqClass.IMPROPER for node in trie.nodes)
         rng = np.random.default_rng(seed)
-        max_len = inst.trie.depth + 3
-        for _ in range(IMPROPER_PER_INSTANCE):
-            seq = random_improper(inst.alphabet, rng, max_len=max_len)
-            worst = max(worst, abs(check_decomposition(ov, seq)))
+        max_len = trie.depth + 3
+        rows = [random_improper(inst.alphabet, rng, max_len=max_len) for _ in range(IMPROPER_PER_INSTANCE)]
+        end, *_ = grow(trie, inst.alphabet.encode(rows))
+        assert (end >= len(trie)).all()
     assert worst <= 1e-12
     print(
         f"ACCEPTANCE 1 advantage decomposition: PASS "
-        f"(max |residual| {worst:.3e} over {POOL_SIZE} instances, "
-        f"{IMPROPER_PER_INSTANCE} improper draws each)"
+        f"(max |residual| {worst:.3e} over {POOL_SIZE} instances; "
+        f"{IMPROPER_PER_INSTANCE} improper draws each, all off the trie)"
     )
 
 
@@ -105,13 +109,13 @@ def test_criterion_2_oracle_cross_validation(pool):
     states = 0
     advantages = 0
     for inst, ov in pool:
-        for node in inst.trie.nodes:
-            assert ov.value_at(node) == enumeration_value(inst, node)
+        for i, node in enumerate(inst.trie.nodes):
+            assert ov.v[i] == enumeration_value(inst, node)
             states += 1
             if node in inst.row_of:
                 continue
-            for a in inst.alphabet.tokens:
-                assert ov.advantage_at(node, a) == enumeration_advantage(inst, node, a)
+            for rank, a in enumerate(inst.alphabet.tokens):
+                assert ov.a[i, rank] == enumeration_advantage(inst, node, a)
                 advantages += 1
     print(
         f"ACCEPTANCE 2 oracle cross-validation: PASS "

@@ -270,7 +270,6 @@ class TestVerify:
             ("--kappa", "nan", "kappa must be finite and nonnegative, got nan"),
             ("--kappa", "inf", "kappa must be finite and nonnegative, got inf"),
             ("--kappa", "-5", "kappa must be finite and nonnegative, got -5.0"),
-            ("--improper-samples", "-3", "--improper-samples must be nonnegative, got -3"),
             ("--gap-tol", "-1", "--gap-tol must be finite and nonnegative, got -1.0"),
             ("--gap-tol", "nan", "--gap-tol must be finite and nonnegative, got nan"),
         ],
@@ -294,8 +293,8 @@ class TestVerifyGolden:
     iterative tabular solve wrote before keeps its own pinned report."""
 
     REPORTS = {
-        "tabular": "9f4c350f536be2b329056eadb9e85624b1d9ff5dd1ed675b2314bfb2e495eb12",
-        "linear": "bdb6958b87ac48ee92cc49b65be4a816b795fb42a967484e74fe5418f7ff8afe",
+        "tabular": "5efbe89821d4d62b0c56133b9b4e3d751e4fc96d94d974683acd7f772713daf6",
+        "linear": "ffc4d58333278f1e7e5cb91e802a9695632ceb5c85d82e5f2fb187e9d5102577",
     }
 
     @pytest.mark.parametrize("family", sorted(REPORTS))
@@ -316,9 +315,9 @@ class TestVerifyGolden:
     # of the instance's 1050 nodes, so the compile tree of the 3751 default
     # mix states grows up to 6 levels off it
     FAR_REPORTS = {
-        "oracle": "3e8d2849a0f6d99d161e0bf5395ce5f4da6fcfc97a2df97f5975f4fb905c842f",
-        "tabular": "c80a8768339e1fc6faa4909217e4cbb22abd4228f91b2b1bbf832f6c6f692283",
-        "linear": "1d0e1b698551e49f6f2ad479d05d0b812d08b90954da562299ef47ec0c686c5a",
+        "oracle": "3aeac5acf7b39551c6ac93c24dd66476396ab3f987a21dd4153a84161cedb041",
+        "tabular": "5c82ce9e82fdb55f4083ac9f5b24d85ad5cf064e500e4f450586394c9b7c8cab",
+        "linear": "803993f4fd74e7d11b681ba761dc3ec8f44f45f320aa224a8f39bc37b77b6bf7",
     }
 
     def test_verify_far_off_the_model_trie_is_pinned(self, tmp_path):
@@ -345,26 +344,28 @@ class TestVerifyGolden:
         # projected Barzilai-Borwein solve wrote for this instance (final
         # loss 8.3293485349983598, as the tree solve's), its raw scores z
         # converted to the drawdowns -log(1 + exp(z)) that every reader took
-        # from them; its verify.json keeps the bytes pinned for it then
+        # from them; its verify.json keeps the bytes pinned for it then, but
+        # for the improper_samples line that verify no longer writes
         inst, verify = tmp_path / "inst.json", tmp_path / "verify.json"
         assert run("gen", "--actions", 3, "--depth", 4, "--paths", 6, "--seed", 21, "--out", inst) == 0
         assert run("verify", "--instance", inst, "--model", FIXTURES / "tabular_iterative_model.json",
                    "--report", verify) == 0
         digest = hashlib.sha256(verify.read_bytes()).hexdigest()
-        assert digest == "80de7da93c8a1f35d0b9aa9d52590b9207c9f74183fb2dd66a26006a5ae30845"
+        assert digest == "1c72c8f265fec26969053cc7acebe182dd9936c8f0c88c23014e0071e30016db"
 
     def test_biased_linear_model_scores_as_before(self, tmp_path):
         # fixtures/linear_biased_model.json is the linear model that the
         # softplus-coordinate trainer wrote for this instance, with its bias,
         # -15.09, added into each pair's weight as every prediction added it,
         # and each weight z converted to the drawdown -log(1 + exp(z)); its
-        # verify.json keeps the bytes pinned for it then
+        # verify.json keeps the bytes pinned for it then, but for the
+        # improper_samples line that verify no longer writes
         inst, verify = tmp_path / "inst.json", tmp_path / "verify.json"
         assert run("gen", "--actions", 3, "--depth", 4, "--paths", 6, "--seed", 21, "--out", inst) == 0
         assert run("verify", "--instance", inst, "--model", FIXTURES / "linear_biased_model.json",
                    "--report", verify) == 0
         digest = hashlib.sha256(verify.read_bytes()).hexdigest()
-        assert digest == "434262a38edf197de4ebf3ec2788b117143da7ed463c1b7226fc0a5ea56abb7c"
+        assert digest == "93bc7df06d962626798b02b809a209adeeb6d92374decaf278f65e9f2e290562"
 
 
 class TestArtifactGolden:
@@ -581,7 +582,7 @@ class TestLoadTimeErrors:
             ('[{"state": [], "weight": 1.0}, {"state": [], "weight": "x"}]', "row 2"),
             ('[{"state": [], "weight": 1' + '0' * 400 + '}]', "row 1"),  # overflows a float
             ('{"state": [], "weight": 1.0}', "list of rows"),
-            ('[{"state": [], "weight": 0.5}, {"state": [], "weight": 0.5}]', "distinct"),
+            ('[{"state": [], "weight": 0.5}, {"state": [], "weight": 0.5}]', "p0 row 2 repeats state () of row 1"),
             ("[]", "nonempty"),
             ('[{"state": ["END", "a"], "weight": 1.0}]', "p0 row 1: state ('END', 'a') is improper"),
             ('[{"state": [], "weight": 0.5}, {"state": ["z"], "weight": 0.5}]', "p0 row 2: unknown token 'z'"),
@@ -693,18 +694,24 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--seed", "--improper-samples"])
+    def test_verify_draws_nothing(self, tmp_path, e1_file, flag):
+        # verify checks every trie node and samples no sequence
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--instance", e1_file, "--report", str(tmp_path / "verify.json"), flag, "1"])
+        assert exc.value.code == 2
+
 
 class TestRejectedArguments:
     """Arguments that parse but cannot be used exit 1 with one error line,
     and write no file."""
 
-    @pytest.mark.parametrize("command", ["gen", "sample", "verify"])
+    @pytest.mark.parametrize("command", ["gen", "sample"])
     def test_negative_seed(self, tmp_path, capsys, e1_file, command):
         out, rl = tmp_path / "out.json", tmp_path / "rl.jsonl"
         argv = {
             "gen": ("gen", "--actions", 3, "--depth", 2, "--paths", 2, "--seed", -1, "--out", out),
             "sample": ("sample", "--instance", e1_file, "--n", 5, "--seed", -3, "--out", out, "--rl-out", rl),
-            "verify": ("verify", "--instance", e1_file, "--seed", -2, "--report", out),
         }[command]
         assert run(*argv) == 1
         seed = argv[argv.index("--seed") + 1]

@@ -311,9 +311,9 @@ class TestSurrogateGap:
         lam = 100.0
         ov = compute_optimal(inst)
         report = surrogate_gap(model, inst, lam=lam, ov=ov)
-        weights = inst.psi_weights.tolist()
+        weights, optimal = inst.psi_weights.tolist(), ov.v[inst.trie.members].tolist()
         want = 0.5 * lam * math.fsum(
-            w * max(predict_value(model, p) - ov.value_at(p), 0.0) ** 2 for p, w in zip(inst.psi, weights)
+            w * max(predict_value(model, p) - v_star, 0.0) ** 2 for p, w, v_star in zip(inst.psi, weights, optimal)
         )
         assert report["hinge_excess_term"] == want
         assert report["gap"] <= 1e-9
@@ -321,7 +321,7 @@ class TestSurrogateGap:
         batch = _ValueBatch(model, inst.psi)
         values = batch.values(model.drawdown_vector())[batch.node]
         batched = 0.5 * lam * math.fsum(
-            w * max(v - ov.value_at(p), 0.0) ** 2 for p, w, v in zip(inst.psi, weights, values.tolist())
+            w * max(v - v_star, 0.0) ** 2 for w, v, v_star in zip(weights, values.tolist(), optimal)
         )
         assert batched == want
 

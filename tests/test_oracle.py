@@ -11,44 +11,44 @@ from tarpath.oracle import (
     check_decomposition,
     compute_optimal,
     max_bellman_violation,
-    node_decomposition,
 )
-from tarpath.pathspace import EMPTY, ActionAlphabet, random_improper
+from tarpath.pathspace import EMPTY, ActionAlphabet, SeqClass, grow
 from tarpath.planner import PlanResult, evaluate_plan, greedy_rollout
 
 from .reference import (
+    advantage_at,
+    decomposition_at,
     enumeration_advantage,
     enumeration_value,
     load_oracle_file,
     oracle_scores,
     per_token_rollout,
+    random_improper,
     step_drawdown,
+    value_at,
 )
-from .strategies import instances
+from .strategies import alphabets, instances
+
+AB = ActionAlphabet(tokens=("a", "b", "END"), terminal="END")
 
 
 class TestHandValues:
     def test_e1(self, e1):
         ov = compute_optimal(e1)
         assert ov.j_star == 0.8
-        assert ov.value_at(("b",)) == 0.3
-        assert ov.advantage_at(EMPTY, "a") == 0.0
-        assert ov.advantage_at(EMPTY, "b") == -0.5
+        assert value_at(ov, ("b",)) == 0.3
+        assert advantage_at(ov, EMPTY, "a") == 0.0
+        assert advantage_at(ov, EMPTY, "b") == -0.5
 
     def test_e2(self, e2):
         ov = compute_optimal(e2)
         assert ov.j_star == 0.9
-        assert ov.value_at(("a",)) == 0.9
-        assert ov.value_at(("a", "b")) == 0.2
-        assert ov.value_at(("b",)) == 0.5
-        assert ov.advantage_at(("a",), "b") == pytest.approx(-0.7)
-        assert ov.advantage_at(EMPTY, "END") == pytest.approx(-0.9)
-        assert ov.advantage_at(EMPTY, "b") == pytest.approx(-0.4)
-
-    def test_off_trie_lookups_are_zero(self, e2):
-        ov = compute_optimal(e2)
-        assert ov.value_at(("b", "b")) == 0.0
-        assert ov.advantage_at(("b", "b"), "a") == 0.0
+        assert value_at(ov, ("a",)) == 0.9
+        assert value_at(ov, ("a", "b")) == 0.2
+        assert value_at(ov, ("b",)) == 0.5
+        assert advantage_at(ov, ("a",), "b") == pytest.approx(-0.7)
+        assert advantage_at(ov, EMPTY, "END") == pytest.approx(-0.9)
+        assert advantage_at(ov, EMPTY, "b") == pytest.approx(-0.4)
 
     def test_empty_support_raises(self):
         alphabet = ActionAlphabet(tokens=("a", "END"))
@@ -62,14 +62,14 @@ class TestInvariants:
     def test_advantages_nonpositive(self, inst):
         ov = compute_optimal(inst)
         tokens = inst.alphabet.tokens
-        assert all(ov.advantage_at(node, a) <= 0.0 for node in inst.trie.nodes for a in tokens)
+        assert all(advantage_at(ov, node, a) <= 0.0 for node in inst.trie.nodes for a in tokens)
 
     @given(instances())
     def test_terminal_advantage_zero_on_support(self, inst):
         # committing to the terminal at a support path costs nothing
         ov = compute_optimal(inst)
         for path in inst.psi:
-            assert ov.advantage_at(path, inst.alphabet.terminal) == 0.0
+            assert advantage_at(ov, path, inst.alphabet.terminal) == 0.0
 
     @given(instances())
     def test_bellman_feasibility_exact(self, inst):
@@ -77,9 +77,7 @@ class TestInvariants:
 
     @given(instances())
     def test_decomposition_residual_zero(self, inst):
-        ov = compute_optimal(inst)
-        for node in inst.trie.nodes:
-            assert abs(check_decomposition(ov, node)) <= 1e-12
+        assert np.max(np.abs(check_decomposition(compute_optimal(inst)))) <= 1e-12
 
     @given(instances(), st.integers(min_value=0, max_value=2**32 - 1))
     def test_node_pass_is_check_decomposition_bit_for_bit(self, inst, seed):
@@ -89,16 +87,19 @@ class TestInvariants:
         v = rng.uniform(0.0, 1.0, size=len(trie))
         q = rng.uniform(-1.0, 1.0, size=(len(trie), len(inst.alphabet.tokens)))
         ov = OptimalValues(trie=trie, v=v, a=q - v[:, None], j_star=float(v[0]))
-        want = np.array([check_decomposition(ov, node) for node in trie.nodes])
-        assert node_decomposition(ov).tobytes() == want.tobytes()
+        want = np.array([decomposition_at(ov, node) for node in trie.nodes])
+        assert check_decomposition(ov).tobytes() == want.tobytes()
 
     @given(instances(), st.integers(min_value=0, max_value=2**32 - 1))
-    def test_decomposition_on_improper(self, inst, seed):
-        ov = compute_optimal(inst)
+    def test_no_trie_node_is_improper(self, inst, seed):
+        # the trie holds complete paths and their prefixes, so the check over
+        # its nodes meets no improper sequence: each one ends off the trie
+        trie = inst.trie
+        assert not any(inst.alphabet.classify(node) is SeqClass.IMPROPER for node in trie.nodes)
         rng = np.random.default_rng(seed)
-        for _ in range(10):
-            seq = random_improper(inst.alphabet, rng)
-            assert check_decomposition(ov, seq) == 0.0
+        rows = [random_improper(inst.alphabet, rng) for _ in range(10)]
+        end, *_ = grow(trie, inst.alphabet.encode(rows))
+        assert (end >= len(trie)).all()
 
     @given(instances())
     def test_j_star_is_max_yield(self, inst):
@@ -114,7 +115,7 @@ class TestEnumerationAgreement:
     def test_values_equal_exactly(self, inst):
         ov = compute_optimal(inst)
         for node in inst.trie.nodes:
-            assert ov.value_at(node) == enumeration_value(inst, node)
+            assert value_at(ov, node) == enumeration_value(inst, node)
 
     @given(instances())
     def test_advantages_equal_exactly_off_support(self, inst):
@@ -123,7 +124,7 @@ class TestEnumerationAgreement:
             if node in inst.row_of:
                 continue
             for a in inst.alphabet.tokens:
-                assert ov.advantage_at(node, a) == enumeration_advantage(inst, node, a)
+                assert advantage_at(ov, node, a) == enumeration_advantage(inst, node, a)
 
     def test_enumeration_off_trie(self, e2):
         assert enumeration_value(e2, ("b", "a")) == 0.0
@@ -137,7 +138,8 @@ class TestGreedyPolicy:
         rollout = greedy_rollout(inst.alphabet, oracle_scores(ov), inst.trie.depth + 1)
         # one row of the oracle's drawdowns per state rolls out as one
         # ``advantage_at`` call per token did
-        assert rollout == per_token_rollout(inst.alphabet, ov.advantage_at, inst.trie.depth + 1)
+        score = lambda s, a: advantage_at(ov, s, a)  # noqa: E731
+        assert rollout == per_token_rollout(inst.alphabet, score, inst.trie.depth + 1)
         path, truncated, _ = rollout
         assert not truncated
         assert inst.yield_of(path) == ov.j_star
@@ -180,5 +182,20 @@ class TestOracleFile:
         # slot for it and reads -fallback_B, as every tabular model does
         ov = compute_optimal(e2)
         model, _ = load_oracle_file(ov, str(tmp_path / "oracle.json"))
-        assert ov.advantage_at(("b",), "a") == -ov.value_at(("b",)) == -0.5
+        assert advantage_at(ov, ("b",), "a") == -value_at(ov, ("b",)) == -0.5
         assert step_drawdown(model, ("b",), "a") == -model.fallback_B == -10.0
+
+
+class TestRandomImproper:
+    @given(alphabets(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_always_improper(self, alphabet, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            seq = random_improper(alphabet, rng)
+            assert alphabet.classify(seq) is SeqClass.IMPROPER
+            assert len(seq) <= 8
+
+    def test_deterministic_given_seed(self):
+        a = [random_improper(AB, np.random.default_rng(7)) for _ in range(5)]
+        b = [random_improper(AB, np.random.default_rng(7)) for _ in range(5)]
+        assert a == b

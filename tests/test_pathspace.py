@@ -10,7 +10,6 @@ from tarpath.pathspace import (
     ActionAlphabet,
     PrefixTrie,
     SeqClass,
-    random_improper,
 )
 
 from .reference import fringe_states
@@ -219,18 +218,3 @@ class TestPrefixTrie:
         for array in (trie.parent, trie.rank, trie.child):
             with pytest.raises(ValueError):
                 array[0] = 0
-
-
-class TestRandomImproper:
-    @given(alphabets(), st.integers(min_value=0, max_value=2**32 - 1))
-    def test_always_improper(self, alphabet, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(20):
-            seq = random_improper(alphabet, rng)
-            assert alphabet.classify(seq) is SeqClass.IMPROPER
-            assert len(seq) <= 8
-
-    def test_deterministic_given_seed(self):
-        a = [random_improper(AB, np.random.default_rng(7)) for _ in range(5)]
-        b = [random_improper(AB, np.random.default_rng(7)) for _ in range(5)]
-        assert a == b
