@@ -50,6 +50,14 @@ class TestHandValues:
         assert advantage_at(ov, EMPTY, "END") == pytest.approx(-0.9)
         assert advantage_at(ov, EMPTY, "b") == pytest.approx(-0.4)
 
+    def test_off_trie_lookups_are_zero(self, e2):
+        # off-trie states carry 0, as enumeration gives them, so an edge
+        # that leaves the trie draws the whole value of its state down
+        ov = compute_optimal(e2)
+        assert value_at(ov, ("b", "b")) == 0.0 == enumeration_value(e2, ("b", "b"))
+        assert advantage_at(ov, ("b", "b"), "a") == 0.0
+        assert advantage_at(ov, ("b",), "b") == -value_at(ov, ("b",)) == -0.5
+
     def test_empty_support_raises(self):
         alphabet = ActionAlphabet(tokens=("a", "END"))
         inst = PLInstance(alphabet=alphabet, psi=(), psi_yields=(), psi_weights=(), noise=NoiseModel.noiseless())
