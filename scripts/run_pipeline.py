@@ -59,7 +59,7 @@ def main():
         instance = random_instance(spec, args.seed)
         print(f"generated a random instance (seed {args.seed})")
     save_instance(instance, out("instance.json"))
-    print(f"  support paths: {len(instance.psi)}, trie nodes: {len(instance.trie.nodes)}")
+    print(f"  support paths: {len(instance.psi)}, trie nodes: {len(instance.trie)}")
 
     ov = compute_optimal(instance)
     save_oracle(ov, out("oracle.json"))

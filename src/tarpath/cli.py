@@ -44,7 +44,6 @@ from .model import (
 from .oracle import (
     check_decomposition,
     compute_optimal,
-    max_bellman_violation,
     save_oracle,
 )
 from .pathspace import ActionAlphabet, PrefixTrie, json_seq
@@ -169,11 +168,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     gap = surrogate_gap(model, instance, lam=args.lam, kappa=args.kappa, ov=ov)
 
     worst = float(np.max(np.abs(check_decomposition(ov))))
-    bellman = max_bellman_violation(ov)
     passed = (
         gap["gap"] <= args.gap_tol
         and worst <= DECOMPOSITION_TOL
-        and bellman == 0.0
     )
     report = {
         "j_star": ov.j_star,
@@ -181,7 +178,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "kappa": args.kappa,
         "gap": gap,
         "decomposition_max_abs_residual": worst,
-        "bellman_violation": bellman,
         "passed": passed,
     }
     serialize.dump_json(report, args.report)

@@ -33,7 +33,7 @@ from .errors import (
     InvalidInstanceError,
     UnsupportedNoiseError,
 )
-from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, json_seq
+from .pathspace import ActionAlphabet, PathSeq, PrefixTrie, grow, json_seq
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -174,13 +174,14 @@ class PLInstance:
     alphabet, an incomplete path, a repeat of an earlier row's path, or a
     yield or weight outside [0, 1] (NaN included). It then rejects weights
     that do not sum to 1, and sorts the rows on their token ranks
-    (``ActionAlphabet.encode``)."""
+    (``ActionAlphabet.encode``), kept as ``psi_ranks`` for the ``trie``."""
 
     alphabet: ActionAlphabet
     psi: tuple[PathSeq, ...]
     psi_yields: np.ndarray
     psi_weights: np.ndarray
     noise: NoiseModel
+    psi_ranks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         alphabet, psi = self.alphabet, tuple(map(tuple, self.psi))
@@ -224,10 +225,11 @@ class PLInstance:
             raise InvalidInputError(f"path row {known + 1}: {unknown}") from unknown
         check_weights(weights, "path law")
         yields, weights = yields[order], weights[order]
-        yields.flags.writeable = weights.flags.writeable = False
+        yields.flags.writeable = weights.flags.writeable = ranked.flags.writeable = False
         object.__setattr__(self, "psi", tuple(map(psi.__getitem__, order.tolist())))
         object.__setattr__(self, "psi_yields", yields)
         object.__setattr__(self, "psi_weights", weights)
+        object.__setattr__(self, "psi_ranks", ranked)
 
     @cached_property
     def row_of(self) -> dict[PathSeq, int]:
@@ -236,7 +238,7 @@ class PLInstance:
 
     @cached_property
     def trie(self) -> PrefixTrie:
-        return PrefixTrie.build(self.alphabet, self.psi)
+        return PrefixTrie._of(self.alphabet, *grow(PrefixTrie.root(self.alphabet), self.psi_ranks)[1:])
 
     def yield_of(self, seq: Iterable[str]) -> float:
         i = self.row_of.get(self.alphabet.require_seq(seq))

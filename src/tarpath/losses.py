@@ -153,7 +153,10 @@ class PenaltyMix:
     def ranks(self, alphabet: ActionAlphabet) -> np.ndarray:
         """The states, as ``alphabet.encode`` writes them."""
         if self.trie is not None and self.trie.alphabet == alphabet:
-            return self.trie.encode_steps(self.state_node, self.state_rank)
+            # a state's row is its node's plus its rank
+            out = np.pad(self.trie.rows[self.state_node], ((0, 0), (0, 1)), constant_values=-1)
+            out[np.arange(out.shape[0]), self.trie.depths[self.state_node]] = self.state_rank
+            return out
         return alphabet.encode(self.states)
 
     @functools.cached_property

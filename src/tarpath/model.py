@@ -148,9 +148,9 @@ class AdvantageModel:
     def step_drawdowns(self, state: PathSeq) -> np.ndarray:
         """The drawdown of the step by every token out of ``state``, in
         declaration order."""
-        tree, token = self.tree, np.arange(len(self.alphabet.tokens))
-        last = self.alphabet.index(state[-1]) if state else -1
-        return self.drawdowns(tree.index.get(state, len(tree)), last, len(state), token)
+        rank = [-1] + [self.alphabet.index(t) for t in state]
+        token = np.arange(len(self.alphabet.tokens))
+        return self.drawdowns(self.tree.walk(rank[1:])[-1], rank[-1], len(state), token)
 
     def drawdown_vector(self) -> np.ndarray:
         """[c, a_0, a_1, ...]: c, then the drawdown of each step slot."""
@@ -252,7 +252,8 @@ class TabularAdvantage(AdvantageModel):
 
     def raw_z(self, s: PathSeq, action: str) -> float | None:
         """The raw score of the edge (s, action), or None off the trie."""
-        slot = int(self.edge_slots(self.trie.index.get(s, len(self.trie)), -1, len(s), self.alphabet.index(action)))
+        node = self.trie.walk(map(self.alphabet.index, s))[-1]
+        slot = int(self.edge_slots(node, -1, len(s), self.alphabet.index(action)))
         return None if slot < 0 else raw_from_advantage(float(self.a[slot - 1]))
 
 
@@ -310,15 +311,13 @@ class LinearAdvantage(AdvantageModel):
 
 
 def value_steps(model: AdvantageModel, seq: PathSeq) -> tuple[float, tuple[float, ...]] | None:
-    """(value, step advantages) of a proper sequence, whose tokens are
-    checked once: the value is c plus each step's advantage, added left to
-    right, ((c + A_0) + A_1) + ...; None if the sequence is improper."""
-    seq = model.alphabet.require_seq(seq)
+    """(value, step advantages) of a proper sequence: the value is c plus
+    each step's advantage, added left to right, ((c + A_0) + A_1) + ...;
+    None if the sequence is improper."""
     if not model.alphabet.is_proper(seq):
         return None
-    tree = model.tree
-    node = np.array([tree.index.get(seq[:k], len(tree)) for k in range(len(seq))], dtype=np.intp)
     rank = np.array([-1] + [model.alphabet.index(t) for t in seq], dtype=np.intp)
+    node = model.tree.walk(rank[1:])[:-1]
     steps = tuple(model.drawdowns(node, rank[:-1], np.arange(len(seq)), rank[1:]).tolist())
     total = model.c
     for a in steps:
@@ -328,8 +327,9 @@ def value_steps(model: AdvantageModel, seq: PathSeq) -> tuple[float, tuple[float
 
 def model_to_json(model: AdvantageModel) -> dict:
     if isinstance(model, TabularAdvantage):
-        nodes = model.trie.nodes
-        raw = {"paths": [list(nodes[i]) for i in model.trie.members.tolist()], "a": model.a.tolist()}
+        trie, tokens = model.trie, model.alphabet.tokens
+        paths = [[tokens[r] for r in row if r >= 0] for row in trie.rows[trie.members].tolist()]
+        raw = {"paths": paths, "a": model.a.tolist()}
         extra = {"fallback_B": model.fallback_B}
     elif isinstance(model, LinearAdvantage):
         raw = {"feature_kind": model.kind, "a": model.a.tolist()}

@@ -1,8 +1,7 @@
 """Exact ground-truth values on small instances.
 
 Backward induction over the prefix trie computes, for every trie node s,
-held in arrays indexed by the node's position (``PrefixTrie.index``) and, per
-action, by the token's rank:
+held in arrays indexed by node id and, per action, by the token's rank:
 
 * ``v``: the best yield reachable from s (over all completions, including s
   itself when it is a support path), zero one step off the trie;
@@ -79,16 +78,6 @@ def check_decomposition(ov: OptimalValues) -> np.ndarray:
     for i, p in enumerate(ov.trie.parent[1:].tolist()):
         total.append(total[p] + edge[i])
     return ov.v - np.array(total)
-
-
-def max_bellman_violation(ov: OptimalValues) -> float:
-    """Largest positive part of (backup minus value) over trie states/actions,
-    which is the drawdown ``a``.
-
-    Feasibility of the optimal values means this is exactly 0: the backup
-    never exceeds the value it backs up to.
-    """
-    return max(0.0, float(np.max(ov.a)))
 
 
 def save_oracle(ov: OptimalValues, path: str) -> None:

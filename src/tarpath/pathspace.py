@@ -13,9 +13,10 @@ paths is the finite carrier for every value computation downstream: sequences
 off the trie are reached only through fringe states one append beyond it, and
 those carry optimal value zero. A node's position in canonical order indexes
 every per-node and per-edge array downstream (optimal values, tabular scores,
-node pieces). Tuples are the API boundary: inside, a sequence is a row of
-token ranks (``ActionAlphabet.encode``), and one function, ``grow``, adds the
-prefix closure of such rows to a tree, for the trie and for every compile.
+node pieces). A trie is its arrays. Tuples are the API boundary: inside, a
+sequence is a row of token ranks (``ActionAlphabet.encode``), which ``walk``
+follows in a trie, and ``grow`` adds the prefix closure of such rows to a
+tree, for the trie and for every compile.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -163,22 +165,20 @@ class ActionAlphabet:
 class PrefixTrie:
     """Prefix closure of a finite set of complete paths, rooted at ().
 
-    ``nodes`` is in canonical order — shallow to deep, declaration order
-    within a depth — and a node's position in it is its one index, which
-    every layer reads: ``index`` maps a node to it, ``parent[i]`` is the
-    position of node i's parent (-1 at the root), ``depths[i]`` its length,
-    and ``child[i, t]`` the position of node i's child by the token of rank
-    t (-1 where there is none). ``rank[i]`` is the rank of node i's last
-    token (-1 at the root), so the member paths (``members``) are the nodes
-    whose rank is the terminal's. The order is breadth first, so the edge
-    into node i is edge i - 1 of ``iter_edges``. ``build`` grows the arrays
-    from token ranks (``grow``); tuples appear only at the API boundary:
-    ``nodes``, ``index`` and ``iter_edges``.
+    A trie is its arrays, indexed by node id. Node ids are canonical order,
+    shallow to deep and declaration order within a depth: ``parent[i]`` is
+    the id of node i's parent (-1 at the root), ``depths[i]`` its length,
+    ``child[i, t]`` the id of its child by the token of rank t (-1 where
+    there is none) and ``rank[i]`` the rank of its last token (-1 at the
+    root), so the member paths (``members``) are the nodes whose rank is the
+    terminal's. The order is breadth first, so the edge into node i is edge
+    i - 1 of ``iter_edges``. ``walk`` follows ``child`` from the root to a
+    sequence's nodes. ``build`` grows the arrays from token ranks (``grow``);
+    ``rows``, each node's token ranks, and the tuples ``nodes`` are derived
+    from them on first read.
     """
 
     alphabet: ActionAlphabet
-    nodes: tuple[PathSeq, ...]
-    index: Mapping[PathSeq, int] = field(repr=False)
     parent: np.ndarray = field(repr=False)
     rank: np.ndarray = field(repr=False)
     depths: np.ndarray = field(repr=False)
@@ -207,19 +207,22 @@ class PrefixTrie:
         n = parent.size
         child = np.full((n, len(alphabet.tokens)), -1, dtype=np.intp)
         child[parent[1:], rank[1:]] = np.arange(1, n)
-        nodes = [EMPTY]
-        tokens = alphabet.tokens
-        for p, r in zip(parent[1:].tolist(), rank[1:].tolist()):
-            nodes.append(nodes[p] + (tokens[r],))
         for a in (parent, rank, depths, child):
             a.flags.writeable = False
-        return cls(alphabet, tuple(nodes), dict(zip(nodes, range(n))), parent, rank, depths, child)
+        return cls(alphabet, parent, rank, depths, child)
+
+    def walk(self, ranks: Iterable[int]) -> np.ndarray:
+        """The node of each prefix of a token-rank sequence, the root's first; ``len(self)`` off the trie."""
+        nodes = [0]
+        for r in ranks:  # off the trie, -1 reads the last node's row: a deepest node's, all -1
+            nodes.append(self.child[nodes[-1], r])
+        return np.where(np.array(nodes) < 0, len(self), nodes)
 
     def __contains__(self, seq: PathSeq) -> bool:
-        return seq in self.index
+        return self.alphabet._known.issuperset(seq) and self.walk(map(self.alphabet._rank.get, seq))[-1] < len(self)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return self.parent.size
 
     @property
     def depth(self) -> int:
@@ -231,19 +234,25 @@ class PrefixTrie:
         """The member paths' nodes, in canonical order."""
         return np.flatnonzero(self.rank == self.alphabet.index(self.alphabet.terminal))
 
-    def encode_steps(self, node: np.ndarray, rank: np.ndarray) -> np.ndarray:
-        """The rows ``ActionAlphabet.encode`` writes for the states
-        node[k] + (the token of rank rank[k],)."""
-        paths = np.full((len(self), self.depth + 1), -1, dtype=self.alphabet.rank_dtype)
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Each node's token ranks, as ``ActionAlphabet.encode`` writes ``nodes``."""
+        rows = np.full((len(self), self.depth), -1, dtype=self.alphabet.rank_dtype)
         # one depth at a time, a node's row is its parent's plus its rank
-        bounds = np.searchsorted(self.depths, np.arange(self.depth + 2)).tolist()
         for k in range(1, self.depth + 1):
-            level = slice(bounds[k], bounds[k + 1])
-            paths[level] = paths[self.parent[level]]
-            paths[level, k - 1] = self.rank[level]
-        out = paths[node]
-        out[np.arange(node.size), self.depths[node]] = rank
-        return out
+            level = self.depths == k
+            rows[level] = rows[self.parent[level]]
+            rows[level, k - 1] = self.rank[level]
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def nodes(self) -> tuple[PathSeq, ...]:
+        """Each node's tokens, in node order."""
+        nodes, tokens = [EMPTY], self.alphabet.tokens
+        for p, r in zip(self.parent[1:].tolist(), self.rank[1:].tolist()):
+            nodes.append(nodes[p] + (tokens[r],))
+        return tuple(nodes)
 
     def iter_edges(self) -> Iterator[tuple[PathSeq, str, PathSeq]]:
         """(parent, token, node) for every node but the root, in node order."""

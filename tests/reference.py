@@ -1,13 +1,15 @@
 """Test-only references: the two hand-made instances, the dict-and-sort
-instance loader to check ``PLInstance``'s columns against, the fringe of a trie,
-random improper sequences, the oracle file read back as the exact model, the
-oracle's values looked up by sequence and its decomposition checked one
+instance loader to check ``PLInstance``'s columns against, a trie's nodes
+looked up in a dict (to check ``PrefixTrie.walk`` against), the fringe of a
+trie, random improper sequences, the oracle file read back as the exact
+model, the oracle's values looked up by sequence and its decomposition checked one
 sequence at a time (to check ``check_decomposition`` against), a trie-free
 enumeration of optimal values to check the oracle against, the per-row noise
 sampler to check the vectorized draw against, and the scalar step lookup and
 per-token rollout to check ``edge_slots``, ``value_steps`` and
 ``greedy_path`` against."""
 
+import functools
 from typing import Callable, Iterable
 
 import numpy as np
@@ -89,6 +91,13 @@ def instance_columns(obj: dict) -> tuple[tuple[PathSeq, ...], np.ndarray, np.nda
     }
 
 
+@functools.lru_cache(maxsize=256)
+def node_index(trie: PrefixTrie) -> dict[PathSeq, int]:
+    """Each node's id, looked up by its tokens in a dict built over
+    ``trie.nodes``: the lookup that ``PrefixTrie.walk`` replaced."""
+    return dict(zip(trie.nodes, range(len(trie))))
+
+
 def random_improper(alphabet: ActionAlphabet, rng: np.random.Generator, max_len: int = 8) -> PathSeq:
     """Random sequence with the terminal forced onto a non-final index."""
     length = int(rng.integers(2, max(max_len, 2) + 1))
@@ -98,15 +107,28 @@ def random_improper(alphabet: ActionAlphabet, rng: np.random.Generator, max_len:
     return tuple(seq)
 
 
+def random_improper_rows(alphabet: ActionAlphabet, rng: np.random.Generator, n: int, max_len: int = 8) -> np.ndarray:
+    """n random improper sequences drawn as ``random_improper`` draws one, as
+    one array: a length in [2, max_len], uniform tokens and the terminal
+    forced onto a non-final index. Rows are token ranks padded with -1, as
+    ``ActionAlphabet.encode`` writes them."""
+    width = max(max_len, 2)
+    length = rng.integers(2, width + 1, size=n)
+    rows = rng.integers(0, len(alphabet.tokens), size=(n, width))
+    rows[np.arange(n), rng.integers(0, length - 1)] = alphabet.index(alphabet.terminal)
+    rows[np.arange(width) >= length[:, None]] = -1
+    return rows.astype(alphabet.rank_dtype)
+
+
 def value_at(ov: OptimalValues, seq: Iterable[str]) -> float:
     """``ov.v`` looked up by sequence: the value at its node, 0 off the trie."""
-    i = ov.trie.index.get(tuple(seq))
+    i = node_index(ov.trie).get(tuple(seq))
     return 0.0 if i is None else float(ov.v[i])
 
 
 def advantage_at(ov: OptimalValues, seq: Iterable[str], token: str) -> float:
     """``ov.a`` looked up by sequence and token: 0 off the trie."""
-    i = ov.trie.index.get(tuple(seq))
+    i = node_index(ov.trie).get(tuple(seq))
     return 0.0 if i is None else float(ov.a[i, ov.trie.alphabet.index(token)])
 
 
@@ -216,11 +238,11 @@ def pair(model: LinearAdvantage, s: PathSeq, action: str) -> int:
 def step_drawdown(model: AdvantageModel, s: Iterable[str], action: str) -> float:
     """The drawdown of the step (s, action), looked up one step at a time:
     a tabular step reads the trie edge into s + (action,) through
-    ``trie.index``, or -B off the trie; a linear step reads its ``pair``."""
+    ``node_index``, or -B off the trie; a linear step reads its ``pair``."""
     model.alphabet.require_token(action)
     s = model.alphabet.require_seq(s)
     if isinstance(model, TabularAdvantage):
-        node = model.trie.index.get(s + (action,))
+        node = node_index(model.trie).get(s + (action,))
         return model.fallback_advantage if node is None else float(model.a[node - 1])
     return float(model.a[pair(model, s, action)])
 
@@ -263,5 +285,5 @@ def oracle_scores(ov: OptimalValues) -> Callable[[PathSeq], np.ndarray]:
     """The oracle's exact drawdowns out of a state, as ``greedy_rollout``
     reads them: the state's row of ``ov.a``, or 0 for every token off the
     trie, where ``advantage_at`` reads 0."""
-    zeros = np.zeros(len(ov.trie.alphabet.tokens))
-    return lambda s: ov.a[ov.trie.index[s]] if s in ov.trie.index else zeros
+    zeros, index = np.zeros(len(ov.trie.alphabet.tokens)), node_index(ov.trie)
+    return lambda s: ov.a[index[s]] if s in index else zeros

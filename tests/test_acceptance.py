@@ -57,6 +57,7 @@ from .reference import (
     oracle_scores,
     predict_value,
     random_improper,
+    random_improper_rows,
 )
 
 POOL_SIZE = 200
@@ -93,10 +94,12 @@ def test_criterion_1_advantage_decomposition(pool):
         trie = inst.trie
         assert not any(inst.alphabet.classify(node) is SeqClass.IMPROPER for node in trie.nodes)
         rng = np.random.default_rng(seed)
-        max_len = trie.depth + 3
-        rows = [random_improper(inst.alphabet, rng, max_len=max_len) for _ in range(IMPROPER_PER_INSTANCE)]
-        end, *_ = grow(trie, inst.alphabet.encode(rows))
-        assert (end >= len(trie)).all()
+        rows = random_improper_rows(inst.alphabet, rng, IMPROPER_PER_INSTANCE, max_len=trie.depth + 3)
+        # improper: each row holds a terminal before its last token
+        before_last = np.arange(rows.shape[1]) < (rows >= 0).sum(1)[:, None] - 1
+        assert ((rows == inst.alphabet.index(inst.alphabet.terminal)) & before_last).any(1).all()
+        end, *_ = grow(trie, rows)
+        assert end.size == IMPROPER_PER_INSTANCE and (end >= len(trie)).all()
     assert worst <= 1e-12
     print(
         f"ACCEPTANCE 1 advantage decomposition: PASS "

@@ -249,7 +249,6 @@ class TestVerify:
         report = serialize.load_json(str(report_path))
         assert report["passed"] is True
         assert report["gap"]["gap"] <= 1e-9
-        assert report["bellman_violation"] == 0.0
         # v(a, b) = 0.2 sums back as 0.9 + 0 + (0.2 - 0.9), which rounds: the report
         # carries the residual that the check over the nodes finds
         assert report["decomposition_max_abs_residual"] == 2**-54
@@ -295,8 +294,8 @@ class TestVerifyGolden:
     iterative tabular solve wrote before keeps its own pinned report."""
 
     REPORTS = {
-        "tabular": "5efbe89821d4d62b0c56133b9b4e3d751e4fc96d94d974683acd7f772713daf6",
-        "linear": "ffc4d58333278f1e7e5cb91e802a9695632ceb5c85d82e5f2fb187e9d5102577",
+        "tabular": "37d0d0b9ce098075eb9aeb23d519a19b55ee742ff73c66bd4a5f6b944c79e393",
+        "linear": "9934805e2346c647a30ab05897b327f68fd9fd66240afedcdd52ec7f8c0d3ae2",
     }
 
     @pytest.mark.parametrize("family", sorted(REPORTS))
@@ -317,9 +316,9 @@ class TestVerifyGolden:
     # of the instance's 1050 nodes, so the compile tree of the 3751 default
     # mix states grows up to 6 levels off it
     FAR_REPORTS = {
-        "oracle": "3aeac5acf7b39551c6ac93c24dd66476396ab3f987a21dd4153a84161cedb041",
-        "tabular": "5c82ce9e82fdb55f4083ac9f5b24d85ad5cf064e500e4f450586394c9b7c8cab",
-        "linear": "803993f4fd74e7d11b681ba761dc3ec8f44f45f320aa224a8f39bc37b77b6bf7",
+        "oracle": "6d8435bc237e62e9ef8dbd1b471ad99db56169adb3c7f00832cee1bb3a22f949",
+        "tabular": "d1553813f2017643e54d1618de652a22bd3cb27a54d2abf627a10d2bc4149cc3",
+        "linear": "41d4fb09ffb686611021f18016b676d2fdf90b0cb7037b98e908b9ddb9a5543e",
     }
 
     def test_verify_far_off_the_model_trie_is_pinned(self, tmp_path):
@@ -347,13 +346,14 @@ class TestVerifyGolden:
         # loss 8.3293485349983598, as the tree solve's), its raw scores z
         # converted to the drawdowns -log(1 + exp(z)) that every reader took
         # from them; its verify.json keeps the bytes pinned for it then, but
-        # for the improper_samples line that verify no longer writes
+        # for the improper_samples and bellman_violation lines that verify no
+        # longer writes
         inst, verify = tmp_path / "inst.json", tmp_path / "verify.json"
         assert run("gen", "--actions", 3, "--depth", 4, "--paths", 6, "--seed", 21, "--out", inst) == 0
         assert run("verify", "--instance", inst, "--model", FIXTURES / "tabular_iterative_model.json",
                    "--report", verify) == 0
         digest = hashlib.sha256(verify.read_bytes()).hexdigest()
-        assert digest == "1c72c8f265fec26969053cc7acebe182dd9936c8f0c88c23014e0071e30016db"
+        assert digest == "faa0946bfcd705d54644e0bb48f864a2f33477a302be13ae93f9081fae0948cc"
 
     def test_biased_linear_model_scores_as_before(self, tmp_path):
         # fixtures/linear_biased_model.json is the linear model that the
@@ -361,13 +361,14 @@ class TestVerifyGolden:
         # -15.09, added into each pair's weight as every prediction added it,
         # and each weight z converted to the drawdown -log(1 + exp(z)); its
         # verify.json keeps the bytes pinned for it then, but for the
-        # improper_samples line that verify no longer writes
+        # improper_samples and bellman_violation lines that verify no longer
+        # writes
         inst, verify = tmp_path / "inst.json", tmp_path / "verify.json"
         assert run("gen", "--actions", 3, "--depth", 4, "--paths", 6, "--seed", 21, "--out", inst) == 0
         assert run("verify", "--instance", inst, "--model", FIXTURES / "linear_biased_model.json",
                    "--report", verify) == 0
         digest = hashlib.sha256(verify.read_bytes()).hexdigest()
-        assert digest == "93bc7df06d962626798b02b809a209adeeb6d92374decaf278f65e9f2e290562"
+        assert digest == "1d1d13f88dedee550406298ea73e1cbfd1314610fe86497c189987fed15310fb"
 
 
 class TestArtifactGolden:

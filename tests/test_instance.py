@@ -27,9 +27,9 @@ from tarpath.instance import (
     save_dataset,
     save_instance,
 )
-from tarpath.pathspace import EMPTY, ActionAlphabet
+from tarpath.pathspace import EMPTY, ActionAlphabet, PrefixTrie
 
-from .reference import instance_columns, per_row_noise
+from .reference import fixture_e2, instance_columns, per_row_noise
 from .strategies import instances
 
 AB = ActionAlphabet(tokens=("a", "b", "END"), terminal="END")
@@ -250,6 +250,26 @@ class TestPLInstance:
         for name in ("classify", "sort_key"):
             monkeypatch.setattr(ActionAlphabet, name, lambda alphabet, seq, name=name: calls.append(name))
         assert load_instance(path).psi == e2_bernoulli.psi
+        assert calls == []
+
+    @given(instances(), st.randoms(use_true_random=False))
+    def test_trie_is_the_built_trie_of_any_row_order(self, inst, rnd):
+        # the trie grows from the rank rows the constructor checked and sorted
+        rows = list(zip(inst.psi, inst.psi_yields.tolist(), inst.psi_weights.tolist()))
+        built = PrefixTrie.build(inst.alphabet, inst.psi)
+        for order in (rows[::-1], rnd.sample(rows, len(rows))):
+            psi, ys, ws = zip(*order)
+            trie = PLInstance(alphabet=inst.alphabet, psi=psi, psi_yields=ys, psi_weights=ws, noise=inst.noise).trie
+            for name in ("parent", "rank", "depths", "child"):
+                got, want = getattr(trie, name), getattr(built, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_trie_neither_checks_nor_encodes_again(self, monkeypatch):
+        inst = fixture_e2()
+        calls = []
+        monkeypatch.setattr(ActionAlphabet, "encode", lambda alphabet, seqs: calls.append("encode"))
+        monkeypatch.setattr(PrefixTrie, "build", classmethod(lambda cls, alphabet, paths: calls.append("build")))
+        assert inst.trie.members.tolist() == [5, 6, 7]
         assert calls == []
 
     @settings(max_examples=60)

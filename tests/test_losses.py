@@ -50,7 +50,7 @@ from tarpath.model import (
 from tarpath.oracle import compute_optimal
 from tarpath.pathspace import EMPTY, ActionAlphabet, PrefixTrie, SeqClass
 
-from .reference import fixture_e1, fringe_states, pair, predict_value
+from .reference import fixture_e1, fringe_states, node_index, pair, predict_value
 from .strategies import instances, tabular_models
 
 
@@ -59,7 +59,7 @@ def step_slot(model, s, a):
     falls back: the edge's trie node for a tabular model, 1 + its feature
     pair for a linear one."""
     if isinstance(model, TabularAdvantage):
-        return model.trie.index.get(s + (a,))
+        return node_index(model.trie).get(s + (a,))
     return 1 + pair(model, s, a)
 
 
@@ -463,7 +463,7 @@ class TestValueBatch:
         nodes = dict(zip(states, batch.node.tolist()))
         assert len(set(nodes.values())) == len(nodes)
         if family == "tabular":
-            for s, i in model.trie.index.items():
+            for i, s in enumerate(model.trie.nodes):
                 assert nodes.get(s, i) == i
         # the same bits whatever order the states come in
         order = np.random.default_rng(seed).permutation(len(states))

@@ -10,7 +10,6 @@ from tarpath.oracle import (
     OptimalValues,
     check_decomposition,
     compute_optimal,
-    max_bellman_violation,
 )
 from tarpath.pathspace import EMPTY, ActionAlphabet, SeqClass, grow
 from tarpath.planner import PlanResult, evaluate_plan, greedy_rollout
@@ -24,6 +23,7 @@ from .reference import (
     oracle_scores,
     per_token_rollout,
     random_improper,
+    random_improper_rows,
     step_drawdown,
     value_at,
 )
@@ -81,7 +81,9 @@ class TestInvariants:
 
     @given(instances())
     def test_bellman_feasibility_exact(self, inst):
-        assert max_bellman_violation(compute_optimal(inst)) == 0.0
+        # each v is the max over its children and yields are >= 0, so no
+        # backup exceeds the value it backs up to
+        assert not np.any(compute_optimal(inst).a > 0.0)
 
     @given(instances())
     def test_decomposition_residual_zero(self, inst):
@@ -202,6 +204,20 @@ class TestRandomImproper:
             seq = random_improper(alphabet, rng)
             assert alphabet.classify(seq) is SeqClass.IMPROPER
             assert len(seq) <= 8
+
+    @given(alphabets(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_rows_are_improper(self, alphabet, seed):
+        rows = random_improper_rows(alphabet, np.random.default_rng(seed), 200, max_len=5)
+        seqs = [tuple(alphabet.tokens[r] for r in row if r >= 0) for row in rows.tolist()]
+        assert all(alphabet.classify(seq) is SeqClass.IMPROPER for seq in seqs)
+        # padded with -1 after each row's tokens, as encode writes them
+        width = max(map(len, seqs))
+        assert np.array_equal(alphabet.encode(seqs), rows[:, :width]) and (rows[:, width:] == -1).all()
+        assert {len(seq) for seq in seqs} <= {2, 3, 4, 5}
+
+    def test_rows_span_the_lengths(self):
+        rows = random_improper_rows(AB, np.random.default_rng(7), 200, max_len=5)
+        assert sorted(set((rows >= 0).sum(1).tolist())) == [2, 3, 4, 5]
 
     def test_deterministic_given_seed(self):
         a = [random_improper(AB, np.random.default_rng(7)) for _ in range(5)]

@@ -1,10 +1,14 @@
 """Sequence classification, the prefix trie, and canonical ordering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from tarpath.errors import InvalidInputError
+from tarpath.model import LinearAdvantage, TabularAdvantage, load_model, save_model
+from tarpath.oracle import compute_optimal, save_oracle
 from tarpath.pathspace import (
     EMPTY,
     ActionAlphabet,
@@ -12,7 +16,7 @@ from tarpath.pathspace import (
     SeqClass,
 )
 
-from .reference import fringe_states
+from .reference import fixture_e2, fringe_states, node_index
 from .strategies import alphabets, instances
 
 AB = ActionAlphabet(tokens=("a", "b", "END"), terminal="END")
@@ -128,10 +132,10 @@ class TestPrefixTrie:
         trie = PrefixTrie.build(AB, paths)
         prefixes = {p[:k] for p in paths for k in range(len(p) + 1)} | {EMPTY}
         assert trie.nodes == tuple(sorted(prefixes, key=AB.sort_key))
-        for node in trie.nodes:
-            row = trie.child[trie.index[node]].tolist()
+        for i, node in enumerate(trie.nodes):
+            row = trie.child[i].tolist()
             assert [t for t, c in zip(AB.tokens, row) if c >= 0] == [t for t in AB.tokens if node + (t,) in prefixes]
-            assert trie.depths[trie.index[node]] == len(node)
+            assert trie.depths[i] == len(node)
         # any order or repetition of the paths builds the same trie
         again = paths + [rnd.choice(paths) for _ in range(rnd.randrange(4))] if paths else []
         rnd.shuffle(again)
@@ -160,14 +164,16 @@ class TestPrefixTrie:
 
     def test_children_in_declaration_order(self):
         trie = PrefixTrie.build(AB, [("b", "END"), ("a", "END"), ("a", "a", "END")])
-        a = trie.index[("a",)]
-        assert trie.child[trie.index[EMPTY]].tolist() == [a, trie.index[("b",)], -1]
-        assert trie.child[a].tolist() == [trie.index[("a", "a")], -1, trie.index[("a", "END")]]
+        index = node_index(trie)
+        a = index[("a",)]
+        assert trie.child[index[EMPTY]].tolist() == [a, index[("b",)], -1]
+        assert trie.child[a].tolist() == [index[("a", "a")], -1, index[("a", "END")]]
 
     def test_membership_and_depth(self):
         trie = PrefixTrie.build(AB, [("a", "a", "END")])
         assert ("a", "a") in trie
         assert ("a", "b") not in trie
+        assert ("a", "z") not in trie and ("z",) not in trie
         assert trie.depth == 3
 
     def test_depth_is_the_longest_node(self):
@@ -195,7 +201,7 @@ class TestPrefixTrie:
         assert trie.parent[0] == -1 and trie.rank[0] == -1
         assert trie.child.shape == (len(trie), len(tokens))
         for i, node in enumerate(trie.nodes):
-            assert trie.index[node] == i
+            assert trie.depths[i] == len(node)
             if i:
                 assert trie.nodes[trie.parent[i]] == node[:-1]
                 assert tokens[trie.rank[i]] == node[-1]
@@ -218,3 +224,71 @@ class TestPrefixTrie:
         for array in (trie.parent, trie.rank, trie.child):
             with pytest.raises(ValueError):
                 array[0] = 0
+
+
+def ranks_of(alphabet, seq):
+    return [alphabet.index(t) for t in seq]
+
+
+class TestWalk:
+    """``walk`` against the dict built over ``trie.nodes`` (``node_index``)."""
+
+    @staticmethod
+    def looked_up(trie, seq):
+        index = node_index(trie)
+        return [index.get(seq[:k], len(trie)) for k in range(len(seq) + 1)]
+
+    @given(instances(), st.data())
+    def test_matches_the_dict(self, inst, data):
+        trie, alphabet = inst.trie, inst.alphabet
+        # every node; the fringe, one step off; runs past the trie's depth;
+        # and random sequences, some of them longer than the depth
+        past = [(t,) * (trie.depth + 2) for t in alphabet.tokens]
+        drawn = data.draw(st.lists(st.lists(st.sampled_from(alphabet.tokens), max_size=trie.depth + 3), max_size=8))
+        seqs = list(trie.nodes) + list(fringe_states(trie)) + past + [tuple(s) for s in drawn]
+        for seq in seqs:
+            assert trie.walk(ranks_of(alphabet, seq)).tolist() == self.looked_up(trie, seq), seq
+            assert (seq in trie) == (seq in node_index(trie))
+        assert all(seq not in trie for seq in fringe_states(trie) + tuple(past))
+
+    @given(alphabets(), st.data())
+    def test_root_alone(self, alphabet, data):
+        # a linear model's tree: every step leaves it
+        tree = LinearAdvantage.default(alphabet).tree
+        assert len(tree) == 1 and tree.depth == 0
+        for seq in [()] + data.draw(st.lists(st.lists(st.sampled_from(alphabet.tokens), max_size=6), max_size=8)):
+            seq = tuple(seq)
+            assert tree.walk(ranks_of(alphabet, seq)).tolist() == self.looked_up(tree, seq) == [0] + [1] * len(seq)
+
+
+class TestDerivedViews:
+    @given(instances())
+    def test_rows_are_the_encoded_nodes(self, inst):
+        trie = inst.trie
+        assert trie.rows.dtype == inst.alphabet.rank_dtype
+        assert np.array_equal(trie.rows, inst.alphabet.encode(trie.nodes))
+        with pytest.raises(ValueError):
+            trie.rows[-1, 0] = 0
+
+    def test_root_alone_rows(self):
+        trie = PrefixTrie.build(AB, [])
+        assert trie.rows.shape == (1, 0)
+        assert np.array_equal(trie.rows, AB.encode(trie.nodes))
+
+    def test_fields_are_the_arrays(self):
+        assert [f.name for f in dataclasses.fields(PrefixTrie)] == ["alphabet", "parent", "rank", "depths", "child"]
+
+    def test_no_tuples_until_read(self, tmp_path):
+        # build, an instance's trie, the oracle and model writers and the
+        # model loader leave the tuples unbuilt
+        assert "nodes" not in PrefixTrie.build(AB, [("a", "END"), ("b", "a", "END")]).__dict__
+        inst = fixture_e2()
+        save_oracle(compute_optimal(inst), str(tmp_path / "oracle.json"))
+        save_model(TabularAdvantage.default(inst.trie), str(tmp_path / "model.json"))
+        assert "nodes" not in inst.trie.__dict__
+        for name in ("oracle.json", "model.json"):
+            loaded = load_model(str(tmp_path / name))
+            assert "nodes" not in loaded.trie.__dict__
+            assert np.array_equal(loaded.trie.child, inst.trie.child)
+        # and build them once, on first read
+        assert inst.trie.nodes is inst.trie.nodes
